@@ -12,12 +12,11 @@ then run this script, or do the same thing through the CLI:
     histlearn report runs/dadm/reports.csv --data-dir data --out-dir runs/report
 
 Training all four architectures for the full 10 epochs takes a while on a
-laptop (the histogram cache from the first dadm run is reused afterwards).
+laptop.
 
 Run:  python demos/04_mnist_robustness.py [data_dir]
 """
 
-import os
 import sys
 import time
 
@@ -38,15 +37,9 @@ rows = {}
 for arch in ("lenet", "base", "cnn", "dadm"):
     cfg = models.ModelConfig(arch, epochs=10, batch_size=64, seed=0)
     model = models.build_model(cfg)
-    histograms = None
-    if arch == "dadm":
-        cache_path = os.path.join(data_dir, "hist_cache_train_256_0.001.bin")
-        print("building/loading the per-image histogram cache (one-time cost)")
-        cache = models.load_or_build_histogram_cache(cache_path, train_set, cfg.histogram_spec())
-        histograms = cache.histograms
     print(f"training {arch}")
     start = time.monotonic()
-    models.train(model, train_set, cfg, histograms=histograms, log=lambda line: print("  " + line))
+    models.train(model, train_set, cfg, log=lambda line: print("  " + line))
     print(f"  {time.monotonic() - start:.0f}s")
     rows[arch] = [models.evaluate(model, test_set, t) for t in battery]
     print()

@@ -19,6 +19,7 @@ self-sufficient.
 
 import os
 import struct
+import tempfile
 
 import numpy as np
 
@@ -56,20 +57,38 @@ def _config_from_text(text: str) -> ModelConfig:
     return ModelConfig(**values)
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def save_checkpoint(model: Model, cfg: ModelConfig, path):
+    """Write through a temp file of this call's own and an atomic rename, so
+    readers never see a torn file and concurrent writers never share one."""
     params = model.parameters()
-    with open(str(path) + ".tmp", "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(_pack_str(model.architecture))
-        fh.write(_pack_str(_config_to_text(cfg)))
-        fh.write(struct.pack("<I", len(params)))
-        for p in params:
-            fh.write(_pack_str(p.name))
-            fh.write(struct.pack("<I", p.value.ndim))
-            fh.write(struct.pack(f"<{p.value.ndim}I", *p.value.shape))
-            fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
-    os.replace(str(path) + ".tmp", path)
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
+    )
+    try:
+        # mkstemp creates the file 0600; give it the mode open() would have
+        os.fchmod(fd, 0o666 & ~_umask())
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(_pack_str(model.architecture))
+            fh.write(_pack_str(_config_to_text(cfg)))
+            fh.write(struct.pack("<I", len(params)))
+            for p in params:
+                fh.write(_pack_str(p.name))
+                fh.write(struct.pack("<I", p.value.ndim))
+                fh.write(struct.pack(f"<{p.value.ndim}I", *p.value.shape))
+                fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -237,17 +237,9 @@ def _train_one(cfg, data_dir, out_dir):
     train_set = load_mnist(data_dir, "train")
     test_set = load_mnist(data_dir, "test")
     model = models.build_model(cfg)
-    histograms = None
-    if cfg.architecture == "dadm":
-        cache_path = os.path.join(
-            data_dir, f"hist_cache_train_{cfg.n_bins}_{cfg.bandwidth:g}.bin"
-        )
-        print(f"histogram cache: {cache_path}")
-        cache = models.load_or_build_histogram_cache(cache_path, train_set, cfg.histogram_spec())
-        histograms = cache.histograms
     print(f"training {cfg.architecture}: {train_set.count} images, "
           f"{cfg.epochs} epochs, batch {cfg.batch_size}, lr {cfg.lr}, seed {cfg.seed}")
-    curve = models.train(model, train_set, cfg, histograms=histograms, log=print)
+    curve = models.train(model, train_set, cfg, log=print)
     return model, curve, train_set, test_set
 
 

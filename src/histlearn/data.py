@@ -142,13 +142,6 @@ class ImageSet:
         images, labels = load_idx(images_path, labels_path)
         return cls(normalize(images), labels.astype(np.int64))
 
-    def checksum(self) -> str:
-        """sha256 over pixel and label bytes; identifies the dataset contents."""
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.pixels).tobytes())
-        h.update(np.ascontiguousarray(self.labels).tobytes())
-        return h.hexdigest()
-
 
 def load_mnist(data_dir, split="train") -> ImageSet:
     """Load one MNIST split from a directory holding the standard IDX files."""

@@ -13,20 +13,17 @@ dadm   per-image KDE histogram (256 bins) -> distribution-arithmetic layer
        / Linear(512->10)
 
 The histogram layer has no learnable parameters and training inputs are
-fixed, so per-image histograms of a training set are computed once and
-cached (:func:`cache_histograms`); with the cache in place dadm training
-costs about the same as the plain MLP.
+fixed, so :func:`train` computes each training image's histogram once, in
+memory, and runs every epoch from the distribution layer on.
 """
 
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ImageSet
 from .distlayers import ArithmeticDistributionLayer, init_kernel
-from .errors import DataFormatError, NonFiniteError, ShapeError
+from .errors import NonFiniteError, ShapeError
 from .histogram import HistogramSpec, kde_histogram, kde_histogram_backward
 from .nn import Adam, Conv2d, Flatten, Linear, MaxPool2d, ReLU, log_softmax_nll
 from .transforms import TransformSpec, apply_transform
@@ -184,92 +181,6 @@ def build_model(cfg: ModelConfig) -> Model:
 
 
 # --------------------------------------------------------------------------
-# Histogram cache
-
-
-@dataclass
-class HistogramCache:
-    """Per-image histograms keyed by dataset contents and bin geometry."""
-
-    dataset_checksum: str
-    n_bins: int
-    bandwidth: float
-    histograms: np.ndarray  # (count, n_bins) float64
-
-    def matches(self, image_set: ImageSet, spec: HistogramSpec) -> bool:
-        return (
-            self.n_bins == spec.n_bins
-            and self.bandwidth == spec.bandwidth
-            and self.histograms.shape == (image_set.count, spec.n_bins)
-            and self.dataset_checksum == image_set.checksum()
-        )
-
-
-def cache_histograms(image_set: ImageSet, spec: HistogramSpec) -> HistogramCache:
-    """Compute every image's KDE histogram once."""
-    hists = np.empty((image_set.count, spec.n_bins))
-    for i in range(image_set.count):
-        hists[i] = kde_histogram(image_set.pixels[i], spec)
-    return HistogramCache(image_set.checksum(), spec.n_bins, spec.bandwidth, hists)
-
-
-_CACHE_MAGIC = b"HLHC"
-_CACHE_VERSION = 1
-
-
-def save_histogram_cache(cache: HistogramCache, path):
-    """Write the cache with an atomic rename so readers never see a torn file."""
-    tmp = str(path) + ".tmp"
-    checksum = cache.dataset_checksum.encode()
-    with open(tmp, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<I", _CACHE_VERSION))
-        fh.write(struct.pack("<I", len(checksum)))
-        fh.write(checksum)
-        fh.write(struct.pack("<IdI", cache.n_bins, cache.bandwidth, cache.histograms.shape[0]))
-        fh.write(np.ascontiguousarray(cache.histograms, dtype="<f8").tobytes())
-    os.replace(tmp, path)
-
-
-def load_histogram_cache(path) -> HistogramCache:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CACHE_MAGIC:
-        raise DataFormatError(f"{path}: not a histogram cache file")
-    try:
-        (version,) = struct.unpack_from("<I", blob, 4)
-        if version != _CACHE_VERSION:
-            raise DataFormatError(f"{path}: unsupported cache version {version}")
-        (csum_len,) = struct.unpack_from("<I", blob, 8)
-        offset = 12
-        checksum = blob[offset : offset + csum_len].decode()
-        offset += csum_len
-        n_bins, bandwidth, count = struct.unpack_from("<IdI", blob, offset)
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"{path}: truncated or corrupt cache header: {exc}") from exc
-    offset += struct.calcsize("<IdI")
-    expected = offset + count * n_bins * 8
-    if len(blob) != expected:
-        raise DataFormatError(f"{path}: truncated, expected {expected} bytes, got {len(blob)}")
-    hists = np.frombuffer(blob, dtype="<f8", offset=offset).reshape(count, n_bins).copy()
-    return HistogramCache(checksum, n_bins, float(bandwidth), hists)
-
-
-def load_or_build_histogram_cache(path, image_set: ImageSet, spec: HistogramSpec) -> HistogramCache:
-    """Load the cache when its key matches the dataset; rebuild otherwise."""
-    if os.path.isfile(path):
-        try:
-            cache = load_histogram_cache(path)
-        except DataFormatError:
-            cache = None
-        if cache is not None and cache.matches(image_set, spec):
-            return cache
-    cache = cache_histograms(image_set, spec)
-    save_histogram_cache(cache, path)
-    return cache
-
-
-# --------------------------------------------------------------------------
 # Training and evaluation
 
 
@@ -296,25 +207,19 @@ class EvalReport:
             raise ShapeError(f"per_class must have 10 entries, got {len(self.per_class)}")
 
 
-def _model_inputs(model: Model, image_set: ImageSet, histograms=None):
-    """Per-sample feature rows and the layer index forward should start at."""
-    if model.architecture == "dadm" and histograms is not None:
-        return histograms, 1
-    return image_set.pixels[:, None, :, :], 0
-
-
-def train(model: Model, train_set: ImageSet, cfg: ModelConfig, histograms=None, log=None):
+def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     """Adam + NLL minibatch training; returns the per-epoch loss/accuracy curve.
 
-    ``histograms`` short-circuits the dadm histogram layer with cached
-    per-image histograms (shape (count, n_bins)).  Training is fully
+    For dadm the histogram layer runs once over the whole training set
+    before the first epoch and the epochs start at layer 1: its output
+    never changes and it has no parameters to train.  Training is fully
     deterministic given ``cfg.seed``: initialization is seeded at build
     time and the batch shuffle stream here derives from the same seed.
     The training set is consumed as-is; there is no augmentation hook.
     """
-    if model.architecture == "dadm" and histograms is None:
-        histograms = cache_histograms(train_set, model.histogram_spec()).histograms
-    inputs, start = _model_inputs(model, train_set, histograms)
+    inputs, start = train_set.pixels[:, None, :, :], 0
+    if model.architecture == "dadm":
+        inputs, start = model.layers[0].forward(train_set.pixels), 1
     labels = train_set.labels
     n = train_set.count
     optimizer = Adam(model.parameters(), lr=cfg.lr)
@@ -347,12 +252,12 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, histograms=None, 
     return curve
 
 
-def predict(model: Model, image_set: ImageSet, batch_size=256, histograms=None) -> np.ndarray:
+def predict(model: Model, image_set: ImageSet, batch_size=256) -> np.ndarray:
     """Top-1 class per image."""
-    inputs, start = _model_inputs(model, image_set, histograms)
+    inputs = image_set.pixels[:, None, :, :]
     out = np.empty(image_set.count, dtype=np.int64)
     for lo in range(0, image_set.count, batch_size):
-        logits = model.forward(inputs[lo : lo + batch_size], start=start)
+        logits = model.forward(inputs[lo : lo + batch_size])
         out[lo : lo + logits.shape[0]] = logits.argmax(axis=1)
     return out
 

@@ -284,7 +284,7 @@ def check_kde_permutation_invariance():
     for _ in range(3):
         shuffled = rng.permutation(px)
         worst = max(worst, np.abs(histogram.kde_histogram(shuffled, spec) - bins).max())
-    return _result("kde-permutation-invariance", worst, 1e-12)
+    return _result("kde-permutation-invariance", worst, 0.0)
 
 
 def _product_bruteforce(fx, fw, spec):

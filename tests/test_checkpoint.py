@@ -1,5 +1,7 @@
 """Binary checkpoint round trips and corruption handling."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,29 @@ def test_corrupt_header_is_data_error(tmp_path):
     path.write_bytes(b"HLCP\x01\x00")
     with pytest.raises(DataFormatError):
         load_checkpoint(path)
+
+
+def test_save_uses_a_private_temp_file(tmp_path):
+    # another writer's temp file at the old fixed name is left alone, and
+    # the save itself leaves nothing behind
+    cfg = models.ModelConfig("base", epochs=1, seed=0)
+    path = tmp_path / "model.ckpt"
+    (tmp_path / "model.ckpt.tmp").write_bytes(b"another writer")
+    save_checkpoint(models.build_model(cfg), cfg, path)
+    assert (tmp_path / "model.ckpt.tmp").read_bytes() == b"another writer"
+    assert sorted(os.listdir(tmp_path)) == ["model.ckpt", "model.ckpt.tmp"]
+    # same permissions as a file opened the ordinary way
+    assert os.stat(path).st_mode == os.stat(tmp_path / "model.ckpt.tmp").st_mode
+    load_checkpoint(path)
+
+
+def test_failed_save_removes_temp_file(tmp_path, monkeypatch):
+    cfg = models.ModelConfig("base", epochs=1, seed=0)
+
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", broken_replace)
+    with pytest.raises(OSError):
+        save_checkpoint(models.build_model(cfg), cfg, tmp_path / "model.ckpt")
+    assert os.listdir(tmp_path) == []

@@ -92,11 +92,13 @@ class TestTrainCommand:
         assert code == 0
         assert os.path.isfile(os.path.join(out_dir, "model_lenet.ckpt"))
 
-    def test_dadm_writes_histogram_cache(self, synth_data_dir, tmp_path):
-        out_dir = str(tmp_path / "run")
+    def test_dadm_leaves_data_dir_unchanged(self, synth_data_dir, tmp_path_factory):
+        # training histograms live in memory only, so a read-only data dir works
+        before = sorted(os.listdir(synth_data_dir))
+        out_dir = str(tmp_path_factory.mktemp("run"))
         code = run("train", "--arch", "dadm", "--data-dir", synth_data_dir, "--out-dir", out_dir, *TRAIN_ARGS)
         assert code == 0
-        assert os.path.isfile(os.path.join(synth_data_dir, "hist_cache_train_32_0.01.bin"))
+        assert sorted(os.listdir(synth_data_dir)) == before
 
     def test_env_var_data_dir(self, synth_data_dir, tmp_path, monkeypatch):
         monkeypatch.setenv(DATA_DIR_ENV, synth_data_dir)

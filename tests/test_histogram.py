@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 
+from conftest import to_bytes_images
+from histlearn.data import ImageSet, normalize
 from histlearn.histogram import (
     HistogramSpec,
     bin_index,
@@ -11,6 +14,7 @@ from histlearn.histogram import (
     kde_histogram,
     kde_histogram_backward,
 )
+from histlearn.transforms import TransformSpec, apply_transform
 
 
 class TestSpecGeometry:
@@ -36,6 +40,8 @@ class TestSpecGeometry:
             HistogramSpec(bandwidth=0.0)
         with pytest.raises(ValueError):
             HistogramSpec(bandwidth=-1e-3)
+        with pytest.raises(ValueError):
+            HistogramSpec(bandwidth=float("inf"))
 
 
 class TestBinIndex:
@@ -120,13 +126,36 @@ class TestKdeHistogram:
             assert np.all(bins >= 0)
 
     def test_permutation_invariance(self):
+        # bit for bit: reordering pixels must not even change the rounding
         rng = np.random.default_rng(8)
         spec = HistogramSpec()
         px = rng.uniform(-1, 1, 784)
         bins = kde_histogram(px, spec)
         for _ in range(4):
             again = kde_histogram(rng.permutation(px), spec)
-            assert np.abs(again - bins).max() < 1e-12
+            assert np.array_equal(again, bins)
+        image = rng.integers(0, 256, (28, 28)) / 127.5 - 1.0
+        assert np.array_equal(kde_histogram(image[:, ::-1], spec), kde_histogram(image, spec))
+
+    def test_matches_dense_reference_at_production_settings(self, small_set):
+        # every (pixel, edge) erf term summed directly, with no grouping of
+        # equal pixels and no saturation cut-off
+        spec = HistogramSpec(n_bins=256, bandwidth=0.001)
+
+        def dense(pixels):
+            px = np.asarray(pixels).ravel()
+            per_edge = erf((spec.edges[None, :] - px[:, None]) / (np.sqrt(2.0) * spec.bandwidth)).sum(axis=0)
+            raw = np.diff(per_edge)
+            return raw / raw.sum()
+
+        rng = np.random.default_rng(10)
+        raw_bytes, labels = to_bytes_images(small_set)
+        byte_set = ImageSet(normalize(raw_bytes), labels)
+        noise = rng.integers(0, 256, (4, 28, 28)) / 127.5 - 1.0
+        rotated = apply_transform(byte_set, TransformSpec("rotate", rng_seed=3)).pixels
+        for images in (byte_set.pixels[:8], noise, rotated[:8]):
+            for image in images:
+                assert np.abs(kde_histogram(image, spec) - dense(image)).max() < 1e-12
 
     def test_converges_to_discrete_histogram(self):
         # tiny bandwidth, pixels far from boundaries: KDE == counting

@@ -1,6 +1,4 @@
-"""Architectures, training loop, evaluation, histogram cache."""
-
-import os
+"""Architectures, training loop, evaluation."""
 
 import numpy as np
 import pytest
@@ -8,7 +6,7 @@ import pytest
 from conftest import make_imageset
 from histlearn import models, nn
 from histlearn.errors import NonFiniteError
-from histlearn.histogram import HistogramSpec, kde_histogram
+from histlearn.histogram import kde_histogram
 from histlearn.transforms import TransformSpec, apply_transform
 
 ARCHS = ("lenet", "base", "cnn", "dadm")
@@ -202,20 +200,6 @@ class TestTraining:
         for a, b in zip(params[0], params[1]):
             assert np.array_equal(a, b)
 
-    def test_dadm_cached_histograms_match_direct_path(self):
-        train_set = make_imageset(96, seed=22)
-        cfg = tiny_cfg("dadm", epochs=1, n_bins=32, bandwidth=0.01)
-        spec = HistogramSpec(n_bins=32, bandwidth=0.01)
-        cache = models.cache_histograms(train_set, spec)
-
-        model_a = models.build_model(cfg)
-        curve_a = models.train(model_a, train_set, cfg, histograms=cache.histograms)
-        model_b = models.build_model(cfg)
-        curve_b = models.train(model_b, train_set, cfg)
-        assert curve_a[0].mean_loss == curve_b[0].mean_loss
-        for pa, pb in zip(model_a.parameters(), model_b.parameters()):
-            assert np.array_equal(pa.value, pb.value)
-
     def test_nonfinite_loss_aborts_with_location(self):
         train_set = make_imageset(64, seed=23)
         cfg = tiny_cfg("base")
@@ -231,58 +215,6 @@ class TestTraining:
         model = models.build_model(cfg)
         curve = models.train(model, train_set, cfg)
         assert [s.epoch for s in curve] == [1, 2, 3]
-
-
-class TestHistogramCache:
-    def test_entries_match_fresh_evaluation(self, small_set):
-        spec = HistogramSpec(n_bins=32, bandwidth=0.01)
-        cache = models.cache_histograms(small_set, spec)
-        for i in (0, 7, 100):
-            fresh = kde_histogram(small_set.pixels[i], spec)
-            assert np.abs(cache.histograms[i] - fresh).max() < 1e-12
-
-    def test_save_load_round_trip(self, small_set, tmp_path):
-        spec = HistogramSpec(n_bins=32, bandwidth=0.01)
-        cache = models.cache_histograms(small_set, spec)
-        path = tmp_path / "cache.bin"
-        models.save_histogram_cache(cache, path)
-        loaded = models.load_histogram_cache(path)
-        assert loaded.dataset_checksum == cache.dataset_checksum
-        assert loaded.n_bins == 32 and loaded.bandwidth == 0.01
-        assert np.array_equal(loaded.histograms, cache.histograms)
-
-    def test_file_size_formula(self, small_set, tmp_path):
-        # header + count * bins * 8 bytes; at MNIST scale (60k x 256) this
-        # is the documented ~123 MB
-        spec = HistogramSpec(n_bins=32, bandwidth=0.01)
-        cache = models.cache_histograms(small_set, spec)
-        path = tmp_path / "cache.bin"
-        models.save_histogram_cache(cache, path)
-        header = 4 + 4 + 4 + len(cache.dataset_checksum) + 4 + 8 + 4
-        assert os.path.getsize(path) == header + small_set.count * 32 * 8
-        assert 60000 * 256 * 8 == 122_880_000
-
-    def test_bandwidth_change_invalidates(self, small_set):
-        cache = models.cache_histograms(small_set, HistogramSpec(n_bins=32, bandwidth=0.01))
-        assert cache.matches(small_set, HistogramSpec(n_bins=32, bandwidth=0.01))
-        assert not cache.matches(small_set, HistogramSpec(n_bins=32, bandwidth=0.02))
-        assert not cache.matches(small_set, HistogramSpec(n_bins=64, bandwidth=0.01))
-
-    def test_mismatched_cache_rebuilt(self, small_set, tmp_path):
-        spec = HistogramSpec(n_bins=32, bandwidth=0.01)
-        other = make_imageset(64, seed=30)
-        path = tmp_path / "cache.bin"
-        models.save_histogram_cache(models.cache_histograms(other, spec), path)
-        cache = models.load_or_build_histogram_cache(path, small_set, spec)
-        assert cache.matches(small_set, spec)
-        assert models.load_histogram_cache(path).matches(small_set, spec)
-
-    def test_corrupt_cache_rebuilt(self, small_set, tmp_path):
-        spec = HistogramSpec(n_bins=32, bandwidth=0.01)
-        path = tmp_path / "cache.bin"
-        path.write_bytes(b"garbage")
-        cache = models.load_or_build_histogram_cache(path, small_set, spec)
-        assert cache.matches(small_set, spec)
 
 
 class TestEvaluate:
@@ -324,11 +256,3 @@ class TestEvaluate:
             preds = models.predict(model, out)
             assert (preds == base_preds).mean() >= 0.999
 
-
-def test_truncated_cache_header_is_data_error(tmp_path):
-    from histlearn.errors import DataFormatError
-
-    path = tmp_path / "cache.bin"
-    path.write_bytes(b"HLHC\x01\x00")
-    with pytest.raises(DataFormatError):
-        models.load_histogram_cache(path)

@@ -165,7 +165,7 @@ class TestApplyTransform:
             for i in range(16):
                 a = kde_histogram(subset[i], spec)
                 b = kde_histogram(out.pixels[i], spec)
-                assert np.abs(a - b).max() < 1e-12
+                assert np.array_equal(a, b)
 
     def test_transform_image_matches_set_application(self, small_set):
         # the single-image helper reproduces the whole-set result at any index

@@ -1,8 +1,10 @@
 """Arithmetic on distributions: the law of W*X + B as a layer.
 
-Treats length-N vectors as histograms of random variables and runs the
-product and sum stages against a Monte-Carlo simulation of the same
-arithmetic, then shows the learnable near-identity initialization.
+Treats length-N vectors as histograms of random variables.  Each stage of
+the layer is a kernel folded into an (N, N) scatter matrix: applying it to
+f_X gives the law of W*X or of X + W.  Both stages run against a
+Monte-Carlo simulation of the same arithmetic, then the layer shows its
+learnable near-identity initialization.
 
 Run:  python demos/02_distribution_arithmetic.py
 """
@@ -10,10 +12,10 @@ Run:  python demos/02_distribution_arithmetic.py
 import numpy as np
 
 from histlearn.distlayers import (
-    arithmetic_forward,
+    ArithmeticDistributionLayer,
     init_kernel,
-    product_dist_forward,
-    sum_dist_forward,
+    product_matrix,
+    sum_matrix,
 )
 from histlearn.histogram import HistogramSpec, bin_index
 
@@ -27,8 +29,8 @@ f_x /= f_x.sum()
 f_w = np.exp(-0.5 * ((spec.centers - 0.8) / 0.1) ** 2)
 f_w /= f_w.sum()
 
-f_prod = product_dist_forward(f_x, f_w, spec)
-f_sum = sum_dist_forward(f_x, f_w, spec)
+f_prod = product_matrix(f_w, spec) @ f_x
+f_sum = sum_matrix(f_w, spec) @ f_x
 
 draws = 500_000
 xs = spec.centers[rng.choice(N, draws, p=f_x)]
@@ -46,7 +48,7 @@ print("center   f_X      W*X      X+W")
 for i in range(N):
     print(f"  {spec.centers[i]:+.3f}  {f_x[i]:.4f}  {f_prod[i]:.4f}  {f_sum[i]:.4f}")
 
-print("\nmass is conserved exactly:")
+print("\nmass is conserved up to rounding:")
 print(f"  sum(f_prod) = {f_prod.sum():.15f}")
 print(f"  sum(f_sum)  = {f_sum.sum():.15f}")
 
@@ -56,6 +58,6 @@ spec_odd = HistogramSpec(n_bins=15, bandwidth=0.05)
 f = np.exp(-0.5 * ((spec_odd.centers - 0.2) / 0.2) ** 2)
 f /= f.sum()
 kernel = init_kernel(spec_odd, seed=0, noise_scale=0.0)
-out = arithmetic_forward(f, kernel, spec_odd)
+out = ArithmeticDistributionLayer(spec_odd, kernel).forward(f)
 print(f"\nnoise-free init on 15 bins: max |module(f) - f| = {np.abs(out - f).max():.1e}")
 print("training nudges the two kernel histograms away from this identity")

@@ -12,7 +12,8 @@ the toolkit.
 Submodules
 ----------
 histogram   differentiable KDE histograms on [-1, 1] and the counting oracle
-distlayers  product/sum distribution layers and the learnable kernel pair
+distlayers  one W*X+B distribution layer: exact mass-pairing scatter
+            matrices, exact adjoints, the learnable kernel pair
 nn          dense layers with hand-written backward passes, Adam, grad_check
 data        IDX (MNIST) parsing, normalization, dataset download
 transforms  test-time rotate / translate / flip / shuffle battery

@@ -23,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, ShapeError
 from .models import Model, ModelConfig, build_model
 
 MAGIC = b"HLCP"
@@ -112,11 +112,14 @@ def load_checkpoint(path):
                 f"{path}: architecture tag {arch!r} != config architecture {cfg.architecture!r}"
             )
         (count,) = struct.unpack_from("<I", blob, offset)
-    except struct.error as exc:
+    except (struct.error, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: truncated or corrupt header: {exc}") from exc
     offset += 4
 
-    model = build_model(cfg)
+    try:
+        model = build_model(cfg)
+    except (ValueError, ShapeError) as exc:
+        raise DataFormatError(f"{path}: config block does not build a model: {exc}") from exc
     params = model.parameters()
     if len(params) != count:
         raise DataFormatError(
@@ -142,8 +145,8 @@ def load_checkpoint(path):
                 blob, dtype="<f8", count=int(np.prod(shape)), offset=offset
             ).reshape(shape)
             offset += size
-    except struct.error as exc:
-        raise DataFormatError(f"{path}: truncated parameter table: {exc}") from exc
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: truncated or corrupt parameter table: {exc}") from exc
     if offset != len(blob):
         raise DataFormatError(f"{path}: {len(blob) - offset} trailing bytes")
     return model, cfg

@@ -10,7 +10,7 @@ Subcommands::
     selftest  dataset-free property checks
 
 Shared flags: ``--arch --epochs --batch --lr --seed --bins --bandwidth
---data-dir --out-dir --transforms --config --threads --single-thread``.
+--data-dir --out-dir --transforms --config --threads``.
 Options resolve in order: explicit flag > ``--config`` file (flat
 key=value lines) > ``HISTLEARN_DATA_DIR`` (for the data directory) >
 built-in default, and every run writes its resolved options to
@@ -19,9 +19,9 @@ built-in default, and every run writes its resolved options to
 Exit codes are stable for CI: 0 success, 1 usage error, 2 data error
 (missing/corrupt files), 3 failed property or numeric check.
 
-``--threads N`` / ``--single-thread`` cap the BLAS thread pools via
-environment variables; they take effect because the numeric modules are
-imported only after argument parsing.
+``--threads N`` caps the BLAS thread pools via environment variables; it
+takes effect because the numeric modules are imported only after argument
+parsing.
 """
 
 import argparse
@@ -90,7 +90,6 @@ def _add_common(sub, *names):
         else:
             sub.add_argument(flag, default=_UNSET, help=_HELP[name])
     sub.add_argument("--config", default=None, help="flat key=value option file")
-    sub.add_argument("--single-thread", action="store_true", help="cap BLAS pools at one thread")
 
 
 def build_parser() -> _Parser:
@@ -413,9 +412,7 @@ def _cmd_selftest(args):
 
 def _configure_threads(args):
     n = None
-    if getattr(args, "single_thread", False):
-        n = 1
-    elif getattr(args, "threads", _UNSET) not in (_UNSET, None):
+    if getattr(args, "threads", _UNSET) not in (_UNSET, None):
         n = args.threads
     elif getattr(args, "config", None):
         # the config file is parsed before any numeric module loads, so a

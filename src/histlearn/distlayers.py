@@ -3,26 +3,26 @@
 A length-N vector is read as the bin masses of a random variable on the
 partition of [-1, 1] defined by a :class:`~histlearn.histogram.HistogramSpec`.
 Given an input variable X and two learnable kernel histograms W and B, the
-layer pair computes the distribution of ``W*X + B`` for independent
-variables: a product stage followed by a sum stage.
+layer computes the distribution of ``W*X + B`` for independent variables:
+a product stage followed by a sum stage.
 
 Both stages are *mass-pairing scatters*: the joint mass ``f_W[i] * f_X[m]``
 of every index pair lands in the bin containing ``centers[i] * centers[m]``
 (product) or ``centers[i] + centers[m]`` (sum).  This is the exact law of
 the product/sum of the two discretized variables.  It needs no 1/|w|
-weighting and no interpolation, it conserves mass exactly (sums that leave
-[-1, 1] clamp into the boundary bins), and because the map is bilinear the
-backward passes below are its exact adjoints: finite differences agree to
-machine precision, not just to discretization order.
+weighting and no interpolation, it conserves mass (sums that leave [-1, 1]
+clamp into the boundary bins), and because the map is bilinear the
+backward pass is its exact adjoint: finite differences agree to rounding
+error, not just to discretization order.
 
-Accumulation orders are fixed and documented so results are reproducible
-bit for bit:
-
-* product: pairs are visited weight-major, i.e. ``(i, m)`` in row-major
-  order, equivalent to ``for i: for m: out[k(i,m)] += f_W[i] * f_X[m]``;
-* sum: symmetric pairs are pre-added (``f_B[i] f_X[m] + f_B[m] f_X[i]``)
-  and visited over the upper triangle in row-major order, which makes the
-  sum stage exactly commutative in its two arguments.
+Each stage is linear in its input, so a kernel is folded once into an
+(N, N) matrix: :func:`product_matrix` gives P with ``P @ f_x`` the law of
+W*X, :func:`sum_matrix` gives S with ``S @ f_x`` the law of X + B.  The
+fold is one ``np.bincount`` whose cells add their terms in ascending
+kernel index, so the matrices are reproducible bit for bit.  Applying them
+is BLAS matrix multiplication, whose summation order is the library's.
+:class:`ArithmeticDistributionLayer` is these two matrices applied to a
+batch; a single distribution is a batch of one.
 """
 
 from dataclasses import dataclass
@@ -60,12 +60,11 @@ class DistributionKernel:
 
 @lru_cache(maxsize=8)
 def _index_maps(n_bins: int):
-    """Precomputed scatter geometry for one bin count.
+    """Scatter geometry for one bin count.
 
-    ``prod[i, m]`` / ``sum_[i, m]`` are the output bins of the pair (i, m);
-    ``prod_flat`` / ``sum_flat`` are the composite indices ``k * N + m``
-    used to scatter or gather against (N, N) matrices; the ``triu_*``
-    arrays drive the commutative sum-stage accumulation.
+    Pair (i, m), kernel bin i against input bin m, lands in output bin
+    k(i, m); ``prod_flat`` / ``sum_flat`` hold the composite indices
+    ``k * N + m`` into an (N, N) matrix, pairs in row-major order.
     """
     spec = HistogramSpec(n_bins=n_bins, bandwidth=1.0)
     centers = spec.centers
@@ -74,80 +73,31 @@ def _index_maps(n_bins: int):
     sum_ = np.clip(
         np.floor((pair_sums + 1.0) * (n_bins / 2.0)).astype(np.int64), 0, n_bins - 1
     )
-    cols = np.broadcast_to(np.arange(n_bins), (n_bins, n_bins))
-    iu, ju = np.triu_indices(n_bins)
+    cols = np.arange(n_bins)
     return {
-        "prod": prod,
-        "sum": sum_,
         "prod_flat": (prod * n_bins + cols).ravel(),
         "sum_flat": (sum_ * n_bins + cols).ravel(),
-        "triu_i": iu,
-        "triu_j": ju,
-        "triu_diag": iu == ju,
-        "triu_sum_bins": sum_[iu, ju],
     }
 
 
-def _check_vec(v, spec: HistogramSpec, what: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (spec.n_bins,):
-        raise ShapeError(f"{what} has shape {arr.shape}, expected ({spec.n_bins},)")
-    return arr
+def _scatter_matrix(kernel, spec: HistogramSpec, key: str, what: str) -> np.ndarray:
+    """M[k, m] = sum of kernel[i] over the pairs (i, m) that land in bin k."""
+    kernel = np.asarray(kernel, dtype=np.float64)
+    n = spec.n_bins
+    if kernel.shape != (n,):
+        raise ShapeError(f"{what} has shape {kernel.shape}, expected ({n},)")
+    flat_idx = _index_maps(n)[key]
+    return np.bincount(flat_idx, weights=np.repeat(kernel, n), minlength=n * n).reshape(n, n)
 
 
-def product_dist_forward(f_x, f_w, spec: HistogramSpec) -> np.ndarray:
-    """Mass vector of W*X for independent discretized variables."""
-    f_x = _check_vec(f_x, spec, "f_x")
-    f_w = _check_vec(f_w, spec, "f_w")
-    maps = _index_maps(spec.n_bins)
-    weights = np.multiply.outer(f_w, f_x).ravel()
-    return np.bincount(maps["prod"].ravel(), weights=weights, minlength=spec.n_bins)
+def product_matrix(f_w, spec: HistogramSpec) -> np.ndarray:
+    """The (N, N) matrix P such that ``P @ f_x`` is the law of W*X."""
+    return _scatter_matrix(f_w, spec, "prod_flat", "f_w")
 
 
-def product_dist_backward(grad_fz, f_x, f_w, spec: HistogramSpec):
-    """Adjoint of the product scatter: (grad_f_w, grad_f_x)."""
-    grad_fz = _check_vec(grad_fz, spec, "grad_fz")
-    f_x = _check_vec(f_x, spec, "f_x")
-    f_w = _check_vec(f_w, spec, "f_w")
-    gathered = grad_fz[_index_maps(spec.n_bins)["prod"]]
-    return gathered @ f_x, f_w @ gathered
-
-
-def sum_dist_forward(f_x, f_b, spec: HistogramSpec) -> np.ndarray:
-    """Mass vector of X + B, boundary-clamped; exactly commutative."""
-    f_x = _check_vec(f_x, spec, "f_x")
-    f_b = _check_vec(f_b, spec, "f_b")
-    maps = _index_maps(spec.n_bins)
-    iu, ju = maps["triu_i"], maps["triu_j"]
-    t1 = f_b[iu] * f_x[ju]
-    t2 = f_b[ju] * f_x[iu]
-    vals = t1 + t2
-    vals[maps["triu_diag"]] = t1[maps["triu_diag"]]
-    return np.bincount(maps["triu_sum_bins"], weights=vals, minlength=spec.n_bins)
-
-
-def sum_dist_backward(grad_fz, f_x, f_b, spec: HistogramSpec):
-    """Adjoint of the clamped sum scatter: (grad_f_b, grad_f_x)."""
-    grad_fz = _check_vec(grad_fz, spec, "grad_fz")
-    f_x = _check_vec(f_x, spec, "f_x")
-    f_b = _check_vec(f_b, spec, "f_b")
-    gathered = grad_fz[_index_maps(spec.n_bins)["sum"]]
-    return gathered @ f_x, f_b @ gathered
-
-
-def arithmetic_forward(f_x, kernel: DistributionKernel, spec: HistogramSpec) -> np.ndarray:
-    """Distribution of W*X + B: product stage, then sum stage."""
-    f_y = product_dist_forward(f_x, kernel.weight_hist, spec)
-    return sum_dist_forward(f_y, kernel.bias_hist, spec)
-
-
-def arithmetic_backward(grad_fz, f_x, kernel: DistributionKernel, spec: HistogramSpec):
-    """Chained adjoints: (grad_weight_hist, grad_bias_hist, grad_f_x)."""
-    f_x = _check_vec(f_x, spec, "f_x")
-    f_y = product_dist_forward(f_x, kernel.weight_hist, spec)
-    grad_b, grad_fy = sum_dist_backward(grad_fz, f_y, kernel.bias_hist, spec)
-    grad_w, grad_fx = product_dist_backward(grad_fy, f_x, kernel.weight_hist, spec)
-    return grad_w, grad_b, grad_fx
+def sum_matrix(f_b, spec: HistogramSpec) -> np.ndarray:
+    """The (N, N) matrix S such that ``S @ f_x`` is the law of X + B."""
+    return _scatter_matrix(f_b, spec, "sum_flat", "f_b")
 
 
 def init_kernel(spec: HistogramSpec, seed: int, noise_scale: float = 0.01) -> DistributionKernel:
@@ -170,18 +120,12 @@ def init_kernel(spec: HistogramSpec, seed: int, noise_scale: float = 0.01) -> Di
     return DistributionKernel(weight, bias)
 
 
-def _scatter_matrix(values: np.ndarray, flat_idx: np.ndarray, n: int) -> np.ndarray:
-    """M[k, m] = sum_i values[i] over pairs with output bin k in column m."""
-    return np.bincount(flat_idx, weights=np.repeat(values, n), minlength=n * n).reshape(n, n)
-
-
 class ArithmeticDistributionLayer:
     """Batched W*X + B distribution layer over learnable kernel histograms.
 
-    For a whole batch the scatter is folded into two (N, N) matrices that
-    depend only on the current kernels, so forward and backward are plain
-    matmuls plus one gather per kernel.  Gradients agree with the
-    per-sample functional ops to rounding error.
+    The forward pass folds the current kernels into :func:`product_matrix`
+    and :func:`sum_matrix` and applies both to the batch; the backward pass
+    is their exact adjoint, plain matmuls plus one gather per kernel.
     """
 
     def __init__(self, spec: HistogramSpec, kernel: DistributionKernel, name="arith"):
@@ -205,9 +149,8 @@ class ArithmeticDistributionLayer:
         n = self.spec.n_bins
         if x.ndim != 2 or x.shape[1] != n:
             raise ShapeError(f"expected histograms of shape (batch, {n}), got {x.shape}")
-        maps = _index_maps(n)
-        self._mw = _scatter_matrix(self.weight_hist.value, maps["prod_flat"], n)
-        self._mb = _scatter_matrix(self.bias_hist.value, maps["sum_flat"], n)
+        self._mw = product_matrix(self.weight_hist.value, self.spec)
+        self._mb = sum_matrix(self.bias_hist.value, self.spec)
         self._fx = x
         self._fy = x @ self._mw.T
         f_z = self._fy @ self._mb.T

@@ -46,12 +46,14 @@ class ModelConfig:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}, expected one of {ARCHITECTURES}"
             )
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        for key in ("epochs", "batch_size"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        # n_bins and bandwidth follow HistogramSpec's rules
+        self.histogram_spec()
 
     def histogram_spec(self) -> HistogramSpec:
         return HistogramSpec(n_bins=self.n_bins, bandwidth=self.bandwidth)

@@ -3,7 +3,8 @@
 Every check pairs an implementation path with an independent oracle:
 finite differences for gradients, adaptive quadrature for the KDE
 histogram, literal Python double loops and Monte-Carlo sampling for the
-distribution layers.  Each result carries the measured error and the
+scatter matrices of the W*X + B layer and for the layer itself, the code
+that dadm trains with.  Each result carries the measured error and the
 allowed tolerance so failures are directly actionable.
 
 The whole battery runs in well under two minutes on a desktop CPU and
@@ -11,6 +12,8 @@ needs no dataset.  ``perturb`` deliberately breaks a named backward pass;
 the test suite uses it to prove the harness can actually fail.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,91 +148,40 @@ def check_kde_grad():
     return _result("gradient-kde-histogram", err, 1e-4)
 
 
-def _dist_layer_probe(forward, backward, other, order):
-    """FD probe for one argument of a bilinear distribution op."""
+def _layer_grad_check(name, seed, target):
+    """FD check of the W*X + B layer against one of its gradients.
 
-    def f(v):
-        spec = histogram.HistogramSpec(n_bins=v.size, bandwidth=0.05)
-        if order == "x":
-            fz = forward(v, other, spec)
-            g = np.cos(np.arange(v.size) * 0.7)
-            grads = backward(g, v, other, spec)
-            return float(fz @ g), grads[1]
-        fz = forward(other, v, spec)
-        g = np.cos(np.arange(v.size) * 0.7)
-        grads = backward(g, other, v, spec)
-        return float(fz @ g), grads[0]
-
-    return f
+    The layer is linear in each of its three arguments, so a central
+    difference is exact for any step; a unit step keeps the rounding noise
+    of the difference far below the tolerance at N=256.
+    """
+    err = 0.0
+    for n in (8, 256):
+        rng = np.random.default_rng(seed)
+        spec = histogram.HistogramSpec(n_bins=n, bandwidth=0.05)
+        kernel = distlayers.DistributionKernel(rng.standard_normal(n), rng.standard_normal(n))
+        layer = distlayers.ArithmeticDistributionLayer(spec, kernel)
+        x = rng.standard_normal((2, n))
+        w = rng.standard_normal((2, n))
+        if target == "input":
+            err = max(err, nn.grad_check(_probe_input(layer, x, w), x, h=1.0))
+        else:
+            param = getattr(layer, target)
+            probe = _probe_param(layer, param, x, w)
+            err = max(err, nn.grad_check(probe, param.value.copy(), h=1.0))
+    return _result(name, err, 1e-8, f"d/d {target} at N=8 and N=256")
 
 
 def check_product_grad():
-    rng = np.random.default_rng(17)
-    fx = rng.standard_normal(8)
-    fw = rng.standard_normal(8)
-    err = nn.grad_check(
-        _dist_layer_probe(distlayers.product_dist_forward, distlayers.product_dist_backward, fw, "x"),
-        fx,
-    )
-    err = max(
-        err,
-        nn.grad_check(
-            _dist_layer_probe(
-                distlayers.product_dist_forward, distlayers.product_dist_backward, fx, "w"
-            ),
-            fw,
-        ),
-    )
-    return _result("gradient-product-layer", err, 1e-8)
+    return _layer_grad_check("gradient-product-layer", 17, "weight_hist")
 
 
 def check_sum_grad():
-    rng = np.random.default_rng(18)
-    fx = rng.standard_normal(8)
-    fb = rng.standard_normal(8)
-    err = nn.grad_check(
-        _dist_layer_probe(distlayers.sum_dist_forward, distlayers.sum_dist_backward, fb, "x"), fx
-    )
-    err = max(
-        err,
-        nn.grad_check(
-            _dist_layer_probe(distlayers.sum_dist_forward, distlayers.sum_dist_backward, fx, "w"),
-            fb,
-        ),
-    )
-    return _result("gradient-sum-layer", err, 1e-8)
+    return _layer_grad_check("gradient-sum-layer", 18, "bias_hist")
 
 
 def check_arithmetic_grad():
-    rng = np.random.default_rng(19)
-    spec = histogram.HistogramSpec(n_bins=8, bandwidth=0.05)
-    fx = rng.standard_normal(8)
-    kernel = distlayers.DistributionKernel(rng.standard_normal(8), rng.standard_normal(8))
-    probe = np.sin(np.arange(8) * 1.3)
-
-    def f_x(v):
-        fz = distlayers.arithmetic_forward(v, kernel, spec)
-        _, _, gx = distlayers.arithmetic_backward(probe, v, kernel, spec)
-        return float(fz @ probe), gx
-
-    def f_w(v):
-        k = distlayers.DistributionKernel(v, kernel.bias_hist)
-        fz = distlayers.arithmetic_forward(fx, k, spec)
-        gw, _, _ = distlayers.arithmetic_backward(probe, fx, k, spec)
-        return float(fz @ probe), gw
-
-    def f_b(v):
-        k = distlayers.DistributionKernel(kernel.weight_hist, v)
-        fz = distlayers.arithmetic_forward(fx, k, spec)
-        _, gb, _ = distlayers.arithmetic_backward(probe, fx, k, spec)
-        return float(fz @ probe), gb
-
-    err = max(
-        nn.grad_check(f_x, fx),
-        nn.grad_check(f_w, kernel.weight_hist.copy()),
-        nn.grad_check(f_b, kernel.bias_hist.copy()),
-    )
-    return _result("gradient-arithmetic-module", err, 1e-8)
+    return _layer_grad_check("gradient-arithmetic-module", 19, "input")
 
 
 def check_kde_vs_quadrature():
@@ -287,95 +239,150 @@ def check_kde_permutation_invariance():
     return _result("kde-permutation-invariance", worst, 0.0)
 
 
-def _product_bruteforce(fx, fw, spec):
+def _bin(z, n):
+    """Bin of a pair value z: half-open bins, clamped into [0, N)."""
+    return min(max(math.floor((z + 1.0) * (n / 2.0)), 0), n - 1)
+
+
+def _clamped_bins(values, n):
+    """Vectorized :func:`_bin` for Monte-Carlo draws."""
+    return np.clip(np.floor((values + 1.0) * (n / 2.0)).astype(np.int64), 0, n - 1)
+
+
+def _fold_bruteforce(kernel, spec, op):
+    """Loop fold of a kernel: M[k(i, m), m] += kernel[i], i ascending."""
     n = spec.n_bins
-    centers = spec.centers
-    out = np.zeros(n)
-    for i in range(n):
+    centers = spec.centers.tolist()
+    out = [[0.0] * n for _ in range(n)]
+    for i, value in enumerate(kernel.tolist()):
         for m in range(n):
-            k = int(np.floor((centers[i] * centers[m] + 1.0) * (n / 2.0)))
-            out[min(max(k, 0), n - 1)] += fw[i] * fx[m]
-    return out
+            out[_bin(op(centers[i], centers[m]), n)][m] += value
+    return np.array(out)
+
+
+def _law_bruteforce(fx, fk, spec, op):
+    """Literal double loop: out[k(i, m)] += fk[i] * fx[m]."""
+    n = spec.n_bins
+    centers = spec.centers.tolist()
+    fx = fx.tolist()
+    out = [0.0] * n
+    for i, value in enumerate(fk.tolist()):
+        for m in range(n):
+            out[_bin(op(centers[i], centers[m]), n)] += value * fx[m]
+    return np.array(out)
+
+
+def _product_bruteforce(fx, fw, spec):
+    return _law_bruteforce(fx, fw, spec, operator.mul)
 
 
 def _sum_bruteforce(fx, fb, spec):
-    n = spec.n_bins
-    centers = spec.centers
-    out = np.zeros(n)
-    for i in range(n):
-        for j in range(i, n):
-            k = int(np.floor((centers[i] + centers[j] + 1.0) * (n / 2.0)))
-            k = min(max(k, 0), n - 1)
-            if i == j:
-                out[k] += fb[i] * fx[i]
-            else:
-                out[k] += fb[i] * fx[j] + fb[j] * fx[i]
-    return out
+    return _law_bruteforce(fx, fb, spec, operator.add)
+
+
+_BUILDERS = ((distlayers.product_matrix, operator.mul), (distlayers.sum_matrix, operator.add))
 
 
 def check_scatter_vs_bruteforce():
     rng = np.random.default_rng(24)
     worst = 0.0
-    for n in (4, 8):
+    for n in (4, 8, 256):
         spec = histogram.HistogramSpec(n_bins=n, bandwidth=0.05)
-        fx = rng.random(n)
-        fw = rng.standard_normal(n)
-        a = distlayers.product_dist_forward(fx, fw, spec)
-        b = _product_bruteforce(fx, fw, spec)
-        worst = max(worst, float(np.abs(a - b).max()))
-        c = distlayers.sum_dist_forward(fx, fw, spec)
-        d = _sum_bruteforce(fx, fw, spec)
-        worst = max(worst, float(np.abs(c - d).max()))
-    return _result("scatter-vs-bruteforce", worst, 0.0, "bit-for-bit at N<=8")
+        fk = rng.standard_normal(n)
+        for build, op in _BUILDERS:
+            diff = build(fk, spec) - _fold_bruteforce(fk, spec, op)
+            worst = max(worst, float(np.abs(diff).max()))
+    return _result("scatter-vs-bruteforce", worst, 0.0, "bit-for-bit folds at N=4, 8, 256")
+
+
+def check_layer_vs_bruteforce():
+    rng = np.random.default_rng(28)
+    spec = histogram.HistogramSpec()
+    n = spec.n_bins
+    fw = rng.standard_normal(n)
+    fb = rng.standard_normal(n)
+    layer = distlayers.ArithmeticDistributionLayer(spec, distlayers.DistributionKernel(fw, fb))
+    x = rng.standard_normal((4, n))
+    ref = np.stack([_sum_bruteforce(_product_bruteforce(row, fw, spec), fb, spec) for row in x])
+    err = np.abs(layer.forward(x) - ref).max() / np.abs(ref).max()
+    return _result("layer-vs-bruteforce", err, 1e-12, f"4 rows at N={n}, relative to max|ref|")
+
+
+def _random_law(rng, n):
+    f = rng.random(n)
+    return f / f.sum()
 
 
 def check_scatter_vs_montecarlo():
     rng = np.random.default_rng(25)
     n = 8
     spec = histogram.HistogramSpec(n_bins=n, bandwidth=0.05)
-    fw = rng.random(n)
-    fw /= fw.sum()
-    fx = rng.random(n)
-    fx /= fx.sum()
+    fw = _random_law(rng, n)
+    fx = _random_law(rng, n)
     draws = 1_000_000
     wi = rng.choice(n, size=draws, p=fw)
     xm = rng.choice(n, size=draws, p=fx)
 
     prod_vals = spec.centers[wi] * spec.centers[xm]
     emp_prod = np.bincount(histogram.bin_index(prod_vals, spec), minlength=n) / draws
-    tv_prod = 0.5 * np.abs(emp_prod - distlayers.product_dist_forward(fx, fw, spec)).sum()
+    tv_prod = 0.5 * np.abs(emp_prod - distlayers.product_matrix(fw, spec) @ fx).sum()
 
     sums = spec.centers[wi] + spec.centers[xm]
-    k = np.clip(np.floor((sums + 1.0) * (n / 2.0)).astype(np.int64), 0, n - 1)
-    emp_sum = np.bincount(k, minlength=n) / draws
-    tv_sum = 0.5 * np.abs(emp_sum - distlayers.sum_dist_forward(fx, fw, spec)).sum()
+    emp_sum = np.bincount(_clamped_bins(sums, n), minlength=n) / draws
+    tv_sum = 0.5 * np.abs(emp_sum - distlayers.sum_matrix(fw, spec) @ fx).sum()
 
-    return _result("scatter-vs-montecarlo", max(tv_prod, tv_sum), 0.01, "1e6 draws")
+    # the whole layer at N=256: W, X and B drawn independently, W*X
+    # discretized to its bin center before B is added
+    spec = histogram.HistogramSpec()
+    n = spec.n_bins
+    fw, fx, fb = (_random_law(rng, n) for _ in range(3))
+    layer = distlayers.ArithmeticDistributionLayer(spec, distlayers.DistributionKernel(fw, fb))
+    counts = np.zeros(n)
+    chunks = 4
+    for _ in range(chunks):
+        wi = rng.choice(n, size=draws, p=fw)
+        xm = rng.choice(n, size=draws, p=fx)
+        bj = rng.choice(n, size=draws, p=fb)
+        y = histogram.bin_index(spec.centers[wi] * spec.centers[xm], spec)
+        counts += np.bincount(_clamped_bins(spec.centers[y] + spec.centers[bj], n), minlength=n)
+    tv_layer = 0.5 * np.abs(counts / (chunks * draws) - layer.forward(fx)).sum()
+
+    return _result(
+        "scatter-vs-montecarlo",
+        max(tv_prod, tv_sum, tv_layer),
+        0.01,
+        "stages at N=8 with 1e6 draws, layer at N=256 with 4e6",
+    )
 
 
 def check_mass_conservation():
     rng = np.random.default_rng(26)
     worst = 0.0
-    for n in (8, 16, 64):
+    for n in (8, 16, 64, 256):
         spec = histogram.HistogramSpec(n_bins=n, bandwidth=0.05)
         fx = rng.standard_normal(n)
         fk = rng.standard_normal(n)
         expected = fk.sum() * fx.sum()
-        worst = max(worst, abs(distlayers.product_dist_forward(fx, fk, spec).sum() - expected))
-        worst = max(worst, abs(distlayers.sum_dist_forward(fx, fk, spec).sum() - expected))
+        for build, _ in _BUILDERS:
+            worst = max(worst, abs((build(fk, spec) @ fx).sum() - expected))
     return _result("mass-conservation", worst, 1e-12)
 
 
 def check_sum_commutativity():
-    rng = np.random.default_rng(27)
+    # sum_matrix(e_j) @ e_m is column m of sum_matrix(e_j); its nonzero
+    # cells, keyed (j, m, output bin), must match those keyed (m, j, bin)
     worst = 0.0
     for n in (8, 64, 256):
         spec = histogram.HistogramSpec(n_bins=n, bandwidth=0.05)
-        a = rng.standard_normal(n)
-        b = rng.standard_normal(n)
-        diff = distlayers.sum_dist_forward(a, b, spec) - distlayers.sum_dist_forward(b, a, spec)
-        worst = max(worst, float(np.abs(diff).max()))
-    return _result("sum-commutativity", worst, 0.0, "exact")
+        eye = np.eye(n)
+        cells = {}
+        for j in range(n):
+            s = distlayers.sum_matrix(eye[j], spec)
+            for k, m in zip(*np.nonzero(s)):
+                cells[j, m, k] = s[k, m]
+        for (j, m, k), value in cells.items():
+            worst = max(worst, abs(value - cells.get((m, j, k), 0.0)))
+    return _result("sum-commutativity", worst, 0.0, "point masses at N=8, 64, 256")
 
 
 def run_all(perturb=frozenset()):
@@ -399,6 +406,7 @@ def run_all(perturb=frozenset()):
         check_kde_vs_discrete(),
         check_kde_permutation_invariance(),
         check_scatter_vs_bruteforce(),
+        check_layer_vs_bruteforce(),
         check_scatter_vs_montecarlo(),
         check_mass_conservation(),
         check_sum_commutativity(),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_imageset
-from histlearn import models
+from histlearn import cli, models
 from histlearn.checkpoint import load_checkpoint, save_checkpoint
 from histlearn.errors import DataFormatError
 
@@ -97,3 +97,32 @@ def test_failed_save_removes_temp_file(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         save_checkpoint(models.build_model(cfg), cfg, tmp_path / "model.ckpt")
     assert os.listdir(tmp_path) == []
+
+
+def _corrupt_dadm_checkpoint(directory, old, new):
+    cfg = models.ModelConfig("dadm", epochs=1, seed=0)
+    directory.mkdir()
+    path = directory / "model.ckpt"
+    save_checkpoint(models.build_model(cfg), cfg, path)
+    blob = path.read_bytes()
+    assert blob.count(old) == 1 and len(old) == len(new)
+    bad = directory / "bad.ckpt"
+    bad.write_bytes(blob.replace(old, new))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"\x04\x00\x00\x00dadm", b"\x04\x00\x00\x00\xffadm"),  # undecodable arch tag
+        (b"bandwidth=0.001", b"bandwidth=0.000"),
+        (b"n_bins=256", b"n_bins=000"),
+    ],
+    ids=["arch-tag-0xff", "bandwidth-zero", "n-bins-zero"],
+)
+def test_corrupt_checkpoint_is_data_error(old, new, tmp_path, synth_data_dir):
+    bad = _corrupt_dadm_checkpoint(tmp_path / "ckpt", old, new)
+    with pytest.raises(DataFormatError):
+        load_checkpoint(bad)
+    out_dir = str(tmp_path / "eval")
+    assert cli.main(["eval", str(bad), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2

@@ -32,7 +32,6 @@ class TestSelftestCommand:
 
     def test_thread_flags_accepted(self):
         assert run("selftest", "--threads", "1") == 0
-        assert run("selftest", "--single-thread") == 0
 
     def test_bad_thread_count(self):
         assert run("selftest", "--threads", "0") == 1

@@ -1,4 +1,4 @@
-"""Distribution layers: scatter law, adjoints, independent oracles."""
+"""Distribution layer: scatter matrices, adjoints, independent oracles."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,9 @@ from histlearn import nn
 from histlearn.distlayers import (
     ArithmeticDistributionLayer,
     DistributionKernel,
-    arithmetic_backward,
-    arithmetic_forward,
     init_kernel,
-    product_dist_backward,
-    product_dist_forward,
-    sum_dist_backward,
-    sum_dist_forward,
+    product_matrix,
+    sum_matrix,
 )
 from histlearn.errors import ShapeError
 from histlearn.histogram import HistogramSpec, bin_index
@@ -29,37 +25,63 @@ def delta(n, i):
     return v
 
 
-def product_loops(fx, fw, spec):
-    """Independent oracle: plain double loop, weight-major order."""
+def fold_loops(kernel, spec, op):
+    """Independent oracle: M[k(i, m), m] += kernel[i], i ascending."""
     n = spec.n_bins
-    out = np.zeros(n)
+    out = np.zeros((n, n))
     for i in range(n):
         for m in range(n):
-            k = int(np.floor((spec.centers[i] * spec.centers[m] + 1.0) * (n / 2.0)))
-            out[min(max(k, 0), n - 1)] += fw[i] * fx[m]
+            k = int(np.floor((op(spec.centers[i], spec.centers[m]) + 1.0) * (n / 2.0)))
+            out[min(max(k, 0), n - 1), m] += kernel[i]
     return out
 
 
-def sum_loops(fx, fb, spec):
-    """Independent oracle mirroring the documented symmetric-pair order."""
-    n = spec.n_bins
-    out = np.zeros(n)
-    for i in range(n):
-        for j in range(i, n):
-            k = int(np.floor((spec.centers[i] + spec.centers[j] + 1.0) * (n / 2.0)))
-            k = min(max(k, 0), n - 1)
-            if i == j:
-                out[k] += fb[i] * fx[i]
-            else:
-                out[k] += fb[i] * fx[j] + fb[j] * fx[i]
-    return out
+def layer_of(spec, fw, fb):
+    return ArithmeticDistributionLayer(spec, DistributionKernel(fw, fb))
+
+
+def layer_grads(layer, fx, g):
+    """(grad_w, grad_b, grad_x) of one forward/backward pass from zero."""
+    for p in layer.params():
+        p.zero_grad()
+    layer.forward(fx)
+    gx = layer.backward(g)
+    return layer.weight_hist.grad.copy(), layer.bias_hist.grad.copy(), gx
+
+
+def layer_fd_probes(layer, fx, g):
+    """FD probes of the layer's value fx -> <layer(fx), g> in x, W and B."""
+
+    def f_x(v):
+        out = layer.forward(v)
+        return float((out * g).sum()), layer_grads(layer, v, g)[2]
+
+    def of_param(param, which):
+        def f(v):
+            param.value[...] = v
+            out = layer.forward(fx)
+            return float((out * g).sum()), layer_grads(layer, fx, g)[which]
+
+        return f
+
+    return f_x, of_param(layer.weight_hist, 0), of_param(layer.bias_hist, 1)
+
+
+def check_constant_upstream_grad(fx, fw, fb, c):
+    # a constant upstream gradient c sees only the total mass
+    # c * sum(w) * sum(b) * sum(x) of the bilinear output
+    spec = spec_of(fw.size)
+    grad_w, grad_b, grad_x = layer_grads(layer_of(spec, fw, fb), fx, np.full(fx.shape, c))
+    np.testing.assert_allclose(grad_w, c * fb.sum() * fx.sum(), atol=1e-12)
+    np.testing.assert_allclose(grad_b, c * fw.sum() * fx.sum(), atol=1e-12)
+    np.testing.assert_allclose(grad_x, c * fw.sum() * fb.sum(), atol=1e-12)
 
 
 class TestProductLayer:
     def test_point_masses(self):
         spec = spec_of(8)
         for i, m in ((0, 0), (3, 6), (7, 2), (5, 5)):
-            fz = product_dist_forward(delta(8, m), delta(8, i), spec)
+            fz = product_matrix(delta(8, i), spec) @ delta(8, m)
             k = bin_index(spec.centers[i] * spec.centers[m], spec)
             assert fz[k] == 1.0 and fz.sum() == 1.0
 
@@ -70,16 +92,15 @@ class TestProductLayer:
         for n in (8, 256):
             spec = spec_of(n)
             fx = rng.random(n)
-            fz = product_dist_forward(fx, delta(n, n - 1), spec)
+            fz = product_matrix(delta(n, n - 1), spec) @ fx
             assert np.array_equal(fz, fx)
 
     def test_matches_double_loop_bitwise(self):
         rng = np.random.default_rng(1)
         for n in (4, 8):
             spec = spec_of(n)
-            fx = rng.standard_normal(n)
             fw = rng.standard_normal(n)
-            assert np.array_equal(product_dist_forward(fx, fw, spec), product_loops(fx, fw, spec))
+            assert np.array_equal(product_matrix(fw, spec), fold_loops(fw, spec, np.multiply))
 
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(2)
@@ -92,39 +113,27 @@ class TestProductLayer:
         wi = rng.choice(8, size=draws, p=fw)
         xm = rng.choice(8, size=draws, p=fx)
         emp = np.bincount(bin_index(spec.centers[wi] * spec.centers[xm], spec), minlength=8) / draws
-        tv = 0.5 * np.abs(emp - product_dist_forward(fx, fw, spec)).sum()
+        tv = 0.5 * np.abs(emp - product_matrix(fw, spec) @ fx).sum()
         assert tv < 0.01
 
     def test_constant_upstream_grad_conserves(self):
         rng = np.random.default_rng(3)
-        spec = spec_of(8)
-        fx = rng.random(8)
-        fw = rng.random(8)
-        grad_fw, grad_fx = product_dist_backward(np.full(8, 2.5), fx, fw, spec)
-        np.testing.assert_allclose(grad_fw, 2.5 * fx.sum(), atol=1e-12)
-        np.testing.assert_allclose(grad_fx, 2.5 * fw.sum(), atol=1e-12)
+        check_constant_upstream_grad(rng.random(8), rng.random(8), rng.random(8), 2.5)
 
     def test_backward_finite_differences(self):
         spec = spec_of(4)
         fx = np.array([0.1, 0.4, 0.3, 0.2])
         fw = np.array([-0.5, 1.2, 0.3, 0.8])
+        fb = np.array([0.7, -0.4, 0.9, 0.1])
         g = np.array([1.0, -2.0, 0.5, 0.25])
-
-        def f_w(v):
-            fz = product_dist_forward(fx, v, spec)
-            return float(fz @ g), product_dist_backward(g, fx, v, spec)[0]
-
-        def f_x(v):
-            fz = product_dist_forward(v, fw, spec)
-            return float(fz @ g), product_dist_backward(g, v, fw, spec)[1]
-
+        f_x, f_w, _ = layer_fd_probes(layer_of(spec, fw, fb), fx, g)
         assert nn.grad_check(f_w, fw) < 1e-8
         assert nn.grad_check(f_x, fx) < 1e-8
 
     def test_zero_input_zero_weight_grad(self):
         spec = spec_of(8)
-        grad_fw, _ = product_dist_backward(np.ones(8), np.zeros(8), np.ones(8), spec)
-        assert np.all(grad_fw == 0.0)
+        grad_w, _, _ = layer_grads(layer_of(spec, np.ones(8), np.ones(8)), np.zeros(8), np.ones(8))
+        assert np.all(grad_w == 0.0)
 
     def test_positive_weight_support_preserves_probability(self):
         rng = np.random.default_rng(4)
@@ -134,14 +143,16 @@ class TestProductLayer:
         fw /= fw.sum()
         fx = rng.random(8)
         fx /= fx.sum()
-        fz = product_dist_forward(fx, fw, spec)
+        fz = product_matrix(fw, spec) @ fx
         assert np.all(fz >= 0)
         assert abs(fz.sum() - 1.0) < 1e-12
 
     def test_length_mismatch(self):
         spec = spec_of(8)
         with pytest.raises(ShapeError):
-            product_dist_forward(np.zeros(7), np.zeros(8), spec)
+            product_matrix(np.zeros(7), spec)
+        with pytest.raises(ShapeError):
+            sum_matrix(np.zeros(7), spec)
 
 
 class TestSumLayer:
@@ -149,30 +160,29 @@ class TestSumLayer:
         # N=4, centers -0.75 -0.25 0.25 0.75: 0.25 + (-0.25) = 0 sits on
         # the bin 1/2 edge and the half-open convention sends it to bin 2
         spec = spec_of(4)
-        fz = sum_dist_forward(delta(4, 1), delta(4, 2), spec)
+        fz = sum_matrix(delta(4, 2), spec) @ delta(4, 1)
         assert fz[2] == 1.0 and fz.sum() == 1.0
 
     def test_center_bias_is_identity_for_odd_bins(self):
         rng = np.random.default_rng(5)
         spec = spec_of(5)
         fx = rng.random(5)
-        fz = sum_dist_forward(fx, delta(5, 2), spec)  # center bin is exactly 0
+        fz = sum_matrix(delta(5, 2), spec) @ fx  # center bin is exactly 0
         assert np.array_equal(fz, fx)
 
     def test_out_of_range_mass_clamps_into_boundary_bins(self):
         spec = spec_of(4)
-        fz = sum_dist_forward(delta(4, 3), delta(4, 3), spec)  # 0.75+0.75=1.5
+        fz = sum_matrix(delta(4, 3), spec) @ delta(4, 3)  # 0.75+0.75=1.5
         assert fz[3] == 1.0
-        fz = sum_dist_forward(delta(4, 0), delta(4, 0), spec)  # -1.5
+        fz = sum_matrix(delta(4, 0), spec) @ delta(4, 0)  # -1.5
         assert fz[0] == 1.0
 
     def test_matches_double_loop_bitwise(self):
         rng = np.random.default_rng(6)
         for n in (4, 8):
             spec = spec_of(n)
-            fx = rng.standard_normal(n)
             fb = rng.standard_normal(n)
-            assert np.array_equal(sum_dist_forward(fx, fb, spec), sum_loops(fx, fb, spec))
+            assert np.array_equal(sum_matrix(fb, spec), fold_loops(fb, spec, np.add))
 
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(7)
@@ -187,47 +197,41 @@ class TestSumLayer:
         sums = spec.centers[bi] + spec.centers[xm]
         k = np.clip(np.floor((sums + 1.0) * 4.0).astype(np.int64), 0, 7)
         emp = np.bincount(k, minlength=8) / draws
-        tv = 0.5 * np.abs(emp - sum_dist_forward(fx, fb, spec)).sum()
+        tv = 0.5 * np.abs(emp - sum_matrix(fb, spec) @ fx).sum()
         assert tv < 0.01
 
     def test_commutative_exactly(self):
-        rng = np.random.default_rng(8)
+        # sum_matrix(e_j) @ e_m is column m of sum_matrix(e_j): its nonzero
+        # cells keyed (j, m, output bin) must be those keyed (m, j, bin)
         for n in (4, 8, 64, 256):
             spec = spec_of(n)
-            a = rng.standard_normal(n)
-            b = rng.standard_normal(n)
-            assert np.array_equal(sum_dist_forward(a, b, spec), sum_dist_forward(b, a, spec))
+            eye = np.eye(n)
+            cells = {}
+            for j in range(n):
+                s = sum_matrix(eye[j], spec)
+                for k, m in zip(*np.nonzero(s)):
+                    cells[j, m, k] = s[k, m]
+            assert cells == {(m, j, k): v for (j, m, k), v in cells.items()}
 
     def test_constant_upstream_grad_conserves(self):
         rng = np.random.default_rng(9)
-        spec = spec_of(8)
-        fx = rng.random(8)
-        fb = rng.random(8)
-        grad_fb, grad_fx = sum_dist_backward(np.full(8, -1.5), fx, fb, spec)
-        np.testing.assert_allclose(grad_fb, -1.5 * fx.sum(), atol=1e-12)
-        np.testing.assert_allclose(grad_fx, -1.5 * fb.sum(), atol=1e-12)
+        fx = rng.random((3, 8))
+        check_constant_upstream_grad(fx, rng.random(8), rng.random(8), -1.5)
 
     def test_backward_finite_differences(self):
         spec = spec_of(4)
         fx = np.array([0.2, 0.3, 0.4, 0.1])
+        fw = np.array([-0.5, 1.2, 0.3, 0.8])
         fb = np.array([0.7, -0.4, 0.9, 0.1])
         g = np.array([0.5, 2.0, -1.0, 0.75])
-
-        def f_b(v):
-            fz = sum_dist_forward(fx, v, spec)
-            return float(fz @ g), sum_dist_backward(g, fx, v, spec)[0]
-
-        def f_x(v):
-            fz = sum_dist_forward(v, fb, spec)
-            return float(fz @ g), sum_dist_backward(g, v, fb, spec)[1]
-
+        f_x, _, f_b = layer_fd_probes(layer_of(spec, fw, fb), fx, g)
         assert nn.grad_check(f_b, fb) < 1e-8
         assert nn.grad_check(f_x, fx) < 1e-8
 
     def test_zero_bias_zero_input_grad(self):
         spec = spec_of(8)
-        _, grad_fx = sum_dist_backward(np.ones(8), np.ones(8), np.zeros(8), spec)
-        assert np.all(grad_fx == 0.0)
+        _, _, grad_x = layer_grads(layer_of(spec, np.ones(8), np.zeros(8)), np.ones(8), np.ones(8))
+        assert np.all(grad_x == 0.0)
 
 
 class TestMassConservation:
@@ -238,8 +242,8 @@ class TestMassConservation:
             fx = rng.standard_normal(n)
             fk = rng.standard_normal(n)
             expected = fk.sum() * fx.sum()
-            assert abs(product_dist_forward(fx, fk, spec).sum() - expected) < 1e-12
-            assert abs(sum_dist_forward(fx, fk, spec).sum() - expected) < 1e-12
+            assert abs((product_matrix(fk, spec) @ fx).sum() - expected) < 1e-12
+            assert abs((sum_matrix(fk, spec) @ fx).sum() - expected) < 1e-12
 
 
 class TestContinuumLimit:
@@ -278,12 +282,12 @@ class TestContinuumLimit:
         dens_prod = (w_density[None, :] * x_density(z_pts[:, None] / w_pts[None, :])
                      / np.abs(w_pts[None, :])).sum(axis=1) * dw
         literal_prod = (dens_prod.reshape(n, sub) * dz).sum(axis=1)
-        scatter_prod = product_dist_forward(fx, fw, spec)
+        scatter_prod = product_matrix(fw, spec) @ fx
         assert 0.5 * np.abs(literal_prod - scatter_prod).sum() < 0.05
 
         dens_sum = (w_density[None, :] * x_density(z_pts[:, None] - w_pts[None, :])).sum(axis=1) * dw
         literal_sum = (dens_sum.reshape(n, sub) * dz).sum(axis=1)
-        scatter_sum = sum_dist_forward(fx, fw, spec)
+        scatter_sum = sum_matrix(fw, spec) @ fx
         assert 0.5 * np.abs(literal_sum - scatter_sum).sum() < 0.05
 
 
@@ -292,7 +296,7 @@ class TestArithmeticModule:
         rng = np.random.default_rng(11)
         spec = spec_of(9)
         fx = rng.random(9)
-        fz = arithmetic_forward(fx, init_kernel(spec, 0, noise_scale=0.0), spec)
+        fz = ArithmeticDistributionLayer(spec, init_kernel(spec, 0, noise_scale=0.0)).forward(fx)
         assert np.array_equal(fz, fx)
 
     def test_default_width_chains_into_classifier(self):
@@ -305,7 +309,7 @@ class TestArithmeticModule:
         assert sum(p.value.size for p in layer.params()) == 512
         fx = rng.random(256)
         fx /= fx.sum()
-        fz = arithmetic_forward(fx, kernel, spec)
+        fz = layer.forward(fx)
         assert fz.shape == (256,)
         out = nn.Linear(256, 512, rng).forward(fz)
         assert out.shape == (512,)
@@ -316,21 +320,7 @@ class TestArithmeticModule:
         fx = rng.standard_normal(8)
         kernel = DistributionKernel(rng.standard_normal(8), rng.standard_normal(8))
         g = rng.standard_normal(8)
-
-        def f_x(v):
-            fz = arithmetic_forward(v, kernel, spec)
-            return float(fz @ g), arithmetic_backward(g, v, kernel, spec)[2]
-
-        def f_w(v):
-            k = DistributionKernel(v, kernel.bias_hist)
-            fz = arithmetic_forward(fx, k, spec)
-            return float(fz @ g), arithmetic_backward(g, fx, k, spec)[0]
-
-        def f_b(v):
-            k = DistributionKernel(kernel.weight_hist, v)
-            fz = arithmetic_forward(fx, k, spec)
-            return float(fz @ g), arithmetic_backward(g, fx, k, spec)[1]
-
+        f_x, f_w, f_b = layer_fd_probes(ArithmeticDistributionLayer(spec, kernel), fx, g)
         assert nn.grad_check(f_x, fx) < 1e-8
         assert nn.grad_check(f_w, kernel.weight_hist.copy()) < 1e-8
         assert nn.grad_check(f_b, kernel.bias_hist.copy()) < 1e-8
@@ -363,6 +353,7 @@ class TestInitKernel:
 
 class TestBatchedLayer:
     def test_matches_functional_ops(self):
+        # each batch row against the layer run on that row alone
         rng = np.random.default_rng(14)
         spec = spec_of(16)
         kernel = DistributionKernel(rng.standard_normal(16), rng.standard_normal(16))
@@ -370,10 +361,11 @@ class TestBatchedLayer:
         batch = rng.standard_normal((5, 16))
         out = layer.forward(batch)
         for i in range(5):
-            ref = arithmetic_forward(batch[i], kernel, spec)
+            ref = ArithmeticDistributionLayer(spec, kernel).forward(batch[i])
             assert np.abs(out[i] - ref).max() < 1e-12
 
     def test_backward_matches_functional_adjoints(self):
+        # batch gradients against the sum of single-row passes
         rng = np.random.default_rng(15)
         spec = spec_of(16)
         kernel = DistributionKernel(rng.standard_normal(16), rng.standard_normal(16))
@@ -386,7 +378,7 @@ class TestBatchedLayer:
         want_w = np.zeros(16)
         want_b = np.zeros(16)
         for i in range(4):
-            gw, gb, gxi = arithmetic_backward(grads[i], batch[i], kernel, spec)
+            gw, gb, gxi = layer_grads(ArithmeticDistributionLayer(spec, kernel), batch[i], grads[i])
             want_w += gw
             want_b += gb
             assert np.abs(gx[i] - gxi).max() < 1e-12

@@ -54,6 +54,14 @@ class TestBuildModel:
             models.ModelConfig("base", epochs=0)
         with pytest.raises(ValueError):
             models.ModelConfig("base", lr=-1.0)
+        with pytest.raises(ValueError):
+            models.ModelConfig("base", epochs=2.5)
+        with pytest.raises(ValueError):
+            models.ModelConfig("dadm", n_bins=0)
+        with pytest.raises(ValueError):
+            models.ModelConfig("dadm", bandwidth=0.0)
+        with pytest.raises(ValueError):
+            models.ModelConfig("base", lr=float("inf"))
 
     def test_seeded_build_is_deterministic(self):
         a = models.build_model(tiny_cfg("lenet"))

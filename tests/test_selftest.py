@@ -5,13 +5,36 @@ import time
 import pytest
 
 from histlearn import selftest
+from histlearn.distlayers import ArithmeticDistributionLayer
+
+CHECK_NAMES = {
+    "gradient-linear",
+    "gradient-conv2d",
+    "gradient-maxpool",
+    "gradient-relu",
+    "gradient-log-softmax-nll",
+    "gradient-kde-histogram",
+    "gradient-product-layer",
+    "gradient-sum-layer",
+    "gradient-arithmetic-module",
+    "kde-vs-quadrature",
+    "kde-normalization",
+    "kde-vs-discrete",
+    "kde-permutation-invariance",
+    "scatter-vs-bruteforce",
+    "layer-vs-bruteforce",
+    "scatter-vs-montecarlo",
+    "mass-conservation",
+    "sum-commutativity",
+}
 
 
 def test_all_checks_pass_on_fresh_build():
     results = selftest.run_all()
     failures = [r.name for r in results if not r.passed]
     assert failures == []
-    assert len(results) >= 17
+    names = [r.name for r in results]
+    assert len(names) == len(CHECK_NAMES) and set(names) == CHECK_NAMES
 
 
 def test_runs_inside_time_budget():
@@ -25,6 +48,21 @@ def test_perturbed_backward_is_named_failure():
     failed = [r for r in results if not r.passed]
     assert [r.name for r in failed] == ["gradient-linear"]
     assert failed[0].measured > failed[0].allowed
+
+
+def test_broken_layer_backward_fails_the_layer_gradient_checks(monkeypatch):
+    # the gradient oracles run the layer dadm trains with, not a copy of it
+    backward = ArithmeticDistributionLayer.backward
+
+    def off_by_a_little(self, grad):
+        grad_x = backward(self, grad)
+        for p in self.params():
+            p.grad += 1e-2
+        return grad_x + 1e-2
+
+    monkeypatch.setattr(ArithmeticDistributionLayer, "backward", off_by_a_little)
+    failed = sorted(r.name for r in selftest.run_all() if not r.passed)
+    assert failed == ["gradient-arithmetic-module", "gradient-product-layer", "gradient-sum-layer"]
 
 
 def test_unknown_perturbation_rejected():

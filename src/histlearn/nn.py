@@ -79,7 +79,17 @@ class Linear:
 
 
 class Conv2d:
-    """Valid cross-correlation, stride 1, one bias per output channel."""
+    """Valid cross-correlation, stride 1, one bias per output channel.
+
+    ``forward`` builds im2col channel-major: one contiguous
+    ``(B, C*kh*kw, OH*OW)`` buffer whose rows follow the weight's
+    ``(C, kh, kw)`` flattening, so the correlation is ``W @ cols`` per
+    sample and lands directly in C-contiguous NCHW.  ``backward`` takes the
+    weight gradient as ``g @ cols.T`` summed over the batch, and the input
+    gradient as ``W.T @ g`` followed by a col2im of kh*kw strided adds.
+    Only the newest batch's buffer is held: it is released before the next
+    one is built.
+    """
 
     def __init__(self, in_channels, out_channels, kernel_h, kernel_w, rng, name="conv"):
         self.in_channels = in_channels
@@ -114,14 +124,15 @@ class Conv2d:
         if kh > h or kw > w:
             raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{w}")
         oh, ow = h - kh + 1, w - kw + 1
-        # im2col: (B, OH*OW, C*kh*kw) so the correlation is one matmul.
+        self._cols = None  # free the previous batch's buffer before building this one
         windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, -1)
-        self._cols = np.ascontiguousarray(cols)
+        cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
+        self._cols = cols.reshape(b, -1, oh * ow)
         self._in_shape = x.shape
         wmat = self.weight.value.reshape(self.out_channels, -1)
-        y = self._cols @ wmat.T + self.bias.value
-        y = y.reshape(b, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+        y = wmat @ self._cols
+        y += self.bias.value[:, None]
+        y = y.reshape(b, self.out_channels, oh, ow)
         return y[0] if self._single else y
 
     def backward(self, grad):
@@ -129,30 +140,32 @@ class Conv2d:
         if self._single:
             g = g[None]
         b, k, oh, ow = g.shape
-        g2 = g.transpose(0, 2, 3, 1).reshape(b, oh * ow, k)
+        g3 = g.reshape(b, k, oh * ow)
         wmat = self.weight.value.reshape(self.out_channels, -1)
-        self.weight.grad += np.einsum("bpk,bpc->kc", g2, self._cols).reshape(self.weight.value.shape)
-        self.bias.grad += g2.sum(axis=(0, 1))
-        dcols = g2 @ wmat  # (B, OH*OW, C*kh*kw)
-        _, c, h, w = self._in_shape
+        self.weight.grad += (g3 @ self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(
+            self.weight.value.shape
+        )
+        self.bias.grad += g3.sum(axis=(0, 2))
         kh, kw = self.kernel_h, self.kernel_w
-        dcols = dcols.reshape(b, oh, ow, c, kh, kw)
+        dcols = (wmat.T @ g3).reshape(b, self.in_channels, kh, kw, oh, ow)
         dx = np.zeros(self._in_shape)
         for u in range(kh):
             for v in range(kw):
-                dx[:, :, u : u + oh, v : v + ow] += dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+                dx[:, :, u : u + oh, v : v + ow] += dcols[:, :, u, v]
         return dx[0] if self._single else dx
 
 
 class MaxPool2d:
     """2x2 max pooling with stride 2.
 
-    Backward routes the upstream gradient to the first maximal element of
-    each window in row-major scan order (``argmax`` breaks ties that way),
-    which keeps the pass deterministic on plateaus.
+    The four window taps are the strided views ``x[:, :, i::2, j::2]``.
+    Backward routes the upstream gradient to the first maximal tap of each
+    window in row-major scan order, which keeps the pass deterministic on
+    plateaus.
     """
 
     window = 2
+    _TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def params(self):
         return []
@@ -162,27 +175,22 @@ class MaxPool2d:
         self._single = x.ndim == 3
         if self._single:
             x = x[None]
-        b, c, h, w = x.shape
+        _, _, h, w = x.shape
         if h % 2 or w % 2:
             raise ShapeError(f"maxpool2d: spatial dims must be even, got {h}x{w}")
-        r = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-            b, c, h // 2, w // 2, 4
-        )
-        self._argmax = r.argmax(axis=-1)
+        t0, t1, t2, t3 = (x[:, :, i::2, j::2] for i, j in self._TAPS)
+        out = np.maximum(np.maximum(t0, t1), np.maximum(t2, t3))
+        self._argmax = np.where(t0 == out, 0, np.where(t1 == out, 1, np.where(t2 == out, 2, 3)))
         self._in_shape = x.shape
-        out = np.take_along_axis(r, self._argmax[..., None], axis=-1)[..., 0]
         return out[0] if self._single else out
 
     def backward(self, grad):
         g = np.asarray(grad, dtype=np.float64)
         if self._single:
             g = g[None]
-        b, c, h, w = self._in_shape
-        scattered = np.zeros((b, c, h // 2, w // 2, 4))
-        np.put_along_axis(scattered, self._argmax[..., None], g[..., None], axis=-1)
-        dx = scattered.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-            b, c, h, w
-        )
+        dx = np.empty(self._in_shape)
+        for tap, (i, j) in enumerate(self._TAPS):
+            np.multiply(g, self._argmax == tap, out=dx[:, :, i::2, j::2])
         return dx[0] if self._single else dx
 
 
@@ -259,18 +267,36 @@ class AdamState:
 
 
 def adam_step(param: Parameter, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update with bias correction; zeroes the gradient afterward."""
+    """One Adam update with bias correction; zeroes the gradient afterward.
+
+    ``m``, ``v`` and the parameter are updated in place through two temporary
+    buffers, in the textbook operation order
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2``,
+    ``p -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)``,
+    so the result is bitwise that of the out-of-place formula.
+    """
     if not lr > 0:
         raise ValueError(f"learning rate must be > 0, got {lr}")
     if not np.all(np.isfinite(param.grad)):
         raise NonFiniteError(f"non-finite gradient in parameter {param.name!r}")
     state.t += 1
     g = param.grad
-    state.m = beta1 * state.m + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * np.square(g)
-    m_hat = state.m / (1.0 - beta1**state.t)
-    v_hat = state.v / (1.0 - beta2**state.t)
-    param.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    step = np.empty_like(g)
+    denom = np.empty_like(g)
+    state.m *= beta1
+    np.multiply(g, 1.0 - beta1, out=step)
+    state.m += step
+    state.v *= beta2
+    np.square(g, out=denom)
+    denom *= 1.0 - beta2
+    state.v += denom
+    np.divide(state.m, 1.0 - beta1**state.t, out=step)
+    step *= lr
+    np.divide(state.v, 1.0 - beta2**state.t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    param.value -= step
     param.zero_grad()
 
 

@@ -92,12 +92,15 @@ def check_linear_grad(perturb=frozenset()):
 
 def check_conv2d_grad():
     rng = np.random.default_rng(12)
-    layer = nn.Conv2d(1, 2, 2, 2, rng)
-    x = rng.standard_normal((1, 5, 5))
-    w = rng.standard_normal((2, 4, 4))
-    err = nn.grad_check(_probe_input(layer, x, w), x)
-    err = max(err, nn.grad_check(_probe_param(layer, layer.weight, x, w), layer.weight.value.copy()))
-    err = max(err, nn.grad_check(_probe_param(layer, layer.bias, x, w), layer.bias.value.copy()))
+    err = 0.0
+    # one single-channel sample, and a multi-channel batch of two
+    for c_in, c_out, k, x_shape in ((1, 2, 2, (1, 5, 5)), (2, 3, 3, (2, 2, 5, 5))):
+        layer = nn.Conv2d(c_in, c_out, k, k, rng)
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal(layer.forward(x).shape)
+        err = max(err, nn.grad_check(_probe_input(layer, x, w), x))
+        err = max(err, nn.grad_check(_probe_param(layer, layer.weight, x, w), layer.weight.value.copy()))
+        err = max(err, nn.grad_check(_probe_param(layer, layer.bias, x, w), layer.bias.value.copy()))
     return _result("gradient-conv2d", err, 1e-4)
 
 

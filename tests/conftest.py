@@ -11,7 +11,13 @@ import gzip
 import os
 import struct
 
-import numpy as np
+# One BLAS thread for the whole session, set before numpy loads: bitwise
+# assertions such as duplicated batch rows giving identical logits hold only
+# when every row goes through the same single-threaded kernel.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from histlearn.data import DATA_DIR_ENV, ImageSet, mnist_files_present

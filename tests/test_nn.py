@@ -33,6 +33,43 @@ def layer_param_probe(layer, param, x, weights):
     return f
 
 
+def conv2d_reference(x, weight, bias, grad):
+    """Direct-definition conv forward and gradients, one loop per kernel tap."""
+    b, c, h, w = x.shape
+    k, _, kh, kw = weight.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    y = np.zeros((b, k, oh, ow)) + bias[None, :, None, None]
+    dw = np.zeros_like(weight)
+    dx = np.zeros_like(x)
+    for ci in range(c):
+        for u in range(kh):
+            for v in range(kw):
+                patch = x[:, ci, u : u + oh, v : v + ow]  # (B, OH, OW)
+                tap = weight[:, ci, u, v][None, :, None, None]
+                y += tap * patch[:, None]
+                dw[:, ci, u, v] = (grad * patch[:, None]).sum(axis=(0, 2, 3))
+                dx[:, ci, u : u + oh, v : v + ow] += (tap * grad).sum(axis=1)
+    return y, dw, grad.sum(axis=(0, 2, 3)), dx
+
+
+def maxpool_reference(x, grad):
+    """2x2/2 max pool by explicit loops; ties go to the first tap in row-major order."""
+    b, c, h, w = x.shape
+    out = np.zeros((b, c, h // 2, w // 2))
+    dx = np.zeros_like(x)
+    for n in range(b):
+        for ci in range(c):
+            for i in range(h // 2):
+                for j in range(w // 2):
+                    taps = [(2 * i + r, 2 * j + q) for r in (0, 1) for q in (0, 1)]
+                    values = [x[n, ci, r, q] for r, q in taps]
+                    first = values.index(max(values))
+                    out[n, ci, i, j] = values[first]
+                    r, q = taps[first]
+                    dx[n, ci, r, q] = grad[n, ci, i, j]
+    return out, dx
+
+
 class TestLinear:
     def test_flattened_image_to_features(self):
         rng = np.random.default_rng(0)
@@ -117,6 +154,25 @@ class TestConv2d:
         for i in range(4):
             assert np.allclose(batched[i], layer.forward(xs[i]), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "c_in,c_out,kernel,size",
+        [(1, 6, 5, 28), (6, 16, 5, 12), (1, 4, 3, 28)],
+        ids=["lenet-conv1", "lenet-conv2", "cnn-conv1"],
+    )
+    def test_production_shapes_match_loop_reference(self, c_in, c_out, kernel, size):
+        rng = np.random.default_rng(20)
+        layer = nn.Conv2d(c_in, c_out, kernel, kernel, rng)
+        x = rng.standard_normal((64, c_in, size, size))
+        out = size - kernel + 1
+        g = rng.standard_normal((64, c_out, out, out))
+        y = layer.forward(x)
+        dx = layer.backward(g)
+        ref = conv2d_reference(x, layer.weight.value, layer.bias.value, g)
+        assert y.flags.c_contiguous
+        for got, want in zip((y, layer.weight.grad, layer.bias.grad, dx), ref):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestMaxPool2d:
     def test_output_shape(self):
@@ -140,6 +196,19 @@ class TestMaxPool2d:
         x = rng.permutation(16).astype(float).reshape(1, 4, 4)
         w = rng.standard_normal((1, 2, 2))
         assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-6
+
+    def test_plateaus_and_zeros_match_loop_reference(self):
+        rng = np.random.default_rng(21)
+        x = rng.integers(-1, 2, size=(5, 3, 6, 8)).astype(float)  # many tied windows and zeros
+        x[0, 0] = 0.0
+        x[1, 2, :2, :2] = -0.0
+        g = rng.standard_normal((5, 3, 3, 4))
+        layer = nn.MaxPool2d()
+        out = layer.forward(x)
+        dx = layer.backward(g)
+        ref_out, ref_dx = maxpool_reference(x, g)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(dx, ref_dx)
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
@@ -236,6 +305,28 @@ class TestAdam:
             nn.adam_step(p, state, lr=0.01)
             updated.append(p.value.copy())
         assert np.array_equal(updated[0], updated[1])
+
+    @pytest.mark.parametrize("shape", [(3, 4), ()], ids=["2d", "0d"])
+    def test_five_steps_match_textbook_formula_bitwise(self, shape):
+        rng = np.random.default_rng(22)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        value = rng.standard_normal(shape)
+        p = nn.Parameter(value.copy(), "p")
+        state = nn.AdamState(p)
+        m = np.zeros(shape)
+        v = np.zeros(shape)
+        for t in range(1, 6):
+            g = rng.standard_normal(shape)
+            p.grad[...] = g
+            nn.adam_step(p, state, lr, b1, b2, eps)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g**2
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            value = value - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.array_equal(p.value, value)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert p.value.shape == shape
 
     def test_nonfinite_grad_names_parameter(self):
         p = nn.Parameter(np.zeros(3), "fc1.weight")

@@ -15,7 +15,6 @@ import numpy as np
 
 from histlearn import models
 from histlearn.data import ImageSet
-from histlearn.transforms import TransformSpec
 
 
 def make_set(count, seed):
@@ -36,17 +35,17 @@ train_set = make_set(2048, seed=0)
 test_set = make_set(512, seed=1)
 print(f"synthetic data: {train_set.count} train / {test_set.count} test images\n")
 
-battery = [TransformSpec(kind, rng_seed=0) for kind in ("none", "rotate", "translate", "flip", "shuffle")]
+battery = ("none", "rotate", "translate", "flip", "shuffle")
 results = {}
 for arch in ("base", "dadm"):
     cfg = models.ModelConfig(arch, epochs=8, batch_size=64, seed=0, n_bins=64, bandwidth=0.01)
     model = models.build_model(cfg)
     print(f"training {arch} ({sum(p.value.size for p in model.parameters())} parameters)")
     models.train(model, train_set, cfg, log=lambda line: print("  " + line))
-    results[arch] = [models.evaluate(model, test_set, t) for t in battery]
+    results[arch] = models.evaluate(model, test_set, battery, seed=0)
     print()
 
-header = "model   " + "".join(f"{t.kind:>11s}" for t in battery)
+header = "model   " + "".join(f"{kind:>11s}" for kind in battery)
 print(header)
 for arch, reports in results.items():
     row = f"{arch:6s}  " + "".join(f"{r.top1:10.1f}%" for r in reports)

@@ -22,7 +22,6 @@ import time
 
 from histlearn import models
 from histlearn.data import load_mnist, mnist_files_present
-from histlearn.transforms import TransformSpec
 
 data_dir = sys.argv[1] if len(sys.argv) > 1 else "data"
 if not mnist_files_present(data_dir):
@@ -32,7 +31,7 @@ train_set = load_mnist(data_dir, "train")
 test_set = load_mnist(data_dir, "test")
 print(f"MNIST loaded: {train_set.count} train / {test_set.count} test\n")
 
-battery = [TransformSpec(kind, rng_seed=0) for kind in ("none", "rotate", "translate", "flip", "shuffle")]
+battery = ("none", "rotate", "translate", "flip", "shuffle")
 rows = {}
 for arch in ("lenet", "base", "cnn", "dadm"):
     cfg = models.ModelConfig(arch, epochs=10, batch_size=64, seed=0)
@@ -41,10 +40,10 @@ for arch in ("lenet", "base", "cnn", "dadm"):
     start = time.monotonic()
     models.train(model, train_set, cfg, log=lambda line: print("  " + line))
     print(f"  {time.monotonic() - start:.0f}s")
-    rows[arch] = [models.evaluate(model, test_set, t) for t in battery]
+    rows[arch] = models.evaluate(model, test_set, battery, seed=0)
     print()
 
 print("top-1 accuracy (%) under test-time transforms")
-print("model   " + "".join(f"{t.kind:>11s}" for t in battery))
+print("model   " + "".join(f"{kind:>11s}" for kind in battery))
 for arch, reports in rows.items():
     print(f"{arch:6s}  " + "".join(f"{r.top1:10.2f} " for r in reports))

@@ -228,8 +228,8 @@ def _model_config(resolved, arch):
     )
 
 
-def _train_one(cfg, data_dir, out_dir):
-    """Train one architecture; returns (model, curve, train_set, test_set)."""
+def _train_one(cfg, data_dir):
+    """Train one architecture; returns (model, curve, test_set)."""
     from . import models
     from .data import load_mnist
 
@@ -239,20 +239,7 @@ def _train_one(cfg, data_dir, out_dir):
     print(f"training {cfg.architecture}: {train_set.count} images, "
           f"{cfg.epochs} epochs, batch {cfg.batch_size}, lr {cfg.lr}, seed {cfg.seed}")
     curve = models.train(model, train_set, cfg, log=print)
-    return model, curve, train_set, test_set
-
-
-def _evaluate_battery(model, test_set, kinds, eval_seed):
-    from .models import evaluate, predict
-    from .transforms import TransformSpec
-
-    original_preds = predict(model, test_set)
-    original_top1 = 100.0 * float((original_preds == test_set.labels).mean())
-    reports = []
-    for kind in kinds:
-        tspec = TransformSpec(kind, rng_seed=eval_seed)
-        reports.append(evaluate(model, test_set, tspec, original_top1=original_top1))
-    return reports
+    return model, curve, test_set
 
 
 def _cmd_fetch(args):
@@ -270,7 +257,6 @@ def _cmd_train(args):
     from .checkpoint import save_checkpoint
     from .models import evaluate
     from .reports import write_loss_curve
-    from .transforms import TransformSpec
 
     keys = ["arch", "epochs", "batch", "lr", "seed", "bins", "bandwidth", "data_dir", "out_dir"]
     resolved = _resolve(args, keys)
@@ -281,14 +267,14 @@ def _cmd_train(args):
     os.makedirs(out_dir, exist_ok=True)
 
     cfg = _model_config(resolved, resolved["arch"])
-    model, curve, _, test_set = _train_one(cfg, data_dir, out_dir)
+    model, curve, test_set = _train_one(cfg, data_dir)
 
     ckpt_path = os.path.join(out_dir, f"model_{cfg.architecture}.ckpt")
     save_checkpoint(model, cfg, ckpt_path)
     write_loss_curve(os.path.join(out_dir, "loss_curve.csv"), curve)
     _write_run_config(out_dir, "train", resolved)
 
-    report = evaluate(model, test_set, TransformSpec("none"))
+    report = evaluate(model, test_set, ["none"])[0]
     print(f"checkpoint: {ckpt_path}")
     print(f"final test accuracy (original): {report.top1:.2f}%")
     return EXIT_OK
@@ -297,6 +283,7 @@ def _cmd_train(args):
 def _cmd_eval(args):
     from .checkpoint import load_checkpoint
     from .data import load_mnist
+    from .models import evaluate
     from .reports import write_eval_reports
 
     keys = ["seed", "data_dir", "out_dir", "transforms"]
@@ -312,7 +299,7 @@ def _cmd_eval(args):
         raise DataFormatError(f"checkpoint not found: {args.checkpoint}")
     model, cfg = load_checkpoint(args.checkpoint)
     test_set = load_mnist(data_dir, "test")
-    reports = _evaluate_battery(model, test_set, kinds, resolved["seed"])
+    reports = evaluate(model, test_set, kinds, seed=resolved["seed"])
 
     path = os.path.join(out_dir, "reports.csv")
     meta = {
@@ -331,6 +318,7 @@ def _cmd_eval(args):
 
 def _cmd_ablation(args):
     from .checkpoint import save_checkpoint
+    from .models import evaluate
     from .reports import write_eval_reports, write_loss_curve
 
     keys = ["epochs", "batch", "lr", "seed", "bins", "bandwidth", "data_dir", "out_dir", "transforms"]
@@ -343,10 +331,10 @@ def _cmd_ablation(args):
     all_reports = []
     for arch in ("base", "cnn", "dadm"):
         cfg = _model_config(resolved, arch)
-        model, curve, _, test_set = _train_one(cfg, data_dir, out_dir)
+        model, curve, test_set = _train_one(cfg, data_dir)
         save_checkpoint(model, cfg, os.path.join(out_dir, f"model_{arch}.ckpt"))
         write_loss_curve(os.path.join(out_dir, f"loss_curve_{arch}.csv"), curve)
-        reports = _evaluate_battery(model, test_set, kinds, resolved["seed"])
+        reports = evaluate(model, test_set, kinds, seed=resolved["seed"])
         for r in reports:
             print(f"{r.model:6s} {r.transform:10s} top1 {r.top1:6.2f}%  drop {r.delta:6.2f}")
         all_reports.extend(reports)

@@ -22,7 +22,7 @@ fold is one ``np.bincount`` whose cells add their terms in ascending
 kernel index, so the matrices are reproducible bit for bit.  Applying them
 is BLAS matrix multiplication, whose summation order is the library's.
 :class:`ArithmeticDistributionLayer` is these two matrices applied to a
-batch; a single distribution is a batch of one.
+batch of distributions, shaped (batch, N); it takes batches only.
 """
 
 from dataclasses import dataclass
@@ -143,9 +143,6 @@ class ArithmeticDistributionLayer:
 
     def forward(self, f_x):
         x = np.asarray(f_x, dtype=np.float64)
-        self._single = x.ndim == 1
-        if self._single:
-            x = x[None, :]
         n = self.spec.n_bins
         if x.ndim != 2 or x.shape[1] != n:
             raise ShapeError(f"expected histograms of shape (batch, {n}), got {x.shape}")
@@ -153,13 +150,10 @@ class ArithmeticDistributionLayer:
         self._mb = sum_matrix(self.bias_hist.value, self.spec)
         self._fx = x
         self._fy = x @ self._mw.T
-        f_z = self._fy @ self._mb.T
-        return f_z[0] if self._single else f_z
+        return self._fy @ self._mb.T
 
     def backward(self, grad):
         g = np.asarray(grad, dtype=np.float64)
-        if self._single:
-            g = g[None, :]
         n = self.spec.n_bins
         maps = _index_maps(n)
         # d loss / d bias[i] = sum_{batch, m} g[., k(i,m)] * f_y[., m]
@@ -168,5 +162,4 @@ class ArithmeticDistributionLayer:
         g_y = g @ self._mb
         corr_w = g_y.T @ self._fx
         self.weight_hist.grad += corr_w.ravel()[maps["prod_flat"]].reshape(n, n).sum(axis=1)
-        g_x = g_y @ self._mw
-        return g_x[0] if self._single else g_x
+        return g_y @ self._mw

@@ -30,6 +30,8 @@ from .transforms import TransformSpec, apply_transform
 
 ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 
+EVAL_BATCH = 256  # images per forward pass in predict
+
 
 @dataclass
 class ModelConfig:
@@ -60,7 +62,8 @@ class ModelConfig:
 
 
 class HistogramLayer:
-    """Turns each image of a batch into its KDE histogram.
+    """Turns a batch of images, shaped (batch, channels, H, W) like every
+    model's input, into one KDE histogram per image, shaped (batch, N).
 
     No learnable parameters.  The backward pass returns per-pixel
     gradients, so upstream feature extractors could be trained through
@@ -75,24 +78,21 @@ class HistogramLayer:
         return []
 
     def forward(self, x):
-        # 2-D input is one image; any higher rank is a batch over axis 0.
         x = np.asarray(x, dtype=np.float64)
-        self._single = x.ndim == 2
-        batch = x[None] if self._single else x
-        self._images = batch
-        out = np.empty((batch.shape[0], self.spec.n_bins))
-        for i in range(batch.shape[0]):
-            out[i] = kde_histogram(batch[i], self.spec)
-        return out[0] if self._single else out
+        if x.ndim != 4:
+            raise ShapeError(f"histogram layer: expected (batch, channels, H, W), got shape {x.shape}")
+        self._images = x
+        out = np.empty((x.shape[0], self.spec.n_bins))
+        for i in range(x.shape[0]):
+            out[i] = kde_histogram(x[i], self.spec)
+        return out
 
     def backward(self, grad):
         g = np.asarray(grad, dtype=np.float64)
-        if self._single:
-            g = g[None]
         out = np.empty_like(self._images)
         for i in range(self._images.shape[0]):
             out[i] = kde_histogram_backward(g[i], self._images[i], self.spec)
-        return out[0] if self._single else out
+        return out
 
 
 class Model:
@@ -117,10 +117,6 @@ class Model:
         for layer in reversed(self.layers[stop:]):
             grad = layer.backward(grad)
         return grad
-
-    def histogram_spec(self):
-        first = self.layers[0]
-        return first.spec if isinstance(first, HistogramLayer) else None
 
 
 def build_model(cfg: ModelConfig) -> Model:
@@ -221,7 +217,7 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     """
     inputs, start = train_set.pixels[:, None, :, :], 0
     if model.architecture == "dadm":
-        inputs, start = model.layers[0].forward(train_set.pixels), 1
+        inputs, start = model.layers[0].forward(inputs), 1
     labels = train_set.labels
     n = train_set.count
     optimizer = Adam(model.parameters(), lr=cfg.lr)
@@ -254,12 +250,12 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     return curve
 
 
-def predict(model: Model, image_set: ImageSet, batch_size=256) -> np.ndarray:
-    """Top-1 class per image."""
+def predict(model: Model, image_set: ImageSet) -> np.ndarray:
+    """Top-1 class per image, forward passes of ``EVAL_BATCH`` images."""
     inputs = image_set.pixels[:, None, :, :]
     out = np.empty(image_set.count, dtype=np.int64)
-    for lo in range(0, image_set.count, batch_size):
-        logits = model.forward(inputs[lo : lo + batch_size])
+    for lo in range(0, image_set.count, EVAL_BATCH):
+        logits = model.forward(inputs[lo : lo + EVAL_BATCH])
         out[lo : lo + logits.shape[0]] = logits.argmax(axis=1)
     return out
 
@@ -274,28 +270,25 @@ def accuracy_breakdown(predictions: np.ndarray, labels: np.ndarray):
     return overall, per_class
 
 
-def evaluate(
-    model: Model,
-    test_set: ImageSet,
-    tspec: TransformSpec,
-    original_top1=None,
-    batch_size=256,
-) -> EvalReport:
-    """Accuracy on the transformed test set and the drop against originals.
+def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
+    """One :class:`EvalReport` per transform kind, in the order given.
 
-    For ``kind='none'`` the delta is zero by definition.  Otherwise the
-    original-set accuracy is taken from ``original_top1`` when given
-    (evaluating a battery shares one original pass) and computed here when
-    not.
+    The original images are predicted once: their accuracy is every
+    report's reference for ``delta`` (so ``none`` reads 0), and their
+    predictions are the ``none`` report's.  Each other kind predicts
+    ``apply_transform(test_set, TransformSpec(kind, rng_seed=seed))``.
     """
-    transformed = apply_transform(test_set, tspec)
-    preds = predict(model, transformed, batch_size=batch_size)
-    top1, per_class = accuracy_breakdown(preds, transformed.labels)
-    if tspec.kind == "none":
-        delta = 0.0
-    else:
-        if original_top1 is None:
-            original_preds = predict(model, test_set, batch_size=batch_size)
-            original_top1 = 100.0 * float((original_preds == test_set.labels).mean())
-        delta = original_top1 - top1
-    return EvalReport(model.architecture, tspec.kind, top1, per_class, delta)
+    specs = [TransformSpec(kind, rng_seed=seed) for kind in kinds]
+    original = predict(model, test_set)
+    original_top1, _ = accuracy_breakdown(original, test_set.labels)
+    reports = []
+    for tspec in specs:
+        if tspec.kind == "none":
+            preds = original
+        else:
+            preds = predict(model, apply_transform(test_set, tspec))
+        top1, per_class = accuracy_breakdown(preds, test_set.labels)
+        reports.append(
+            EvalReport(model.architecture, tspec.kind, top1, per_class, original_top1 - top1)
+        )
+    return reports

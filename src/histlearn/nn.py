@@ -3,9 +3,9 @@
 There is no autograd here.  Every layer caches what its backward pass
 needs during ``forward`` and exposes an explicit ``backward`` that
 accumulates parameter gradients and returns the gradient with respect to
-its input.  All math is float64; batches travel in the leading dimension,
-and single samples (one fewer dimension) are accepted everywhere and
-returned in kind.
+its input.  All math is float64 and every layer takes batches only: the
+leading dimension is the batch, and a single sample is a batch of one.
+An input of the wrong rank is a ``ShapeError``, never reinterpreted.
 
 ``grad_check`` closes the loop: central finite differences against any
 ``f(x) -> (scalar, grad)`` pair, used throughout the test suite.
@@ -48,34 +48,25 @@ class Linear:
         )
         self.bias = Parameter(_uniform_init(rng, (out_features,), in_features), name=f"{name}.bias")
         self._x = None
-        self._single = False
 
     def params(self):
         return [self.weight, self.bias]
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        in_shape = x.shape
-        self._single = x.ndim == 1
-        if self._single:
-            x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(
-                f"linear: input shape {in_shape} does not match "
+                f"linear: input shape {x.shape} does not match "
                 f"weight shape {self.weight.value.shape}"
             )
         self._x = x
-        y = x @ self.weight.value.T + self.bias.value
-        return y[0] if self._single else y
+        return x @ self.weight.value.T + self.bias.value
 
     def backward(self, grad):
         g = np.asarray(grad, dtype=np.float64)
-        if self._single:
-            g = g[None, :]
         self.weight.grad += g.T @ self._x
         self.bias.grad += g.sum(axis=0)
-        gx = g @ self.weight.value
-        return gx[0] if self._single else gx
+        return g @ self.weight.value
 
 
 class Conv2d:
@@ -104,16 +95,12 @@ class Conv2d:
         self.bias = Parameter(_uniform_init(rng, (out_channels,), fan_in), name=f"{name}.bias")
         self._cols = None
         self._in_shape = None
-        self._single = False
 
     def params(self):
         return [self.weight, self.bias]
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        self._single = x.ndim == 3
-        if self._single:
-            x = x[None]
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"conv2d: input shape {x.shape} does not match kernel shape "
@@ -132,13 +119,10 @@ class Conv2d:
         wmat = self.weight.value.reshape(self.out_channels, -1)
         y = wmat @ self._cols
         y += self.bias.value[:, None]
-        y = y.reshape(b, self.out_channels, oh, ow)
-        return y[0] if self._single else y
+        return y.reshape(b, self.out_channels, oh, ow)
 
     def backward(self, grad):
         g = np.asarray(grad, dtype=np.float64)
-        if self._single:
-            g = g[None]
         b, k, oh, ow = g.shape
         g3 = g.reshape(b, k, oh * ow)
         wmat = self.weight.value.reshape(self.out_channels, -1)
@@ -152,7 +136,7 @@ class Conv2d:
         for u in range(kh):
             for v in range(kw):
                 dx[:, :, u : u + oh, v : v + ow] += dcols[:, :, u, v]
-        return dx[0] if self._single else dx
+        return dx
 
 
 class MaxPool2d:
@@ -172,9 +156,8 @@ class MaxPool2d:
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        self._single = x.ndim == 3
-        if self._single:
-            x = x[None]
+        if x.ndim != 4:
+            raise ShapeError(f"maxpool2d: expected (batch, channels, H, W), got shape {x.shape}")
         _, _, h, w = x.shape
         if h % 2 or w % 2:
             raise ShapeError(f"maxpool2d: spatial dims must be even, got {h}x{w}")
@@ -182,16 +165,14 @@ class MaxPool2d:
         out = np.maximum(np.maximum(t0, t1), np.maximum(t2, t3))
         self._argmax = np.where(t0 == out, 0, np.where(t1 == out, 1, np.where(t2 == out, 2, 3)))
         self._in_shape = x.shape
-        return out[0] if self._single else out
+        return out
 
     def backward(self, grad):
         g = np.asarray(grad, dtype=np.float64)
-        if self._single:
-            g = g[None]
         dx = np.empty(self._in_shape)
         for tap, (i, j) in enumerate(self._TAPS):
             np.multiply(g, self._argmax == tap, out=dx[:, :, i::2, j::2])
-        return dx[0] if self._single else dx
+        return dx
 
 
 class ReLU:
@@ -213,10 +194,7 @@ class Flatten:
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        self._single = x.ndim == 3
         self._in_shape = x.shape
-        if self._single:
-            return x.reshape(-1)
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
@@ -226,18 +204,14 @@ class Flatten:
 def log_softmax_nll(logits, labels):
     """Negative log likelihood through a numerically stable log-softmax.
 
-    For a single sample (1-D logits, integer label) returns
-    ``(-(logits[label] - logsumexp(logits)), softmax(logits) - onehot)``.
-    For a batch (2-D logits, label vector) the loss is the batch mean and
-    the gradient is scaled by 1/batch accordingly.
+    ``logits`` is (batch, classes) and ``labels`` a vector of class indices.
+    The loss is the batch mean of ``-(logits[label] - logsumexp(logits))``
+    and the gradient ``(softmax(logits) - onehot) / batch``.
     """
     z = np.asarray(logits, dtype=np.float64)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
-        labels = np.asarray([labels])
-    else:
-        labels = np.asarray(labels)
+    labels = np.asarray(labels)
+    if z.ndim != 2:
+        raise ShapeError(f"logits must be (batch, classes), got shape {z.shape}")
     n, k = z.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match logits shape {z.shape}")
@@ -252,8 +226,6 @@ def log_softmax_nll(logits, labels):
     loss = -log_probs[rows, labels].mean()
     grad = ez / sez
     grad[rows, labels] -= 1.0
-    if single:
-        return loss, grad[0]
     return loss, grad / n
 
 
@@ -266,14 +238,21 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(param: Parameter, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+# Adam's moment decay rates and denominator guard, the textbook defaults
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
+def adam_step(param: Parameter, state: AdamState, lr):
     """One Adam update with bias correction; zeroes the gradient afterward.
 
     ``m``, ``v`` and the parameter are updated in place through two temporary
     buffers, in the textbook operation order
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2``,
-    ``p -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)``,
-    so the result is bitwise that of the out-of-place formula.
+    ``p -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)``
+    with ``b1, b2, eps = BETA1, BETA2, EPS``, so the result is bitwise that
+    of the out-of-place formula.
     """
     if not lr > 0:
         raise ValueError(f"learning rate must be > 0, got {lr}")
@@ -283,18 +262,18 @@ def adam_step(param: Parameter, state: AdamState, lr, beta1=0.9, beta2=0.999, ep
     g = param.grad
     step = np.empty_like(g)
     denom = np.empty_like(g)
-    state.m *= beta1
-    np.multiply(g, 1.0 - beta1, out=step)
+    state.m *= BETA1
+    np.multiply(g, 1.0 - BETA1, out=step)
     state.m += step
-    state.v *= beta2
+    state.v *= BETA2
     np.square(g, out=denom)
-    denom *= 1.0 - beta2
+    denom *= 1.0 - BETA2
     state.v += denom
-    np.divide(state.m, 1.0 - beta1**state.t, out=step)
+    np.divide(state.m, 1.0 - BETA1**state.t, out=step)
     step *= lr
-    np.divide(state.v, 1.0 - beta2**state.t, out=denom)
+    np.divide(state.v, 1.0 - BETA2**state.t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += EPS
     step /= denom
     param.value -= step
     param.zero_grad()
@@ -303,17 +282,14 @@ def adam_step(param: Parameter, state: AdamState, lr, beta1=0.9, beta2=0.999, ep
 class Adam:
     """Adam over a parameter list; one AdamState per parameter."""
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=0.001):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.states = [AdamState(p) for p in self.params]
 
     def step(self):
         for p, s in zip(self.params, self.states):
-            adam_step(p, s, self.lr, self.beta1, self.beta2, self.eps)
+            adam_step(p, s, self.lr)
 
 
 def grad_check(f, point, h=1e-3):

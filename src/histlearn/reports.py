@@ -7,6 +7,8 @@ transform seed) and are returned as a dict by the readers.  Parse errors
 name the offending line number.
 """
 
+import io
+
 import numpy as np
 
 from .errors import DataFormatError
@@ -25,9 +27,17 @@ def _fmt(value) -> str:
 
 
 def _read_lines(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path}: line {lineno}: not UTF-8 text") from exc
     meta = {}
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline=None reads "\r\n" and "\r" line ends as "\n", as text-mode open() does
+    with io.StringIO(text, newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -52,9 +62,9 @@ def _check_header(path, rows, expected):
     return rows[1:]
 
 
-def _parse_float(path, lineno, text):
+def _parse_number(path, lineno, text, kind=float):
     try:
-        return float(text)
+        return kind(text)
     except ValueError as exc:
         raise DataFormatError(f"{path}: line {lineno}: bad number {text!r}") from exc
 
@@ -84,9 +94,9 @@ def read_eval_reports(path):
             EvalReport(
                 model=cells[0],
                 transform=cells[1],
-                top1=_parse_float(path, lineno, cells[2]),
-                delta=_parse_float(path, lineno, cells[3]),
-                per_class=[_parse_float(path, lineno, c) for c in cells[4:]],
+                top1=_parse_number(path, lineno, cells[2]),
+                delta=_parse_number(path, lineno, cells[3]),
+                per_class=[_parse_number(path, lineno, c) for c in cells[4:]],
             )
         )
     return reports, meta
@@ -110,9 +120,9 @@ def read_loss_curve(path):
             raise DataFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(cells)}")
         curve.append(
             EpochStats(
-                epoch=int(cells[0]),
-                mean_loss=_parse_float(path, lineno, cells[1]),
-                train_accuracy=_parse_float(path, lineno, cells[2]),
+                epoch=_parse_number(path, lineno, cells[0], int),
+                mean_loss=_parse_number(path, lineno, cells[1]),
+                train_accuracy=_parse_number(path, lineno, cells[2]),
             )
         )
     return curve, meta
@@ -133,7 +143,7 @@ def read_bar_chart(path):
     for lineno, cells in rows:
         if len(cells) != 3:
             raise DataFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(cells)}")
-        out.append((cells[0], cells[1], _parse_float(path, lineno, cells[2])))
+        out.append((cells[0], cells[1], _parse_number(path, lineno, cells[2])))
     return out
 
 
@@ -154,6 +164,6 @@ def read_histogram_dump(path):
     for lineno, cells in rows:
         if len(cells) != 2:
             raise DataFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(cells)}")
-        centers.append(_parse_float(path, lineno, cells[0]))
-        masses.append(_parse_float(path, lineno, cells[1]))
+        centers.append(_parse_number(path, lineno, cells[0]))
+        masses.append(_parse_number(path, lineno, cells[1]))
     return np.array(centers), np.array(masses)

@@ -71,8 +71,8 @@ def _probe_param(layer, param, x, w):
 def check_linear_grad(perturb=frozenset()):
     rng = np.random.default_rng(11)
     layer = nn.Linear(4, 3, rng)
-    x = rng.standard_normal(4)
-    w = rng.standard_normal(3)
+    x = rng.standard_normal((2, 4))
+    w = rng.standard_normal((2, 3))
     broken = "linear-backward" in perturb
 
     def f(xv):
@@ -93,8 +93,8 @@ def check_linear_grad(perturb=frozenset()):
 def check_conv2d_grad():
     rng = np.random.default_rng(12)
     err = 0.0
-    # one single-channel sample, and a multi-channel batch of two
-    for c_in, c_out, k, x_shape in ((1, 2, 2, (1, 5, 5)), (2, 3, 3, (2, 2, 5, 5))):
+    # a single-channel and a multi-channel batch of two
+    for c_in, c_out, k, x_shape in ((1, 2, 2, (2, 1, 5, 5)), (2, 3, 3, (2, 2, 5, 5))):
         layer = nn.Conv2d(c_in, c_out, k, k, rng)
         x = rng.standard_normal(x_shape)
         w = rng.standard_normal(layer.forward(x).shape)
@@ -108,8 +108,8 @@ def check_maxpool_grad():
     rng = np.random.default_rng(13)
     layer = nn.MaxPool2d()
     # distinct values keep every window un-tied, so the max is differentiable
-    x = rng.permutation(16).astype(np.float64).reshape(1, 4, 4) * 0.37
-    w = rng.standard_normal((1, 2, 2))
+    x = rng.permutation(32).astype(np.float64).reshape(2, 1, 4, 4) * 0.37
+    w = rng.standard_normal((2, 1, 2, 2))
     err = nn.grad_check(_probe_input(layer, x, w), x)
     return _result("gradient-maxpool", err, 1e-4)
 
@@ -126,13 +126,14 @@ def check_relu_grad():
 
 def check_log_softmax_nll_grad():
     rng = np.random.default_rng(15)
-    logits = rng.standard_normal(10)
+    logits = rng.standard_normal((3, 10))
+    labels = np.array([3, 0, 7])
 
     def f(z):
-        return nn.log_softmax_nll(z, 3)
+        return nn.log_softmax_nll(z, labels)
 
     err = nn.grad_check(f, logits)
-    return _result("gradient-log-softmax-nll", err, 1e-4)
+    return _result("gradient-log-softmax-nll", err, 1e-4, "batch of 3, mean loss")
 
 
 def check_kde_grad():
@@ -334,27 +335,30 @@ def check_scatter_vs_montecarlo():
     emp_sum = np.bincount(_clamped_bins(sums, n), minlength=n) / draws
     tv_sum = 0.5 * np.abs(emp_sum - distlayers.sum_matrix(fw, spec) @ fx).sum()
 
-    # the whole layer at N=256: W, X and B drawn independently, W*X
+    # the whole layer at N=256 on a batch of two input laws: W, X and B
+    # drawn independently (both rows share the W and B draws), W*X
     # discretized to its bin center before B is added
     spec = histogram.HistogramSpec()
     n = spec.n_bins
-    fw, fx, fb = (_random_law(rng, n) for _ in range(3))
+    fw, fb = _random_law(rng, n), _random_law(rng, n)
+    fxs = np.stack([_random_law(rng, n) for _ in range(2)])
     layer = distlayers.ArithmeticDistributionLayer(spec, distlayers.DistributionKernel(fw, fb))
-    counts = np.zeros(n)
+    counts = np.zeros((2, n))
     chunks = 4
     for _ in range(chunks):
         wi = rng.choice(n, size=draws, p=fw)
-        xm = rng.choice(n, size=draws, p=fx)
         bj = rng.choice(n, size=draws, p=fb)
-        y = histogram.bin_index(spec.centers[wi] * spec.centers[xm], spec)
-        counts += np.bincount(_clamped_bins(spec.centers[y] + spec.centers[bj], n), minlength=n)
-    tv_layer = 0.5 * np.abs(counts / (chunks * draws) - layer.forward(fx)).sum()
+        for row, fx in zip(counts, fxs):
+            xm = rng.choice(n, size=draws, p=fx)
+            y = histogram.bin_index(spec.centers[wi] * spec.centers[xm], spec)
+            row += np.bincount(_clamped_bins(spec.centers[y] + spec.centers[bj], n), minlength=n)
+    tv_layer = 0.5 * np.abs(counts / (chunks * draws) - layer.forward(fxs)).sum(axis=1).max()
 
     return _result(
         "scatter-vs-montecarlo",
         max(tv_prod, tv_sum, tv_layer),
         0.01,
-        "stages at N=8 with 1e6 draws, layer at N=256 with 4e6",
+        "stages at N=8 with 1e6 draws, layer on 2 rows at N=256 with 4e6 each",
     )
 
 

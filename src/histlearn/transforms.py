@@ -21,21 +21,22 @@ TRANSFORM_KINDS = ("none", "rotate", "translate", "flip", "shuffle")
 
 FLIP_AXES = ("horizontal", "vertical")
 
+MAX_DEGREES = 90.0  # rotate draws its angle from [0, MAX_DEGREES]
+MAX_OFFSET = 8  # translate draws each offset from [-MAX_OFFSET, MAX_OFFSET]
+
 
 @dataclass
 class TransformSpec:
     """One test-time transformation and the seed of its random draws.
 
-    rotate     angle uniform in [0, max_degrees]
-    translate  integer offsets dx, dy independently uniform in +-max_offset
+    rotate     angle uniform in [0, MAX_DEGREES]
+    translate  integer offsets dx, dy independently uniform in +-MAX_OFFSET
     flip       horizontal or vertical, probability 1/2 each
     shuffle    uniform random permutation of the flattened pixels
     """
 
     kind: str
     rng_seed: int = 0
-    max_degrees: float = 90.0
-    max_offset: int = 8
 
     def __post_init__(self):
         if self.kind not in TRANSFORM_KINDS:
@@ -86,11 +87,11 @@ def rotate(img, degrees):
     return np.clip(out, -1.0, 1.0)
 
 
-def translate(img, dx, dy, max_offset=8):
+def translate(img, dx, dy):
     """Shift by integer (dx right, dy down); vacated pixels filled with -1."""
     dx, dy = int(dx), int(dy)
-    if abs(dx) > max_offset or abs(dy) > max_offset:
-        raise ValueError(f"offset ({dx}, {dy}) exceeds maximum {max_offset}")
+    if abs(dx) > MAX_OFFSET or abs(dy) > MAX_OFFSET:
+        raise ValueError(f"offset ({dx}, {dy}) exceeds maximum {MAX_OFFSET}")
     img = np.asarray(img, dtype=np.float64)
     h, w = img.shape
     out = np.full_like(img, FILL)
@@ -149,11 +150,11 @@ def transform_image(img, index: int, tspec: TransformSpec):
         return np.asarray(img, dtype=np.float64)
     rng = np.random.default_rng([tspec.rng_seed, index])
     if tspec.kind == "rotate":
-        return rotate(img, rng.uniform(0.0, tspec.max_degrees))
+        return rotate(img, rng.uniform(0.0, MAX_DEGREES))
     if tspec.kind == "translate":
-        dx = int(rng.integers(-tspec.max_offset, tspec.max_offset + 1))
-        dy = int(rng.integers(-tspec.max_offset, tspec.max_offset + 1))
-        return translate(img, dx, dy, tspec.max_offset)
+        dx = int(rng.integers(-MAX_OFFSET, MAX_OFFSET + 1))
+        dy = int(rng.integers(-MAX_OFFSET, MAX_OFFSET + 1))
+        return translate(img, dx, dy)
     if tspec.kind == "flip":
         return flip(img, "horizontal" if rng.random() < 0.5 else "vertical")
     return shuffle_pixels(img, rng)

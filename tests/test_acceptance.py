@@ -51,14 +51,7 @@ def _train(arch, mnist_sets):
 
 
 def _battery(model, test_set):
-    preds = models.predict(model, test_set)
-    original_top1 = 100.0 * float((preds == test_set.labels).mean())
-    out = {}
-    for kind in TRANSFORMS:
-        out[kind] = models.evaluate(
-            model, test_set, TransformSpec(kind, rng_seed=EVAL_SEED), original_top1=original_top1
-        )
-    return out
+    return dict(zip(TRANSFORMS, models.evaluate(model, test_set, TRANSFORMS, seed=EVAL_SEED)))
 
 
 @pytest.fixture(scope="session")

@@ -247,6 +247,13 @@ class TestReportCommand:
         bad.write_text("model,transform\nlenet\n")
         assert run("report", str(bad), "--data-dir", synth_data_dir, "--out-dir", str(tmp_path)) == 2
 
+    def test_non_utf8_reports_csv_exits_2(self, synth_data_dir, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("model,transform,top1\nlenet,drehung \u00b0,1.0\n".encode("latin-1"))
+        assert run("report", str(bad), "--data-dir", synth_data_dir, "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "latin1.csv" in err and "line 2" in err
+
     def test_image_index_bounds(self, synth_data_dir, tmp_path, trained_checkpoint):
         eval_dir = str(tmp_path / "eval")
         assert run("eval", trained_checkpoint, "--data-dir", synth_data_dir, "--out-dir", eval_dir) == 0

@@ -7,6 +7,19 @@ import sys
 import pytest
 
 DEMO_DIR = os.path.join(os.path.dirname(__file__), "..", "demos")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def run_demo(*argv, timeout):
+    """Run a demo script against this checkout's package, installed or not."""
+    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, os.path.join(DEMO_DIR, argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.mark.parametrize(
@@ -14,33 +27,18 @@ DEMO_DIR = os.path.join(os.path.dirname(__file__), "..", "demos")
     ["01_differentiable_histogram.py", "02_distribution_arithmetic.py"],
 )
 def test_fast_demos_run_clean(script):
-    proc = subprocess.run(
-        [sys.executable, os.path.join(DEMO_DIR, script)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_demo(script, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
 
 
 def test_training_demo_runs_clean():
-    proc = subprocess.run(
-        [sys.executable, os.path.join(DEMO_DIR, "03_train_and_evaluate.py")],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
+    proc = run_demo("03_train_and_evaluate.py", timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert "shuffle" in proc.stdout
 
 
 def test_mnist_demo_explains_missing_data(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, os.path.join(DEMO_DIR, "04_mnist_robustness.py"), str(tmp_path)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_demo("04_mnist_robustness.py", str(tmp_path), timeout=120)
     assert proc.returncode != 0
     assert "fetch" in proc.stderr

@@ -118,21 +118,21 @@ class TestProductLayer:
 
     def test_constant_upstream_grad_conserves(self):
         rng = np.random.default_rng(3)
-        check_constant_upstream_grad(rng.random(8), rng.random(8), rng.random(8), 2.5)
+        check_constant_upstream_grad(rng.random((1, 8)), rng.random(8), rng.random(8), 2.5)
 
     def test_backward_finite_differences(self):
         spec = spec_of(4)
-        fx = np.array([0.1, 0.4, 0.3, 0.2])
+        fx = np.array([[0.1, 0.4, 0.3, 0.2]])
         fw = np.array([-0.5, 1.2, 0.3, 0.8])
         fb = np.array([0.7, -0.4, 0.9, 0.1])
-        g = np.array([1.0, -2.0, 0.5, 0.25])
+        g = np.array([[1.0, -2.0, 0.5, 0.25]])
         f_x, f_w, _ = layer_fd_probes(layer_of(spec, fw, fb), fx, g)
         assert nn.grad_check(f_w, fw) < 1e-8
         assert nn.grad_check(f_x, fx) < 1e-8
 
     def test_zero_input_zero_weight_grad(self):
         spec = spec_of(8)
-        grad_w, _, _ = layer_grads(layer_of(spec, np.ones(8), np.ones(8)), np.zeros(8), np.ones(8))
+        grad_w, _, _ = layer_grads(layer_of(spec, np.ones(8), np.ones(8)), np.zeros((1, 8)), np.ones((1, 8)))
         assert np.all(grad_w == 0.0)
 
     def test_positive_weight_support_preserves_probability(self):
@@ -220,17 +220,17 @@ class TestSumLayer:
 
     def test_backward_finite_differences(self):
         spec = spec_of(4)
-        fx = np.array([0.2, 0.3, 0.4, 0.1])
+        fx = np.array([[0.2, 0.3, 0.4, 0.1]])
         fw = np.array([-0.5, 1.2, 0.3, 0.8])
         fb = np.array([0.7, -0.4, 0.9, 0.1])
-        g = np.array([0.5, 2.0, -1.0, 0.75])
+        g = np.array([[0.5, 2.0, -1.0, 0.75]])
         f_x, _, f_b = layer_fd_probes(layer_of(spec, fw, fb), fx, g)
         assert nn.grad_check(f_b, fb) < 1e-8
         assert nn.grad_check(f_x, fx) < 1e-8
 
     def test_zero_bias_zero_input_grad(self):
         spec = spec_of(8)
-        _, _, grad_x = layer_grads(layer_of(spec, np.ones(8), np.zeros(8)), np.ones(8), np.ones(8))
+        _, _, grad_x = layer_grads(layer_of(spec, np.ones(8), np.zeros(8)), np.ones((1, 8)), np.ones((1, 8)))
         assert np.all(grad_x == 0.0)
 
 
@@ -295,7 +295,7 @@ class TestArithmeticModule:
     def test_identity_composition_odd_bins(self):
         rng = np.random.default_rng(11)
         spec = spec_of(9)
-        fx = rng.random(9)
+        fx = rng.random((1, 9))
         fz = ArithmeticDistributionLayer(spec, init_kernel(spec, 0, noise_scale=0.0)).forward(fx)
         assert np.array_equal(fz, fx)
 
@@ -307,19 +307,19 @@ class TestArithmeticModule:
         kernel = init_kernel(spec, 3)
         layer = ArithmeticDistributionLayer(spec, kernel)
         assert sum(p.value.size for p in layer.params()) == 512
-        fx = rng.random(256)
-        fx /= fx.sum()
+        fx = rng.random((2, 256))
+        fx /= fx.sum(axis=1, keepdims=True)
         fz = layer.forward(fx)
-        assert fz.shape == (256,)
+        assert fz.shape == (2, 256)
         out = nn.Linear(256, 512, rng).forward(fz)
-        assert out.shape == (512,)
+        assert out.shape == (2, 512)
 
     def test_full_module_finite_differences(self):
         rng = np.random.default_rng(13)
         spec = spec_of(8)
-        fx = rng.standard_normal(8)
+        fx = rng.standard_normal((2, 8))
         kernel = DistributionKernel(rng.standard_normal(8), rng.standard_normal(8))
-        g = rng.standard_normal(8)
+        g = rng.standard_normal((2, 8))
         f_x, f_w, f_b = layer_fd_probes(ArithmeticDistributionLayer(spec, kernel), fx, g)
         assert nn.grad_check(f_x, fx) < 1e-8
         assert nn.grad_check(f_w, kernel.weight_hist.copy()) < 1e-8
@@ -353,7 +353,7 @@ class TestInitKernel:
 
 class TestBatchedLayer:
     def test_matches_functional_ops(self):
-        # each batch row against the layer run on that row alone
+        # each batch row against the layer run on that row as a batch of one
         rng = np.random.default_rng(14)
         spec = spec_of(16)
         kernel = DistributionKernel(rng.standard_normal(16), rng.standard_normal(16))
@@ -361,11 +361,11 @@ class TestBatchedLayer:
         batch = rng.standard_normal((5, 16))
         out = layer.forward(batch)
         for i in range(5):
-            ref = ArithmeticDistributionLayer(spec, kernel).forward(batch[i])
+            ref = ArithmeticDistributionLayer(spec, kernel).forward(batch[i : i + 1])[0]
             assert np.abs(out[i] - ref).max() < 1e-12
 
     def test_backward_matches_functional_adjoints(self):
-        # batch gradients against the sum of single-row passes
+        # batch gradients against the sum of passes over batches of one
         rng = np.random.default_rng(15)
         spec = spec_of(16)
         kernel = DistributionKernel(rng.standard_normal(16), rng.standard_normal(16))
@@ -378,21 +378,13 @@ class TestBatchedLayer:
         want_w = np.zeros(16)
         want_b = np.zeros(16)
         for i in range(4):
-            gw, gb, gxi = layer_grads(ArithmeticDistributionLayer(spec, kernel), batch[i], grads[i])
+            layer_i = ArithmeticDistributionLayer(spec, kernel)
+            gw, gb, gxi = layer_grads(layer_i, batch[i : i + 1], grads[i : i + 1])
             want_w += gw
             want_b += gb
-            assert np.abs(gx[i] - gxi).max() < 1e-12
+            assert np.abs(gx[i] - gxi[0]).max() < 1e-12
         assert np.abs(layer.weight_hist.grad - want_w).max() < 1e-12
         assert np.abs(layer.bias_hist.grad - want_b).max() < 1e-12
-
-    def test_single_vector_roundtrip(self):
-        rng = np.random.default_rng(16)
-        spec = spec_of(8)
-        layer = ArithmeticDistributionLayer(spec, init_kernel(spec, 0))
-        fx = rng.random(8)
-        out = layer.forward(fx)
-        assert out.shape == (8,)
-        assert layer.backward(np.ones(8)).shape == (8,)
 
     def test_shape_errors(self):
         spec = spec_of(8)

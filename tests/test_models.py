@@ -110,7 +110,7 @@ class TestEndToEndGradients:
         model = models.build_model(cfg)
         labels = small_set.labels[:2]
         if arch == "dadm":
-            spec = model.histogram_spec()
+            spec = cfg.histogram_spec()
             feats = np.stack([kde_histogram(p, spec) for p in small_set.pixels[:2]])
             start = 1
         else:
@@ -154,7 +154,7 @@ class TestEndToEndGradients:
         cfg = tiny_cfg("dadm", n_bins=16, bandwidth=0.05)
         model = models.build_model(cfg)
         # park pixels mid-bin so finite differences stay in smooth regions
-        spec = model.histogram_spec()
+        spec = cfg.histogram_spec()
         rng = np.random.default_rng(1)
         img = spec.centers[rng.integers(0, 16, (28, 28))] + rng.uniform(-0.02, 0.02, (28, 28))
         feats = img[None, None, :, :]
@@ -234,25 +234,42 @@ class TestEvaluate:
         models.train(self.model, self.train_set, self.cfg)
 
     def test_none_transform_zero_delta(self):
-        report = models.evaluate(self.model, self.test_set, TransformSpec("none"))
+        [report] = models.evaluate(self.model, self.test_set, ["none"])
         assert report.delta == 0.0
         assert report.transform == "none"
 
     def test_overall_is_support_weighted_mean(self):
-        report = models.evaluate(self.model, self.test_set, TransformSpec("none"))
+        [report] = models.evaluate(self.model, self.test_set, ["none"])
         support = np.bincount(self.test_set.labels, minlength=10)
         weighted = (np.array(report.per_class) * support).sum() / support.sum()
         assert abs(weighted - report.top1) < 1e-9
 
     def test_delta_against_original(self):
-        original = models.evaluate(self.model, self.test_set, TransformSpec("none"))
-        shuffled = models.evaluate(self.model, self.test_set, TransformSpec("shuffle", rng_seed=1))
+        original, shuffled = models.evaluate(self.model, self.test_set, ["none", "shuffle"], seed=1)
         assert abs(shuffled.delta - (original.top1 - shuffled.top1)) < 1e-12
-        # passing the original accuracy in must give the same answer
-        again = models.evaluate(
-            self.model, self.test_set, TransformSpec("shuffle", rng_seed=1), original_top1=original.top1
-        )
-        assert again.delta == shuffled.delta
+        # a kind evaluated alone gives the same report as inside a battery
+        [again] = models.evaluate(self.model, self.test_set, ["shuffle"], seed=1)
+        assert again == shuffled
+
+    def test_battery_predicts_originals_once(self, monkeypatch):
+        calls = []
+        predict = models.predict
+
+        def counting_predict(model, image_set):
+            calls.append(image_set)
+            return predict(model, image_set)
+
+        monkeypatch.setattr(models, "predict", counting_predict)
+        kinds = ["flip", "none", "rotate"]
+        reports = models.evaluate(self.model, self.test_set, kinds, seed=2)
+        assert [r.transform for r in reports] == kinds
+        # the originals once, then one pass per transform other than none
+        assert len(calls) == 3 and calls[0] is self.test_set
+        assert all(c is not self.test_set for c in calls[1:])
+        flip = apply_transform(self.test_set, TransformSpec("flip", rng_seed=2))
+        top1, per_class = models.accuracy_breakdown(predict(self.model, flip), flip.labels)
+        assert (reports[0].top1, reports[0].per_class) == (top1, per_class)
+        assert reports[1].delta == 0.0
 
     def test_dadm_prediction_invariance_on_multiset_transforms(self):
         cfg = tiny_cfg("dadm", epochs=2)

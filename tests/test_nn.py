@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from histlearn import nn
+from histlearn.distlayers import ArithmeticDistributionLayer, init_kernel
 from histlearn.errors import NonFiniteError, ShapeError
+from histlearn.histogram import HistogramSpec
+from histlearn.models import HistogramLayer
 
 
 def layer_input_probe(layer, weights):
@@ -74,22 +77,22 @@ class TestLinear:
     def test_flattened_image_to_features(self):
         rng = np.random.default_rng(0)
         layer = nn.Linear(784, 256, rng)
-        y = layer.forward(rng.uniform(-1, 1, 784))
-        assert y.shape == (256,)
+        y = layer.forward(rng.uniform(-1, 1, (2, 784)))
+        assert y.shape == (2, 256)
 
     def test_identity_weights(self):
         rng = np.random.default_rng(0)
         layer = nn.Linear(4, 4, rng)
         layer.weight.value[...] = np.eye(4)
         layer.bias.value[...] = 0.0
-        x = np.array([0.5, -1.0, 2.0, 0.0])
+        x = np.array([[0.5, -1.0, 2.0, 0.0]])
         assert np.array_equal(layer.forward(x), x)
 
     def test_finite_difference_grads(self):
         rng = np.random.default_rng(1)
         layer = nn.Linear(2, 3, rng)
-        x = np.array([1.0, 2.0])
-        w = rng.standard_normal(3)
+        x = np.array([[1.0, 2.0], [-0.5, 0.25]])
+        w = rng.standard_normal((2, 3))
         assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-6
         assert nn.grad_check(layer_param_probe(layer, layer.weight, x, w), layer.weight.value.copy()) < 1e-6
         assert nn.grad_check(layer_param_probe(layer, layer.bias, x, w), layer.bias.value.copy()) < 1e-6
@@ -98,8 +101,8 @@ class TestLinear:
         rng = np.random.default_rng(2)
         layer = nn.Linear(4, 3, rng)
         with pytest.raises(ShapeError) as err:
-            layer.forward(np.zeros(5))
-        assert "(5,)" in str(err.value) and "(3, 4)" in str(err.value)
+            layer.forward(np.zeros((2, 5)))
+        assert "(2, 5)" in str(err.value) and "(3, 4)" in str(err.value)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(3)
@@ -107,29 +110,29 @@ class TestLinear:
         xs = rng.standard_normal((5, 6))
         batched = layer.forward(xs)
         for i in range(5):
-            assert np.allclose(batched[i], layer.forward(xs[i]), atol=1e-12)
+            assert np.allclose(batched[i], layer.forward(xs[i : i + 1])[0], atol=1e-12)
 
 
 class TestConv2d:
     def test_output_shape(self):
         rng = np.random.default_rng(4)
         layer = nn.Conv2d(1, 6, 5, 5, rng)
-        y = layer.forward(rng.standard_normal((1, 28, 28)))
-        assert y.shape == (6, 24, 24)
+        y = layer.forward(rng.standard_normal((2, 1, 28, 28)))
+        assert y.shape == (2, 6, 24, 24)
 
     def test_one_by_one_identity_kernel(self):
         rng = np.random.default_rng(5)
         layer = nn.Conv2d(1, 1, 1, 1, rng)
         layer.weight.value[...] = 1.0
         layer.bias.value[...] = 0.0
-        x = rng.standard_normal((1, 6, 6))
+        x = rng.standard_normal((1, 1, 6, 6))
         assert np.array_equal(layer.forward(x), x)
 
     def test_finite_difference_grads(self):
         rng = np.random.default_rng(6)
         layer = nn.Conv2d(1, 1, 2, 2, rng)
-        x = rng.standard_normal((1, 4, 4))
-        w = rng.standard_normal((1, 3, 3))
+        x = rng.standard_normal((2, 1, 4, 4))
+        w = rng.standard_normal((2, 1, 3, 3))
         assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-6
         assert nn.grad_check(layer_param_probe(layer, layer.weight, x, w), layer.weight.value.copy()) < 1e-6
         assert nn.grad_check(layer_param_probe(layer, layer.bias, x, w), layer.bias.value.copy()) < 1e-6
@@ -138,13 +141,13 @@ class TestConv2d:
         rng = np.random.default_rng(7)
         layer = nn.Conv2d(1, 1, 5, 5, rng)
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((1, 4, 4)))
+            layer.forward(np.zeros((1, 1, 4, 4)))
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(8)
         layer = nn.Conv2d(3, 2, 2, 2, rng)
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((1, 6, 6)))
+            layer.forward(np.zeros((1, 1, 6, 6)))
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(9)
@@ -152,7 +155,7 @@ class TestConv2d:
         xs = rng.standard_normal((4, 2, 7, 7))
         batched = layer.forward(xs)
         for i in range(4):
-            assert np.allclose(batched[i], layer.forward(xs[i]), atol=1e-12)
+            assert np.allclose(batched[i], layer.forward(xs[i : i + 1])[0], atol=1e-12)
 
     @pytest.mark.parametrize(
         "c_in,c_out,kernel,size",
@@ -177,24 +180,24 @@ class TestConv2d:
 class TestMaxPool2d:
     def test_output_shape(self):
         layer = nn.MaxPool2d()
-        y = layer.forward(np.random.default_rng(0).standard_normal((6, 24, 24)))
-        assert y.shape == (6, 12, 12)
+        y = layer.forward(np.random.default_rng(0).standard_normal((2, 6, 24, 24)))
+        assert y.shape == (2, 6, 12, 12)
 
     def test_constant_input_routes_to_first_window_element(self):
         layer = nn.MaxPool2d()
-        x = np.ones((1, 4, 4))
+        x = np.ones((1, 1, 4, 4))
         out = layer.forward(x)
         assert np.all(out == 1.0)
-        dx = layer.backward(np.ones((1, 2, 2)))
-        expected = np.zeros((1, 4, 4))
-        expected[0, ::2, ::2] = 1.0  # first element of each 2x2 window
+        dx = layer.backward(np.ones((1, 1, 2, 2)))
+        expected = np.zeros((1, 1, 4, 4))
+        expected[0, 0, ::2, ::2] = 1.0  # first element of each 2x2 window
         assert np.array_equal(dx, expected)
 
     def test_finite_difference_grads_untied(self):
         rng = np.random.default_rng(10)
         layer = nn.MaxPool2d()
-        x = rng.permutation(16).astype(float).reshape(1, 4, 4)
-        w = rng.standard_normal((1, 2, 2))
+        x = rng.permutation(32).astype(float).reshape(2, 1, 4, 4)
+        w = rng.standard_normal((2, 1, 2, 2))
         assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-6
 
     def test_plateaus_and_zeros_match_loop_reference(self):
@@ -212,7 +215,7 @@ class TestMaxPool2d:
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
-            nn.MaxPool2d().forward(np.zeros((1, 5, 4)))
+            nn.MaxPool2d().forward(np.zeros((1, 1, 5, 4)))
 
 
 class TestReLU:
@@ -237,33 +240,33 @@ class TestReLU:
 
 class TestLogSoftmaxNll:
     def test_uniform_logits(self):
-        loss, grad = nn.log_softmax_nll(np.zeros(10), 0)
+        loss, grad = nn.log_softmax_nll(np.zeros((1, 10)), [0])
         assert abs(loss - np.log(10)) < 1e-12
-        assert abs(grad[0] - (0.1 - 1.0)) < 1e-12
+        assert abs(grad[0, 0] - (0.1 - 1.0)) < 1e-12
 
     def test_saturated_correct_logit(self):
-        logits = np.zeros(10)
-        logits[4] = 1000.0
-        loss, grad = nn.log_softmax_nll(logits, 4)
+        logits = np.zeros((1, 10))
+        logits[0, 4] = 1000.0
+        loss, grad = nn.log_softmax_nll(logits, [4])
         assert loss < 1e-12
         assert np.abs(grad).max() < 1e-12
 
     def test_finite_difference_grads(self):
         rng = np.random.default_rng(12)
-        logits = rng.standard_normal(10)
-        assert nn.grad_check(lambda z: nn.log_softmax_nll(z, 7), logits) < 1e-6
+        logits = rng.standard_normal((3, 10))
+        assert nn.grad_check(lambda z: nn.log_softmax_nll(z, [7, 0, 7]), logits) < 1e-6
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            nn.log_softmax_nll(np.zeros(10), 10)
+            nn.log_softmax_nll(np.zeros((2, 10)), [0, 10])
         with pytest.raises(ValueError):
-            nn.log_softmax_nll(np.zeros(10), -1)
+            nn.log_softmax_nll(np.zeros((2, 10)), [-1, 0])
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(13)
-        logits = rng.standard_normal(10)
-        base, _ = nn.log_softmax_nll(logits, 3)
-        shifted, _ = nn.log_softmax_nll(logits + 123.456, 3)
+        logits = rng.standard_normal((2, 10))
+        base, _ = nn.log_softmax_nll(logits, [3, 8])
+        shifted, _ = nn.log_softmax_nll(logits + 123.456, [3, 8])
         assert abs(base - shifted) < 1e-10
 
     def test_batch_is_mean_of_singles(self):
@@ -271,10 +274,10 @@ class TestLogSoftmaxNll:
         logits = rng.standard_normal((6, 10))
         labels = rng.integers(0, 10, 6)
         loss, grad = nn.log_softmax_nll(logits, labels)
-        singles = [nn.log_softmax_nll(logits[i], labels[i]) for i in range(6)]
+        singles = [nn.log_softmax_nll(logits[i : i + 1], labels[i : i + 1]) for i in range(6)]
         assert abs(loss - np.mean([s[0] for s in singles])) < 1e-12
         for i in range(6):
-            assert np.allclose(grad[i], singles[i][1] / 6, atol=1e-12)
+            assert np.allclose(grad[i], singles[i][1][0] / 6, atol=1e-12)
 
 
 class TestAdam:
@@ -318,7 +321,7 @@ class TestAdam:
         for t in range(1, 6):
             g = rng.standard_normal(shape)
             p.grad[...] = g
-            nn.adam_step(p, state, lr, b1, b2, eps)
+            nn.adam_step(p, state, lr)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g**2
             m_hat = m / (1.0 - b1**t)
@@ -366,8 +369,8 @@ class TestGradCheck:
     def test_linear_layer_loss(self):
         rng = np.random.default_rng(17)
         layer = nn.Linear(3, 2, rng)
-        w = rng.standard_normal(2)
-        assert nn.grad_check(layer_input_probe(layer, w), rng.standard_normal(3)) < 1e-6
+        w = rng.standard_normal((2, 2))
+        assert nn.grad_check(layer_input_probe(layer, w), rng.standard_normal((2, 3))) < 1e-6
 
     def test_relu_sum_away_from_kink(self):
         def f(x):
@@ -395,26 +398,26 @@ class TestLayerInvariants:
 
         for trial in range(3):
             layer = nn.Linear(6, 5, rng)
-            x = rng.standard_normal(6)
-            w = rng.standard_normal(5)
+            x = rng.standard_normal((2, 6))
+            w = rng.standard_normal((2, 5))
             assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-4
             assert nn.grad_check(layer_param_probe(layer, layer.weight, x, w), layer.weight.value.copy()) < 1e-4
-            checked["linear"] = checked.get("linear", 0) + 6 + 30
+            checked["linear"] = checked.get("linear", 0) + 12 + 30
 
         for trial in range(3):
             layer = nn.Conv2d(1, 2, 3, 3, rng)
-            x = rng.standard_normal((1, 5, 5))
-            w = rng.standard_normal((2, 3, 3))
+            x = rng.standard_normal((2, 1, 5, 5))
+            w = rng.standard_normal((2, 2, 3, 3))
             assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-4
             assert nn.grad_check(layer_param_probe(layer, layer.weight, x, w), layer.weight.value.copy()) < 1e-4
-            checked["conv"] = checked.get("conv", 0) + 25 + 18
+            checked["conv"] = checked.get("conv", 0) + 50 + 18
 
         for trial in range(7):
             layer = nn.MaxPool2d()
-            x = rng.permutation(16).astype(float).reshape(1, 4, 4)
-            w = rng.standard_normal((1, 2, 2))
+            x = rng.permutation(32).astype(float).reshape(2, 1, 4, 4)
+            w = rng.standard_normal((2, 1, 2, 2))
             assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-4
-            checked["maxpool"] = checked.get("maxpool", 0) + 16
+            checked["maxpool"] = checked.get("maxpool", 0) + 32
 
         for trial in range(10):
             layer = nn.ReLU()
@@ -425,21 +428,52 @@ class TestLayerInvariants:
             checked["relu"] = checked.get("relu", 0) + 10
 
         for trial in range(10):
-            logits = rng.standard_normal(10)
-            label = int(rng.integers(0, 10))
-            assert nn.grad_check(lambda z: nn.log_softmax_nll(z, label), logits) < 1e-4
-            checked["nll"] = checked.get("nll", 0) + 10
+            logits = rng.standard_normal((2, 10))
+            labels = rng.integers(0, 10, 2)
+            assert nn.grad_check(lambda z: nn.log_softmax_nll(z, labels), logits) < 1e-4
+            checked["nll"] = checked.get("nll", 0) + 20
 
         assert all(count >= 100 for count in checked.values())
 
     def test_forwards_are_pure(self):
         rng = np.random.default_rng(19)
         pairs = [
-            (nn.Linear(5, 4, rng), rng.standard_normal(5)),
-            (nn.Conv2d(1, 2, 2, 2, rng), rng.standard_normal((1, 4, 4))),
-            (nn.MaxPool2d(), rng.standard_normal((1, 4, 4))),
+            (nn.Linear(5, 4, rng), rng.standard_normal((2, 5))),
+            (nn.Conv2d(1, 2, 2, 2, rng), rng.standard_normal((2, 1, 4, 4))),
+            (nn.MaxPool2d(), rng.standard_normal((2, 1, 4, 4))),
             (nn.ReLU(), rng.standard_normal(9)),
             (nn.Flatten(), rng.standard_normal((2, 3, 3))),
         ]
         for layer, x in pairs:
             assert np.array_equal(layer.forward(x), layer.forward(x))
+
+    @pytest.mark.parametrize(
+        "name", ["linear", "conv2d", "maxpool2d", "log-softmax-nll", "arithmetic-layer", "histogram-layer"]
+    )
+    def test_former_single_sample_rank_is_shape_error(self, name):
+        # every layer takes batches only: one sample without its batch axis
+        # is rejected, not read as a batch of rows or channels
+        forward, sample, batch_of_one = single_sample_cases()[name]
+        with pytest.raises(ShapeError):
+            forward(sample, 3)
+        forward(batch_of_one, [3])
+
+
+def single_sample_cases():
+    """name -> (forward(x, label), one sample in its former unbatched rank,
+    the same sample as a batch of one)."""
+    rng = np.random.default_rng(23)
+    spec = HistogramSpec(n_bins=8, bandwidth=0.05)
+    arith = ArithmeticDistributionLayer(spec, init_kernel(spec, 0))
+    image = np.zeros((28, 28))
+    cases = {
+        "linear": (lambda x, _: nn.Linear(4, 3, rng).forward(x), np.zeros(4)),
+        "conv2d": (lambda x, _: nn.Conv2d(1, 2, 2, 2, rng).forward(x), np.zeros((1, 4, 4))),
+        "maxpool2d": (lambda x, _: nn.MaxPool2d().forward(x), np.zeros((1, 4, 4))),
+        "log-softmax-nll": (nn.log_softmax_nll, np.zeros(10)),
+        "arithmetic-layer": (lambda x, _: arith.forward(x), np.full(8, 0.125)),
+    }
+    out = {name: (forward, x, x[None]) for name, (forward, x) in cases.items()}
+    # model input is (batch, channels, H, W); the former single sample was one 2-D image
+    out["histogram-layer"] = (lambda x, _: HistogramLayer(spec).forward(x), image, image[None, None])
+    return out

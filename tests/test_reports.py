@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histlearn.errors import DataFormatError
 from histlearn.models import EpochStats, EvalReport
@@ -100,3 +102,56 @@ def test_empty_file_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(DataFormatError):
         read_loss_curve(path)
+
+
+def test_non_integer_epoch_names_file_and_line(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("epoch,mean_loss,train_acc\n1,2.5,40.0\n2.0,1.5,60.0\n")
+    with pytest.raises(DataFormatError) as err:
+        read_loss_curve(path)
+    assert "curve.csv" in str(err.value) and "line 3" in str(err.value)
+
+
+def test_undecodable_bytes_name_file_and_line(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_bytes(b"epoch,mean_loss,train_acc\n1,2.5,40.0\n2,1.5\xff,60.0\n")
+    with pytest.raises(DataFormatError) as err:
+        read_loss_curve(path)
+    assert "curve.csv" in str(err.value) and "line 3" in str(err.value)
+
+
+def _write_valid_csv(path, name):
+    """Write one valid file of the named CSV schema; returns its reader."""
+    reports = sample_reports()[:3]
+    write, args, read = {
+        "eval": (write_eval_reports, (reports, {"eval_seed": "0"}), read_eval_reports),
+        "curve": (write_loss_curve, ([EpochStats(1, 2.25, 40.0), EpochStats(2, 1.5, 61.0)],), read_loss_curve),
+        "bar": (write_bar_chart, (reports,), read_bar_chart),
+        "hist": (write_histogram_dump, (np.linspace(-1, 1, 4), np.full(4, 0.25)), read_histogram_dump),
+    }[name]
+    write(path, *args)
+    return read
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["eval", "curve", "bar", "hist"]),
+    flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)), max_size=4),
+    cut=st.none() | st.integers(min_value=0),
+)
+def test_corrupted_csv_parses_or_raises_data_format_error(tmp_path_factory, name, flips, cut):
+    # flip (xor) a few bytes and maybe truncate a valid file: every reader
+    # either parses the result or rejects it as a data error, never with
+    # another exception
+    path = tmp_path_factory.mktemp("fuzz") / f"{name}.csv"
+    read = _write_valid_csv(path, name)
+    data = bytearray(path.read_bytes())
+    for position, mask in flips:
+        data[position % len(data)] ^= mask
+    if cut is not None:
+        data = data[: cut % (len(data) + 1)]
+    path.write_bytes(bytes(data))
+    try:
+        read(path)
+    except DataFormatError:
+        pass

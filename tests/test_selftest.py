@@ -2,9 +2,10 @@
 
 import time
 
+import numpy as np
 import pytest
 
-from histlearn import selftest
+from histlearn import nn, selftest
 from histlearn.distlayers import ArithmeticDistributionLayer
 
 CHECK_NAMES = {
@@ -63,6 +64,20 @@ def test_broken_layer_backward_fails_the_layer_gradient_checks(monkeypatch):
     monkeypatch.setattr(ArithmeticDistributionLayer, "backward", off_by_a_little)
     failed = sorted(r.name for r in selftest.run_all() if not r.passed)
     assert failed == ["gradient-arithmetic-module", "gradient-product-layer", "gradient-sum-layer"]
+
+
+def test_loss_gradient_without_batch_scale_fails_the_loss_check(monkeypatch):
+    # training feeds the loss a batch, whose gradient carries a 1/batch
+    # factor; the oracle must see that factor, not a single-sample path
+    log_softmax_nll = nn.log_softmax_nll
+
+    def unscaled(logits, labels):
+        loss, grad = log_softmax_nll(logits, labels)
+        return loss, grad * np.size(labels)
+
+    monkeypatch.setattr(nn, "log_softmax_nll", unscaled)
+    failed = [r.name for r in selftest.run_all() if not r.passed]
+    assert failed == ["gradient-log-softmax-nll"]
 
 
 def test_unknown_perturbation_rejected():

@@ -32,13 +32,13 @@ spec16 = HistogramSpec(n_bins=16, bandwidth=1.0)  # geometry only
 counted = discrete_histogram(pixels, spec16)
 for bandwidth in (1e-4, 1e-3, 1e-2, 5e-2, 2e-1):
     spec = HistogramSpec(n_bins=16, bandwidth=bandwidth)
-    smooth = kde_histogram(pixels, spec)
+    smooth = kde_histogram(pixels[None], spec)[0]
     gap = np.abs(smooth - counted).max()
     print(f"  B={bandwidth:<7g} peak={smooth.max():.4f}  max|smooth-counted|={gap:.2e}")
 print("smaller bandwidths approach the counting histogram; larger ones blur it\n")
 
 spec = HistogramSpec(n_bins=16, bandwidth=0.05)
-smooth = kde_histogram(pixels, spec)
+smooth = kde_histogram(pixels[None], spec)[0]  # a batch of one image
 print("bin centers and masses at B=0.05:")
 for center, mass in zip(spec.centers, smooth):
     bar = "#" * int(round(mass * 120))

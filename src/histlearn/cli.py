@@ -375,7 +375,7 @@ def _cmd_report(args):
         image = transform_image(test_set.pixels[index], index, tspec)
         name = "original" if kind == "none" else kind
         dump_path = os.path.join(out_dir, f"hist_{name}.csv")
-        write_histogram_dump(dump_path, spec.centers, kde_histogram(image, spec))
+        write_histogram_dump(dump_path, spec.centers, kde_histogram(image[None], spec)[0])
         print(f"histogram dump: {dump_path}")
 
     resolved["reports_csv"] = args.reports_csv

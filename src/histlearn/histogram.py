@@ -18,6 +18,30 @@ and the returned histogram is ``raw`` renormalized to sum exactly to 1,
 which also absorbs the sliver of kernel mass lying beyond the domain edges
 at -1 and +1.  As ``B`` shrinks the result converges to the counting
 histogram implemented by :func:`discrete_histogram`.
+
+Evaluation (:func:`kde_histogram`, one batch of images at a time).  Equal
+pixels add equal terms, so each image is sorted and run-length encoded
+into its distinct values and their counts; an MNIST image has at most 256.
+Every erf term is saturated: where ``|edge - x| / (sqrt(2) B)`` reaches
+``_SATURATION`` = 8 it is taken as exactly +-1 (the true value differs by
+about 1e-29).  A bin whose two edges are both saturated on the same side
+of ``x`` therefore gets exactly 0 from ``x``, and only a band of bins
+around the value's own bin can get more: ``2R + 1`` bins with
+``R = ceil(8 sqrt(2) B / W)``, which is 2 at 256 bins and B = 0.001 and
+covers every bin at wide bandwidths.  Each distinct value adds
+``count * (erf(right) - erf(left))`` to the bins of its band, a group of
+whole rows in one ``np.bincount`` keyed by ``row * N + bin``, and each row
+is then divided by its sum.  A bin receives its terms in ascending value
+order, so a row is bitwise the same whatever the order of its pixels and
+whatever the other rows of the batch.
+
+Summing each bin's terms directly, rather than summing erf over all
+pixels at every edge and differencing neighbouring edges (the earlier
+evaluation), avoids cancelling two large sums.  Against an exact rational
+sum of the same erf values the band is within 2.2e-16 and the per-edge
+differences were within 1.6e-15 (rotated digits at 256 bins and
+B = 0.001, 16 bins and B = 0.05, 8 bins and B = 0.5).  The two agree to
+4.4e-16 at 256 bins and B = 0.001, and to 2.7e-15 at the wide bandwidths.
 """
 
 from dataclasses import dataclass, field
@@ -25,9 +49,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
+from .errors import ShapeError
+
 # erf(8) differs from 1 by ~1e-29 and exp(-64) ~ 1.6e-28: past this point the
 # kernel terms are numerically saturated and are short-circuited.
 _SATURATION = 8.0
+
+# band edges (distinct values x band width) a histogram evaluates per group
+# of rows: about 8 MB per temporary array
+_BAND_TERMS = 1 << 20
 
 _SQRT2 = np.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
@@ -37,9 +67,15 @@ _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 class HistogramSpec:
     """Bin partition of [-1, 1] plus the KDE bandwidth.
 
-    The domain is split into ``n_bins`` equal bins.  Derived geometry
-    (width, half-width, edges, centers) is computed once at construction.
+    The domain is split into ``n_bins`` equal bins, at most ``MAX_BINS``.
+    Derived geometry (width, half-width, edges, centers) is computed once
+    at construction.
     """
+
+    # The distribution layer holds (N, N) scatter maps and matrices, 8 MB
+    # each at this bound; a config or checkpoint asking for more is refused
+    # here, before anything of that size is allocated.
+    MAX_BINS = 1024
 
     n_bins: int = 256
     bandwidth: float = 0.001
@@ -49,8 +85,10 @@ class HistogramSpec:
     centers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.n_bins, (int, np.integer)) or self.n_bins < 1:
-            raise ValueError(f"n_bins must be a positive integer, got {self.n_bins!r}")
+        if not isinstance(self.n_bins, (int, np.integer)) or not 1 <= self.n_bins <= self.MAX_BINS:
+            raise ValueError(
+                f"n_bins must be an integer in [1, {self.MAX_BINS}], got {self.n_bins!r}"
+            )
         if not 0 < self.bandwidth < np.inf:
             raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth!r}")
         self.n_bins = int(self.n_bins)
@@ -61,16 +99,30 @@ class HistogramSpec:
         self.centers = -1.0 + (np.arange(self.n_bins, dtype=np.float64) + 0.5) * self.bin_width
 
 
-def _check_pixels(pixels, spec: HistogramSpec) -> np.ndarray:
-    px = np.asarray(pixels, dtype=np.float64).ravel()
-    if px.size < 1:
+def _check_rows(images) -> np.ndarray:
+    """A batch ``(B, ...)`` as checked rows ``(B, M)``, one image per row.
+
+    A bad row raises exactly what it would raise as a lone image: the range
+    in the message is that row's, not the batch's.
+    """
+    px = np.asarray(images, dtype=np.float64)
+    if px.ndim < 2:
+        raise ShapeError(f"expected a batch of images (batch, ...), got shape {px.shape}")
+    rows = px.reshape(px.shape[0], int(np.prod(px.shape[1:])))
+    if rows.shape[1] < 1:
         raise ValueError("need at least one pixel value")
-    if not np.all(np.isfinite(px)):
+    if not np.all(np.isfinite(rows)):
         raise ValueError("pixel values must be finite")
-    lo, hi = px.min(), px.max()
-    if lo < -1.0 or hi > 1.0:
-        raise ValueError(f"pixel values must lie in [-1, 1], got range [{lo}, {hi}]")
-    return px
+    if rows.size and (rows.min() < -1.0 or rows.max() > 1.0):
+        lo, hi = rows.min(axis=1), rows.max(axis=1)
+        r = np.flatnonzero((lo < -1.0) | (hi > 1.0))[0]
+        raise ValueError(f"pixel values must lie in [-1, 1], got range [{lo[r]}, {hi[r]}]")
+    return rows
+
+
+def _check_pixels(pixels) -> np.ndarray:
+    """One image of any shape as checked flat pixels."""
+    return _check_rows(np.reshape(pixels, (1, -1)))[0]
 
 
 def bin_index(x, spec: HistogramSpec):
@@ -109,38 +161,86 @@ def _gauss_saturated(args: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edge_erf_sums(px: np.ndarray, spec: HistogramSpec) -> np.ndarray:
-    """sum_j erf((edge_i - x_j) / (sqrt(2) B)) for every edge, shape (N+1,).
+def _band_radius(spec: HistogramSpec) -> int:
+    """Bins R on each side of a value's own bin in the value's band.
 
-    Equal pixels contribute equal terms, so erf is evaluated once per
-    distinct value and weighted by its count.  An MNIST image has at most
-    256 distinct values among its 784 pixels, usually far fewer.  The values
-    come out of ``np.unique`` sorted, so the sums do not depend on the order
-    of the pixels at all, not even in the last bit.
+    Only edges closer to a value than the reach ``r = _SATURATION * sqrt(2) * B``
+    have an erf other than exactly +-1.  With ``R = ceil(r / W)`` every such
+    edge of a value in bin k lies in ``e_{k-R} .. e_{k+R+1}``, the edges of
+    the band: an edge outside it is at least ``(R + 1) * W`` from a value in
+    ``[e_k, e_{k+1})``, and still at least ``R * W >= r`` from a value whose
+    bin index rounded to a neighbour.  (erf itself already rounds to exactly
+    +-1.0 near argument 5.9, below the cut-off.)  The bitwise test against
+    the same scatter over all bins checks this, including a bandwidth whose
+    reach is a whole number of bins.  R = 2 at 256 bins and B = 0.001.
     """
-    values, counts = np.unique(px, return_counts=True)
+    return int(np.ceil(_SATURATION * _SQRT2 * spec.bandwidth / spec.bin_width))
+
+
+def _banded_masses(rows: np.ndarray, spec: HistogramSpec) -> np.ndarray:
+    """Unnormalized bin masses ``2M * raw`` of checked rows, shaped (B, N).
+
+    Each row is sorted and run-length encoded; each distinct value adds
+    ``count * (erf(right) - erf(left))`` to the bins of its band, all rows
+    in one ``np.bincount`` keyed by ``row * N + bin``.  A cell receives its
+    terms in ascending value order, so it does not depend on the order of
+    the pixels or on the other rows.
+    """
+    b, m = rows.shape
+    n = spec.n_bins
+    radius = _band_radius(spec)
+    width = min(2 * radius + 1, n)
+    srt = np.sort(rows, axis=1)
+    first = np.ones(srt.shape, dtype=bool)
+    first[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    starts = np.flatnonzero(first)
+    values = srt.ravel()[starts]
+    counts = np.diff(starts, append=srt.size)
+    # leftmost band bin, slid inward at the domain ends so the band stays in range
+    lo = np.floor((values + 1.0) * (n / 2.0)).astype(np.int64) - radius
+    lo = np.clip(lo, 0, n - width)
+    edges = lo[:, None] + np.arange(width + 1)
     inv = 1.0 / (_SQRT2 * spec.bandwidth)
-    return counts @ _erf_saturated((spec.edges[None, :] - values[:, None]) * inv)
+    erfs = _erf_saturated((spec.edges[edges] - values[:, None]) * inv)
+    terms = counts[:, None] * (erfs[:, 1:] - erfs[:, :-1])
+    keys = ((starts // m) * n + lo)[:, None] + np.arange(width)
+    return np.bincount(keys.ravel(), weights=terms.ravel(), minlength=b * n).reshape(b, n)
 
 
-def kde_histogram(pixels, spec: HistogramSpec) -> np.ndarray:
-    """Smooth N-bin histogram of pixel values, normalized to sum to 1.
+def _kde_rows(rows: np.ndarray, spec: HistogramSpec):
+    """``(histograms, raw totals)`` of checked (B, M) rows.
 
-    ``pixels`` may have any shape; it is flattened.  Each bin's raw mass is
-    the closed-form Gaussian-kernel integral over the bin (see the module
-    docstring); the vector is then divided by its total.  Consecutive bins
-    share edges, so only N+1 erf sums are evaluated per call, each over the
-    distinct pixel values only.
+    The rows are taken in groups of at most ``_BAND_TERMS`` band edges at
+    M distinct values per row, so memory stays bounded for any batch size
+    and bandwidth; a group holds whole rows, so grouping changes no bit.
     """
-    px = _check_pixels(pixels, spec)
-    per_edge = _edge_erf_sums(px, spec)
-    raw = (per_edge[1:] - per_edge[:-1]) / (2.0 * px.size)
-    total = (per_edge[-1] - per_edge[0]) / (2.0 * px.size)
-    return raw / total
+    b, m = rows.shape
+    n = spec.n_bins
+    width = min(2 * _band_radius(spec) + 1, n)
+    step = max(1, _BAND_TERMS // (m * (width + 1)))
+    masses = np.empty((b, n))
+    for lo in range(0, b, step):
+        masses[lo : lo + step] = _banded_masses(rows[lo : lo + step], spec)
+    sums = masses.sum(axis=1)
+    return masses / sums[:, None], sums / (2.0 * m)
+
+
+def kde_histogram(images, spec: HistogramSpec) -> np.ndarray:
+    """Smooth N-bin histograms of a batch of images, shaped (B, N).
+
+    ``images`` is ``(B, ...)``; each row is flattened into one image's
+    pixels, so one image is a batch of one (``images[None]``).  Row ``i``
+    is the closed-form Gaussian-kernel integral over each bin (see the
+    module docstring) of image ``i``, normalized to sum to 1, and is
+    bitwise the same whatever the other rows of the batch and whatever the
+    order of the image's pixels.
+    """
+    return _kde_rows(_check_rows(images), spec)[0]
 
 
 def kde_histogram_backward(grad_bins, pixels, spec: HistogramSpec) -> np.ndarray:
-    """Gradient of ``sum_i grad_bins[i] * kde_histogram(pixels)[i]`` w.r.t. pixels.
+    """Gradient of ``sum_i grad_bins[i] * kde_histogram(pixels[None])[0, i]``
+    w.r.t. the pixels of one image.
 
     The raw bin masses have derivative
 
@@ -154,8 +254,8 @@ def kde_histogram_backward(grad_bins, pixels, spec: HistogramSpec) -> np.ndarray
     A uniform ``grad_bins`` always yields zero gradients: the output sums
     to 1 for every input, so that direction is flat by construction.
     """
-    px_in = np.asarray(pixels, dtype=np.float64)
-    px = _check_pixels(px_in, spec)
+    shape = np.shape(pixels)
+    px = _check_pixels(pixels)
     g = np.asarray(grad_bins, dtype=np.float64).ravel()
     if g.size != spec.n_bins:
         raise ValueError(f"grad_bins has length {g.size}, expected {spec.n_bins}")
@@ -166,10 +266,7 @@ def kde_histogram_backward(grad_bins, pixels, spec: HistogramSpec) -> np.ndarray
     args = (spec.edges[None, :] - px[:, None]) * inv
     gauss = _gauss_saturated(args)  # (M, N+1)
 
-    per_edge = _edge_erf_sums(px, spec)
-    raw = (per_edge[1:] - per_edge[:-1]) / (2.0 * m)
-    total = (per_edge[-1] - per_edge[0]) / (2.0 * m)
-    bins = raw / total
+    (bins,), (total,) = _kde_rows(px[None], spec)
 
     # sum_i g_i * d raw_i / d x_j, folded into one matvec over the edges:
     # edge e appears in d raw_{e} (weight -g_e... ) and d raw_{e-1}; the net
@@ -182,11 +279,11 @@ def kde_histogram_backward(grad_bins, pixels, spec: HistogramSpec) -> np.ndarray
     # quotient rule: d total / d x_j only sees the two domain edges.
     dtotal = c * (gauss[:, 0] - gauss[:, -1])
     grad = s / total - (g @ bins) / total * dtotal
-    return grad.reshape(px_in.shape)
+    return grad.reshape(shape)
 
 
 def discrete_histogram(pixels, spec: HistogramSpec) -> np.ndarray:
     """Counting histogram: fraction of pixels per bin (top edge closed)."""
-    px = _check_pixels(pixels, spec)
+    px = _check_pixels(pixels)
     counts = np.bincount(bin_index(px, spec), minlength=spec.n_bins)
     return counts / px.size

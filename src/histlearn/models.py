@@ -65,6 +65,12 @@ class HistogramLayer:
     """Turns a batch of images, shaped (batch, channels, H, W) like every
     model's input, into one KDE histogram per image, shaped (batch, N).
 
+    The forward pass is one :func:`~histlearn.histogram.kde_histogram`
+    call over the whole batch, which works through it in groups of whole
+    rows with bounded memory, so the 60k training images of a dadm run go
+    through in one call.  Each row's histogram is bitwise what the image
+    alone would give.
+
     No learnable parameters.  The backward pass returns per-pixel
     gradients, so upstream feature extractors could be trained through
     this layer even though the benchmark models use it as the first layer
@@ -82,10 +88,7 @@ class HistogramLayer:
         if x.ndim != 4:
             raise ShapeError(f"histogram layer: expected (batch, channels, H, W), got shape {x.shape}")
         self._images = x
-        out = np.empty((x.shape[0], self.spec.n_bins))
-        for i in range(x.shape[0]):
-            out[i] = kde_histogram(x[i], self.spec)
-        return out
+        return kde_histogram(x, self.spec)
 
     def backward(self, grad):
         g = np.asarray(grad, dtype=np.float64)

@@ -194,6 +194,8 @@ class Flatten:
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim < 2:
+            raise ShapeError(f"flatten: expected (batch, ...), got shape {x.shape}")
         self._in_shape = x.shape
         return x.reshape(x.shape[0], -1)
 

@@ -4,8 +4,11 @@ Every check pairs an implementation path with an independent oracle:
 finite differences for gradients, adaptive quadrature for the KDE
 histogram, literal Python double loops and Monte-Carlo sampling for the
 scatter matrices of the W*X + B layer and for the layer itself, the code
-that dadm trains with.  Each result carries the measured error and the
-allowed tolerance so failures are directly actionable.
+that dadm trains with.  The histogram oracles likewise run
+``kde_histogram``, the function the dadm histogram layer calls, on
+batches that mix byte-valued and rotated images.  Each result carries the
+measured error and the allowed tolerance so failures are directly
+actionable.
 
 The whole battery runs in well under two minutes on a desktop CPU and
 needs no dataset.  ``perturb`` deliberately breaks a named backward pass;
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from . import distlayers, histogram, nn
+from . import distlayers, histogram, nn, transforms
 
 PERTURBATIONS = ("linear-backward",)
 
@@ -145,7 +148,7 @@ def check_kde_grad():
     g = rng.standard_normal(8)
 
     def f(p):
-        bins = histogram.kde_histogram(p, spec)
+        bins = histogram.kde_histogram(p[None], spec)[0]
         return float(bins @ g), histogram.kde_histogram_backward(g, p, spec)
 
     err = nn.grad_check(f, px, h=1e-4)
@@ -188,12 +191,16 @@ def check_arithmetic_grad():
     return _layer_grad_check("gradient-arithmetic-module", 19, "input")
 
 
-def check_kde_vs_quadrature():
-    rng = np.random.default_rng(20)
-    spec = histogram.HistogramSpec(n_bins=16, bandwidth=0.05)
-    px = rng.uniform(-0.5, 0.5, size=16)  # away from the domain edges
-    bins = histogram.kde_histogram(px, spec)
+def _byte_and_rotated_rows(rng, shape, count=2):
+    """``count`` byte-valued images of ``shape`` and the same images each
+    rotated by a random angle, as the rows of one batch: the two kinds of
+    input the dadm histogram layer gets (originals and the eval battery)."""
+    byte = rng.integers(0, 256, (count, *shape)) / 127.5 - 1.0
+    rotated = np.stack([transforms.rotate(img, rng.uniform(0.0, 90.0)) for img in byte])
+    return np.concatenate([byte, rotated]).reshape(2 * count, -1)
 
+
+def _quadrature_histogram(px, spec):
     b = spec.bandwidth
 
     def density(x):
@@ -205,42 +212,60 @@ def check_kde_vs_quadrature():
             for i in range(spec.n_bins)
         ]
     )
-    oracle = raw / raw.sum()
-    err = np.abs(bins - oracle).max()
-    return _result("kde-vs-quadrature", err, 1e-10, "N=16 B=0.05")
+    return raw / raw.sum()
+
+
+def check_kde_vs_quadrature():
+    rng = np.random.default_rng(20)
+    spec = histogram.HistogramSpec(n_bins=16, bandwidth=0.05)
+    px = rng.uniform(-0.5, 0.5, size=16)  # away from the domain edges
+    rows = np.concatenate([px[None], _byte_and_rotated_rows(rng, (4, 4))])
+    bins = histogram.kde_histogram(rows, spec)
+    err = max(np.abs(b - _quadrature_histogram(row, spec)).max() for b, row in zip(bins, rows))
+    return _result("kde-vs-quadrature", err, 1e-10, "N=16 B=0.05, uniform, byte and rotated rows")
 
 
 def check_kde_normalization():
     rng = np.random.default_rng(21)
     worst = 0.0
-    for n_bins, bandwidth, m in ((256, 0.001, 784), (16, 0.05, 40), (8, 0.2, 5)):
+    for n_bins, bandwidth, shape in ((256, 0.001, (28, 28)), (16, 0.05, (5, 8)), (8, 0.2, (1, 5))):
         spec = histogram.HistogramSpec(n_bins=n_bins, bandwidth=bandwidth)
-        px = rng.uniform(-1, 1, size=m)
-        worst = max(worst, abs(histogram.kde_histogram(px, spec).sum() - 1.0))
+        px = rng.uniform(-1, 1, size=(1, np.prod(shape)))
+        rows = np.concatenate([px, _byte_and_rotated_rows(rng, shape)])
+        worst = max(worst, np.abs(histogram.kde_histogram(rows, spec).sum(axis=1) - 1.0).max())
     return _result("kde-normalization", worst, 1e-12)
 
 
 def check_kde_vs_discrete():
     rng = np.random.default_rng(22)
     spec = histogram.HistogramSpec(n_bins=16, bandwidth=1e-6)
-    # pixels parked well inside bins: > 1e-4 from every boundary
-    px = spec.centers[rng.integers(0, 16, size=50)] + rng.uniform(-0.02, 0.02, size=50)
-    err = np.abs(
-        histogram.kde_histogram(px, spec) - histogram.discrete_histogram(px, spec)
-    ).max()
+    # every pixel parked well inside its bin, > 1e-4 from every boundary:
+    # bin centers plus a little, and bytes 1-254 (0 and 255 are the domain
+    # edges); a right-angle rotation keeps the values, only moves them
+    px = spec.centers[rng.integers(0, 16, size=64)] + rng.uniform(-0.02, 0.02, size=64)
+    byte = rng.integers(1, 255, size=64) / 127.5 - 1.0
+    images = np.stack([px, byte]).reshape(2, 8, 8)
+    rotated = np.stack([transforms.rotate(img, 90.0) for img in images])
+    rows = np.concatenate([images, rotated]).reshape(4, -1)
+    bins = histogram.kde_histogram(rows, spec)
+    err = max(np.abs(b - histogram.discrete_histogram(row, spec)).max() for b, row in zip(bins, rows))
     return _result("kde-vs-discrete", err, 1e-6, "B=1e-6")
 
 
 def check_kde_permutation_invariance():
+    # bit for bit: neither the order of a row's pixels nor the order of the
+    # rows may change a histogram
     rng = np.random.default_rng(23)
     spec = histogram.HistogramSpec()
-    px = rng.uniform(-1, 1, size=784)
-    bins = histogram.kde_histogram(px, spec)
+    px = rng.uniform(-1, 1, size=(1, 784))
+    rows = np.concatenate([px, _byte_and_rotated_rows(rng, (28, 28))])
+    bins = histogram.kde_histogram(rows, spec)
     worst = 0.0
     for _ in range(3):
-        shuffled = rng.permutation(px)
-        worst = max(worst, np.abs(histogram.kde_histogram(shuffled, spec) - bins).max())
-    return _result("kde-permutation-invariance", worst, 0.0)
+        order = rng.permutation(len(rows))
+        shuffled = rng.permuted(rows[order], axis=1)
+        worst = max(worst, np.abs(histogram.kde_histogram(shuffled, spec) - bins[order]).max())
+    return _result("kde-permutation-invariance", worst, 0.0, "byte and rotated rows")
 
 
 def _bin(z, n):

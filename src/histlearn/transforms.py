@@ -6,6 +6,15 @@ to test images only; the training path has no transform hook at all.
 Every randomized choice for image ``i`` comes from its own generator
 seeded with ``(root_seed, i)``, so results do not depend on evaluation
 order and two runs with the same seed produce identical transformed sets.
+
+:func:`apply_transform` works on chunks of ``CHUNK`` images: it draws each
+image's parameters from its own stream, in image order, then transforms the
+chunk at once.  Rotation is one bilinear gather over a copy of the chunk
+padded with the fill value; translate, flip and shuffle are index gathers.
+The one-image functions (:func:`rotate`, :func:`translate`, :func:`flip`,
+:func:`permute_pixels`, :func:`transform_image`) are batches of one through
+the same code, so a single image (``histlearn report``) and a whole set
+(``histlearn eval``) cannot come out different.
 """
 
 from dataclasses import dataclass
@@ -23,6 +32,8 @@ FLIP_AXES = ("horizontal", "vertical")
 
 MAX_DEGREES = 90.0  # rotate draws its angle from [0, MAX_DEGREES]
 MAX_OFFSET = 8  # translate draws each offset from [-MAX_OFFSET, MAX_OFFSET]
+
+CHUNK = 256  # images per batched gather in apply_transform, a few MB of temporaries
 
 
 @dataclass
@@ -45,21 +56,32 @@ class TransformSpec:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
-def rotate(img, degrees):
-    """Rotate counter-clockwise about the image center, bilinear, fill -1.
+def _fill_padded(images: np.ndarray, pad: int) -> np.ndarray:
+    """(B, H, W) images inside a border of ``pad`` fill pixels."""
+    b, h, w = images.shape
+    out = np.full((b, h + 2 * pad, w + 2 * pad), FILL)
+    out[:, pad : pad + h, pad : pad + w] = images
+    return out
 
-    ``degrees`` must lie in [0, 90].  The trig terms come from
-    ``sindg``/``cosdg`` so right angles are exact: at 90 degrees the result
-    is the precise pixel permutation ``np.rot90`` would produce, with no
-    interpolation residue.  Output values stay in [-1, 1] (bilinear mixes
-    in-range values and the fill).
+
+def _rotate_batch(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Rotate each image of a (B, H, W) batch by its own angle in [0, 90].
+
+    Source positions are those of a rotation about the image center;
+    the four bilinear taps are read from a fill-padded copy, so a tap
+    outside the image reads the fill.  Any rotated source position lies
+    within the half-diagonal of the center, and the pad covers that plus
+    the tap below and to the right.
     """
-    if not 0.0 <= degrees <= 90.0:
-        raise ValueError(f"rotation angle must be in [0, 90], got {degrees}")
-    img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
+    bad = np.flatnonzero(~((degrees >= 0.0) & (degrees <= 90.0)))
+    if bad.size:
+        raise ValueError(f"rotation angle must be in [0, 90], got {degrees[bad[0]]}")
+    b, h, w = images.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    s, c = sindg(degrees), cosdg(degrees)
+    pad = int(np.ceil(np.hypot(cy, cx) - min(cy, cx))) + 2
+    padded = _fill_padded(images, pad)
+    s = sindg(degrees)[:, None, None]
+    c = cosdg(degrees)[:, None, None]
 
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     dy = rows - cy
@@ -72,35 +94,62 @@ def rotate(img, degrees):
     fr = src_r - r0
     fc = src_c - c0
 
-    out = np.zeros_like(img)
-    for dr, dc, weight in (
-        (0, 0, (1 - fr) * (1 - fc)),
-        (0, 1, (1 - fr) * fc),
-        (1, 0, fr * (1 - fc)),
-        (1, 1, fr * fc),
+    # flat index of each (r0, c0) tap in the padded batch
+    hp, wp = padded.shape[1:]
+    base = (np.arange(b)[:, None, None] * hp + r0 + pad) * wp + c0 + pad
+    flat = padded.ravel()
+    out = np.zeros(src_r.shape)
+    for offset, weight in (
+        (0, (1 - fr) * (1 - fc)),
+        (1, (1 - fr) * fc),
+        (wp, fr * (1 - fc)),
+        (wp + 1, fr * fc),
     ):
-        rr = r0 + dr
-        cc = c0 + dc
-        inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-        vals = np.where(inside, img[np.clip(rr, 0, h - 1), np.clip(cc, 0, w - 1)], FILL)
-        out += weight * vals
+        out += weight * flat[base + offset]
     return np.clip(out, -1.0, 1.0)
+
+
+def _translate_batch(images: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Shift each image by its own integer (dx right, dy down), fill -1."""
+    bad = np.flatnonzero((np.abs(dx) > MAX_OFFSET) | (np.abs(dy) > MAX_OFFSET))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"offset ({dx[i]}, {dy[i]}) exceeds maximum {MAX_OFFSET}")
+    b, h, w = images.shape
+    padded = _fill_padded(images, MAX_OFFSET)
+    # windows[i, r, c] is the (h, w) window of padded image i at offset (r, c)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(1, 2))
+    return windows[np.arange(b), MAX_OFFSET - dy, MAX_OFFSET - dx]
+
+
+def _flip_batch(images: np.ndarray, horizontal: np.ndarray) -> np.ndarray:
+    """Mirror left/right where ``horizontal`` holds, top/bottom elsewhere."""
+    return np.where(horizontal[:, None, None], images[:, :, ::-1], images[:, ::-1, :])
+
+
+def _permute_batch(images: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Reorder each image's flattened pixels by its own permutation."""
+    flat = images.reshape(images.shape[0], -1)
+    return np.take_along_axis(flat, perms, axis=1).reshape(images.shape)
+
+
+def rotate(img, degrees):
+    """Rotate counter-clockwise about the image center, bilinear, fill -1.
+
+    ``degrees`` must lie in [0, 90].  The trig terms come from
+    ``sindg``/``cosdg`` so right angles are exact: at 90 degrees the result
+    is the precise pixel permutation ``np.rot90`` would produce, with no
+    interpolation residue.  Output values stay in [-1, 1] (bilinear mixes
+    in-range values and the fill).
+    """
+    img = np.asarray(img, dtype=np.float64)
+    return _rotate_batch(img[None], np.array([degrees], dtype=np.float64))[0]
 
 
 def translate(img, dx, dy):
     """Shift by integer (dx right, dy down); vacated pixels filled with -1."""
-    dx, dy = int(dx), int(dy)
-    if abs(dx) > MAX_OFFSET or abs(dy) > MAX_OFFSET:
-        raise ValueError(f"offset ({dx}, {dy}) exceeds maximum {MAX_OFFSET}")
     img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
-    out = np.full_like(img, FILL)
-    ys_out = slice(max(0, dy), h + min(0, dy))
-    xs_out = slice(max(0, dx), w + min(0, dx))
-    ys_in = slice(max(0, -dy), h + min(0, -dy))
-    xs_in = slice(max(0, -dx), w + min(0, -dx))
-    out[ys_out, xs_out] = img[ys_in, xs_in]
-    return out
+    return _translate_batch(img[None], np.array([int(dx)]), np.array([int(dy)]))[0]
 
 
 def flip(img, axis):
@@ -109,21 +158,18 @@ def flip(img, axis):
     The pixel multiset is preserved exactly, so any per-image histogram of
     the result matches the original's.
     """
+    if axis not in FLIP_AXES:
+        raise ValueError(f"axis must be one of {FLIP_AXES}, got {axis!r}")
     img = np.asarray(img, dtype=np.float64)
-    if axis == "horizontal":
-        return img[:, ::-1].copy()
-    if axis == "vertical":
-        return img[::-1, :].copy()
-    raise ValueError(f"axis must be one of {FLIP_AXES}, got {axis!r}")
+    return _flip_batch(img[None], np.array([axis == "horizontal"]))[0]
 
 
 def permute_pixels(img, perm):
     """Apply a flat-pixel permutation; shape is preserved."""
     img = np.asarray(img, dtype=np.float64)
-    flat = img.reshape(-1)
-    if np.shape(perm) != flat.shape:
-        raise ValueError(f"permutation has length {np.shape(perm)}, expected {flat.size}")
-    return flat[np.asarray(perm)].reshape(img.shape)
+    if np.shape(perm) != (img.size,):
+        raise ValueError(f"permutation has length {np.shape(perm)}, expected {img.size}")
+    return _permute_batch(img[None], np.asarray(perm)[None])[0]
 
 
 def shuffle_pixels(img, rng):
@@ -138,38 +184,47 @@ def shuffle_pixels(img, rng):
     return permute_pixels(img, rng.permutation(img.size))
 
 
+def _transform_batch(images: np.ndarray, indices, tspec: TransformSpec) -> np.ndarray:
+    """Transform (B, H, W) images whose positions in their set are
+    ``indices``, each with the draws :func:`transform_image` describes."""
+    rngs = [np.random.default_rng([tspec.rng_seed, int(i)]) for i in indices]
+    if tspec.kind == "rotate":
+        return _rotate_batch(images, np.array([rng.uniform(0.0, MAX_DEGREES) for rng in rngs]))
+    if tspec.kind == "translate":
+        span = (-MAX_OFFSET, MAX_OFFSET + 1)
+        dx, dy = np.array([(rng.integers(*span), rng.integers(*span)) for rng in rngs]).T
+        return _translate_batch(images, dx, dy)
+    if tspec.kind == "flip":
+        return _flip_batch(images, np.array([rng.random() < 0.5 for rng in rngs]))
+    return _permute_batch(images, np.array([rng.permutation(images[0].size) for rng in rngs]))
+
+
 def transform_image(img, index: int, tspec: TransformSpec):
     """Transform one image exactly as :func:`apply_transform` does at ``index``.
 
     The random draws for image ``i`` come from ``default_rng([rng_seed, i])``:
     rotate takes one uniform angle; translate takes dx then dy; flip takes
     one uniform in [0, 1) and goes horizontal below 1/2; shuffle takes one
-    permutation.
+    permutation.  The image goes through the set's code as a batch of one.
     """
+    img = np.asarray(img, dtype=np.float64)
     if tspec.kind == "none":
-        return np.asarray(img, dtype=np.float64)
-    rng = np.random.default_rng([tspec.rng_seed, index])
-    if tspec.kind == "rotate":
-        return rotate(img, rng.uniform(0.0, MAX_DEGREES))
-    if tspec.kind == "translate":
-        dx = int(rng.integers(-MAX_OFFSET, MAX_OFFSET + 1))
-        dy = int(rng.integers(-MAX_OFFSET, MAX_OFFSET + 1))
-        return translate(img, dx, dy)
-    if tspec.kind == "flip":
-        return flip(img, "horizontal" if rng.random() < 0.5 else "vertical")
-    return shuffle_pixels(img, rng)
+        return img
+    return _transform_batch(img[None], [index], tspec)[0]
 
 
 def apply_transform(image_set: ImageSet, tspec: TransformSpec) -> ImageSet:
     """Apply the per-image randomized transform to a whole set.
 
-    Each image gets its own seeded stream (see :func:`transform_image`), so
-    evaluation order cannot change results and two runs with the same seed
-    produce identical sets.  ``kind='none'`` returns the input set unchanged.
+    Each image gets its own seeded stream (see :func:`transform_image`),
+    so evaluation order cannot change results and two runs with the same
+    seed produce identical sets.  The set is transformed ``CHUNK`` images
+    at a time.  ``kind='none'`` returns the input set unchanged.
     """
     if tspec.kind == "none":
         return image_set
     out = np.empty_like(image_set.pixels)
-    for i in range(image_set.count):
-        out[i] = transform_image(image_set.pixels[i], i, tspec)
+    for lo in range(0, image_set.count, CHUNK):
+        hi = min(lo + CHUNK, image_set.count)
+        out[lo:hi] = _transform_batch(image_set.pixels[lo:hi], range(lo, hi), tspec)
     return ImageSet(out, image_set.labels.copy())

@@ -10,6 +10,7 @@ Real-MNIST tests are skipped unless the IDX files are present (point
 import gzip
 import os
 import struct
+import time
 
 # One BLAS thread for the whole session, set before numpy loads: bitwise
 # assertions such as duplicated batch rows giving identical logits hold only
@@ -66,6 +67,20 @@ def gzip_file(path):
     with open(path, "rb") as src, open(gz_path, "wb") as dst:
         dst.write(gzip.compress(src.read()))
     return gz_path
+
+
+@pytest.fixture(scope="session")
+def selftest_run():
+    """One unperturbed selftest battery per session, timed: (results, seconds).
+
+    Tests that only read the unperturbed results share this run instead of
+    each running the whole battery again.
+    """
+    from histlearn import selftest
+
+    start = time.monotonic()
+    results = selftest.run_all()
+    return results, time.monotonic() - start
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ import pytest
 from conftest import make_imageset, mnist_dir, requires_mnist
 from histlearn import cli, models
 from histlearn.data import load_mnist
-from histlearn.selftest import run_all
 from histlearn.transforms import TransformSpec
 
 EVAL_SEED = 0
@@ -76,8 +75,8 @@ def ablation_runs(mnist_sets):
 
 
 @pytest.fixture(scope="session")
-def property_results():
-    return {r.name: r for r in run_all()}
+def property_results(selftest_run):
+    return {r.name: r for r in selftest_run[0]}
 
 
 # --------------------------------------------------------------------------

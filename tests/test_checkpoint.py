@@ -1,14 +1,16 @@
 """Binary checkpoint round trips and corruption handling."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from conftest import make_imageset
-from histlearn import cli, models
+from histlearn import checkpoint, cli, models
 from histlearn.checkpoint import load_checkpoint, save_checkpoint
 from histlearn.errors import DataFormatError
+from histlearn.histogram import HistogramSpec
 
 
 @pytest.mark.parametrize("arch", ("lenet", "base", "cnn", "dadm"))
@@ -123,6 +125,31 @@ def _corrupt_dadm_checkpoint(directory, old, new):
 def test_corrupt_checkpoint_is_data_error(old, new, tmp_path, synth_data_dir):
     bad = _corrupt_dadm_checkpoint(tmp_path / "ckpt", old, new)
     with pytest.raises(DataFormatError):
+        load_checkpoint(bad)
+    out_dir = str(tmp_path / "eval")
+    assert cli.main(["eval", str(bad), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2
+
+
+def test_bin_count_above_bound_is_data_error(tmp_path, synth_data_dir, monkeypatch):
+    # a header asking for more bins than the distribution layer may hold is
+    # refused while the config is read, before a model is built
+    cfg = models.ModelConfig("dadm", epochs=1, n_bins=8, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(models.build_model(cfg), cfg, path)
+    blob = path.read_bytes()
+    start = blob.index(b"architecture=")  # the config block, after its u32 length
+    (length,) = struct.unpack_from("<I", blob, start - 4)
+    config = blob[start : start + length]
+    assert config.count(b"n_bins=8\n") == 1
+    config = config.replace(b"n_bins=8\n", b"n_bins=%d\n" % (HistogramSpec.MAX_BINS + 1))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[: start - 4] + struct.pack("<I", len(config)) + config + blob[start + length :])
+
+    def no_build(cfg):
+        raise AssertionError("build_model called for a refused config")
+
+    monkeypatch.setattr(checkpoint, "build_model", no_build)
+    with pytest.raises(DataFormatError, match="n_bins"):
         load_checkpoint(bad)
     out_dir = str(tmp_path / "eval")
     assert cli.main(["eval", str(bad), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2

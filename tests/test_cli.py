@@ -20,7 +20,7 @@ def run(*argv):
 
 class TestSelftestCommand:
     def test_passes_on_fresh_build(self, capsys):
-        assert run("selftest") == 0
+        assert run("selftest", "--threads", "1") == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "FAIL" not in out
 
@@ -30,8 +30,16 @@ class TestSelftestCommand:
         assert run("selftest") == 3
         assert "[FAIL] gradient-linear" in capsys.readouterr().out
 
-    def test_thread_flags_accepted(self):
-        assert run("selftest", "--threads", "1") == 0
+    def test_thread_flags_accepted(self, synth_data_dir, tmp_path):
+        # report, the cheapest subcommand to run, registers --threads too
+        from histlearn.models import EvalReport
+        from histlearn.reports import write_eval_reports
+
+        reports_csv = str(tmp_path / "reports.csv")
+        write_eval_reports(reports_csv, [EvalReport("dadm", "none", 50.0, [50.0] * 10, 0.0)])
+        code = run("report", reports_csv, "--data-dir", synth_data_dir,
+                   "--out-dir", str(tmp_path / "report"), "--threads", "1")
+        assert code == 0
 
     def test_bad_thread_count(self):
         assert run("selftest", "--threads", "0") == 1
@@ -50,6 +58,16 @@ class TestUsageErrors:
     def test_unknown_architecture(self, synth_data_dir, tmp_path):
         code = run("train", "--arch", "vgg", "--data-dir", synth_data_dir, "--out-dir", str(tmp_path))
         assert code == 1
+
+    def test_bins_above_bound(self, synth_data_dir, tmp_path):
+        from histlearn.histogram import HistogramSpec
+
+        too_many = str(HistogramSpec.MAX_BINS + 1)
+        out_dir = tmp_path / "out"
+        code = run("train", "--arch", "dadm", "--bins", too_many, "--data-dir", synth_data_dir,
+                   "--out-dir", str(out_dir))
+        assert code == 1
+        assert os.listdir(out_dir) == []  # refused before training
 
     def test_unknown_transform(self, synth_data_dir, tmp_path):
         ckpt = str(tmp_path / "missing.ckpt")
@@ -238,7 +256,7 @@ class TestReportCommand:
 
         test_set = load_mnist(synth_data_dir, "test")
         rotated = apply_transform(test_set, TransformSpec("rotate", rng_seed=0))
-        expected = kde_histogram(rotated.pixels[5], HistogramSpec(n_bins=32, bandwidth=0.01))
+        expected = kde_histogram(rotated.pixels[5:6], HistogramSpec(n_bins=32, bandwidth=0.01))[0]
         _, masses = read_histogram_dump(os.path.join(out_dir, "hist_rotate.csv"))
         assert np.array_equal(masses, expected)
 

@@ -7,6 +7,8 @@ from scipy.special import erf
 
 from conftest import to_bytes_images
 from histlearn.data import ImageSet, normalize
+from histlearn import histogram
+from histlearn.errors import ShapeError
 from histlearn.histogram import (
     HistogramSpec,
     bin_index,
@@ -14,7 +16,7 @@ from histlearn.histogram import (
     kde_histogram,
     kde_histogram_backward,
 )
-from histlearn.transforms import TransformSpec, apply_transform
+from histlearn.transforms import TransformSpec, apply_transform, rotate
 
 
 class TestSpecGeometry:
@@ -42,6 +44,11 @@ class TestSpecGeometry:
             HistogramSpec(bandwidth=-1e-3)
         with pytest.raises(ValueError):
             HistogramSpec(bandwidth=float("inf"))
+
+    def test_bin_count_is_bounded(self):
+        assert HistogramSpec(n_bins=HistogramSpec.MAX_BINS).n_bins == HistogramSpec.MAX_BINS
+        with pytest.raises(ValueError, match="n_bins"):
+            HistogramSpec(n_bins=HistogramSpec.MAX_BINS + 1)
 
 
 class TestBinIndex:
@@ -74,7 +81,7 @@ class TestKdeHistogram:
         # at distance half_width/(sqrt(2)*B) ~ 2.76 leaves the immediate
         # neighbor ~4.7e-5, and nothing measurable beyond it.
         spec = HistogramSpec()
-        bins = kde_histogram(np.full(77, spec.centers[0]), spec)
+        bins = kde_histogram(np.full((1, 77), spec.centers[0]), spec)[0]
         assert bins[0] > 0.9999
         assert bins[1] < 1e-4
         assert np.all(bins[2:] < 1e-12)
@@ -82,7 +89,7 @@ class TestKdeHistogram:
     def test_boundary_pixel_splits_evenly(self):
         # a pixel exactly on the edge between two bins splits its mass
         spec = HistogramSpec()
-        bins = kde_histogram([0.0], spec)
+        bins = kde_histogram([[0.0]], spec)[0]
         assert abs(bins[127] - 0.5) < 1e-4
         assert abs(bins[128] - 0.5) < 1e-4
         assert abs(bins[127] - bins[128]) < 1e-12
@@ -93,7 +100,7 @@ class TestKdeHistogram:
         rng = np.random.default_rng(42)
         spec = HistogramSpec(n_bins=16, bandwidth=0.05)
         px = rng.uniform(-0.5, 0.5, size=16)
-        bins = kde_histogram(px, spec)
+        bins = kde_histogram(px[None], spec)[0]
 
         b = spec.bandwidth
 
@@ -111,17 +118,17 @@ class TestKdeHistogram:
     def test_input_validation(self):
         spec = HistogramSpec()
         with pytest.raises(ValueError):
-            kde_histogram([1.2], spec)
+            kde_histogram([[1.2]], spec)
         with pytest.raises(ValueError):
-            kde_histogram([], spec)
+            kde_histogram([[]], spec)
         with pytest.raises(ValueError):
-            kde_histogram([np.nan], spec)
+            kde_histogram([[np.nan]], spec)
 
     def test_normalization(self):
         rng = np.random.default_rng(7)
         for n_bins, bandwidth, m in ((256, 0.001, 784), (16, 0.05, 3), (64, 0.2, 100)):
             spec = HistogramSpec(n_bins=n_bins, bandwidth=bandwidth)
-            bins = kde_histogram(rng.uniform(-1, 1, m), spec)
+            bins = kde_histogram(rng.uniform(-1, 1, (1, m)), spec)[0]
             assert abs(bins.sum() - 1.0) < 1e-12
             assert np.all(bins >= 0)
 
@@ -130,12 +137,12 @@ class TestKdeHistogram:
         rng = np.random.default_rng(8)
         spec = HistogramSpec()
         px = rng.uniform(-1, 1, 784)
-        bins = kde_histogram(px, spec)
+        bins = kde_histogram(px[None], spec)
         for _ in range(4):
-            again = kde_histogram(rng.permutation(px), spec)
+            again = kde_histogram(rng.permutation(px)[None], spec)
             assert np.array_equal(again, bins)
         image = rng.integers(0, 256, (28, 28)) / 127.5 - 1.0
-        assert np.array_equal(kde_histogram(image[:, ::-1], spec), kde_histogram(image, spec))
+        assert np.array_equal(kde_histogram(image[None, :, ::-1], spec), kde_histogram(image[None], spec))
 
     def test_matches_dense_reference_at_production_settings(self, small_set):
         # every (pixel, edge) erf term summed directly, with no grouping of
@@ -155,14 +162,14 @@ class TestKdeHistogram:
         rotated = apply_transform(byte_set, TransformSpec("rotate", rng_seed=3)).pixels
         for images in (byte_set.pixels[:8], noise, rotated[:8]):
             for image in images:
-                assert np.abs(kde_histogram(image, spec) - dense(image)).max() < 1e-12
+                assert np.abs(kde_histogram(image[None], spec)[0] - dense(image)).max() < 1e-12
 
     def test_converges_to_discrete_histogram(self):
         # tiny bandwidth, pixels far from boundaries: KDE == counting
         rng = np.random.default_rng(9)
         spec = HistogramSpec(n_bins=16, bandwidth=1e-6)
         px = spec.centers[rng.integers(0, 16, 200)] + rng.uniform(-0.03, 0.03, 200)
-        diff = np.abs(kde_histogram(px, spec) - discrete_histogram(px, spec)).max()
+        diff = np.abs(kde_histogram(px[None], spec)[0] - discrete_histogram(px, spec)).max()
         assert diff < 1e-6
 
     def test_smoothing_monotonicity(self):
@@ -172,20 +179,130 @@ class TestKdeHistogram:
         peaks = []
         for bandwidth in (1e-2, 2e-2, 5e-2, 1e-1, 2e-1):
             spec = HistogramSpec(n_bins=16, bandwidth=bandwidth)
-            peaks.append(kde_histogram([spec.centers[7]], spec).max())
+            peaks.append(kde_histogram([[spec.centers[7]]], spec).max())
         assert all(a > b for a, b in zip(peaks, peaks[1:]))
 
     def test_forward_is_pure(self):
         rng = np.random.default_rng(10)
         spec = HistogramSpec()
-        px = rng.uniform(-1, 1, 784)
+        px = rng.uniform(-1, 1, (1, 784))
         assert np.array_equal(kde_histogram(px, spec), kde_histogram(px, spec))
 
     def test_accepts_2d_images(self):
+        # a batch of one 28x28 image is the batch of its 784 pixels
         rng = np.random.default_rng(11)
         spec = HistogramSpec(n_bins=32, bandwidth=0.01)
         img = rng.uniform(-1, 1, (28, 28))
-        assert np.array_equal(kde_histogram(img, spec), kde_histogram(img.ravel(), spec))
+        assert np.array_equal(kde_histogram(img[None], spec), kde_histogram(img.reshape(1, -1), spec))
+
+
+def _dense_reference(rows, spec):
+    """Every (pixel, edge) erf term summed directly: no grouping of equal
+    pixels and no saturation cut-off."""
+    out = []
+    for px in rows:
+        per_edge = erf((spec.edges[None, :] - px[:, None]) / (np.sqrt(2.0) * spec.bandwidth)).sum(axis=0)
+        raw = np.diff(per_edge)
+        out.append(raw / raw.sum())
+    return np.array(out)
+
+
+def _all_bins_reference(rows, spec):
+    """The band's scatter with the band widened to every bin: each distinct
+    value adds its term to all N bins, in the same order."""
+    out = []
+    for px in rows:
+        values, counts = np.unique(px, return_counts=True)
+        scaled = (spec.edges[None, :] - values[:, None]) * (1.0 / (np.sqrt(2.0) * spec.bandwidth))
+        erfs = histogram._erf_saturated(scaled)
+        terms = counts[:, None] * np.diff(erfs, axis=1)
+        keys = np.broadcast_to(np.arange(spec.n_bins), terms.shape)
+        out.append(np.bincount(keys.ravel(), weights=terms.ravel(), minlength=spec.n_bins))
+    masses = np.array(out)
+    return masses / masses.sum(axis=1)[:, None]
+
+
+def _byte_and_rotated(small_set, count):
+    """``count`` byte-valued images and the first of them rotated, as rows."""
+    raw, labels = to_bytes_images(small_set)
+    byte_set = ImageSet(normalize(raw[:count]), labels[:count])
+    rotated = apply_transform(byte_set, TransformSpec("rotate", rng_seed=5)).pixels
+    return np.concatenate([byte_set.pixels, rotated]).reshape(2 * count, -1)
+
+
+# (n_bins, bandwidth) pairs beside the production 256 / 0.001: wide
+# bandwidths, whose band spans most or all bins, and a tiny one; at the last
+# the saturation reach 8 sqrt(2) B is exactly one bin width
+WIDE_SETTINGS = [(16, 0.05), (8, 0.5), (16, 1e-6), (16, 0.125 / (8 * np.sqrt(2.0)))]
+
+
+class TestBatchedHistograms:
+    def test_rows_do_not_depend_on_the_batch(self, small_set, monkeypatch):
+        # a row alone, inside a batch, and inside a batch that the row
+        # groups split in several places all give the same bits
+        spec = HistogramSpec()
+        rows = _byte_and_rotated(small_set, 150)
+        width = 2 * histogram._band_radius(spec) + 1
+        assert histogram._BAND_TERMS // (rows.shape[1] * (width + 1)) < len(rows)
+        alone = np.array([kde_histogram(row[None], spec)[0] for row in rows])
+        assert np.array_equal(kde_histogram(rows, spec), alone)
+        assert np.array_equal(kde_histogram(rows[::-1], spec), alone[::-1])
+        monkeypatch.setattr(histogram, "_BAND_TERMS", 7 * rows.shape[1] * (width + 1))
+        assert np.array_equal(kde_histogram(rows, spec), alone)
+
+    def test_model_input_shape(self, small_set):
+        spec = HistogramSpec(n_bins=64, bandwidth=0.01)
+        images = small_set.pixels[:5]
+        flat = kde_histogram(images.reshape(5, -1), spec)
+        assert np.array_equal(kde_histogram(images[:, None], spec), flat)
+        assert kde_histogram(images[:0, None], spec).shape == (0, 64)
+
+    def test_permutation_invariance_on_rotated_batches(self, small_set):
+        # bit for bit, with pixels permuted within each row and rows reordered
+        rng = np.random.default_rng(31)
+        spec = HistogramSpec()
+        rows = _byte_and_rotated(small_set, 32)[32:]
+        bins = kde_histogram(rows, spec)
+        for _ in range(3):
+            order = rng.permutation(len(rows))
+            shuffled = rng.permuted(rows[order], axis=1)
+            assert np.array_equal(kde_histogram(shuffled, spec), bins[order])
+
+    @pytest.mark.parametrize("n_bins, bandwidth", [(256, 0.001), *WIDE_SETTINGS])
+    def test_band_is_the_all_bins_scatter_bitwise(self, small_set, n_bins, bandwidth):
+        # bins past the band receive exactly 0 from a value, so leaving them
+        # out changes no bit
+        spec = HistogramSpec(n_bins=n_bins, bandwidth=bandwidth)
+        rng = np.random.default_rng(32)
+        rows = np.concatenate([
+            _byte_and_rotated(small_set, 4),
+            spec.edges[rng.integers(0, n_bins + 1, (2, 784))],  # pixels on edges, and +-1
+        ])
+        assert np.array_equal(kde_histogram(rows, spec), _all_bins_reference(rows, spec))
+
+    @pytest.mark.parametrize("n_bins, bandwidth", WIDE_SETTINGS[:3])
+    def test_matches_dense_reference_at_wide_settings(self, small_set, n_bins, bandwidth):
+        spec = HistogramSpec(n_bins=n_bins, bandwidth=bandwidth)
+        rng = np.random.default_rng(33)
+        edge_valued = spec.edges[rng.integers(0, n_bins + 1, (2, 784))]
+        edge_valued[:, :2] = [-1.0, 1.0]
+        rows = np.concatenate([_byte_and_rotated(small_set, 4), edge_valued])
+        assert np.abs(kde_histogram(rows, spec) - _dense_reference(rows, spec)).max() < 1e-12
+
+    @pytest.mark.parametrize("bad, message", [(1.2, "range"), (-1.5, "range"), (np.nan, "finite")])
+    def test_bad_row_in_batch_raises_as_alone(self, bad, message):
+        spec = HistogramSpec(n_bins=16, bandwidth=0.05)
+        rows = np.random.default_rng(34).uniform(-1, 1, (5, 20))
+        rows[3, 7] = bad
+        with pytest.raises(ValueError, match=message) as alone:
+            kde_histogram(rows[3:4], spec)
+        with pytest.raises(ValueError) as batched:
+            kde_histogram(rows, spec)
+        assert str(batched.value) == str(alone.value)
+
+    def test_batch_axis_required(self):
+        with pytest.raises(ShapeError):
+            kde_histogram(np.zeros(5), HistogramSpec(n_bins=8, bandwidth=0.05))
 
 
 class TestKdeBackward:
@@ -204,8 +321,8 @@ class TestKdeBackward:
         x0 = np.array([0.31])
         analytic = kde_histogram_backward(g, x0, spec)[0]
         h = 1e-5
-        fp = kde_histogram(x0 + h, spec) @ g
-        fm = kde_histogram(x0 - h, spec) @ g
+        fp = kde_histogram([x0 + h], spec)[0] @ g
+        fm = kde_histogram([x0 - h], spec)[0] @ g
         numeric = (fp - fm) / (2 * h)
         assert abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric)) < 1e-5
 
@@ -221,7 +338,7 @@ class TestKdeBackward:
             xp[i] += h
             xm = px.copy()
             xm[i] -= h
-            numeric = (kde_histogram(xp, spec) @ g - kde_histogram(xm, spec) @ g) / (2 * h)
+            numeric = (kde_histogram([xp], spec)[0] @ g - kde_histogram([xm], spec)[0] @ g) / (2 * h)
             rel = abs(analytic[i] - numeric) / max(1e-8, abs(analytic[i]) + abs(numeric))
             assert rel < 1e-4
 

@@ -40,6 +40,6 @@ def test_kde_histogram_well_formed_on_real_image():
     directory = mnist_dir()
     test = load_mnist(directory, "test")
     spec = HistogramSpec()
-    smooth = kde_histogram(test.pixels[0], spec)
+    smooth = kde_histogram(test.pixels[:1], spec)[0]
     assert abs(smooth.sum() - 1.0) < 1e-12
     assert np.all(smooth >= 0)

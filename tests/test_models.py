@@ -111,7 +111,7 @@ class TestEndToEndGradients:
         labels = small_set.labels[:2]
         if arch == "dadm":
             spec = cfg.histogram_spec()
-            feats = np.stack([kde_histogram(p, spec) for p in small_set.pixels[:2]])
+            feats = kde_histogram(small_set.pixels[:2], spec)
             start = 1
         else:
             feats = batch_of(small_set, 2)

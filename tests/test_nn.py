@@ -448,7 +448,8 @@ class TestLayerInvariants:
             assert np.array_equal(layer.forward(x), layer.forward(x))
 
     @pytest.mark.parametrize(
-        "name", ["linear", "conv2d", "maxpool2d", "log-softmax-nll", "arithmetic-layer", "histogram-layer"]
+        "name",
+        ["linear", "conv2d", "maxpool2d", "flatten", "log-softmax-nll", "arithmetic-layer", "histogram-layer"],
     )
     def test_former_single_sample_rank_is_shape_error(self, name):
         # every layer takes batches only: one sample without its batch axis
@@ -470,6 +471,8 @@ def single_sample_cases():
         "linear": (lambda x, _: nn.Linear(4, 3, rng).forward(x), np.zeros(4)),
         "conv2d": (lambda x, _: nn.Conv2d(1, 2, 2, 2, rng).forward(x), np.zeros((1, 4, 4))),
         "maxpool2d": (lambda x, _: nn.MaxPool2d().forward(x), np.zeros((1, 4, 4))),
+        # one feature vector, not five one-feature rows
+        "flatten": (lambda x, _: nn.Flatten().forward(x), np.zeros(5)),
         "log-softmax-nll": (nn.log_softmax_nll, np.zeros(10)),
         "arithmetic-layer": (lambda x, _: arith.forward(x), np.full(8, 0.125)),
     }

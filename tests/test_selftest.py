@@ -1,7 +1,5 @@
 """The property-check harness itself: passes when healthy, fails when broken."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -30,18 +28,17 @@ CHECK_NAMES = {
 }
 
 
-def test_all_checks_pass_on_fresh_build():
-    results = selftest.run_all()
+def test_all_checks_pass_on_fresh_build(selftest_run):
+    results, _ = selftest_run
     failures = [r.name for r in results if not r.passed]
     assert failures == []
     names = [r.name for r in results]
     assert len(names) == len(CHECK_NAMES) and set(names) == CHECK_NAMES
 
 
-def test_runs_inside_time_budget():
-    start = time.monotonic()
-    selftest.run_all()
-    assert time.monotonic() - start < 120.0
+def test_runs_inside_time_budget(selftest_run):
+    _, seconds = selftest_run
+    assert seconds < 120.0
 
 
 def test_perturbed_backward_is_named_failure():

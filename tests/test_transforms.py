@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.special import cosdg, sindg
 
+from conftest import make_imageset
 from histlearn.histogram import HistogramSpec, kde_histogram
 from histlearn.transforms import (
+    CHUNK,
     TransformSpec,
     apply_transform,
     flip,
@@ -14,6 +17,86 @@ from histlearn.transforms import (
     transform_image,
     translate,
 )
+
+
+# ---------------------------------------------------------------------------
+# one-image references: the per-image formulas the batched gathers replaced
+
+
+def rotate_reference(img, degrees):
+    h, w = img.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    s, c = sindg(degrees), cosdg(degrees)
+    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    dy = rows - cy
+    dx = cols - cx
+    src_r = cy + dx * s + dy * c
+    src_c = cx + dx * c - dy * s
+    r0 = np.floor(src_r).astype(np.int64)
+    c0 = np.floor(src_c).astype(np.int64)
+    fr = src_r - r0
+    fc = src_c - c0
+    out = np.zeros_like(img)
+    for dr, dc, weight in (
+        (0, 0, (1 - fr) * (1 - fc)),
+        (0, 1, (1 - fr) * fc),
+        (1, 0, fr * (1 - fc)),
+        (1, 1, fr * fc),
+    ):
+        rr = r0 + dr
+        cc = c0 + dc
+        inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+        vals = np.where(inside, img[np.clip(rr, 0, h - 1), np.clip(cc, 0, w - 1)], -1.0)
+        out += weight * vals
+    return np.clip(out, -1.0, 1.0)
+
+
+def translate_reference(img, dx, dy):
+    h, w = img.shape
+    out = np.full_like(img, -1.0)
+    out[max(0, dy) : h + min(0, dy), max(0, dx) : w + min(0, dx)] = (
+        img[max(0, -dy) : h + min(0, -dy), max(0, -dx) : w + min(0, -dx)]
+    )
+    return out
+
+
+def transform_reference(img, i, kind, seed):
+    rng = np.random.default_rng([seed, i])
+    if kind == "rotate":
+        return rotate_reference(img, rng.uniform(0.0, 90.0))
+    if kind == "translate":
+        dx = int(rng.integers(-8, 9))
+        dy = int(rng.integers(-8, 9))
+        return translate_reference(img, dx, dy)
+    if kind == "flip":
+        return img[:, ::-1].copy() if rng.random() < 0.5 else img[::-1, :].copy()
+    return img.ravel()[rng.permutation(img.size)].reshape(img.shape)
+
+
+class TestBatchedGathers:
+    @pytest.mark.parametrize("kind", ["rotate", "translate", "flip", "shuffle"])
+    def test_set_matches_per_image_reference_bytewise(self, kind):
+        image_set = make_imageset(300, seed=12)
+        assert CHUNK < image_set.count  # a chunk boundary falls inside the set
+        out = apply_transform(image_set, TransformSpec(kind, rng_seed=9)).pixels
+        expected = np.stack(
+            [transform_reference(img, i, kind, 9) for i, img in enumerate(image_set.pixels)]
+        )
+        assert out.tobytes() == expected.tobytes()
+
+    def test_rotate_matches_reference_at_edge_angles(self):
+        rng = np.random.default_rng(13)
+        for shape in ((28, 28), (7, 12), (1, 5)):
+            img = rng.uniform(-1, 1, shape)
+            for theta in (0.0, 45.0, 89.999, 90.0, *rng.uniform(0.0, 90.0, 4)):
+                assert rotate(img, theta).tobytes() == rotate_reference(img, theta).tobytes()
+
+    def test_translate_past_a_small_image_leaves_only_fill(self):
+        # the slicing reference cannot shift by more than the image size
+        img = np.random.default_rng(14).uniform(-1, 1, (5, 6))
+        for dx, dy in ((8, 0), (0, -8), (-7, 8)):
+            assert np.all(translate(img, dx, dy) == -1.0)
+        assert translate(img, 3, -2).tobytes() == translate_reference(img, 3, -2).tobytes()
 
 
 class TestRotate:
@@ -159,13 +242,10 @@ class TestApplyTransform:
     def test_flip_and_shuffle_preserve_histograms(self, small_set):
         # multiset preservation means identical per-image KDE histograms
         spec = HistogramSpec(n_bins=64, bandwidth=0.01)
-        subset = small_set.pixels[:16]
+        before = kde_histogram(small_set.pixels[:16], spec)
         for kind in ("flip", "shuffle"):
             out = apply_transform(small_set, TransformSpec(kind, rng_seed=2))
-            for i in range(16):
-                a = kde_histogram(subset[i], spec)
-                b = kde_histogram(out.pixels[i], spec)
-                assert np.array_equal(a, b)
+            assert np.array_equal(kde_histogram(out.pixels[:16], spec), before)
 
     def test_transform_image_matches_set_application(self, small_set):
         # the single-image helper reproduces the whole-set result at any index
@@ -180,9 +260,7 @@ class TestApplyTransform:
         # bilinear interpolation changes the pixel multiset
         spec = HistogramSpec(n_bins=64, bandwidth=0.01)
         out = apply_transform(small_set, TransformSpec("rotate", rng_seed=2))
-        changed = 0
-        for i in range(16):
-            a = kde_histogram(small_set.pixels[i], spec)
-            b = kde_histogram(out.pixels[i], spec)
-            changed += np.abs(a - b).max() > 1e-6
+        a = kde_histogram(small_set.pixels[:16], spec)
+        b = kde_histogram(out.pixels[:16], spec)
+        changed = np.sum(np.abs(a - b).max(axis=1) > 1e-6)
         assert changed >= 15  # an exact right angle draw would be a measure-zero fluke

@@ -13,8 +13,8 @@ Layout (all integers little-endian):
         data  float64 little-endian, row-major
 
 Loading rebuilds the architecture from the stored config and then copies
-the stored tensors in, verifying names and shapes, so a checkpoint is
-self-sufficient.
+the stored tensors in, verifying names, shapes and that every value is
+finite, so a checkpoint is self-sufficient.
 """
 
 import os
@@ -144,6 +144,8 @@ def load_checkpoint(path):
             p.value[...] = np.frombuffer(
                 blob, dtype="<f8", count=int(np.prod(shape)), offset=offset
             ).reshape(shape)
+            if not np.all(np.isfinite(p.value)):
+                raise DataFormatError(f"{path}: parameter {name!r} has non-finite values")
             offset += size
     except (struct.error, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: truncated or corrupt parameter table: {exc}") from exc

@@ -152,7 +152,7 @@ class ArithmeticDistributionLayer:
         self._fy = x @ self._mw.T
         return self._fy @ self._mb.T
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         g = np.asarray(grad, dtype=np.float64)
         n = self.spec.n_bins
         maps = _index_maps(n)
@@ -162,4 +162,4 @@ class ArithmeticDistributionLayer:
         g_y = g @ self._mb
         corr_w = g_y.T @ self._fx
         self.weight_hist.grad += corr_w.ravel()[maps["prod_flat"]].reshape(n, n).sum(axis=1)
-        return g_y @ self._mw
+        return g_y @ self._mw if input_grad else None

@@ -17,6 +17,7 @@ fixed, so :func:`train` computes each training image's histogram once, in
 memory, and runs every epoch from the distribution layer on.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,10 +117,27 @@ class Model:
             x = layer.forward(x)
         return x
 
-    def backward(self, grad, stop=0):
-        for layer in reversed(self.layers[stop:]):
+    def backward(self, grad, stop=0, input_grad=True):
+        """Backpropagate ``grad`` through ``layers[stop:]``, accumulating
+        every parameter gradient, and return the gradient with respect to
+        the input of ``layers[stop]``.
+
+        With ``input_grad=False`` that gradient is not built and ``None`` is
+        returned: the parameter-free layers in front of the first layer with
+        parameters do not run, and that layer skips its own input gradient.
+        The parameter gradients are the same bits either way.
+        """
+        layers = self.layers[stop:]
+        if input_grad:
+            for layer in reversed(layers):
+                grad = layer.backward(grad)
+            return grad
+        trained = [i for i, layer in enumerate(layers) if layer.params()]
+        if not trained:
+            return None
+        for layer in reversed(layers[trained[0] + 1 :]):
             grad = layer.backward(grad)
-        return grad
+        return layers[trained[0]].backward(grad, input_grad=False)
 
 
 def build_model(cfg: ModelConfig) -> Model:
@@ -217,6 +235,9 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     deterministic given ``cfg.seed``: initialization is seeded at build
     time and the batch shuffle stream here derives from the same seed.
     The training set is consumed as-is; there is no augmentation hook.
+    Nothing reads the gradient with respect to the inputs, so the backward
+    pass does not build it.  ``log`` receives one line per epoch with the
+    epoch's mean loss, training accuracy, wall seconds and images/s.
     """
     inputs, start = train_set.pixels[:, None, :, :], 0
     if model.architecture == "dadm":
@@ -227,6 +248,7 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     curve = []
     for epoch in range(1, cfg.epochs + 1):
+        began = time.perf_counter()
         order = shuffle_rng.permutation(n)
         total_loss = 0.0
         correct = 0
@@ -239,16 +261,18 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
                     f"non-finite loss at epoch {epoch}, batch {batch_no} "
                     f"({model.architecture})"
                 )
-            model.backward(grad, stop=start)
+            model.backward(grad, stop=start, input_grad=False)
             optimizer.step()
             total_loss += loss * idx.size
             correct += int((logits.argmax(axis=1) == labels[idx]).sum())
+        seconds = time.perf_counter() - began
         stats = EpochStats(epoch, float(total_loss / n), 100.0 * correct / n)
         curve.append(stats)
         if log is not None:
             log(
                 f"epoch {stats.epoch:3d}  loss {stats.mean_loss:.4f}  "
-                f"train acc {stats.train_accuracy:.2f}%"
+                f"train acc {stats.train_accuracy:.2f}%  "
+                f"{seconds:.2f} s  {n / seconds:.0f} img/s"
             )
     return curve
 

@@ -153,3 +153,19 @@ def test_bin_count_above_bound_is_data_error(tmp_path, synth_data_dir, monkeypat
         load_checkpoint(bad)
     out_dir = str(tmp_path / "eval")
     assert cli.main(["eval", str(bad), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("arch, name", [("dadm", "arith.weight_hist"), ("lenet", "conv2.weight")])
+def test_nonfinite_parameter_is_data_error(arch, name, bad, tmp_path, synth_data_dir):
+    # what a flipped exponent byte loads: a NaN or inf weight
+    cfg = models.ModelConfig(arch, epochs=1, seed=0)
+    model = models.build_model(cfg)
+    [param] = [p for p in model.parameters() if p.name == name]
+    param.value.ravel()[7] = bad
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(model, cfg, path)
+    with pytest.raises(DataFormatError, match=name.replace(".", r"\.")):
+        load_checkpoint(path)
+    out_dir = str(tmp_path / "eval")
+    assert cli.main(["eval", str(path), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2

@@ -1,5 +1,7 @@
 """Architectures, training loop, evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -181,7 +183,78 @@ class TestEndToEndGradients:
             assert rel < 1e-3, f"pixel {c}: {rel}"
 
 
+def reference_epoch(model, train_set, cfg):
+    """One epoch as textbook as it gets: the full backward, input gradient
+    included, and out-of-place Adam per parameter."""
+    lr, b1, b2, eps = cfg.lr, 0.9, 0.999, 1e-8
+    inputs, start = train_set.pixels[:, None, :, :], 0
+    if model.architecture == "dadm":
+        inputs, start = model.layers[0].forward(inputs), 1
+    params = model.parameters()
+    m = [np.zeros_like(p.value) for p in params]
+    v = [np.zeros_like(p.value) for p in params]
+    order = np.random.default_rng([cfg.seed, 1]).permutation(train_set.count)
+    for t, lo in enumerate(range(0, train_set.count, cfg.batch_size), start=1):
+        idx = order[lo : lo + cfg.batch_size]
+        logits = model.forward(inputs[idx], start=start)
+        _, grad = nn.log_softmax_nll(logits, train_set.labels[idx])
+        model.backward(grad, stop=start)
+        for i, p in enumerate(params):
+            g = p.grad.copy()
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g**2
+            m_hat = m[i] / (1.0 - b1**t)
+            v_hat = v[i] / (1.0 - b2**t)
+            p.value[...] = p.value - lr * m_hat / (np.sqrt(v_hat) + eps)
+            p.zero_grad()
+
+
 class TestTraining:
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_epoch_matches_textbook_loop_bitwise(self, arch):
+        train_set = make_imageset(80, seed=25)
+        cfg = tiny_cfg(arch)
+        trained = models.build_model(cfg)
+        models.train(trained, train_set, cfg)
+        reference = models.build_model(cfg)
+        reference_epoch(reference, train_set, cfg)
+        for got, want in zip(trained.parameters(), reference.parameters()):
+            assert np.array_equal(got.value, want.value), got.name
+
+    def test_backward_without_input_grad_skips_leading_layers(self, small_set, monkeypatch):
+        model = models.build_model(tiny_cfg("base"))
+        assert isinstance(model.layers[0], nn.Flatten)
+        _, grad = nn.log_softmax_nll(model.forward(batch_of(small_set, 4)), small_set.labels[:4])
+        model.backward(grad)
+        full = [p.grad.copy() for p in model.parameters()]
+        for p in model.parameters():
+            p.zero_grad()
+
+        def spy(grad):
+            raise AssertionError("leading Flatten.backward ran")
+
+        monkeypatch.setattr(model.layers[0], "backward", spy)
+        assert model.backward(grad, input_grad=False) is None
+        for p, want in zip(model.parameters(), full):
+            assert np.array_equal(p.grad, want), p.name
+
+    def test_epoch_log_line_format(self):
+        train_set = make_imageset(64, seed=26)
+        cfg = tiny_cfg("base", epochs=2)
+        lines = []
+        models.train(models.build_model(cfg), train_set, cfg, log=lines.append)
+        assert len(lines) == 2
+        for epoch, line in enumerate(lines, start=1):
+            match = re.fullmatch(
+                r"epoch +(\d+)  loss (\d+\.\d{4})  train acc (\d+\.\d{2})%  "
+                r"(\d+\.\d{2}) s  (\d+) img/s",
+                line,
+            )
+            assert match, line
+            assert int(match.group(1)) == epoch
+            assert int(match.group(5)) > 0
+
+
     @pytest.mark.parametrize("arch", ARCHS)
     def test_one_epoch_descends(self, arch):
         train_set = make_imageset(512, seed=20)

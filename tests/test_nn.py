@@ -177,6 +177,57 @@ class TestConv2d:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+    @pytest.mark.parametrize(
+        "c_in,c_out,kernel,size", [(6, 16, 5, 12), (1, 4, 3, 28)], ids=["lenet-conv2", "cnn-conv1"]
+    )
+    def test_input_grad_is_per_sample_col2im_bitwise(self, c_in, c_out, kernel, size):
+        rng = np.random.default_rng(21)
+        layer = nn.Conv2d(c_in, c_out, kernel, kernel, rng)
+        x = rng.standard_normal((64, c_in, size, size))
+        out = size - kernel + 1
+        g = rng.standard_normal((64, c_out, out, out))
+        layer.forward(x)
+        dx = layer.backward(g)
+        # the (B, C, kh, kw, OH, OW) col2im: one GEMM per sample, OW-long runs
+        wmat = layer.weight.value.reshape(c_out, -1)
+        dcols = (wmat.T @ g.reshape(64, c_out, out * out)).reshape(64, c_in, kernel, kernel, out, out)
+        want = np.zeros(x.shape)
+        for u in range(kernel):
+            for v in range(kernel):
+                want[:, :, u : u + out, v : v + out] += dcols[:, :, u, v]
+        assert dx.flags.c_contiguous
+        assert np.array_equal(dx, want)
+
+
+class TestInputGradOff:
+    """``backward(grad, input_grad=False)``: no input gradient, same parameter gradients."""
+
+    @staticmethod
+    def _layer_and_input(name, rng):
+        if name == "linear":
+            return nn.Linear(20, 7, rng), rng.standard_normal((9, 20))
+        if name == "conv-c1":
+            return nn.Conv2d(1, 6, 5, 5, rng), rng.standard_normal((9, 1, 28, 28))
+        if name == "conv-c6":
+            return nn.Conv2d(6, 16, 5, 5, rng), rng.standard_normal((9, 6, 12, 12))
+        spec = HistogramSpec(n_bins=16, bandwidth=0.05)
+        return ArithmeticDistributionLayer(spec, init_kernel(spec, 3)), rng.random((9, 16))
+
+    @pytest.mark.parametrize("name", ["linear", "conv-c1", "conv-c6", "arith"])
+    def test_returns_none_with_bitwise_parameter_grads(self, name):
+        rng = np.random.default_rng(24)
+        layer, x = self._layer_and_input(name, rng)
+        out = layer.forward(x)
+        g = rng.standard_normal(out.shape)
+        assert layer.backward(g) is not None
+        full = [p.grad.copy() for p in layer.params()]
+        for p in layer.params():
+            p.zero_grad()
+        assert layer.backward(g, input_grad=False) is None
+        for p, want in zip(layer.params(), full):
+            assert np.array_equal(p.grad, want), p.name
+
+
 class TestMaxPool2d:
     def test_output_shape(self):
         layer = nn.MaxPool2d()
@@ -309,7 +360,11 @@ class TestAdam:
             updated.append(p.value.copy())
         assert np.array_equal(updated[0], updated[1])
 
-    @pytest.mark.parametrize("shape", [(3, 4), ()], ids=["2d", "0d"])
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 4), (), (256, 2704), (3 * nn.CHUNK + 5,)],
+        ids=["2d", "0d", "cnn-fc1", "chunks-plus-tail"],
+    )
     def test_five_steps_match_textbook_formula_bitwise(self, shape):
         rng = np.random.default_rng(22)
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
@@ -337,6 +392,39 @@ class TestAdam:
         with pytest.raises(NonFiniteError) as err:
             nn.adam_step(p, nn.AdamState(p), lr=0.001)
         assert "fc1.weight" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_in_last_chunk_leaves_state_untouched(self, bad):
+        rng = np.random.default_rng(23)
+        p = nn.Parameter(rng.standard_normal(3 * nn.CHUNK + 5), "fc1.weight")
+        state = nn.AdamState(p)
+        p.grad[...] = rng.standard_normal(p.value.shape)
+        nn.adam_step(p, state, lr=0.01)
+        p.grad[...] = rng.standard_normal(p.value.shape)
+        p.grad[-2] = bad
+        before = [a.copy() for a in (p.value, p.grad, state.m, state.v)]
+        with pytest.raises(NonFiniteError, match="fc1.weight"):
+            nn.adam_step(p, state, lr=0.01)
+        assert state.t == 1
+        for got, want in zip((p.value, p.grad, state.m, state.v), before):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_finite_grad_whose_sum_overflows_updates(self):
+        # the fast check's sum is inf here; the entries are all finite
+        g = np.array([1e308, 1e308, -1e308, 0.5])
+        p = nn.Parameter(np.ones(4), "p")
+        state = nn.AdamState(p)
+        p.grad[...] = g
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        with np.errstate(over="ignore"):
+            nn.adam_step(p, state, lr)
+            m = (1.0 - b1) * g
+            v = (1.0 - b2) * g**2
+            want = np.ones(4) - lr * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + eps)
+        assert state.t == 1
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert np.array_equal(p.value, want)
+        assert np.all(p.grad == 0.0)
 
     def test_grad_zeroed_after_step(self):
         p = nn.Parameter(np.ones(3), "p")

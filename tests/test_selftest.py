@@ -77,6 +77,24 @@ def test_loss_gradient_without_batch_scale_fails_the_loss_check(monkeypatch):
     assert failed == ["gradient-log-softmax-nll"]
 
 
+def test_input_gradient_oracles_call_the_full_backward(monkeypatch):
+    # training skips the first layer's input gradient; the oracles must
+    # still measure the input gradient the layers build by default
+    calls = []
+    for cls in (nn.Linear, nn.Conv2d, ArithmeticDistributionLayer):
+        backward = cls.backward
+
+        def recording(self, grad, input_grad=True, _backward=backward):
+            calls.append((type(self).__name__, input_grad))
+            return _backward(self, grad, input_grad=input_grad)
+
+        monkeypatch.setattr(cls, "backward", recording)
+    results = [selftest.check_linear_grad(), selftest.check_conv2d_grad(), selftest.check_arithmetic_grad()]
+    assert all(r.passed for r in results)
+    assert {name for name, _ in calls} == {"Linear", "Conv2d", "ArithmeticDistributionLayer"}
+    assert all(input_grad for _, input_grad in calls)
+
+
 def test_unknown_perturbation_rejected():
     with pytest.raises(ValueError):
         selftest.run_all(perturb={"warp-core"})

@@ -276,18 +276,20 @@ def adam_step(param: Parameter, state: AdamState, lr):
     with ``b1, b2, eps = BETA1, BETA2, EPS``.  Every operation is
     elementwise, so the result is bitwise that of the out-of-place formula;
     blocking only keeps each block's passes in cache.  A non-finite
-    gradient raises ``NonFiniteError`` before any state changes.
+    gradient raises ``NonFiniteError`` and a non-contiguous array
+    ``ValueError``, both before any state changes.
     """
     if not lr > 0:
         raise ValueError(f"learning rate must be > 0, got {lr}")
-    # NaN and inf propagate, so a finite sum proves every entry finite; a
-    # non-finite sum may be an overflow of finite entries, so look again
-    # entry by entry
-    if not np.isfinite(param.grad.sum()) and not np.all(np.isfinite(param.grad)):
+    if not np.all(np.isfinite(param.grad)):
         raise NonFiniteError(f"non-finite gradient in parameter {param.name!r}")
+    arrays = (param.grad, state.m, state.v, param.value)
+    # reshape of a C-contiguous array is a view; of any other it would be a
+    # copy whose writes are lost
+    if not all(a.flags.c_contiguous for a in arrays):
+        raise ValueError(f"parameter {param.name!r}: value, grad and moments must be C-contiguous")
     state.t += 1
-    # copy=False raises rather than return a copy whose writes would be lost
-    g, m, v, p = (np.reshape(a, -1, copy=False) for a in (param.grad, state.m, state.v, param.value))
+    g, m, v, p = (a.reshape(-1) for a in arrays)
     bias1 = 1.0 - BETA1**state.t
     bias2 = 1.0 - BETA2**state.t
     step_buf = np.empty(min(g.size, CHUNK))

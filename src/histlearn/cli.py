@@ -297,8 +297,8 @@ def _cmd_eval(args):
         from .errors import DataFormatError
 
         raise DataFormatError(f"checkpoint not found: {args.checkpoint}")
-    model, cfg = load_checkpoint(args.checkpoint)
     test_set = load_mnist(data_dir, "test")
+    model, cfg = load_checkpoint(args.checkpoint)
     reports = evaluate(model, test_set, kinds, seed=resolved["seed"])
 
     path = os.path.join(out_dir, "reports.csv")

@@ -38,6 +38,8 @@ MNIST_MIRRORS = (
 
 DATA_DIR_ENV = "HISTLEARN_DATA_DIR"
 
+IMAGE_SHAPE = (28, 28)  # the input every architecture is built for
+
 
 def _read_file(path) -> bytes:
     with open(path, "rb") as fh:
@@ -144,16 +146,25 @@ class ImageSet:
 
 
 def load_mnist(data_dir, split="train") -> ImageSet:
-    """Load one MNIST split from a directory holding the standard IDX files."""
+    """Load one MNIST split from a directory holding the standard IDX files.
+
+    Images that are not 28x28 raise :class:`DataFormatError` naming the
+    file, before any model sees them.
+    """
     if split == "train":
         images, labels = "train-images-idx3-ubyte", "train-labels-idx1-ubyte"
     elif split == "test":
         images, labels = "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"
     else:
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
-    return ImageSet.from_idx_files(
-        os.path.join(data_dir, images), os.path.join(data_dir, labels)
-    )
+    images = os.path.join(data_dir, images)
+    image_set = ImageSet.from_idx_files(images, os.path.join(data_dir, labels))
+    if image_set.pixels.shape[1:] != IMAGE_SHAPE:
+        height, width = image_set.pixels.shape[1:]
+        raise DataFormatError(
+            f"{images}: images are {height}x{width}, expected {IMAGE_SHAPE[0]}x{IMAGE_SHAPE[1]}"
+        )
+    return image_set
 
 
 def mnist_files_present(data_dir, file_table=None) -> bool:

@@ -42,6 +42,19 @@ sum of the same erf values the band is within 2.2e-16 and the per-edge
 differences were within 1.6e-15 (rotated digits at 256 bins and
 B = 0.001, 16 bins and B = 0.05, 8 bins and B = 0.5).  The two agree to
 4.4e-16 at 256 bins and B = 0.001, and to 2.7e-15 at the wide bandwidths.
+
+Gradient (:func:`kde_histogram_backward`, the same batches).  The raw mass
+of bin ``i`` has pixel derivative ``c * [G(e_i - x) - G(e_{i+1} - x)]`` with
+``G(u) = exp(-(u / (sqrt(2) B))^2)`` and ``c = (2/sqrt(pi)) / (sqrt(2) B 2M)``,
+so an upstream gradient ``g`` reaches pixel ``x`` as ``c * sum_e G(e - x)
+(g_e - g_{e-1})`` with ``g_{-1} = g_N = 0``.  The renormalization by the
+total adds the quotient-rule term ``-(g . bins) * d total / total``, and
+``total`` only moves with the two domain edges.  Subtracting a constant
+from ``g`` changes exactly those two edge coefficients, so the whole rule
+is one centring step per row, ``h = g - (g . bins)``, and the gradient is
+``c * sum_e G(e - x) (h_e - h_{e-1}) / total``.  ``G`` is exactly 0 where
+the erf is saturated, so the sum runs over the pixel's band of edges from
+the forward pass, again in bounded groups of whole rows.
 """
 
 from dataclasses import dataclass, field
@@ -120,11 +133,6 @@ def _check_rows(images) -> np.ndarray:
     return rows
 
 
-def _check_pixels(pixels) -> np.ndarray:
-    """One image of any shape as checked flat pixels."""
-    return _check_rows(np.reshape(pixels, (1, -1)))[0]
-
-
 def bin_index(x, spec: HistogramSpec):
     """Map values in [-1, 1] to 0-based bin indices.
 
@@ -177,6 +185,33 @@ def _band_radius(spec: HistogramSpec) -> int:
     return int(np.ceil(_SATURATION * _SQRT2 * spec.bandwidth / spec.bin_width))
 
 
+def _band_width(spec: HistogramSpec) -> int:
+    """Bins in a band: ``2R + 1``, or every bin when that is fewer."""
+    return min(2 * _band_radius(spec) + 1, spec.n_bins)
+
+
+def _band(values: np.ndarray, spec: HistogramSpec):
+    """``(lo, edges)``: each value's leftmost band bin, and the indices
+    ``lo .. lo + width`` of its band's edges along a new last axis.
+
+    The band is slid inward at the domain ends so it stays in range.
+    """
+    n = spec.n_bins
+    width = _band_width(spec)
+    lo = np.floor((values + 1.0) * (n / 2.0)).astype(np.int64) - _band_radius(spec)
+    lo = np.clip(lo, 0, n - width)
+    return lo, lo[..., None] + np.arange(width + 1)
+
+
+def _row_groups(rows: np.ndarray, spec: HistogramSpec):
+    """Slices of whole rows, each at most ``_BAND_TERMS`` band edges at one
+    edge set per pixel, so memory stays bounded for any batch size and
+    bandwidth; a group holds whole rows, so grouping changes no bit."""
+    b, m = rows.shape
+    step = max(1, _BAND_TERMS // (m * (_band_width(spec) + 1)))
+    return [slice(lo, lo + step) for lo in range(0, b, step)]
+
+
 def _banded_masses(rows: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     """Unnormalized bin masses ``2M * raw`` of checked rows, shaped (B, N).
 
@@ -188,41 +223,27 @@ def _banded_masses(rows: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     """
     b, m = rows.shape
     n = spec.n_bins
-    radius = _band_radius(spec)
-    width = min(2 * radius + 1, n)
     srt = np.sort(rows, axis=1)
     first = np.ones(srt.shape, dtype=bool)
     first[:, 1:] = srt[:, 1:] != srt[:, :-1]
     starts = np.flatnonzero(first)
     values = srt.ravel()[starts]
     counts = np.diff(starts, append=srt.size)
-    # leftmost band bin, slid inward at the domain ends so the band stays in range
-    lo = np.floor((values + 1.0) * (n / 2.0)).astype(np.int64) - radius
-    lo = np.clip(lo, 0, n - width)
-    edges = lo[:, None] + np.arange(width + 1)
+    lo, edges = _band(values, spec)
     inv = 1.0 / (_SQRT2 * spec.bandwidth)
     erfs = _erf_saturated((spec.edges[edges] - values[:, None]) * inv)
     terms = counts[:, None] * (erfs[:, 1:] - erfs[:, :-1])
-    keys = ((starts // m) * n + lo)[:, None] + np.arange(width)
+    keys = ((starts // m) * n + lo)[:, None] + np.arange(terms.shape[1])
     return np.bincount(keys.ravel(), weights=terms.ravel(), minlength=b * n).reshape(b, n)
 
 
 def _kde_rows(rows: np.ndarray, spec: HistogramSpec):
-    """``(histograms, raw totals)`` of checked (B, M) rows.
-
-    The rows are taken in groups of at most ``_BAND_TERMS`` band edges at
-    M distinct values per row, so memory stays bounded for any batch size
-    and bandwidth; a group holds whole rows, so grouping changes no bit.
-    """
-    b, m = rows.shape
-    n = spec.n_bins
-    width = min(2 * _band_radius(spec) + 1, n)
-    step = max(1, _BAND_TERMS // (m * (width + 1)))
-    masses = np.empty((b, n))
-    for lo in range(0, b, step):
-        masses[lo : lo + step] = _banded_masses(rows[lo : lo + step], spec)
+    """``(histograms, raw totals)`` of checked (B, M) rows, in row groups."""
+    masses = np.empty((rows.shape[0], spec.n_bins))
+    for group in _row_groups(rows, spec):
+        masses[group] = _banded_masses(rows[group], spec)
     sums = masses.sum(axis=1)
-    return masses / sums[:, None], sums / (2.0 * m)
+    return masses / sums[:, None], sums / (2.0 * rows.shape[1])
 
 
 def kde_histogram(images, spec: HistogramSpec) -> np.ndarray:
@@ -238,52 +259,46 @@ def kde_histogram(images, spec: HistogramSpec) -> np.ndarray:
     return _kde_rows(_check_rows(images), spec)[0]
 
 
-def kde_histogram_backward(grad_bins, pixels, spec: HistogramSpec) -> np.ndarray:
-    """Gradient of ``sum_i grad_bins[i] * kde_histogram(pixels[None])[0, i]``
-    w.r.t. the pixels of one image.
+def kde_histogram_backward(grad_bins, images, spec: HistogramSpec) -> np.ndarray:
+    """Gradient of ``sum(grad_bins * kde_histogram(images))`` w.r.t. the
+    pixels, shaped like ``images``.
 
-    The raw bin masses have derivative
+    ``images`` is ``(B, ...)`` as for :func:`kde_histogram` and
+    ``grad_bins`` is ``(B, N)``, one upstream gradient per row.  Each row
+    is centred, ``h = g - (g . bins)``, and each pixel gets
+    ``c * sum_e G(e - x) (h_e - h_{e-1}) / total`` over the edges of its
+    band (see the module docstring).  A row's result does not depend on the
+    other rows of the batch.
 
-        d raw[i] / d x_j = c * [ exp(-((L_i - x_j)/(sqrt(2) B))^2)
-                               - exp(-((R_i - x_j)/(sqrt(2) B))^2) ]
-
-    with ``c = (1/2M) * (2/sqrt(pi)) / (sqrt(2) B)``, and the normalization
-    ``bins = raw / total`` contributes the quotient-rule term.  Returned
-    gradients have the same shape as ``pixels``.
-
-    A uniform ``grad_bins`` always yields zero gradients: the output sums
-    to 1 for every input, so that direction is flat by construction.
+    A uniform ``grad_bins`` row always yields zero gradients: the output
+    sums to 1 for every input, so that direction is flat by construction.
     """
-    shape = np.shape(pixels)
-    px = _check_pixels(pixels)
-    g = np.asarray(grad_bins, dtype=np.float64).ravel()
-    if g.size != spec.n_bins:
-        raise ValueError(f"grad_bins has length {g.size}, expected {spec.n_bins}")
-
-    m = px.size
+    rows = _check_rows(images)
+    b, m = rows.shape
+    n = spec.n_bins
+    g = np.asarray(grad_bins, dtype=np.float64)
+    if g.shape != (b, n):
+        raise ShapeError(f"grad_bins has shape {g.shape}, expected {(b, n)}")
+    bins, totals = _kde_rows(rows, spec)
+    h = g - (g * bins).sum(axis=1, keepdims=True)
+    # edge e is the left bound of bin e and the right bound of bin e - 1
+    coeff = np.diff(h, axis=1, prepend=0.0, append=0.0)
     inv = 1.0 / (_SQRT2 * spec.bandwidth)
     c = _TWO_OVER_SQRT_PI * inv / (2.0 * m)
-    args = (spec.edges[None, :] - px[:, None]) * inv
-    gauss = _gauss_saturated(args)  # (M, N+1)
-
-    (bins,), (total,) = _kde_rows(px[None], spec)
-
-    # sum_i g_i * d raw_i / d x_j, folded into one matvec over the edges:
-    # edge e appears in d raw_{e} (weight -g_e... ) and d raw_{e-1}; the net
-    # per-edge coefficient is g_e - g_{e-1} with g_{-1} = g_N = 0.
-    edge_coeff = np.zeros(spec.n_bins + 1)
-    edge_coeff[:-1] = g
-    edge_coeff[1:] -= g
-    s = c * (gauss @ edge_coeff)
-
-    # quotient rule: d total / d x_j only sees the two domain edges.
-    dtotal = c * (gauss[:, 0] - gauss[:, -1])
-    grad = s / total - (g @ bins) / total * dtotal
-    return grad.reshape(shape)
+    out = np.empty_like(rows)
+    for group in _row_groups(rows, spec):
+        px = rows[group]
+        _, edges = _band(px, spec)
+        gauss = _gauss_saturated((spec.edges[edges] - px[..., None]) * inv)
+        band_coeff = np.take_along_axis(coeff[group, None, :], edges, axis=2)
+        out[group] = c * (gauss * band_coeff).sum(axis=2) / totals[group, None]
+    return out.reshape(np.shape(images))
 
 
-def discrete_histogram(pixels, spec: HistogramSpec) -> np.ndarray:
-    """Counting histogram: fraction of pixels per bin (top edge closed)."""
-    px = _check_pixels(pixels)
-    counts = np.bincount(bin_index(px, spec), minlength=spec.n_bins)
-    return counts / px.size
+def discrete_histogram(images, spec: HistogramSpec) -> np.ndarray:
+    """Counting histograms of a batch ``(B, ...)``, shaped (B, N): each
+    row's fraction of pixels per bin (top edge closed)."""
+    rows = _check_rows(images)
+    b, m = rows.shape
+    keys = np.arange(b)[:, None] * spec.n_bins + bin_index(rows, spec)
+    return np.bincount(keys.ravel(), minlength=b * spec.n_bins).reshape(b, spec.n_bins) / m

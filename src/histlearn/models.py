@@ -72,10 +72,12 @@ class HistogramLayer:
     through in one call.  Each row's histogram is bitwise what the image
     alone would give.
 
-    No learnable parameters.  The backward pass returns per-pixel
-    gradients, so upstream feature extractors could be trained through
-    this layer even though the benchmark models use it as the first layer
-    on raw images.
+    No learnable parameters.  The backward pass is one
+    :func:`~histlearn.histogram.kde_histogram_backward` call over the whole
+    batch, over the same bands of bins as the forward pass, and returns
+    per-pixel gradients shaped like the input, so upstream feature
+    extractors could be trained through this layer even though the
+    benchmark models use it as the first layer on raw images.
     """
 
     def __init__(self, spec: HistogramSpec):
@@ -92,11 +94,7 @@ class HistogramLayer:
         return kde_histogram(x, self.spec)
 
     def backward(self, grad):
-        g = np.asarray(grad, dtype=np.float64)
-        out = np.empty_like(self._images)
-        for i in range(self._images.shape[0]):
-            out[i] = kde_histogram_backward(g[i], self._images[i], self.spec)
-        return out
+        return kde_histogram_backward(grad, self._images, self.spec)
 
 
 class Model:

@@ -12,9 +12,9 @@ image's parameters from its own stream, in image order, then transforms the
 chunk at once.  Rotation is one bilinear gather over a copy of the chunk
 padded with the fill value; translate, flip and shuffle are index gathers.
 The one-image functions (:func:`rotate`, :func:`translate`, :func:`flip`,
-:func:`permute_pixels`, :func:`transform_image`) are batches of one through
-the same code, so a single image (``histlearn report``) and a whole set
-(``histlearn eval``) cannot come out different.
+:func:`transform_image`) are batches of one through the same code, so a
+single image (``histlearn report``) and a whole set (``histlearn eval``)
+cannot come out different.
 """
 
 from dataclasses import dataclass
@@ -162,26 +162,6 @@ def flip(img, axis):
         raise ValueError(f"axis must be one of {FLIP_AXES}, got {axis!r}")
     img = np.asarray(img, dtype=np.float64)
     return _flip_batch(img[None], np.array([axis == "horizontal"]))[0]
-
-
-def permute_pixels(img, perm):
-    """Apply a flat-pixel permutation; shape is preserved."""
-    img = np.asarray(img, dtype=np.float64)
-    if np.shape(perm) != (img.size,):
-        raise ValueError(f"permutation has length {np.shape(perm)}, expected {img.size}")
-    return _permute_batch(img[None], np.asarray(perm)[None])[0]
-
-
-def shuffle_pixels(img, rng):
-    """Shuffle the flattened pixels with a uniform random permutation.
-
-    ``rng`` is either a seed or a ``numpy.random.Generator``; the same seed
-    always produces the same permutation.
-    """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    img = np.asarray(img, dtype=np.float64)
-    return permute_pixels(img, rng.permutation(img.size))
 
 
 def _transform_batch(images: np.ndarray, indices, tspec: TransformSpec) -> np.ndarray:

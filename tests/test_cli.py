@@ -7,8 +7,11 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import write_idx_pair
 from histlearn import cli, selftest
+from histlearn.checkpoint import save_checkpoint
 from histlearn.data import DATA_DIR_ENV
+from histlearn.models import ModelConfig, build_model
 from histlearn.reports import read_bar_chart, read_eval_reports, read_histogram_dump, read_loss_curve
 
 TRAIN_ARGS = ["--epochs", "1", "--batch", "32", "--bins", "32", "--bandwidth", "0.01"]
@@ -77,6 +80,34 @@ class TestUsageErrors:
     def test_missing_data_dir(self, monkeypatch, tmp_path):
         monkeypatch.delenv(DATA_DIR_ENV, raising=False)
         assert run("train", "--arch", "base", "--out-dir", str(tmp_path)) == 1
+
+
+@pytest.fixture
+def wrong_size_data_dir(tmp_path):
+    """An MNIST-shaped data directory whose images are 32x32."""
+    directory = str(tmp_path / "data32")
+    rng = np.random.default_rng(12)
+    for prefix, count in (("train", 64), ("t10k", 32)):
+        images = rng.integers(0, 256, (count, 32, 32)).astype(np.uint8)
+        write_idx_pair(directory, images, rng.integers(0, 10, count).astype(np.uint8), prefix)
+    return directory
+
+
+class TestWrongImageSize:
+    @pytest.mark.parametrize("command", ["lenet", "base", "cnn", "dadm", "eval"])
+    def test_exits_2_naming_file_and_shape(self, command, wrong_size_data_dir, tmp_path, capsys):
+        # refused as a data error when loaded, before any model sees an image
+        if command == "eval":
+            cfg = ModelConfig("base")
+            ckpt = str(tmp_path / "model_base.ckpt")
+            save_checkpoint(build_model(cfg), cfg, ckpt)
+            argv, name = ["eval", ckpt], "t10k-images-idx3-ubyte"
+        else:
+            argv, name = ["train", "--arch", command, *TRAIN_ARGS], "train-images-idx3-ubyte"
+        code = run(*argv, "--data-dir", wrong_size_data_dir, "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert name in err and "32x32" in err
 
 
 class TestFetchCommand:

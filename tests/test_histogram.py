@@ -169,7 +169,7 @@ class TestKdeHistogram:
         rng = np.random.default_rng(9)
         spec = HistogramSpec(n_bins=16, bandwidth=1e-6)
         px = spec.centers[rng.integers(0, 16, 200)] + rng.uniform(-0.03, 0.03, 200)
-        diff = np.abs(kde_histogram(px[None], spec)[0] - discrete_histogram(px, spec)).max()
+        diff = np.abs(kde_histogram(px[None], spec) - discrete_histogram(px[None], spec)).max()
         assert diff < 1e-6
 
     def test_smoothing_monotonicity(self):
@@ -305,6 +305,23 @@ class TestBatchedHistograms:
             kde_histogram(np.zeros(5), HistogramSpec(n_bins=8, bandwidth=0.05))
 
 
+def _dense_backward_reference(grad_bins, rows, spec):
+    """The earlier per-image backward: a dense (pixels x N+1) saturated
+    Gaussian matrix per row, with the quotient rule spelled out."""
+    inv = 1.0 / (np.sqrt(2.0) * spec.bandwidth)
+    out = []
+    for g, px in zip(grad_bins, rows):
+        c = (2.0 / np.sqrt(np.pi)) * inv / (2.0 * px.size)
+        gauss = histogram._gauss_saturated((spec.edges[None, :] - px[:, None]) * inv)
+        (bins,), (total,) = histogram._kde_rows(px[None], spec)
+        edge_coeff = np.zeros(spec.n_bins + 1)
+        edge_coeff[:-1] = g
+        edge_coeff[1:] -= g
+        dtotal = c * (gauss[:, 0] - gauss[:, -1])
+        out.append(c * (gauss @ edge_coeff) / total - (g @ bins) / total * dtotal)
+    return np.array(out)
+
+
 class TestKdeBackward:
     def test_uniform_upstream_grad_is_flat(self):
         # the histogram always sums to 1, so a constant upstream gradient
@@ -312,14 +329,14 @@ class TestKdeBackward:
         rng = np.random.default_rng(12)
         spec = HistogramSpec(n_bins=32, bandwidth=0.01)
         px = rng.uniform(-1, 1, 50)
-        grad = kde_histogram_backward(np.full(32, 3.7), px, spec)
+        grad = kde_histogram_backward(np.full((1, 32), 3.7), px[None], spec)
         assert np.abs(grad).max() < 1e-12
 
     def test_single_pixel_finite_differences(self):
         spec = HistogramSpec(n_bins=4, bandwidth=0.1)
         g = np.array([0.3, -1.1, 0.7, 0.2])
         x0 = np.array([0.31])
-        analytic = kde_histogram_backward(g, x0, spec)[0]
+        analytic = kde_histogram_backward(g[None], x0[None], spec)[0, 0]
         h = 1e-5
         fp = kde_histogram([x0 + h], spec)[0] @ g
         fm = kde_histogram([x0 - h], spec)[0] @ g
@@ -331,7 +348,7 @@ class TestKdeBackward:
         spec = HistogramSpec(n_bins=8, bandwidth=0.05)
         px = spec.centers[rng.integers(0, 8, 12)] + rng.uniform(-0.08, 0.08, 12)
         g = rng.standard_normal(8)
-        analytic = kde_histogram_backward(g, px, spec)
+        analytic = kde_histogram_backward(g[None], px[None], spec)[0]
         h = 1e-4
         for i in range(px.size):
             xp = px.copy()
@@ -347,47 +364,92 @@ class TestKdeBackward:
         # nothing for the gradient to see.  Needs bins wider than 16
         # bandwidths, so a 16-bin partition (half-width 0.0625 vs 8B=0.008).
         spec = HistogramSpec(n_bins=16, bandwidth=0.001)
-        px = np.array([spec.centers[10]])
+        px = np.array([[spec.centers[10]]])
         worst = 0.0
         for i in range(spec.n_bins):
-            basis = np.zeros(spec.n_bins)
-            basis[i] = 1.0
-            worst = max(worst, abs(kde_histogram_backward(basis, px, spec)[0]))
+            basis = np.zeros((1, spec.n_bins))
+            basis[0, i] = 1.0
+            worst = max(worst, abs(kde_histogram_backward(basis, px, spec)[0, 0]))
         assert worst < 1e-10
 
     def test_shape_follows_input(self):
         rng = np.random.default_rng(14)
         spec = HistogramSpec(n_bins=16, bandwidth=0.05)
         img = rng.uniform(-1, 1, (5, 6))
-        grad = kde_histogram_backward(rng.standard_normal(16), img, spec)
-        assert grad.shape == (5, 6)
+        grad = kde_histogram_backward(rng.standard_normal((1, 16)), img[None], spec)
+        assert grad.shape == (1, 5, 6)
 
     def test_grad_bins_length_checked(self):
         spec = HistogramSpec(n_bins=16, bandwidth=0.05)
-        with pytest.raises(ValueError):
-            kde_histogram_backward(np.zeros(8), [0.1], spec)
+        with pytest.raises(ShapeError):
+            kde_histogram_backward(np.zeros((1, 8)), [[0.1]], spec)
+
+
+class TestBatchedBackward:
+    def test_rows_do_not_depend_on_the_batch(self, small_set, monkeypatch):
+        # a row alone, inside a batch, reversed, and inside a batch that the
+        # row groups split in several places all give the same bits
+        spec = HistogramSpec()
+        rows = _byte_and_rotated(small_set, 150)
+        grad = np.random.default_rng(35).standard_normal((len(rows), spec.n_bins))
+        width = 2 * histogram._band_radius(spec) + 1
+        assert histogram._BAND_TERMS // (rows.shape[1] * (width + 1)) < len(rows)
+        alone = np.array([kde_histogram_backward(g[None], row[None], spec)[0] for g, row in zip(grad, rows)])
+        assert np.array_equal(kde_histogram_backward(grad, rows, spec), alone)
+        assert np.array_equal(kde_histogram_backward(grad[::-1], rows[::-1], spec), alone[::-1])
+        monkeypatch.setattr(histogram, "_BAND_TERMS", 7 * rows.shape[1] * (width + 1))
+        assert np.array_equal(kde_histogram_backward(grad, rows, spec), alone)
+
+    @pytest.mark.parametrize("n_bins, bandwidth", [(256, 0.001), *WIDE_SETTINGS[:3]])
+    def test_matches_dense_per_image_formula(self, small_set, n_bins, bandwidth):
+        # only the band's edges can see a pixel; leaving the rest out, and
+        # centring instead of the quotient rule, change only the rounding
+        spec = HistogramSpec(n_bins=n_bins, bandwidth=bandwidth)
+        rng = np.random.default_rng(36)
+        edge_valued = spec.edges[rng.integers(0, n_bins + 1, (2, 784))]
+        edge_valued[:, :2] = [-1.0, 1.0]
+        rows = np.concatenate([_byte_and_rotated(small_set, 4), edge_valued])
+        grad = rng.standard_normal((len(rows), n_bins))
+        ref = _dense_backward_reference(grad, rows, spec)
+        err = np.abs(kde_histogram_backward(grad, rows, spec) - ref).max()
+        assert err <= 1e-14 * np.abs(ref).max()
+
+    def test_batch_axis_required(self):
+        spec = HistogramSpec(n_bins=8, bandwidth=0.05)
+        with pytest.raises(ShapeError):
+            kde_histogram_backward(np.zeros((1, 8)), np.zeros(5), spec)
+        with pytest.raises(ShapeError):
+            kde_histogram_backward(np.zeros(8), np.zeros((1, 5)), spec)
 
 
 class TestDiscreteHistogram:
     def test_point_masses(self):
         spec = HistogramSpec(n_bins=4, bandwidth=0.01)
-        bins = discrete_histogram(np.full(4, spec.centers[1]), spec)
-        assert np.array_equal(bins, [0.0, 1.0, 0.0, 0.0])
+        bins = discrete_histogram(np.full((1, 4), spec.centers[1]), spec)
+        assert np.array_equal(bins, [[0.0, 1.0, 0.0, 0.0]])
 
     def test_uniform_over_centers(self):
         spec = HistogramSpec(n_bins=4, bandwidth=0.01)
-        bins = discrete_histogram(spec.centers, spec)
-        assert np.array_equal(bins, [0.25, 0.25, 0.25, 0.25])
+        bins = discrete_histogram(spec.centers[None], spec)
+        assert np.array_equal(bins, [[0.25, 0.25, 0.25, 0.25]])
 
     def test_half_open_bins_and_closed_top(self):
         spec = HistogramSpec(n_bins=4, bandwidth=0.01)
         # a pixel exactly on an interior edge belongs to the upper bin
-        bins = discrete_histogram([spec.edges[1]], spec)
-        assert bins[1] == 1.0
-        assert discrete_histogram([1.0], spec)[3] == 1.0
+        bins = discrete_histogram([[spec.edges[1]]], spec)
+        assert bins[0, 1] == 1.0
+        assert discrete_histogram([[1.0]], spec)[0, 3] == 1.0
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(15)
         spec = HistogramSpec(n_bins=7, bandwidth=0.01)
-        bins = discrete_histogram(rng.uniform(-1, 1, 97), spec)
+        bins = discrete_histogram(rng.uniform(-1, 1, (1, 97)), spec)
         assert abs(bins.sum() - 1.0) < 1e-12
+
+    def test_rows_match_alone(self, small_set):
+        spec = HistogramSpec(n_bins=16, bandwidth=0.01)
+        images = small_set.pixels[:6]
+        alone = np.concatenate([discrete_histogram(img[None], spec) for img in images])
+        assert np.array_equal(discrete_histogram(images, spec), alone)
+        with pytest.raises(ShapeError):
+            discrete_histogram(images[0, 0], spec)

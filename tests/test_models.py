@@ -8,7 +8,7 @@ import pytest
 from conftest import make_imageset
 from histlearn import models, nn
 from histlearn.errors import NonFiniteError
-from histlearn.histogram import kde_histogram
+from histlearn.histogram import kde_histogram, kde_histogram_backward
 from histlearn.transforms import TransformSpec, apply_transform
 
 ARCHS = ("lenet", "base", "cnn", "dadm")
@@ -181,6 +181,24 @@ class TestEndToEndGradients:
             a = pixel_grad.ravel()[c]
             rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             assert rel < 1e-3, f"pixel {c}: {rel}"
+
+    def test_histogram_layer_backward_is_one_batched_call(self, small_set, monkeypatch):
+        cfg = tiny_cfg("dadm", n_bins=16, bandwidth=0.05)
+        layer = models.build_model(cfg).layers[0]
+        assert isinstance(layer, models.HistogramLayer)
+        images = batch_of(small_set, 5)
+        layer.forward(images)
+        grad = np.random.default_rng(2).standard_normal((5, 16))
+        calls = []
+
+        def spy(grad_bins, x, spec):
+            calls.append(np.shape(x))
+            return kde_histogram_backward(grad_bins, x, spec)
+
+        monkeypatch.setattr(models, "kde_histogram_backward", spy)
+        out = layer.backward(grad)
+        assert calls == [images.shape]
+        assert np.array_equal(out, kde_histogram_backward(grad, images, cfg.histogram_spec()))
 
 
 def reference_epoch(model, train_set, cfg):

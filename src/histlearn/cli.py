@@ -9,49 +9,57 @@ Subcommands::
     report    bar-chart data + per-transform histogram dumps from a report
     selftest  dataset-free property checks
 
-Shared flags: ``--arch --epochs --batch --lr --seed --bins --bandwidth
---data-dir --out-dir --transforms --config --threads``.
-Options resolve in order: explicit flag > ``--config`` file (flat
-key=value lines) > ``HISTLEARN_DATA_DIR`` (for the data directory) >
-built-in default, and every run writes its resolved options to
-``run_config.txt`` next to its outputs.
+Each option (``--arch --epochs --batch --lr --seed --bins --bandwidth
+--data-dir --out-dir --transforms --threads --image-index``) is declared
+once, with its type, default and help, in ``_OPTIONS``; ``_COMMANDS`` lists
+once which of them each subcommand takes, and every subcommand also takes
+``--config`` and ``--threads``.  ``main`` resolves each option once, in
+order: explicit flag > ``--config`` file (flat key=value lines) >
+``HISTLEARN_DATA_DIR`` (for the data directory) > built-in default, and
+every run writes its resolved options to ``run_config.txt`` next to its
+outputs.
 
 Exit codes are stable for CI: 0 success, 1 usage error, 2 data error
 (missing/corrupt files), 3 failed property or numeric check.
 
-``--threads N`` caps the BLAS thread pools via environment variables; it
-takes effect because the numeric modules are imported only after argument
-parsing.
+``--threads N`` caps the BLAS thread pools via environment variables.
+``main`` sets them before it imports any numeric module, so they take
+effect when histlearn starts as a program; a ``main`` called in a process
+that has already loaded numpy cannot resize its pools.
 """
 
 import argparse
 import os
 import sys
 
+from .errors import DataFormatError, NonFiniteError, ShapeError
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
 
-_UNSET = object()
+# Read while resolving options, before the thread caps are set and so
+# before numpy may load; `data` re-exports it.
+DATA_DIR_ENV = "HISTLEARN_DATA_DIR"
 
-_DEFAULTS = {
-    "arch": None,
-    "epochs": 10,
-    "batch": 64,
-    "lr": 0.001,
-    "seed": 0,
-    "bins": 256,
-    "bandwidth": 0.001,
-    "data_dir": None,
-    "out_dir": ".",
-    "transforms": "none,rotate,translate,flip,shuffle",
-    "threads": None,
-    "image_index": 0,
+# name -> (type, default, help); a default of None means unset
+_OPTIONS = {
+    "arch": (str, None, "architecture: lenet, base, cnn, or dadm"),
+    "epochs": (int, 10, "training epochs (default 10)"),
+    "batch": (int, 64, "minibatch size (default 64)"),
+    "lr": (float, 0.001, "Adam learning rate (default 0.001)"),
+    "seed": (int, 0, "seed for init, batch order, and transform draws (default 0)"),
+    "bins": (int, 256, "histogram bin count (default 256)"),
+    "bandwidth": (float, 0.001, "KDE bandwidth (default 0.001)"),
+    "data_dir": (str, None, "directory with the MNIST IDX files (or $HISTLEARN_DATA_DIR)"),
+    "out_dir": (str, ".", "where to write artifacts (default .)"),
+    "transforms": (
+        str, "none,rotate,translate,flip,shuffle", "comma list from none,rotate,translate,flip,shuffle"
+    ),
+    "threads": (int, None, "cap BLAS thread pools at N"),
+    "image_index": (int, 0, "test image whose histograms are dumped (default 0)"),
 }
-
-_INT_KEYS = {"epochs", "batch", "seed", "bins", "threads", "image_index"}
-_FLOAT_KEYS = {"lr", "bandwidth"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,74 +72,7 @@ class UsageError(Exception):
     pass
 
 
-_HELP = {
-    "arch": "architecture: lenet, base, cnn, or dadm",
-    "epochs": "training epochs (default 10)",
-    "batch": "minibatch size (default 64)",
-    "lr": "Adam learning rate (default 0.001)",
-    "seed": "seed for init, batch order, and transform draws (default 0)",
-    "bins": "histogram bin count (default 256)",
-    "bandwidth": "KDE bandwidth (default 0.001)",
-    "data_dir": "directory with the MNIST IDX files (or $HISTLEARN_DATA_DIR)",
-    "out_dir": "where to write artifacts (default .)",
-    "transforms": "comma list from none,rotate,translate,flip,shuffle",
-    "threads": "cap BLAS thread pools at N",
-    "image_index": "test image whose histograms are dumped (default 0)",
-}
-
-
-def _add_common(sub, *names):
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        if name in _INT_KEYS:
-            sub.add_argument(flag, type=int, default=_UNSET, help=_HELP[name])
-        elif name in _FLOAT_KEYS:
-            sub.add_argument(flag, type=float, default=_UNSET, help=_HELP[name])
-        else:
-            sub.add_argument(flag, default=_UNSET, help=_HELP[name])
-    sub.add_argument("--config", default=None, help="flat key=value option file")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="histlearn", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fetch", help="download and verify MNIST")
-    _add_common(p, "data_dir", "threads")
-    p.set_defaults(func=_cmd_fetch)
-
-    p = sub.add_parser("train", help="train one architecture")
-    _add_common(
-        p, "arch", "epochs", "batch", "lr", "seed", "bins", "bandwidth", "data_dir", "out_dir", "threads"
-    )
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint under transforms")
-    p.add_argument("checkpoint")
-    _add_common(p, "seed", "data_dir", "out_dir", "transforms", "threads")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("ablation", help="train and evaluate base, cnn, dadm")
-    _add_common(
-        p, "epochs", "batch", "lr", "seed", "bins", "bandwidth", "data_dir", "out_dir", "transforms", "threads"
-    )
-    p.set_defaults(func=_cmd_ablation)
-
-    p = sub.add_parser("report", help="bar-chart data and histogram dumps")
-    p.add_argument("reports_csv")
-    _add_common(p, "seed", "bins", "bandwidth", "data_dir", "out_dir", "image_index", "threads")
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("selftest", help="run the dataset-free property checks")
-    _add_common(p, "threads")
-    p.set_defaults(func=_cmd_selftest)
-
-    return parser
-
-
 def _parse_config_file(path):
-    from .errors import DataFormatError
-
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -148,48 +89,41 @@ def _parse_config_file(path):
             raise UsageError(f"{path}: line {lineno}: expected key=value, got {line!r}")
         if key == "command":
             continue
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}: line {lineno}: unknown option {key!r}")
         value = value.strip()
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = _OPTIONS[key][0](value)
         except ValueError as exc:
             raise UsageError(f"{path}: line {lineno}: bad value for {key}: {value!r}") from exc
     return values
 
 
-def _resolve(args, keys):
-    """flag > config file > environment (data_dir) > default."""
-    from .data import DATA_DIR_ENV
-
-    config_values = {}
-    if getattr(args, "config", None):
-        config_values = _parse_config_file(args.config)
+def _resolve(args, names):
+    """flag > config file > environment (data_dir) > default, for each name."""
+    flags = vars(args)
+    config_values = _parse_config_file(args.config) if args.config else {}
     resolved = {}
-    for key in keys:
-        flag_value = getattr(args, key, _UNSET)
-        if flag_value is not _UNSET and flag_value is not None:
-            resolved[key] = flag_value
-        elif key in config_values:
-            resolved[key] = config_values[key]
-        elif key == "data_dir" and os.environ.get(DATA_DIR_ENV):
-            resolved[key] = os.environ[DATA_DIR_ENV]
+    for name in names:
+        if name in flags:
+            resolved[name] = flags[name]
+        elif name in config_values:
+            resolved[name] = config_values[name]
+        elif name == "data_dir" and os.environ.get(DATA_DIR_ENV):
+            resolved[name] = os.environ[DATA_DIR_ENV]
         else:
-            resolved[key] = _DEFAULTS[key]
+            resolved[name] = _OPTIONS[name][1]
     return resolved
 
 
-def _require_data_dir(resolved):
-    if not resolved.get("data_dir"):
-        raise UsageError(
-            "no data directory given (use --data-dir, a config file, or HISTLEARN_DATA_DIR)"
-        )
-    return resolved["data_dir"]
+def _set_threads(n):
+    if n is None:
+        return
+    if n < 1:
+        raise UsageError(f"--threads must be >= 1, got {n}")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        os.environ[var] = str(n)
 
 
 def _parse_transform_list(text):
@@ -214,17 +148,17 @@ def _write_run_config(out_dir, command, resolved):
     return path
 
 
-def _model_config(resolved, arch):
+def _model_config(opts, arch):
     from .models import ModelConfig
 
     return ModelConfig(
         architecture=arch,
-        epochs=resolved["epochs"],
-        batch_size=resolved["batch"],
-        lr=resolved["lr"],
-        seed=resolved["seed"],
-        n_bins=resolved["bins"],
-        bandwidth=resolved["bandwidth"],
+        epochs=opts["epochs"],
+        batch_size=opts["batch"],
+        lr=opts["lr"],
+        seed=opts["seed"],
+        n_bins=opts["bins"],
+        bandwidth=opts["bandwidth"],
     )
 
 
@@ -242,37 +176,32 @@ def _train_one(cfg, data_dir):
     return model, curve, test_set
 
 
-def _cmd_fetch(args):
+def _print_reports(reports):
+    for r in reports:
+        print(f"{r.model:6s} {r.transform:10s} top1 {r.top1:6.2f}%  drop {r.delta:6.2f}")
+
+
+def _cmd_fetch(opts):
     from .data import fetch_mnist
 
-    resolved = _resolve(args, ["data_dir"])
-    data_dir = _require_data_dir(resolved)
-    paths = fetch_mnist(data_dir)
-    for path in paths:
+    for path in fetch_mnist(opts["data_dir"]):
         print(f"ok {path}")
     return EXIT_OK
 
 
-def _cmd_train(args):
+def _cmd_train(opts):
     from .checkpoint import save_checkpoint
     from .models import evaluate
     from .reports import write_loss_curve
 
-    keys = ["arch", "epochs", "batch", "lr", "seed", "bins", "bandwidth", "data_dir", "out_dir"]
-    resolved = _resolve(args, keys)
-    if not resolved["arch"]:
-        raise UsageError("--arch is required (lenet, base, cnn, or dadm)")
-    data_dir = _require_data_dir(resolved)
-    out_dir = resolved["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-
-    cfg = _model_config(resolved, resolved["arch"])
-    model, curve, test_set = _train_one(cfg, data_dir)
+    out_dir = opts["out_dir"]
+    cfg = _model_config(opts, opts["arch"])
+    model, curve, test_set = _train_one(cfg, opts["data_dir"])
 
     ckpt_path = os.path.join(out_dir, f"model_{cfg.architecture}.ckpt")
     save_checkpoint(model, cfg, ckpt_path)
     write_loss_curve(os.path.join(out_dir, "loss_curve.csv"), curve)
-    _write_run_config(out_dir, "train", resolved)
+    _write_run_config(out_dir, "train", opts)
 
     report = evaluate(model, test_set, ["none"])[0]
     print(f"checkpoint: {ckpt_path}")
@@ -280,110 +209,89 @@ def _cmd_train(args):
     return EXIT_OK
 
 
-def _cmd_eval(args):
+def _cmd_eval(opts):
     from .checkpoint import load_checkpoint
     from .data import load_mnist
     from .models import evaluate
     from .reports import write_eval_reports
 
-    keys = ["seed", "data_dir", "out_dir", "transforms"]
-    resolved = _resolve(args, keys)
-    data_dir = _require_data_dir(resolved)
-    out_dir = resolved["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    kinds = _parse_transform_list(resolved["transforms"])
+    kinds = _parse_transform_list(opts["transforms"])
+    if not os.path.isfile(opts["checkpoint"]):
+        raise DataFormatError(f"checkpoint not found: {opts['checkpoint']}")
+    test_set = load_mnist(opts["data_dir"], "test")
+    model, cfg = load_checkpoint(opts["checkpoint"])
+    reports = evaluate(model, test_set, kinds, seed=opts["seed"])
 
-    if not os.path.isfile(args.checkpoint):
-        from .errors import DataFormatError
-
-        raise DataFormatError(f"checkpoint not found: {args.checkpoint}")
-    test_set = load_mnist(data_dir, "test")
-    model, cfg = load_checkpoint(args.checkpoint)
-    reports = evaluate(model, test_set, kinds, seed=resolved["seed"])
-
-    path = os.path.join(out_dir, "reports.csv")
+    path = os.path.join(opts["out_dir"], "reports.csv")
     meta = {
         "model": model.architecture,
-        "checkpoint": args.checkpoint,
-        "eval_seed": resolved["seed"],
+        "checkpoint": opts["checkpoint"],
+        "eval_seed": opts["seed"],
     }
     write_eval_reports(path, reports, meta)
-    resolved["checkpoint"] = args.checkpoint
-    _write_run_config(out_dir, "eval", resolved)
-    for r in reports:
-        print(f"{r.model:6s} {r.transform:10s} top1 {r.top1:6.2f}%  drop {r.delta:6.2f}")
+    _write_run_config(opts["out_dir"], "eval", opts)
+    _print_reports(reports)
     print(f"report: {path}")
     return EXIT_OK
 
 
-def _cmd_ablation(args):
+def _cmd_ablation(opts):
     from .checkpoint import save_checkpoint
     from .models import evaluate
     from .reports import write_eval_reports, write_loss_curve
 
-    keys = ["epochs", "batch", "lr", "seed", "bins", "bandwidth", "data_dir", "out_dir", "transforms"]
-    resolved = _resolve(args, keys)
-    data_dir = _require_data_dir(resolved)
-    out_dir = resolved["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    kinds = _parse_transform_list(resolved["transforms"])
+    out_dir = opts["out_dir"]
+    kinds = _parse_transform_list(opts["transforms"])
 
     all_reports = []
     for arch in ("base", "cnn", "dadm"):
-        cfg = _model_config(resolved, arch)
-        model, curve, test_set = _train_one(cfg, data_dir)
+        cfg = _model_config(opts, arch)
+        model, curve, test_set = _train_one(cfg, opts["data_dir"])
         save_checkpoint(model, cfg, os.path.join(out_dir, f"model_{arch}.ckpt"))
         write_loss_curve(os.path.join(out_dir, f"loss_curve_{arch}.csv"), curve)
-        reports = evaluate(model, test_set, kinds, seed=resolved["seed"])
-        for r in reports:
-            print(f"{r.model:6s} {r.transform:10s} top1 {r.top1:6.2f}%  drop {r.delta:6.2f}")
+        reports = evaluate(model, test_set, kinds, seed=opts["seed"])
+        _print_reports(reports)
         all_reports.extend(reports)
 
     path = os.path.join(out_dir, "ablation.csv")
-    write_eval_reports(path, all_reports, {"eval_seed": resolved["seed"]})
-    _write_run_config(out_dir, "ablation", resolved)
+    write_eval_reports(path, all_reports, {"eval_seed": opts["seed"]})
+    _write_run_config(out_dir, "ablation", opts)
     print(f"report: {path}")
     return EXIT_OK
 
 
-def _cmd_report(args):
+def _cmd_report(opts):
     from .data import load_mnist
     from .histogram import HistogramSpec, kde_histogram
     from .reports import read_eval_reports, write_bar_chart, write_histogram_dump
     from .transforms import TRANSFORM_KINDS, TransformSpec, transform_image
 
-    keys = ["seed", "bins", "bandwidth", "data_dir", "out_dir", "image_index"]
-    resolved = _resolve(args, keys)
-    data_dir = _require_data_dir(resolved)
-    out_dir = resolved["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-
-    reports, _ = read_eval_reports(args.reports_csv)
+    out_dir = opts["out_dir"]
+    reports, _ = read_eval_reports(opts["reports_csv"])
     bar_path = os.path.join(out_dir, "bar_chart.csv")
     write_bar_chart(bar_path, reports)
     print(f"bar chart data: {bar_path} ({len(reports)} rows)")
 
-    test_set = load_mnist(data_dir, "test")
-    index = resolved["image_index"]
+    test_set = load_mnist(opts["data_dir"], "test")
+    index = opts["image_index"]
     if not 0 <= index < test_set.count:
         raise UsageError(f"--image-index {index} outside dataset (count {test_set.count})")
-    spec = HistogramSpec(n_bins=resolved["bins"], bandwidth=resolved["bandwidth"])
+    spec = HistogramSpec(n_bins=opts["bins"], bandwidth=opts["bandwidth"])
     for kind in TRANSFORM_KINDS:
         # keyed by the image's position in the test set, matching the
         # streams `eval` uses for the same seed
-        tspec = TransformSpec(kind, rng_seed=resolved["seed"])
+        tspec = TransformSpec(kind, rng_seed=opts["seed"])
         image = transform_image(test_set.pixels[index], index, tspec)
         name = "original" if kind == "none" else kind
         dump_path = os.path.join(out_dir, f"hist_{name}.csv")
         write_histogram_dump(dump_path, spec.centers, kde_histogram(image[None], spec)[0])
         print(f"histogram dump: {dump_path}")
 
-    resolved["reports_csv"] = args.reports_csv
-    _write_run_config(out_dir, "report", resolved)
+    _write_run_config(out_dir, "report", opts)
     return EXIT_OK
 
 
-def _cmd_selftest(args):
+def _cmd_selftest(opts):
     from .selftest import run_all
 
     results = run_all()
@@ -398,54 +306,78 @@ def _cmd_selftest(args):
     return EXIT_OK
 
 
-def _configure_threads(args):
-    n = None
-    if getattr(args, "threads", _UNSET) not in (_UNSET, None):
-        n = args.threads
-    elif getattr(args, "config", None):
-        # the config file is parsed before any numeric module loads, so a
-        # threads= line there still takes effect
-        n = _parse_config_file(args.config).get("threads")
-    if n is None:
-        return
-    if n < 1:
-        raise UsageError(f"--threads must be >= 1, got {n}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ[var] = str(n)
+# name -> (function, help, positional arguments, options besides --threads and --config)
+_COMMANDS = {
+    "fetch": (_cmd_fetch, "download and verify MNIST", (), ("data_dir",)),
+    "train": (
+        _cmd_train, "train one architecture", (),
+        ("arch", "epochs", "batch", "lr", "seed", "bins", "bandwidth", "data_dir", "out_dir"),
+    ),
+    "eval": (
+        _cmd_eval, "evaluate a checkpoint under transforms", ("checkpoint",),
+        ("seed", "data_dir", "out_dir", "transforms"),
+    ),
+    "ablation": (
+        _cmd_ablation, "train and evaluate base, cnn, dadm", (),
+        ("epochs", "batch", "lr", "seed", "bins", "bandwidth", "data_dir", "out_dir", "transforms"),
+    ),
+    "report": (
+        _cmd_report, "bar-chart data and histogram dumps", ("reports_csv",),
+        ("seed", "bins", "bandwidth", "data_dir", "out_dir", "image_index"),
+    ),
+    "selftest": (_cmd_selftest, "run the dataset-free property checks", (), ()),
+}
+
+
+def _names(command):
+    """The names ``command`` resolves: positionals, options, then threads."""
+    _, _, positionals, options = _COMMANDS[command]
+    return (*positionals, *options, "threads")
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="histlearn", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_text, positionals, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in _names(command):
+            if name in positionals:
+                p.add_argument(name)
+                continue
+            kind, _, option_help = _OPTIONS[name]
+            p.add_argument("--" + name.replace("_", "-"), type=kind, default=argparse.SUPPRESS,
+                           help=option_help)
+        p.add_argument("--config", default=None, help="flat key=value option file")
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        _configure_threads(args)
-        return args.func(args)
-    except UsageError as exc:
+        opts = _resolve(args, _names(args.command))
+        # before the command imports any numeric module
+        _set_threads(opts["threads"])
+        if "arch" in opts and not opts["arch"]:
+            raise UsageError("--arch is required (lenet, base, cnn, or dadm)")
+        if "data_dir" in opts and not opts["data_dir"]:
+            raise UsageError(
+                "no data directory given (use --data-dir, a config file, or HISTLEARN_DATA_DIR)"
+            )
+        if "out_dir" in opts:
+            os.makedirs(opts["out_dir"], exist_ok=True)
+        return _COMMANDS[args.command][0](opts)
+    except (UsageError, ValueError, ShapeError) as exc:
         print(f"histlearn: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError,) as exc:
-        print(f"histlearn: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, DataFormatError) as exc:
         print(f"histlearn: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except Exception as exc:
-        from .errors import DataFormatError, NonFiniteError, ShapeError
-
-        if isinstance(exc, DataFormatError):
-            print(f"histlearn: data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        if isinstance(exc, (NonFiniteError,)):
-            print(f"histlearn: numeric check failed: {exc}", file=sys.stderr)
-            return EXIT_CHECK
-        if isinstance(exc, ShapeError):
-            print(f"histlearn: error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        raise
+    except NonFiniteError as exc:
+        print(f"histlearn: numeric check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK
 
 
 if __name__ == "__main__":

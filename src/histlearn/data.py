@@ -14,10 +14,12 @@ import hashlib
 import os
 import struct
 import urllib.request
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cli import DATA_DIR_ENV  # noqa: F401 - re-exported for callers of this module
 from .errors import DataFormatError
 
 IMAGE_MAGIC = 0x00000803
@@ -36,18 +38,18 @@ MNIST_MIRRORS = (
     "https://storage.googleapis.com/cvdf-datasets/mnist/",
 )
 
-DATA_DIR_ENV = "HISTLEARN_DATA_DIR"
-
 IMAGE_SHAPE = (28, 28)  # the input every architecture is built for
 
 
 def _read_file(path) -> bytes:
     with open(path, "rb") as fh:
-        head = fh.read(2)
-        fh.seek(0)
-        if head == b"\x1f\x8b":
-            return gzip.decompress(fh.read())
-        return fh.read()
+        payload = fh.read()
+    if payload[:2] != b"\x1f\x8b":
+        return payload
+    try:
+        return gzip.decompress(payload)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise DataFormatError(f"{path}: corrupt gzip data: {exc}") from exc
 
 
 def load_idx(images_path, labels_path):
@@ -55,8 +57,8 @@ def load_idx(images_path, labels_path):
 
     Returns ``(images, labels)`` with images uint8 of shape (count, H, W)
     and labels uint8 of shape (count,).  Raises :class:`DataFormatError`
-    for bad magic numbers, truncated payloads, or image/label count
-    mismatches, each with a distinct message.
+    for corrupt gzip data, bad magic numbers, truncated payloads, or
+    image/label count mismatches, each with a distinct message.
     """
     img_bytes = _read_file(images_path)
     if len(img_bytes) < 16:
@@ -148,8 +150,8 @@ class ImageSet:
 def load_mnist(data_dir, split="train") -> ImageSet:
     """Load one MNIST split from a directory holding the standard IDX files.
 
-    Images that are not 28x28 raise :class:`DataFormatError` naming the
-    file, before any model sees them.
+    A split with no images, or with images that are not 28x28, raises
+    :class:`DataFormatError` naming the file, before any model sees it.
     """
     if split == "train":
         images, labels = "train-images-idx3-ubyte", "train-labels-idx1-ubyte"
@@ -159,6 +161,8 @@ def load_mnist(data_dir, split="train") -> ImageSet:
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     images = os.path.join(data_dir, images)
     image_set = ImageSet.from_idx_files(images, os.path.join(data_dir, labels))
+    if image_set.count == 0:
+        raise DataFormatError(f"{images}: holds no images")
     if image_set.pixels.shape[1:] != IMAGE_SHAPE:
         height, width = image_set.pixels.shape[1:]
         raise DataFormatError(

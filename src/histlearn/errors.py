@@ -15,7 +15,7 @@ class ShapeError(HistlearnError):
 
 
 class DataFormatError(HistlearnError):
-    """A file (IDX, CSV, checkpoint, cache) is malformed or fails verification."""
+    """A file (IDX, CSV, checkpoint) is malformed or fails verification."""
 
 
 class NonFiniteError(HistlearnError):

@@ -51,7 +51,9 @@ def _read_lines(path):
     return meta, rows
 
 
-def _check_header(path, rows, expected):
+def _records(path, rows, expected):
+    """Yield ``(lineno, cells)`` for each row under the header ``expected``,
+    checking the header first and each row's field count as it comes."""
     if not rows:
         raise DataFormatError(f"{path}: empty CSV")
     lineno, header = rows[0]
@@ -59,7 +61,12 @@ def _check_header(path, rows, expected):
         raise DataFormatError(
             f"{path}: line {lineno}: header {header} does not match expected {expected}"
         )
-    return rows[1:]
+    for lineno, cells in rows[1:]:
+        if len(cells) != len(expected):
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected {len(expected)} fields, got {len(cells)}"
+            )
+        yield lineno, cells
 
 
 def _parse_number(path, lineno, text, kind=float):
@@ -83,13 +90,8 @@ def write_eval_reports(path, reports, meta=None):
 def read_eval_reports(path):
     """Returns ``(reports, meta)``; inverse of :func:`write_eval_reports`."""
     meta, rows = _read_lines(path)
-    rows = _check_header(path, rows, EVAL_HEADER)
     reports = []
-    for lineno, cells in rows:
-        if len(cells) != len(EVAL_HEADER):
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected {len(EVAL_HEADER)} fields, got {len(cells)}"
-            )
+    for lineno, cells in _records(path, rows, EVAL_HEADER):
         reports.append(
             EvalReport(
                 model=cells[0],
@@ -113,11 +115,8 @@ def write_loss_curve(path, curve, meta=None):
 
 def read_loss_curve(path):
     meta, rows = _read_lines(path)
-    rows = _check_header(path, rows, CURVE_HEADER)
     curve = []
-    for lineno, cells in rows:
-        if len(cells) != 3:
-            raise DataFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(cells)}")
+    for lineno, cells in _records(path, rows, CURVE_HEADER):
         curve.append(
             EpochStats(
                 epoch=_parse_number(path, lineno, cells[0], int),
@@ -138,11 +137,8 @@ def write_bar_chart(path, reports):
 
 def read_bar_chart(path):
     _, rows = _read_lines(path)
-    rows = _check_header(path, rows, BAR_HEADER)
     out = []
-    for lineno, cells in rows:
-        if len(cells) != 3:
-            raise DataFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(cells)}")
+    for lineno, cells in _records(path, rows, BAR_HEADER):
         out.append((cells[0], cells[1], _parse_number(path, lineno, cells[2])))
     return out
 
@@ -158,12 +154,9 @@ def write_histogram_dump(path, centers, masses):
 
 def read_histogram_dump(path):
     _, rows = _read_lines(path)
-    rows = _check_header(path, rows, HIST_HEADER)
     centers = []
     masses = []
-    for lineno, cells in rows:
-        if len(cells) != 2:
-            raise DataFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(cells)}")
+    for lineno, cells in _records(path, rows, HIST_HEADER):
         centers.append(_parse_number(path, lineno, cells[0]))
         masses.append(_parse_number(path, lineno, cells[1]))
     return np.array(centers), np.array(masses)

@@ -1,12 +1,16 @@
 """CLI surface: commands, option resolution, exit codes, reproducibility."""
 
 import gzip
+import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import histlearn
 from conftest import write_idx_pair
 from histlearn import cli, selftest
 from histlearn.checkpoint import save_checkpoint
@@ -48,6 +52,45 @@ class TestSelftestCommand:
         assert run("selftest", "--threads", "0") == 1
 
 
+# Records the thread variables at the moment numpy is first imported, then
+# runs the CLI with the argv it is given and prints both as JSON.
+_NUMPY_IMPORT_PROBE = """
+import json, os, sys
+
+seen = {}
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((v, os.environ.get(v)) for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Probe())
+from histlearn import cli
+print(json.dumps({"code": cli.main(sys.argv[1:]), "seen": seen}))
+"""
+
+
+class TestThreadVariables:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_set_before_numpy_loads(self, source, tmp_path):
+        # a raw file of the wrong size makes fetch exit 2 before any download
+        (tmp_path / "train-images-idx3-ubyte").write_bytes(b"tiny")
+        argv = ["fetch", "--data-dir", str(tmp_path)]
+        if source == "flag":
+            argv += ["--threads", "2"]
+        else:
+            (tmp_path / "threads.cfg").write_text("threads=2\n")
+            argv += ["--config", str(tmp_path / "threads.cfg")]
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(histlearn.__file__))
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_PROBE, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["code"] == 2
+        assert result["seen"] == {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2"}
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert run() == 1
@@ -82,21 +125,38 @@ class TestUsageErrors:
         assert run("train", "--arch", "base", "--out-dir", str(tmp_path)) == 1
 
 
-@pytest.fixture
-def wrong_size_data_dir(tmp_path):
-    """An MNIST-shaped data directory whose images are 32x32."""
-    directory = str(tmp_path / "data32")
+def _bad_data_dir(directory, side=28, counts=(64, 32), gzip_cut=False):
+    """An MNIST-shaped data directory; ``gzip_cut`` stores each file gzipped
+    and cut to half its length."""
     rng = np.random.default_rng(12)
-    for prefix, count in (("train", 64), ("t10k", 32)):
-        images = rng.integers(0, 256, (count, 32, 32)).astype(np.uint8)
-        write_idx_pair(directory, images, rng.integers(0, 10, count).astype(np.uint8), prefix)
+    for prefix, count in zip(("train", "t10k"), counts):
+        images = rng.integers(0, 256, (count, side, side)).astype(np.uint8)
+        paths = write_idx_pair(directory, images, rng.integers(0, 10, count).astype(np.uint8), prefix)
+        if gzip_cut:
+            for path in paths:
+                blob = gzip.compress(open(path, "rb").read())
+                with open(path, "wb") as fh:
+                    fh.write(blob[: len(blob) // 2])
     return directory
 
 
+# id suffix, options of _bad_data_dir, what stderr says besides the file name
+BAD_DATA = [
+    ("", {"side": 32}, "32x32"),
+    ("-empty", {"counts": (0, 0)}, "no images"),
+    ("-gzip-cut", {"gzip_cut": True}, "corrupt gzip"),
+]
+
+
 class TestWrongImageSize:
-    @pytest.mark.parametrize("command", ["lenet", "base", "cnn", "dadm", "eval"])
-    def test_exits_2_naming_file_and_shape(self, command, wrong_size_data_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("command, options, message", [
+        pytest.param(command, options, message, id=command + suffix)
+        for suffix, options, message in BAD_DATA
+        for command in ["lenet", "base", "cnn", "dadm", "eval"]
+    ])
+    def test_exits_2_naming_file_and_shape(self, command, options, message, tmp_path, capsys):
         # refused as a data error when loaded, before any model sees an image
+        data_dir = _bad_data_dir(str(tmp_path / "data"), **options)
         if command == "eval":
             cfg = ModelConfig("base")
             ckpt = str(tmp_path / "model_base.ckpt")
@@ -104,10 +164,10 @@ class TestWrongImageSize:
             argv, name = ["eval", ckpt], "t10k-images-idx3-ubyte"
         else:
             argv, name = ["train", "--arch", command, *TRAIN_ARGS], "train-images-idx3-ubyte"
-        code = run(*argv, "--data-dir", wrong_size_data_dir, "--out-dir", str(tmp_path / "out"))
+        code = run(*argv, "--data-dir", data_dir, "--out-dir", str(tmp_path / "out"))
         assert code == 2
         err = capsys.readouterr().err
-        assert name in err and "32x32" in err
+        assert name in err and message in err
 
 
 class TestFetchCommand:

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gzip_file, make_imageset, to_bytes_images, write_idx_pair
 from histlearn.data import (
@@ -70,6 +72,37 @@ class TestLoadIdx:
         with pytest.raises(DataFormatError) as err:
             load_idx(img_path, str(lbl))
         assert "3" in str(err.value) and "2" in str(err.value)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    gzipped=st.booleans(),
+    which=st.sampled_from([0, 1]),
+    flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)), min_size=1, max_size=4),
+    cut=st.none() | st.integers(min_value=0),
+)
+def test_corrupted_idx_loads_or_raises_data_format_error(tmp_path_factory, gzipped, which, flips, cut):
+    # flip (xor) 1-4 bytes of a valid image or label file, raw or gzipped,
+    # or truncate it instead: load_idx either loads the result or rejects it
+    # as a data error, never with another exception
+    directory = tmp_path_factory.mktemp("fuzz")
+    images = (np.arange(3 * 28 * 28) % 256).astype(np.uint8).reshape(3, 28, 28)
+    paths = write_idx_pair(directory, images, np.array([1, 7, 0], dtype=np.uint8), "train")
+    if gzipped:
+        paths = tuple(gzip_file(path) for path in paths)
+    with open(paths[which], "rb") as fh:
+        data = bytearray(fh.read())
+    if cut is None:
+        for position, mask in flips:
+            data[position % len(data)] ^= mask
+    else:
+        data = data[: cut % len(data)]
+    with open(paths[which], "wb") as fh:
+        fh.write(bytes(data))
+    try:
+        load_idx(*paths)
+    except DataFormatError:
+        pass
 
 
 class TestNormalize:

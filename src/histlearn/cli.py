@@ -139,12 +139,17 @@ def _parse_transform_list(text):
 
 
 def _write_run_config(out_dir, command, resolved):
+    """Write the resolved options as a ``--config`` file.  Positional
+    arguments are not options, so they go in as ``# name=value`` comments:
+    the file replays with the same positionals on the command line."""
+    positionals = _COMMANDS[command][2]
     path = os.path.join(out_dir, "run_config.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"command={command}\n")
         for key in sorted(resolved):
             if resolved[key] is not None:
-                fh.write(f"{key}={resolved[key]}\n")
+                prefix = "# " if key in positionals else ""
+                fh.write(f"{prefix}{key}={resolved[key]}\n")
     return path
 
 

@@ -125,7 +125,8 @@ class ArithmeticDistributionLayer:
 
     The forward pass folds the current kernels into :func:`product_matrix`
     and :func:`sum_matrix` and applies both to the batch; the backward pass
-    is their exact adjoint, plain matmuls plus one gather per kernel.
+    is their exact adjoint, plain matmuls plus one gather per kernel, and
+    writes both kernel gradients.
     """
 
     def __init__(self, spec: HistogramSpec, kernel: DistributionKernel, name="arith"):
@@ -158,8 +159,8 @@ class ArithmeticDistributionLayer:
         maps = _index_maps(n)
         # d loss / d bias[i] = sum_{batch, m} g[., k(i,m)] * f_y[., m]
         corr_b = g.T @ self._fy
-        self.bias_hist.grad += corr_b.ravel()[maps["sum_flat"]].reshape(n, n).sum(axis=1)
+        np.sum(corr_b.ravel()[maps["sum_flat"]].reshape(n, n), axis=1, out=self.bias_hist.grad)
         g_y = g @ self._mb
         corr_w = g_y.T @ self._fx
-        self.weight_hist.grad += corr_w.ravel()[maps["prod_flat"]].reshape(n, n).sum(axis=1)
+        np.sum(corr_w.ravel()[maps["prod_flat"]].reshape(n, n), axis=1, out=self.weight_hist.grad)
         return g_y @ self._mw if input_grad else None

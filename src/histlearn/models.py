@@ -27,7 +27,7 @@ from .distlayers import ArithmeticDistributionLayer, init_kernel
 from .errors import NonFiniteError, ShapeError
 from .histogram import HistogramSpec, kde_histogram, kde_histogram_backward
 from .nn import Adam, Conv2d, Flatten, Linear, MaxPool2d, ReLU, log_softmax_nll
-from .transforms import TransformSpec, apply_transform
+from .transforms import TransformSpec, apply_transforms
 
 ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 
@@ -116,7 +116,7 @@ class Model:
         return x
 
     def backward(self, grad, stop=0, input_grad=True):
-        """Backpropagate ``grad`` through ``layers[stop:]``, accumulating
+        """Backpropagate ``grad`` through ``layers[stop:]``, setting
         every parameter gradient, and return the gradient with respect to
         the input of ``layers[stop]``.
 
@@ -301,17 +301,16 @@ def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     The original images are predicted once: their accuracy is every
     report's reference for ``delta`` (so ``none`` reads 0), and their
     predictions are the ``none`` report's.  Each other kind predicts
-    ``apply_transform(test_set, TransformSpec(kind, rng_seed=seed))``.
+    ``apply_transform(test_set, TransformSpec(kind, rng_seed=seed))``,
+    built by :func:`~histlearn.transforms.apply_transforms`, which seeds
+    each image's stream once for the whole battery.
     """
     specs = [TransformSpec(kind, rng_seed=seed) for kind in kinds]
     original = predict(model, test_set)
     original_top1, _ = accuracy_breakdown(original, test_set.labels)
     reports = []
-    for tspec in specs:
-        if tspec.kind == "none":
-            preds = original
-        else:
-            preds = predict(model, apply_transform(test_set, tspec))
+    for tspec, transformed in zip(specs, apply_transforms(test_set, specs)):
+        preds = original if tspec.kind == "none" else predict(model, transformed)
         top1, per_class = accuracy_breakdown(preds, test_set.labels)
         reports.append(
             EvalReport(model.architecture, tspec.kind, top1, per_class, original_top1 - top1)

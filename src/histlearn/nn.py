@@ -1,11 +1,12 @@
 """Dense-tensor layers with hand-written backward passes, plus Adam.
 
 There is no autograd here.  Every layer caches what its backward pass
-needs during ``forward`` and exposes an explicit ``backward`` that
-accumulates parameter gradients and returns the gradient with respect to
-its input.  A layer with parameters takes ``input_grad=False`` to skip
-that input gradient when nobody reads it (the first trained layer of a
-model) and return ``None``; its parameter gradients are the same bits.
+needs during ``forward`` and exposes an explicit ``backward`` that sets
+each parameter gradient (it writes ``Parameter.grad`` rather than adding
+to it) and returns the gradient with respect to its input.  A layer with
+parameters takes ``input_grad=False`` to skip that input gradient when
+nobody reads it (the first trained layer of a model) and return ``None``;
+its parameter gradients are the same bits.
 All math is float64 and every layer takes batches only: the leading
 dimension is the batch, and a single sample is a batch of one.
 An input of the wrong rank is a ``ShapeError``, never reinterpreted.
@@ -20,7 +21,7 @@ from .errors import NonFiniteError, ShapeError
 
 
 class Parameter:
-    """A learnable tensor and its gradient accumulator."""
+    """A learnable tensor and the gradient its layer's last backward wrote."""
 
     def __init__(self, value, name: str = "param"):
         self.value = np.array(value, dtype=np.float64)
@@ -67,8 +68,8 @@ class Linear:
 
     def backward(self, grad, input_grad=True):
         g = np.asarray(grad, dtype=np.float64)
-        self.weight.grad += g.T @ self._x
-        self.bias.grad += g.sum(axis=0)
+        np.matmul(g.T, self._x, out=self.weight.grad)
+        np.sum(g, axis=0, out=self.bias.grad)
         return g @ self.weight.value if input_grad else None
 
 
@@ -134,10 +135,9 @@ class Conv2d:
         g = np.asarray(grad, dtype=np.float64)
         b, k, oh, ow = g.shape
         g3 = g.reshape(b, k, oh * ow)
-        self.weight.grad += (g3 @ self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(
-            self.weight.value.shape
-        )
-        self.bias.grad += g3.sum(axis=(0, 2))
+        per_sample = (g3 @ self._cols.transpose(0, 2, 1)).reshape(b, *self.weight.grad.shape)
+        np.sum(per_sample, axis=0, out=self.weight.grad)
+        np.sum(g3, axis=(0, 2), out=self.bias.grad)
         if not input_grad:
             return None
         kh, kw = self.kernel_h, self.kernel_w
@@ -159,7 +159,10 @@ class MaxPool2d:
     The four window taps are the strided views ``x[:, :, i::2, j::2]``.
     Backward routes the upstream gradient to the first maximal tap of each
     window in row-major scan order, which keeps the pass deterministic on
-    plateaus.
+    plateaus.  ``forward`` records that tap as one ``uint8`` code per
+    window, ``ne0 * (1 + ne1 * (1 + ne2))`` with ``ne_k = t_k != max``:
+    the index of the first tap equal to the max, and 3 when none is, as in
+    a window holding NaN.
     """
 
     window = 2
@@ -177,7 +180,8 @@ class MaxPool2d:
             raise ShapeError(f"maxpool2d: spatial dims must be even, got {h}x{w}")
         t0, t1, t2, t3 = (x[:, :, i::2, j::2] for i, j in self._TAPS)
         out = np.maximum(np.maximum(t0, t1), np.maximum(t2, t3))
-        self._argmax = np.where(t0 == out, 0, np.where(t1 == out, 1, np.where(t2 == out, 2, 3)))
+        ne0, ne1, ne2 = (t != out for t in (t0, t1, t2))
+        self._code = ne0 * (1 + ne1 * (1 + ne2.view(np.uint8)))
         self._in_shape = x.shape
         return out
 
@@ -185,7 +189,7 @@ class MaxPool2d:
         g = np.asarray(grad, dtype=np.float64)
         dx = np.empty(self._in_shape)
         for tap, (i, j) in enumerate(self._TAPS):
-            np.multiply(g, self._argmax == tap, out=dx[:, :, i::2, j::2])
+            np.multiply(g, self._code == tap, out=dx[:, :, i::2, j::2])
         return dx
 
 

@@ -6,13 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+import urllib.error
 
 import numpy as np
 import pytest
 
 import histlearn
 from conftest import write_idx_pair
-from histlearn import cli, selftest
+from histlearn import cli, data, selftest
 from histlearn.checkpoint import save_checkpoint
 from histlearn.data import DATA_DIR_ENV
 from histlearn.models import ModelConfig, build_model
@@ -176,9 +177,13 @@ class TestFetchCommand:
         (tmp_path / "train-images-idx3-ubyte.gz").write_bytes(gzip.compress(b"not mnist"))
         assert run("fetch", "--data-dir", str(tmp_path)) == 2
 
-    def test_unreachable_mirrors_exit_2(self, tmp_path):
-        # no network in the test environment: the download path reports a
-        # data error rather than hanging or crashing
+    def test_unreachable_mirrors_exit_2(self, tmp_path, monkeypatch):
+        # every mirror unreachable: the download path reports a data error
+        # rather than hanging or crashing; no real connection is attempted
+        def unreachable(url):
+            raise urllib.error.URLError(f"unreachable: {url}")
+
+        monkeypatch.setattr(data, "_default_download", unreachable)
         assert run("fetch", "--data-dir", str(tmp_path)) == 2
 
 
@@ -234,17 +239,32 @@ class TestTrainCommand:
         config.write_text("arch=base\nwarp_speed=9\n")
         assert run("train", "--config", str(config), "--data-dir", synth_data_dir) == 1
 
-    def test_resolved_config_reproduces_run(self, synth_data_dir, tmp_path):
+    @pytest.mark.parametrize("command", ["train", "eval", "report"])
+    def test_resolved_config_reproduces_run(self, command, synth_data_dir, tmp_path, request):
+        # run_config.txt fed back through --config, with the same positional
+        # argument, reproduces every output byte for byte
+        data_args = ["--data-dir", synth_data_dir]
+        if command == "train":
+            positional, options = [], ["--arch", "base", *data_args, *TRAIN_ARGS]
+        else:
+            positional = [request.getfixturevalue("trained_checkpoint")]
+            options = [*data_args, "--seed", "4"]
+            if command == "report":
+                eval_dir = str(tmp_path / "eval")
+                assert run("eval", *positional, *options, "--out-dir", eval_dir) == 0
+                positional = [os.path.join(eval_dir, "reports.csv")]
         out_dir = tmp_path / "run"
-        assert run("train", "--arch", "base", "--data-dir", synth_data_dir,
-                   "--out-dir", str(out_dir), *TRAIN_ARGS) == 0
-        first = (out_dir / "loss_curve.csv").read_bytes()
-        saved = out_dir / "run_config.txt"
+        assert run(command, *positional, *options, "--out-dir", str(out_dir)) == 0
+        first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        saved = (out_dir / "run_config.txt").read_text()
+        if command != "train":
+            key = "checkpoint" if command == "eval" else "reports_csv"
+            assert f"# {key}={positional[0]}\n" in saved
         rerun_cfg = tmp_path / "replay.cfg"
-        rerun_cfg.write_text(saved.read_text())
+        rerun_cfg.write_text(saved)
         shutil.rmtree(out_dir)
-        assert run("train", "--config", str(rerun_cfg)) == 0
-        assert (out_dir / "loss_curve.csv").read_bytes() == first
+        assert run(command, *positional, "--config", str(rerun_cfg)) == 0
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_imageset
-from histlearn import models, nn
+from histlearn import models, nn, transforms
 from histlearn.errors import NonFiniteError
 from histlearn.histogram import kde_histogram, kde_histogram_backward
 from histlearn.transforms import TransformSpec, apply_transform
@@ -328,6 +328,15 @@ class TestEvaluate:
         [report] = models.evaluate(self.model, self.test_set, ["none"])
         assert report.delta == 0.0
         assert report.transform == "none"
+
+    def test_none_only_seeds_no_stream(self, monkeypatch):
+        # train's final test pass asks for none alone
+        def unexpected(seed, indices):
+            raise AssertionError("seeded a transform stream")
+
+        monkeypatch.setattr(transforms, "_stream_states", unexpected)
+        [report] = models.evaluate(self.model, self.test_set, ["none"])
+        assert report.delta == 0.0
 
     def test_overall_is_support_weighted_mean(self):
         [report] = models.evaluate(self.model, self.test_set, ["none"])

@@ -228,6 +228,24 @@ class TestInputGradOff:
             assert np.array_equal(p.grad, want), p.name
 
 
+class TestBackwardSetsGradients:
+    """A second ``backward`` with the same inputs writes the same parameter
+    gradients: backward sets them, it does not add to them."""
+
+    @pytest.mark.parametrize("name", ["linear", "conv-c1", "conv-c6", "arith"])
+    def test_second_backward_leaves_grads_bitwise_equal(self, name):
+        rng = np.random.default_rng(25)
+        layer, x = TestInputGradOff._layer_and_input(name, rng)
+        out = layer.forward(x)
+        g = rng.standard_normal(out.shape)
+        layer.backward(g)
+        once = [p.grad.copy() for p in layer.params()]
+        assert all(np.any(want != 0) for want in once)
+        layer.backward(g)
+        for p, want in zip(layer.params(), once):
+            assert np.array_equal(p.grad.view(np.uint64), want.view(np.uint64)), p.name
+
+
 class TestMaxPool2d:
     def test_output_shape(self):
         layer = nn.MaxPool2d()
@@ -267,6 +285,43 @@ class TestMaxPool2d:
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
             nn.MaxPool2d().forward(np.zeros((1, 1, 5, 4)))
+
+    @staticmethod
+    def _where_routing(x, g):
+        """Max and dx through int64 nested-``np.where`` routing, the form
+        the one-byte code replaced."""
+        t0, t1, t2, t3 = (x[:, :, i::2, j::2] for i, j in nn.MaxPool2d._TAPS)
+        out = np.maximum(np.maximum(t0, t1), np.maximum(t2, t3))
+        argmax = np.where(t0 == out, 0, np.where(t1 == out, 1, np.where(t2 == out, 2, 3)))
+        dx = np.empty(x.shape)
+        for tap, (i, j) in enumerate(nn.MaxPool2d._TAPS):
+            np.multiply(g, argmax == tap, out=dx[:, :, i::2, j::2])
+        return out, dx
+
+    @pytest.mark.parametrize("case", ["ties", "signed-zeros", "nan", "random"])
+    def test_one_byte_routing_matches_where_routing_bitwise(self, case):
+        rng = np.random.default_rng(30)
+        if case == "ties":
+            x = rng.integers(0, 2, size=(6, 3, 8, 8)).astype(float)
+        elif case == "signed-zeros":
+            x = rng.choice([0.0, -0.0, -1.0], size=(6, 3, 8, 8))
+        elif case == "nan":
+            x = rng.standard_normal((6, 3, 8, 8))
+            x[rng.random(x.shape) < 0.1] = np.nan
+        else:
+            x = rng.standard_normal((64, 6, 24, 24))
+        g = rng.standard_normal((x.shape[0], x.shape[1], x.shape[2] // 2, x.shape[3] // 2))
+        layer = nn.MaxPool2d()
+        out = layer.forward(x)
+        dx = layer.backward(g)
+        assert layer._code.dtype == np.uint8 and layer._code.shape == out.shape
+        ref_out, ref_dx = self._where_routing(x, g)
+        # compared as bits: sign of zero and NaN payloads included
+        assert np.array_equal(out.view(np.uint64), ref_out.view(np.uint64))
+        assert np.array_equal(dx.view(np.uint64), ref_dx.view(np.uint64))
+        if case == "nan":
+            windows = np.isnan(out)
+            assert windows.any() and np.all(layer._code[windows] == 3)
 
 
 class TestReLU:

@@ -8,8 +8,10 @@ from conftest import make_imageset
 from histlearn.histogram import HistogramSpec, kde_histogram
 from histlearn.transforms import (
     CHUNK,
+    TRANSFORM_KINDS,
     TransformSpec,
     apply_transform,
+    apply_transforms,
     flip,
     rotate,
     transform_image,
@@ -244,6 +246,17 @@ class TestApplyTransform:
         for kind in ("flip", "shuffle"):
             out = apply_transform(small_set, TransformSpec(kind, rng_seed=2))
             assert np.array_equal(kde_histogram(out.pixels[:16], spec), before)
+
+    def test_battery_matches_separate_calls_bytewise(self):
+        # one seeding per image and seed, restored for every kind
+        image_set = make_imageset(300, seed=13)
+        specs = [TransformSpec(kind, rng_seed=7) for kind in TRANSFORM_KINDS]
+        specs += [TransformSpec("rotate", rng_seed=8), TransformSpec("shuffle", rng_seed=7)]
+        outs = list(apply_transforms(image_set, specs))
+        assert len(outs) == len(specs) and outs[0] is image_set
+        for tspec, out in zip(specs, outs):
+            assert np.array_equal(out.pixels, apply_transform(image_set, tspec).pixels), tspec
+            assert np.array_equal(out.labels, image_set.labels)
 
     def test_transform_image_matches_set_application(self, small_set):
         # the single-image helper reproduces the whole-set result at any index

@@ -17,6 +17,7 @@ the stored tensors in, verifying names, shapes and that every value is
 finite, so a checkpoint is self-sufficient.
 """
 
+import dataclasses
 import os
 import struct
 import tempfile
@@ -28,8 +29,6 @@ from .models import Model, ModelConfig, build_model
 
 MAGIC = b"HLCP"
 VERSION = 1
-
-_CONFIG_FIELDS = ("architecture", "epochs", "batch_size", "lr", "seed", "n_bins", "bandwidth")
 
 
 def _pack_str(s: str) -> bytes:
@@ -44,7 +43,7 @@ def _unpack_str(blob: bytes, offset: int):
 
 
 def _config_to_text(cfg: ModelConfig) -> str:
-    return "\n".join(f"{k}={getattr(cfg, k)!r}" for k in _CONFIG_FIELDS)
+    return "\n".join(f"{f.name}={getattr(cfg, f.name)!r}" for f in dataclasses.fields(cfg))
 
 
 def _config_from_text(text: str) -> ModelConfig:

@@ -213,7 +213,8 @@ def fetch_mnist(data_dir, mirrors=MNIST_MIRRORS, download=None, file_table=None)
 
         gz_path = raw_path + ".gz"
         if os.path.isfile(gz_path):
-            blob = open(gz_path, "rb").read()
+            with open(gz_path, "rb") as fh:
+                blob = fh.read()
         else:
             blob = None
             errors = []

@@ -12,9 +12,10 @@ dadm   per-image KDE histogram (256 bins) -> distribution-arithmetic layer
        (two learnable 256-kernels) / ReLU / Linear(256->512) / ReLU
        / Linear(512->10)
 
-The histogram layer has no learnable parameters and training inputs are
-fixed, so :func:`train` computes each training image's histogram once, in
-memory, and runs every epoch from the distribution layer on.
+The layers in front of a model's first layer with parameters have nothing
+to learn and training inputs are fixed, so :func:`train` runs that frozen
+prefix once, in memory (dadm's histograms, base's ``Flatten`` view), and
+every step from the first trained layer on.
 """
 
 import time
@@ -115,27 +116,13 @@ class Model:
             x = layer.forward(x)
         return x
 
-    def backward(self, grad, stop=0, input_grad=True):
-        """Backpropagate ``grad`` through ``layers[stop:]``, setting
-        every parameter gradient, and return the gradient with respect to
-        the input of ``layers[stop]``.
-
-        With ``input_grad=False`` that gradient is not built and ``None`` is
-        returned: the parameter-free layers in front of the first layer with
-        parameters do not run, and that layer skips its own input gradient.
-        The parameter gradients are the same bits either way.
-        """
-        layers = self.layers[stop:]
-        if input_grad:
-            for layer in reversed(layers):
-                grad = layer.backward(grad)
-            return grad
-        trained = [i for i, layer in enumerate(layers) if layer.params()]
-        if not trained:
-            return None
-        for layer in reversed(layers[trained[0] + 1 :]):
+    def backward(self, grad, stop=0):
+        """Backpropagate ``grad`` through ``layers[stop:]``, setting every
+        parameter gradient, and return the gradient with respect to the
+        input of ``layers[stop]``."""
+        for layer in reversed(self.layers[stop:]):
             grad = layer.backward(grad)
-        return layers[trained[0]].backward(grad, input_grad=False)
+        return grad
 
 
 def build_model(cfg: ModelConfig) -> Model:
@@ -227,19 +214,20 @@ class EvalReport:
 def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     """Adam + NLL minibatch training; returns the per-epoch loss/accuracy curve.
 
-    For dadm the histogram layer runs once over the whole training set
-    before the first epoch and the epochs start at layer 1: its output
-    never changes and it has no parameters to train.  Training is fully
-    deterministic given ``cfg.seed``: initialization is seeded at build
-    time and the batch shuffle stream here derives from the same seed.
-    The training set is consumed as-is; there is no augmentation hook.
-    Nothing reads the gradient with respect to the inputs, so the backward
-    pass does not build it.  ``log`` receives one line per epoch with the
-    epoch's mean loss, training accuracy, wall seconds and images/s.
+    The frozen prefix, the layers in front of the first layer with
+    parameters, runs once over the whole training set, and every step
+    starts at the first trained layer, whose backward skips the input
+    gradient nobody reads.  Training is fully deterministic given
+    ``cfg.seed``: initialization is seeded at build time and the batch
+    shuffle stream here derives from the same seed.  The training set is
+    consumed as-is; there is no augmentation hook.  ``log`` receives one
+    line per epoch with the epoch's mean loss, training accuracy, wall
+    seconds and images/s.
     """
-    inputs, start = train_set.pixels[:, None, :, :], 0
-    if model.architecture == "dadm":
-        inputs, start = model.layers[0].forward(inputs), 1
+    start = next(i for i, layer in enumerate(model.layers) if layer.params())
+    inputs = train_set.pixels[:, None, :, :]
+    for layer in model.layers[:start]:
+        inputs = layer.forward(inputs)
     labels = train_set.labels
     n = train_set.count
     optimizer = Adam(model.parameters(), lr=cfg.lr)
@@ -259,7 +247,9 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
                     f"non-finite loss at epoch {epoch}, batch {batch_no} "
                     f"({model.architecture})"
                 )
-            model.backward(grad, stop=start, input_grad=False)
+            # the trained layer's output gradient is passed, not bound to a
+            # name, so it is freed before the next forward
+            model.layers[start].backward(model.backward(grad, stop=start + 1), input_grad=False)
             optimizer.step()
             total_loss += loss * idx.size
             correct += int((logits.argmax(axis=1) == labels[idx]).sum())

@@ -3,10 +3,11 @@
 There is no autograd here.  Every layer caches what its backward pass
 needs during ``forward`` and exposes an explicit ``backward`` that sets
 each parameter gradient (it writes ``Parameter.grad`` rather than adding
-to it) and returns the gradient with respect to its input.  A layer with
-parameters takes ``input_grad=False`` to skip that input gradient when
-nobody reads it (the first trained layer of a model) and return ``None``;
-its parameter gradients are the same bits.
+to it, so nothing zeroes gradients between steps) and returns the gradient
+with respect to its input.  A layer with parameters takes
+``input_grad=False`` to skip that input gradient when nobody reads it (the
+first trained layer of a model) and return ``None``; its parameter
+gradients are the same bits.
 All math is float64 and every layer takes batches only: the leading
 dimension is the batch, and a single sample is a batch of one.
 An input of the wrong rank is a ``ShapeError``, never reinterpreted.
@@ -27,9 +28,6 @@ class Parameter:
         self.value = np.array(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
         self.name = name
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.value.shape})"
@@ -270,7 +268,8 @@ CHUNK = 16384
 
 
 def adam_step(param: Parameter, state: AdamState, lr):
-    """One Adam update with bias correction; zeroes the gradient afterward.
+    """One Adam update with bias correction from ``param.grad``, which the
+    next backward overwrites.
 
     ``m``, ``v`` and the parameter are updated in place, block by block over
     flat views of ``CHUNK`` elements, through two block-sized buffers, in
@@ -316,7 +315,6 @@ def adam_step(param: Parameter, state: AdamState, lr):
         denom += EPS
         step /= denom
         pc -= step
-        gc[...] = 0.0
 
 
 class Adam:

@@ -45,13 +45,10 @@ def _result(name, measured, allowed, detail=""):
     return CheckResult(name, bool(measured <= allowed), float(measured), float(allowed), detail)
 
 
-def _probe_input(layer, x, w):
+def _probe_input(layer, w):
     def f(xv):
         out = layer.forward(xv)
-        gx = layer.backward(w)
-        for p in layer.params():
-            p.zero_grad()
-        return float((out * w).sum()), gx
+        return float((out * w).sum()), layer.backward(w)
 
     return f
 
@@ -61,10 +58,7 @@ def _probe_param(layer, param, x, w):
         param.value[...] = pv
         out = layer.forward(x)
         layer.backward(w)
-        g = param.grad.copy()
-        for p in layer.params():
-            p.zero_grad()
-        return float((out * w).sum()), g
+        return float((out * w).sum()), param.grad.copy()
 
     return f
 
@@ -74,7 +68,7 @@ def check_linear_grad():
     layer = nn.Linear(4, 3, rng)
     x = rng.standard_normal((2, 4))
     w = rng.standard_normal((2, 3))
-    err = nn.grad_check(_probe_input(layer, x, w), x)
+    err = nn.grad_check(_probe_input(layer, w), x)
     err = max(err, nn.grad_check(_probe_param(layer, layer.weight, x, w), layer.weight.value.copy()))
     err = max(err, nn.grad_check(_probe_param(layer, layer.bias, x, w), layer.bias.value.copy()))
     return _result("gradient-linear", err, 1e-4)
@@ -88,7 +82,7 @@ def check_conv2d_grad():
         layer = nn.Conv2d(c_in, c_out, k, k, rng)
         x = rng.standard_normal(x_shape)
         w = rng.standard_normal(layer.forward(x).shape)
-        err = max(err, nn.grad_check(_probe_input(layer, x, w), x))
+        err = max(err, nn.grad_check(_probe_input(layer, w), x))
         err = max(err, nn.grad_check(_probe_param(layer, layer.weight, x, w), layer.weight.value.copy()))
         err = max(err, nn.grad_check(_probe_param(layer, layer.bias, x, w), layer.bias.value.copy()))
     return _result("gradient-conv2d", err, 1e-4)
@@ -100,7 +94,7 @@ def check_maxpool_grad():
     # distinct values keep every window un-tied, so the max is differentiable
     x = rng.permutation(32).astype(np.float64).reshape(2, 1, 4, 4) * 0.37
     w = rng.standard_normal((2, 1, 2, 2))
-    err = nn.grad_check(_probe_input(layer, x, w), x)
+    err = nn.grad_check(_probe_input(layer, w), x)
     return _result("gradient-maxpool", err, 1e-4)
 
 
@@ -110,7 +104,7 @@ def check_relu_grad():
     x = rng.standard_normal(12)
     x[np.abs(x) < 0.1] = 0.5  # keep clear of the kink at 0
     w = rng.standard_normal(12)
-    err = nn.grad_check(_probe_input(layer, x, w), x)
+    err = nn.grad_check(_probe_input(layer, w), x)
     return _result("gradient-relu", err, 1e-4)
 
 
@@ -161,7 +155,7 @@ def _layer_grad_check(name, seed, target):
         x = rng.standard_normal((2, n))
         w = rng.standard_normal((2, n))
         if target == "input":
-            err = max(err, nn.grad_check(_probe_input(layer, x, w), x, h=1.0))
+            err = max(err, nn.grad_check(_probe_input(layer, w), x, h=1.0))
         else:
             param = getattr(layer, target)
             probe = _probe_param(layer, param, x, w)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import urllib.error
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +28,14 @@ def run(*argv):
 
 
 class TestSelftestCommand:
-    def test_passes_on_fresh_build(self, capsys):
+    def test_passes_on_fresh_build(self, selftest_run, monkeypatch, capsys):
+        # the session's battery stands in for the one the command would run
+        results, _ = selftest_run
+        monkeypatch.setattr(selftest, "run_all", lambda: results)
         assert run("selftest", "--threads", "1") == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "FAIL" not in out
+        assert "all 18 checks passed" in out
 
     def test_failure_exit_code(self, monkeypatch, capsys):
         broken = selftest.CheckResult("gradient-linear", False, 1.0, 1e-4)
@@ -92,6 +97,13 @@ class TestThreadVariables:
         assert result["seen"] == {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2"}
 
 
+def test_option_defaults_equal_model_config_defaults():
+    # cli restates ModelConfig's defaults because it cannot import numpy
+    # before --threads is applied
+    defaults = {name: spec[1] for name, spec in cli._OPTIONS.items()}
+    assert cli._model_config(defaults, "dadm") == ModelConfig("dadm")
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert run() == 1
@@ -135,7 +147,7 @@ def _bad_data_dir(directory, side=28, counts=(64, 32), gzip_cut=False):
         paths = write_idx_pair(directory, images, rng.integers(0, 10, count).astype(np.uint8), prefix)
         if gzip_cut:
             for path in paths:
-                blob = gzip.compress(open(path, "rb").read())
+                blob = gzip.compress(Path(path).read_bytes())
                 with open(path, "wb") as fh:
                     fh.write(blob[: len(blob) // 2])
     return directory

@@ -1,8 +1,11 @@
 """IDX parsing, normalization, ImageSet invariants, fetch verification."""
 
+import gc
 import gzip
 import hashlib
 import struct
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +46,7 @@ class TestLoadIdx:
     def test_bad_image_magic(self, idx_pair, tmp_path):
         (img_path, lbl_path), _, _ = idx_pair
         bad = tmp_path / "bad-images"
-        payload = open(img_path, "rb").read()
+        payload = Path(img_path).read_bytes()
         bad.write_bytes(struct.pack(">I", 0x00000801) + payload[4:])
         with pytest.raises(DataFormatError) as err:
             load_idx(str(bad), lbl_path)
@@ -60,7 +63,7 @@ class TestLoadIdx:
     def test_truncated_payload_names_expected_bytes(self, idx_pair, tmp_path):
         (img_path, lbl_path), _, _ = idx_pair
         cut = tmp_path / "cut-images"
-        cut.write_bytes(open(img_path, "rb").read()[:-10])
+        cut.write_bytes(Path(img_path).read_bytes()[:-10])
         with pytest.raises(DataFormatError) as err:
             load_idx(str(cut), lbl_path)
         assert str(16 + 3 * 28 * 28) in str(err.value)
@@ -145,7 +148,7 @@ def small_table(tmp_path):
     table = {}
     blobs = {}
     for path, name in ((img_path, "train-images-idx3-ubyte"), (lbl_path, "train-labels-idx1-ubyte")):
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         gz = gzip.compress(raw)
         table[name] = (len(raw), len(gz), hashlib.md5(gz).hexdigest())
         blobs[name + ".gz"] = gz
@@ -211,6 +214,18 @@ class TestFetch:
 
         fetch_mnist(out, download=refuse, file_table=table)
         assert mnist_files_present(out, file_table=table)
+
+    def test_local_gz_is_closed(self, tmp_path):
+        table, blobs = small_table(tmp_path)
+        out = tmp_path / "d"
+        out.mkdir()
+        for name, blob in blobs.items():
+            (out / name).write_bytes(blob)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fetch_mnist(out, download=None, file_table=table)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_all_mirrors_down(self, tmp_path):
         table, _ = small_table(tmp_path)

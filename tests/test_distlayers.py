@@ -41,9 +41,7 @@ def layer_of(spec, fw, fb):
 
 
 def layer_grads(layer, fx, g):
-    """(grad_w, grad_b, grad_x) of one forward/backward pass from zero."""
-    for p in layer.params():
-        p.zero_grad()
+    """(grad_w, grad_b, grad_x) of one forward/backward pass."""
     layer.forward(fx)
     gx = layer.backward(g)
     return layer.weight_hist.grad.copy(), layer.bias_hist.grad.copy(), gx

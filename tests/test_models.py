@@ -123,10 +123,7 @@ class TestEndToEndGradients:
             logits = model.forward(feats, start=start)
             loss, grad = nn.log_softmax_nll(logits, labels)
             model.backward(grad, stop=start)
-            grads = {p.name: p.grad.copy() for p in model.parameters()}
-            for p in model.parameters():
-                p.zero_grad()
-            return loss, grads
+            return loss, {p.name: p.grad.copy() for p in model.parameters()}
 
         _, analytic = loss_and_grads()
         rng = np.random.default_rng(0)
@@ -166,8 +163,6 @@ class TestEndToEndGradients:
         _, grad = nn.log_softmax_nll(logits, label)
         pixel_grad = model.backward(grad)
         assert pixel_grad.shape == feats.shape
-        for p in model.parameters():
-            p.zero_grad()
 
         h = 1e-5
         flat = feats.copy()
@@ -202,21 +197,20 @@ class TestEndToEndGradients:
 
 
 def reference_epoch(model, train_set, cfg):
-    """One epoch as textbook as it gets: the full backward, input gradient
-    included, and out-of-place Adam per parameter."""
+    """One epoch as textbook as it gets: the full forward and backward of
+    every batch, input gradient included, and out-of-place Adam per
+    parameter."""
     lr, b1, b2, eps = cfg.lr, 0.9, 0.999, 1e-8
-    inputs, start = train_set.pixels[:, None, :, :], 0
-    if model.architecture == "dadm":
-        inputs, start = model.layers[0].forward(inputs), 1
+    inputs = train_set.pixels[:, None, :, :]
     params = model.parameters()
     m = [np.zeros_like(p.value) for p in params]
     v = [np.zeros_like(p.value) for p in params]
     order = np.random.default_rng([cfg.seed, 1]).permutation(train_set.count)
     for t, lo in enumerate(range(0, train_set.count, cfg.batch_size), start=1):
         idx = order[lo : lo + cfg.batch_size]
-        logits = model.forward(inputs[idx], start=start)
+        logits = model.forward(inputs[idx])
         _, grad = nn.log_softmax_nll(logits, train_set.labels[idx])
-        model.backward(grad, stop=start)
+        model.backward(grad)
         for i, p in enumerate(params):
             g = p.grad.copy()
             m[i] = b1 * m[i] + (1.0 - b1) * g
@@ -224,7 +218,6 @@ def reference_epoch(model, train_set, cfg):
             m_hat = m[i] / (1.0 - b1**t)
             v_hat = v[i] / (1.0 - b2**t)
             p.value[...] = p.value - lr * m_hat / (np.sqrt(v_hat) + eps)
-            p.zero_grad()
 
 
 class TestTraining:
@@ -239,22 +232,33 @@ class TestTraining:
         for got, want in zip(trained.parameters(), reference.parameters()):
             assert np.array_equal(got.value, want.value), got.name
 
-    def test_backward_without_input_grad_skips_leading_layers(self, small_set, monkeypatch):
-        model = models.build_model(tiny_cfg("base"))
-        assert isinstance(model.layers[0], nn.Flatten)
-        _, grad = nn.log_softmax_nll(model.forward(batch_of(small_set, 4)), small_set.labels[:4])
-        model.backward(grad)
-        full = [p.grad.copy() for p in model.parameters()]
-        for p in model.parameters():
-            p.zero_grad()
+    @pytest.mark.parametrize(
+        "arch, frozen", [("base", nn.Flatten), ("dadm", models.HistogramLayer)], ids=["base", "dadm"]
+    )
+    def test_frozen_prefix_runs_forward_once_and_never_backward(self, arch, frozen, monkeypatch):
+        train_set = make_imageset(80, seed=27)
+        cfg = tiny_cfg(arch, epochs=2)
+        model = models.build_model(cfg)
+        prefix, trained = model.layers[0], model.layers[1]
+        assert isinstance(prefix, frozen) and not prefix.params() and trained.params()
+        calls = []
 
-        def spy(grad):
-            raise AssertionError("leading Flatten.backward ran")
+        def spy(layer, method):
+            original = getattr(layer, method)
 
-        monkeypatch.setattr(model.layers[0], "backward", spy)
-        assert model.backward(grad, input_grad=False) is None
-        for p, want in zip(model.parameters(), full):
-            assert np.array_equal(p.grad, want), p.name
+            def recording(*args, **kwargs):
+                calls.append((layer, method, kwargs))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(layer, method, recording)
+
+        spy(prefix, "forward")
+        spy(prefix, "backward")
+        spy(trained, "backward")
+        models.train(model, train_set, cfg)
+        steps = cfg.epochs * len(range(0, train_set.count, cfg.batch_size))
+        assert [c for c in calls if c[0] is prefix] == [(prefix, "forward", {})]
+        assert [c for c in calls if c[0] is trained] == [(trained, "backward", {"input_grad": False})] * steps
 
     def test_epoch_log_line_format(self):
         train_set = make_imageset(64, seed=26)

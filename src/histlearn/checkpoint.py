@@ -104,8 +104,9 @@ def load_checkpoint(path):
         config_text, offset = _unpack_str(blob, offset)
         try:
             cfg = _config_from_text(config_text)
-        except (ValueError, SyntaxError, TypeError, KeyError) as exc:
-            raise DataFormatError(f"{path}: malformed config block: {exc}") from exc
+        # a deeply nested value exhausts the parser: RecursionError or MemoryError
+        except (ValueError, SyntaxError, TypeError, KeyError, RecursionError, MemoryError) as exc:
+            raise DataFormatError(f"{path}: malformed config block: {exc!r}") from exc
         if cfg.architecture != arch:
             raise DataFormatError(
                 f"{path}: architecture tag {arch!r} != config architecture {cfg.architecture!r}"

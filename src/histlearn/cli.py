@@ -273,15 +273,15 @@ def _cmd_report(opts):
 
     out_dir = opts["out_dir"]
     reports, _ = read_eval_reports(opts["reports_csv"])
-    bar_path = os.path.join(out_dir, "bar_chart.csv")
-    write_bar_chart(bar_path, reports)
-    print(f"bar chart data: {bar_path} ({len(reports)} rows)")
-
     test_set = load_mnist(opts["data_dir"], "test")
     index = opts["image_index"]
     if not 0 <= index < test_set.count:
         raise UsageError(f"--image-index {index} outside dataset (count {test_set.count})")
     spec = HistogramSpec(n_bins=opts["bins"], bandwidth=opts["bandwidth"])
+
+    bar_path = os.path.join(out_dir, "bar_chart.csv")
+    write_bar_chart(bar_path, reports)
+    print(f"bar chart data: {bar_path} ({len(reports)} rows)")
     for kind in TRANSFORM_KINDS:
         # keyed by the image's position in the test set, matching the
         # streams `eval` uses for the same seed

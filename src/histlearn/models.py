@@ -28,11 +28,11 @@ from .distlayers import ArithmeticDistributionLayer, init_kernel
 from .errors import NonFiniteError, ShapeError
 from .histogram import HistogramSpec, kde_histogram, kde_histogram_backward
 from .nn import Adam, Conv2d, Flatten, Linear, MaxPool2d, ReLU, log_softmax_nll
-from .transforms import TransformSpec, apply_transforms
+from .transforms import TransformSpec, stream_states, transform_batch
 
 ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 
-EVAL_BATCH = 256  # images per forward pass in predict
+EVAL_BATCH = 256  # images per forward pass in predict, per chunk in evaluate
 
 
 @dataclass
@@ -265,11 +265,12 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     return curve
 
 
-def predict(model: Model, image_set: ImageSet) -> np.ndarray:
-    """Top-1 class per image, forward passes of ``EVAL_BATCH`` images."""
-    inputs = image_set.pixels[:, None, :, :]
-    out = np.empty(image_set.count, dtype=np.int64)
-    for lo in range(0, image_set.count, EVAL_BATCH):
+def predict(model: Model, images: np.ndarray) -> np.ndarray:
+    """Top-1 class per image of a (count, H, W) array, forward passes of
+    ``EVAL_BATCH`` images."""
+    inputs = images[:, None, :, :]
+    out = np.empty(images.shape[0], dtype=np.int64)
+    for lo in range(0, images.shape[0], EVAL_BATCH):
         logits = model.forward(inputs[lo : lo + EVAL_BATCH])
         out[lo : lo + logits.shape[0]] = logits.argmax(axis=1)
     return out
@@ -288,21 +289,31 @@ def accuracy_breakdown(predictions: np.ndarray, labels: np.ndarray):
 def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     """One :class:`EvalReport` per transform kind, in the order given.
 
-    The original images are predicted once: their accuracy is every
-    report's reference for ``delta`` (so ``none`` reads 0), and their
-    predictions are the ``none`` report's.  Each other kind predicts
-    ``apply_transform(test_set, TransformSpec(kind, rng_seed=seed))``,
-    built by :func:`~histlearn.transforms.apply_transforms`, which seeds
-    each image's stream once for the whole battery.
+    One pass over chunks of ``EVAL_BATCH`` test images, so no transformed
+    copy of the whole set is built: each chunk's originals are predicted,
+    then for each kind other than ``none`` the chunk is transformed by
+    :func:`~histlearn.transforms.transform_batch` and predicted.  The
+    chunk's streams ``default_rng([seed, i])`` are seeded once for all
+    those kinds, and not at all when only ``none`` is asked for.  The
+    originals' accuracy is every report's reference for ``delta`` (so
+    ``none`` reads 0), and their predictions are the ``none`` report's.
     """
-    specs = [TransformSpec(kind, rng_seed=seed) for kind in kinds]
-    original = predict(model, test_set)
+    for kind in kinds:
+        TransformSpec(kind, rng_seed=seed)  # rejects an unknown kind or a negative seed
+    original = np.empty(test_set.count, dtype=np.int64)
+    preds = {kind: np.empty_like(original) for kind in kinds if kind != "none"}
+    for lo in range(0, test_set.count, EVAL_BATCH):
+        chunk = test_set.pixels[lo : lo + EVAL_BATCH]
+        hi = lo + chunk.shape[0]
+        original[lo:hi] = predict(model, chunk)
+        if preds:
+            states = stream_states(seed, range(lo, hi))
+        for kind, out in preds.items():
+            out[lo:hi] = predict(model, transform_batch(chunk, states, kind))
+    preds["none"] = original
     original_top1, _ = accuracy_breakdown(original, test_set.labels)
     reports = []
-    for tspec, transformed in zip(specs, apply_transforms(test_set, specs)):
-        preds = original if tspec.kind == "none" else predict(model, transformed)
-        top1, per_class = accuracy_breakdown(preds, test_set.labels)
-        reports.append(
-            EvalReport(model.architecture, tspec.kind, top1, per_class, original_top1 - top1)
-        )
+    for kind in kinds:
+        top1, per_class = accuracy_breakdown(preds[kind], test_set.labels)
+        reports.append(EvalReport(model.architecture, kind, top1, per_class, original_top1 - top1))
     return reports

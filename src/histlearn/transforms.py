@@ -6,27 +6,25 @@ to test images only; the training path has no transform hook at all.
 Every randomized choice for image ``i`` comes from its own generator
 seeded with ``(root_seed, i)``, so results do not depend on evaluation
 order and two runs with the same seed produce identical transformed sets.
-A stream is seeded once and its starting state saved; each kind restores
-that state into one shared generator before drawing, which is about a
-tenth of the cost of seeding, so :func:`apply_transforms` seeds each image
-once for a whole battery.
+:func:`stream_states` seeds each stream once and saves its starting state;
+:func:`transform_batch` restores those states into one shared generator
+before drawing, which is about a tenth of the cost of seeding, so one
+seeding serves every kind of a battery.
 
-:func:`apply_transform` works on chunks of ``CHUNK`` images: it draws each
-image's parameters from its own stream, in image order, then transforms the
-chunk at once.  Rotation is one bilinear gather over a copy of the chunk
-padded with the fill value; translate, flip and shuffle are index gathers.
-The one-image functions (:func:`rotate`, :func:`translate`, :func:`flip`,
+:func:`transform_batch` transforms a (B, H, W) batch at once: it draws each
+image's parameters from its own stream, in image order, then gathers.
+Rotation is one bilinear gather over a copy of the batch padded with the
+fill value; translate, flip and shuffle are index gathers.  The one-image
+functions (:func:`rotate`, :func:`translate`, :func:`flip`,
 :func:`transform_image`) are batches of one through the same code, so a
-single image (``histlearn report``) and a whole set (``histlearn eval``)
-cannot come out different.
+single image (``histlearn report``) and a chunk of the test set
+(``histlearn eval``) cannot come out different.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import cosdg, sindg
-
-from .data import ImageSet
 
 FILL = -1.0  # background black in the normalized range
 
@@ -36,8 +34,6 @@ FLIP_AXES = ("horizontal", "vertical")
 
 MAX_DEGREES = 90.0  # rotate draws its angle from [0, MAX_DEGREES]
 MAX_OFFSET = 8  # translate draws each offset from [-MAX_OFFSET, MAX_OFFSET]
-
-CHUNK = 256  # images per batched gather in apply_transform, a few MB of temporaries
 
 
 @dataclass
@@ -168,14 +164,21 @@ def flip(img, axis):
     return _flip_batch(img[None], np.array([axis == "horizontal"]))[0]
 
 
-def _stream_states(seed: int, indices) -> list:
+def stream_states(seed: int, indices) -> list:
     """The starting state of each image's stream ``default_rng([seed, i])``."""
     return [np.random.default_rng([seed, int(i)]).bit_generator.state for i in indices]
 
 
-def _transform_batch(images: np.ndarray, states, kind: str) -> np.ndarray:
+def transform_batch(images: np.ndarray, states, kind: str) -> np.ndarray:
     """Transform (B, H, W) images, image j drawing from the stream that
-    starts at ``states[j]``, with the draws :func:`transform_image` describes."""
+    starts at ``states[j]``, with the draws :func:`transform_image` describes.
+
+    ``none`` returns ``images`` itself; an unknown kind raises ``ValueError``.
+    """
+    if kind not in TRANSFORM_KINDS:
+        raise ValueError(f"unknown transform kind {kind!r}, expected one of {TRANSFORM_KINDS}")
+    if kind == "none":
+        return images
     rng = np.random.default_rng(0)
 
     def each(draw):
@@ -197,50 +200,14 @@ def _transform_batch(images: np.ndarray, states, kind: str) -> np.ndarray:
 
 
 def transform_image(img, index: int, tspec: TransformSpec):
-    """Transform one image exactly as :func:`apply_transform` does at ``index``.
+    """Transform one image exactly as :func:`histlearn.models.evaluate` does
+    at position ``index`` of the test set.
 
     The random draws for image ``i`` come from ``default_rng([rng_seed, i])``:
     rotate takes one uniform angle; translate takes dx then dy; flip takes
     one uniform in [0, 1) and goes horizontal below 1/2; shuffle takes one
-    permutation.  The image goes through the set's code as a batch of one.
+    permutation.  The image goes through :func:`transform_batch` as a
+    batch of one.
     """
     img = np.asarray(img, dtype=np.float64)
-    if tspec.kind == "none":
-        return img
-    return _transform_batch(img[None], _stream_states(tspec.rng_seed, [index]), tspec.kind)[0]
-
-
-def apply_transforms(image_set: ImageSet, tspecs):
-    """Yield ``apply_transform(image_set, tspec)`` for each spec in turn.
-
-    Each image's stream is seeded once per seed, at the first spec that
-    draws from it; every spec restores the saved starting state, so the
-    sets are those of separate :func:`apply_transform` calls.  ``none``
-    seeds nothing.  One transformed set is built per step of the iteration;
-    the saved states take about 0.6 kB per image.
-    """
-    states = {}
-    for tspec in tspecs:
-        if tspec.kind == "none":
-            yield image_set
-            continue
-        if tspec.rng_seed not in states:
-            states[tspec.rng_seed] = _stream_states(tspec.rng_seed, range(image_set.count))
-        out = np.empty_like(image_set.pixels)
-        for lo in range(0, image_set.count, CHUNK):
-            hi = min(lo + CHUNK, image_set.count)
-            out[lo:hi] = _transform_batch(
-                image_set.pixels[lo:hi], states[tspec.rng_seed][lo:hi], tspec.kind
-            )
-        yield ImageSet(out, image_set.labels.copy())
-
-
-def apply_transform(image_set: ImageSet, tspec: TransformSpec) -> ImageSet:
-    """Apply the per-image randomized transform to a whole set.
-
-    Each image gets its own seeded stream (see :func:`transform_image`),
-    so evaluation order cannot change results and two runs with the same
-    seed produce identical sets.  The set is transformed ``CHUNK`` images
-    at a time.  ``kind='none'`` returns the input set unchanged.
-    """
-    return next(apply_transforms(image_set, [tspec]))
+    return transform_batch(img[None], stream_states(tspec.rng_seed, [index]), tspec.kind)[0]

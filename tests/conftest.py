@@ -22,6 +22,7 @@ import numpy as np  # noqa: E402
 import pytest
 
 from histlearn.data import DATA_DIR_ENV, ImageSet, mnist_files_present
+from histlearn.transforms import stream_states, transform_batch
 
 
 def make_imageset(count, seed=0, balanced=False):
@@ -39,6 +40,13 @@ def make_imageset(count, seed=0, balanced=False):
         pixels[i, r0 : r0 + height, c0 : c0 + 8] = 0.8
         pixels[i, 26, :] = -1.0 + 2.0 * (c + 1) / 11.0
     return ImageSet(pixels, labels.astype(np.int64))
+
+
+def transform_set(image_set, kind, seed):
+    """The whole set under ``kind``, image i drawing from the stream
+    ``default_rng([seed, i])`` that ``models.evaluate`` gives it."""
+    states = stream_states(seed, range(image_set.count))
+    return ImageSet(transform_batch(image_set.pixels, states, kind), image_set.labels.copy())
 
 
 def to_bytes_images(image_set):

@@ -14,10 +14,9 @@ import time
 
 import pytest
 
-from conftest import make_imageset, mnist_dir, requires_mnist
+from conftest import make_imageset, mnist_dir, requires_mnist, transform_set
 from histlearn import cli, models
 from histlearn.data import load_mnist
-from histlearn.transforms import TransformSpec
 
 EVAL_SEED = 0
 TRANSFORMS = ("none", "rotate", "translate", "flip", "shuffle")
@@ -96,11 +95,9 @@ def test_criterion_2_dadm_shuffle_gap_and_identity(dadm_run, mnist_sets):
     model, _, battery = dadm_run
     test_set = mnist_sets[1]
     gap = battery["shuffle"].delta
-    from histlearn.transforms import apply_transform
-
-    shuffled = apply_transform(test_set, TransformSpec("shuffle", rng_seed=EVAL_SEED))
+    shuffled = transform_set(test_set, "shuffle", EVAL_SEED)
     identity = float(
-        (models.predict(model, shuffled) == models.predict(model, test_set)).mean()
+        (models.predict(model, shuffled.pixels) == models.predict(model, test_set.pixels)).mean()
     )
     ok = gap <= 0.2 and identity >= 0.999
     criterion(2, ok, f"dadm shuffle gap {gap:.3f} pts (<=0.2), prediction identity {identity:.4f} (>=0.999)")

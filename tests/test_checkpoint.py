@@ -113,6 +113,20 @@ def _corrupt_dadm_checkpoint(directory, old, new):
     return bad
 
 
+def _rewrite_config(path, old, new):
+    """A copy of the checkpoint at ``path`` beside it, with the config line
+    ``old`` replaced by ``new`` and the config block's length prefix fixed."""
+    blob = path.read_bytes()
+    start = blob.index(b"architecture=")  # the config block, after its u32 length
+    (length,) = struct.unpack_from("<I", blob, start - 4)
+    config = blob[start : start + length]
+    assert config.count(old) == 1
+    config = config.replace(old, new)
+    bad = path.with_name("bad.ckpt")
+    bad.write_bytes(blob[: start - 4] + struct.pack("<I", len(config)) + config + blob[start + length :])
+    return bad
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -136,20 +150,30 @@ def test_bin_count_above_bound_is_data_error(tmp_path, synth_data_dir, monkeypat
     cfg = models.ModelConfig("dadm", epochs=1, n_bins=8, seed=0)
     path = tmp_path / "model.ckpt"
     save_checkpoint(models.build_model(cfg), cfg, path)
-    blob = path.read_bytes()
-    start = blob.index(b"architecture=")  # the config block, after its u32 length
-    (length,) = struct.unpack_from("<I", blob, start - 4)
-    config = blob[start : start + length]
-    assert config.count(b"n_bins=8\n") == 1
-    config = config.replace(b"n_bins=8\n", b"n_bins=%d\n" % (HistogramSpec.MAX_BINS + 1))
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(blob[: start - 4] + struct.pack("<I", len(config)) + config + blob[start + length :])
+    bad = _rewrite_config(path, b"n_bins=8\n", b"n_bins=%d\n" % (HistogramSpec.MAX_BINS + 1))
 
     def no_build(cfg):
         raise AssertionError("build_model called for a refused config")
 
     monkeypatch.setattr(checkpoint, "build_model", no_build)
     with pytest.raises(DataFormatError, match="n_bins"):
+        load_checkpoint(bad)
+    out_dir = str(tmp_path / "eval")
+    assert cli.main(["eval", str(bad), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2
+
+
+@pytest.mark.parametrize(
+    "value",
+    [b"1" + b"+1" * 100_000, b"-" * 100_000 + b"1"],
+    ids=["deep-sum", "deep-negation"],
+)
+def test_parser_exhausting_config_is_data_error(value, tmp_path, synth_data_dir):
+    # ast.literal_eval gives up on these with RecursionError and MemoryError
+    cfg = models.ModelConfig("base", epochs=1, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(models.build_model(cfg), cfg, path)
+    bad = _rewrite_config(path, b"epochs=1\n", b"epochs=" + value + b"\n")
+    with pytest.raises(DataFormatError, match="malformed config block"):
         load_checkpoint(bad)
     out_dir = str(tmp_path / "eval")
     assert cli.main(["eval", str(bad), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2

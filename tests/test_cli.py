@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import histlearn
-from conftest import write_idx_pair
+from conftest import transform_set, write_idx_pair
 from histlearn import cli, data, selftest
 from histlearn.checkpoint import save_checkpoint
 from histlearn.data import DATA_DIR_ENV
@@ -368,7 +368,6 @@ class TestReportCommand:
         # that `eval` would have scored at the same seed and index
         from histlearn.data import load_mnist
         from histlearn.histogram import HistogramSpec, kde_histogram
-        from histlearn.transforms import TransformSpec, apply_transform
 
         eval_dir = str(tmp_path / "eval")
         assert run("eval", trained_checkpoint, "--data-dir", synth_data_dir, "--out-dir", eval_dir) == 0
@@ -378,7 +377,7 @@ class TestReportCommand:
                    "--image-index", "5", "--seed", "0") == 0
 
         test_set = load_mnist(synth_data_dir, "test")
-        rotated = apply_transform(test_set, TransformSpec("rotate", rng_seed=0))
+        rotated = transform_set(test_set, "rotate", 0)
         expected = kde_histogram(rotated.pixels[5:6], HistogramSpec(n_bins=32, bandwidth=0.01))[0]
         _, masses = read_histogram_dump(os.path.join(out_dir, "hist_rotate.csv"))
         assert np.array_equal(masses, expected)
@@ -396,8 +395,12 @@ class TestReportCommand:
         assert "latin1.csv" in err and "line 2" in err
 
     def test_image_index_bounds(self, synth_data_dir, tmp_path, trained_checkpoint):
+        # refused before anything is written
         eval_dir = str(tmp_path / "eval")
         assert run("eval", trained_checkpoint, "--data-dir", synth_data_dir, "--out-dir", eval_dir) == 0
-        code = run("report", os.path.join(eval_dir, "reports.csv"), "--data-dir", synth_data_dir,
-                   "--out-dir", str(tmp_path), "--image-index", "100000")
-        assert code == 1
+        for index in ("999", "-1"):
+            out_dir = tmp_path / f"report{index}"
+            code = run("report", os.path.join(eval_dir, "reports.csv"), "--data-dir", synth_data_dir,
+                       "--out-dir", str(out_dir), "--image-index", index)
+            assert code == 1
+            assert list(out_dir.iterdir()) == []

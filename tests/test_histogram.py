@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from conftest import to_bytes_images
+from conftest import to_bytes_images, transform_set
 from histlearn.data import ImageSet, normalize
 from histlearn import histogram
 from histlearn.errors import ShapeError
@@ -16,7 +16,7 @@ from histlearn.histogram import (
     kde_histogram,
     kde_histogram_backward,
 )
-from histlearn.transforms import TransformSpec, apply_transform, rotate
+from histlearn.transforms import rotate
 
 
 class TestSpecGeometry:
@@ -159,7 +159,7 @@ class TestKdeHistogram:
         raw_bytes, labels = to_bytes_images(small_set)
         byte_set = ImageSet(normalize(raw_bytes), labels)
         noise = rng.integers(0, 256, (4, 28, 28)) / 127.5 - 1.0
-        rotated = apply_transform(byte_set, TransformSpec("rotate", rng_seed=3)).pixels
+        rotated = transform_set(byte_set, "rotate", 3).pixels
         for images in (byte_set.pixels[:8], noise, rotated[:8]):
             for image in images:
                 assert np.abs(kde_histogram(image[None], spec)[0] - dense(image)).max() < 1e-12
@@ -226,7 +226,7 @@ def _byte_and_rotated(small_set, count):
     """``count`` byte-valued images and the first of them rotated, as rows."""
     raw, labels = to_bytes_images(small_set)
     byte_set = ImageSet(normalize(raw[:count]), labels[:count])
-    rotated = apply_transform(byte_set, TransformSpec("rotate", rng_seed=5)).pixels
+    rotated = transform_set(byte_set, "rotate", 5).pixels
     return np.concatenate([byte_set.pixels, rotated]).reshape(2 * count, -1)
 
 

@@ -5,11 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import make_imageset
-from histlearn import models, nn, transforms
+from conftest import make_imageset, transform_set
+from histlearn import models, nn
 from histlearn.errors import NonFiniteError
 from histlearn.histogram import kde_histogram, kde_histogram_backward
-from histlearn.transforms import TransformSpec, apply_transform
 
 ARCHS = ("lenet", "base", "cnn", "dadm")
 
@@ -91,13 +90,13 @@ class TestForward:
         # accuracy lands near 10%
         for arch in ARCHS:
             model = models.build_model(tiny_cfg(arch))
-            preds = models.predict(model, balanced_set)
+            preds = models.predict(model, balanced_set.pixels)
             acc = 100.0 * (preds == balanced_set.labels).mean()
             assert 7.0 <= acc <= 13.0, f"{arch}: {acc}"
 
     def test_dadm_logits_shuffle_invariant(self, small_set):
         model = models.build_model(tiny_cfg("dadm"))
-        shuffled = apply_transform(small_set, TransformSpec("shuffle", rng_seed=1))
+        shuffled = transform_set(small_set, "shuffle", 1)
         a = model.forward(batch_of(small_set, 8))
         b = model.forward(shuffled.pixels[:8, None, :, :])
         assert np.abs(a - b).max() < 1e-9
@@ -338,7 +337,7 @@ class TestEvaluate:
         def unexpected(seed, indices):
             raise AssertionError("seeded a transform stream")
 
-        monkeypatch.setattr(transforms, "_stream_states", unexpected)
+        monkeypatch.setattr(models, "stream_states", unexpected)
         [report] = models.evaluate(self.model, self.test_set, ["none"])
         assert report.delta == 0.0
 
@@ -355,33 +354,49 @@ class TestEvaluate:
         [again] = models.evaluate(self.model, self.test_set, ["shuffle"], seed=1)
         assert again == shuffled
 
+    def test_bad_kind_or_seed_rejected_before_any_pass(self, monkeypatch):
+        def unexpected(model, images):
+            raise AssertionError("predicted before validating")
+
+        monkeypatch.setattr(models, "predict", unexpected)
+        with pytest.raises(ValueError, match="zoom"):
+            models.evaluate(self.model, self.test_set, ["none", "zoom"])
+        with pytest.raises(ValueError, match="rng_seed"):
+            models.evaluate(self.model, self.test_set, ["none", "flip"], seed=-1)
+
     def test_battery_predicts_originals_once(self, monkeypatch):
         calls = []
         predict = models.predict
 
-        def counting_predict(model, image_set):
-            calls.append(image_set)
-            return predict(model, image_set)
+        def counting_predict(model, images):
+            calls.append(images)
+            return predict(model, images)
 
         monkeypatch.setattr(models, "predict", counting_predict)
+        test_set = make_imageset(300, seed=33)
+        assert models.EVAL_BATCH < test_set.count  # a chunk boundary falls inside the set
         kinds = ["flip", "none", "rotate"]
-        reports = models.evaluate(self.model, self.test_set, kinds, seed=2)
+        reports = models.evaluate(self.model, test_set, kinds, seed=2)
         assert [r.transform for r in reports] == kinds
-        # the originals once, then one pass per transform other than none
-        assert len(calls) == 3 and calls[0] is self.test_set
-        assert all(c is not self.test_set for c in calls[1:])
-        flip = apply_transform(self.test_set, TransformSpec("flip", rng_seed=2))
-        top1, per_class = models.accuracy_breakdown(predict(self.model, flip), flip.labels)
-        assert (reports[0].top1, reports[0].per_class) == (top1, per_class)
+        # per chunk: the originals once, then one pass per transform other than none
+        assert len(calls) == 6
+        for lo, (original, *transformed) in ((0, calls[:3]), (models.EVAL_BATCH, calls[3:])):
+            assert np.array_equal(original, test_set.pixels[lo : lo + models.EVAL_BATCH])
+            assert np.shares_memory(original, test_set.pixels)
+            assert not any(np.shares_memory(c, test_set.pixels) for c in transformed)
+        for i, kind in ((0, "flip"), (2, "rotate")):
+            out = transform_set(test_set, kind, 2)
+            top1, per_class = models.accuracy_breakdown(predict(self.model, out.pixels), out.labels)
+            assert (reports[i].top1, reports[i].per_class) == (top1, per_class)
         assert reports[1].delta == 0.0
 
     def test_dadm_prediction_invariance_on_multiset_transforms(self):
         cfg = tiny_cfg("dadm", epochs=2)
         model = models.build_model(cfg)
         models.train(model, self.train_set, cfg)
-        base_preds = models.predict(model, self.test_set)
+        base_preds = models.predict(model, self.test_set.pixels)
         for kind in ("flip", "shuffle"):
-            out = apply_transform(self.test_set, TransformSpec(kind, rng_seed=2))
-            preds = models.predict(model, out)
+            out = transform_set(self.test_set, kind, 2)
+            preds = models.predict(model, out.pixels)
             assert (preds == base_preds).mean() >= 0.999
 

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import cosdg, sindg
 
-from conftest import make_imageset
+from conftest import make_imageset, transform_set
 from histlearn.histogram import HistogramSpec, kde_histogram
 from histlearn.transforms import (
-    CHUNK,
     TRANSFORM_KINDS,
     TransformSpec,
-    apply_transform,
-    apply_transforms,
     flip,
     rotate,
+    stream_states,
+    transform_batch,
     transform_image,
     translate,
 )
@@ -77,8 +76,7 @@ class TestBatchedGathers:
     @pytest.mark.parametrize("kind", ["rotate", "translate", "flip", "shuffle"])
     def test_set_matches_per_image_reference_bytewise(self, kind):
         image_set = make_imageset(300, seed=12)
-        assert CHUNK < image_set.count  # a chunk boundary falls inside the set
-        out = apply_transform(image_set, TransformSpec(kind, rng_seed=9)).pixels
+        out = transform_set(image_set, kind, 9).pixels
         expected = np.stack(
             [transform_reference(img, i, kind, 9) for i, img in enumerate(image_set.pixels)]
         )
@@ -203,27 +201,30 @@ class TestShuffle:
 
 class TestApplyTransform:
     def test_none_returns_input(self, small_set):
-        assert apply_transform(small_set, TransformSpec("none")) is small_set
+        states = stream_states(0, range(small_set.count))
+        assert transform_batch(small_set.pixels, states, "none") is small_set.pixels
+
+    def test_unknown_kind_raises_instead_of_shuffling(self, small_set):
+        states = stream_states(0, range(small_set.count))
+        with pytest.raises(ValueError, match="bogus"):
+            transform_batch(small_set.pixels, states, "bogus")
 
     def test_deterministic_reruns(self, small_set):
         for kind in ("rotate", "translate", "flip", "shuffle"):
-            tspec = TransformSpec(kind, rng_seed=3)
-            a = apply_transform(small_set, tspec)
-            b = apply_transform(small_set, tspec)
+            a = transform_set(small_set, kind, 3)
+            b = transform_set(small_set, kind, 3)
             assert np.array_equal(a.pixels, b.pixels)
             assert np.array_equal(a.labels, small_set.labels)
 
     def test_rotation_stream_is_documented_derivation(self, small_set):
         # per-image angle i comes from default_rng([seed, i]).uniform(0, 90)
-        tspec = TransformSpec("rotate", rng_seed=11)
-        out = apply_transform(small_set, tspec)
+        out = transform_set(small_set, "rotate", 11)
         for i in (0, 17, 255):
             theta = np.random.default_rng([11, i]).uniform(0.0, 90.0)
             assert np.array_equal(out.pixels[i], rotate(small_set.pixels[i], theta))
 
     def test_translate_draws_dx_then_dy(self, small_set):
-        tspec = TransformSpec("translate", rng_seed=4)
-        out = apply_transform(small_set, tspec)
+        out = transform_set(small_set, "translate", 4)
         for i in (0, 100):
             rng = np.random.default_rng([4, i])
             dx = int(rng.integers(-8, 9))
@@ -232,7 +233,7 @@ class TestApplyTransform:
 
     def test_pixels_stay_in_range(self, small_set):
         for kind in ("rotate", "translate", "flip", "shuffle"):
-            out = apply_transform(small_set, TransformSpec(kind, rng_seed=0))
+            out = transform_set(small_set, kind, 0)
             assert out.pixels.min() >= -1.0 and out.pixels.max() <= 1.0
 
     def test_unknown_kind_rejected(self):
@@ -244,7 +245,7 @@ class TestApplyTransform:
         spec = HistogramSpec(n_bins=64, bandwidth=0.01)
         before = kde_histogram(small_set.pixels[:16], spec)
         for kind in ("flip", "shuffle"):
-            out = apply_transform(small_set, TransformSpec(kind, rng_seed=2))
+            out = transform_set(small_set, kind, 2)
             assert np.array_equal(kde_histogram(out.pixels[:16], spec), before)
 
     def test_battery_matches_separate_calls_bytewise(self):
@@ -252,17 +253,18 @@ class TestApplyTransform:
         image_set = make_imageset(300, seed=13)
         specs = [TransformSpec(kind, rng_seed=7) for kind in TRANSFORM_KINDS]
         specs += [TransformSpec("rotate", rng_seed=8), TransformSpec("shuffle", rng_seed=7)]
-        outs = list(apply_transforms(image_set, specs))
-        assert len(outs) == len(specs) and outs[0] is image_set
+        states = {seed: stream_states(seed, range(image_set.count)) for seed in (7, 8)}
+        outs = [transform_batch(image_set.pixels, states[t.rng_seed], t.kind) for t in specs]
+        assert len(outs) == len(specs) and outs[0] is image_set.pixels
         for tspec, out in zip(specs, outs):
-            assert np.array_equal(out.pixels, apply_transform(image_set, tspec).pixels), tspec
-            assert np.array_equal(out.labels, image_set.labels)
+            expected = transform_set(image_set, tspec.kind, tspec.rng_seed).pixels
+            assert np.array_equal(out, expected), tspec
 
     def test_transform_image_matches_set_application(self, small_set):
         # the single-image helper reproduces the whole-set result at any index
         for kind in ("rotate", "translate", "flip", "shuffle"):
             tspec = TransformSpec(kind, rng_seed=6)
-            whole = apply_transform(small_set, tspec)
+            whole = transform_set(small_set, tspec.kind, tspec.rng_seed)
             for i in (0, 31, 200):
                 single = transform_image(small_set.pixels[i], i, tspec)
                 assert np.array_equal(single, whole.pixels[i])
@@ -270,7 +272,7 @@ class TestApplyTransform:
     def test_rotation_perturbs_histograms(self, small_set):
         # bilinear interpolation changes the pixel multiset
         spec = HistogramSpec(n_bins=64, bandwidth=0.01)
-        out = apply_transform(small_set, TransformSpec("rotate", rng_seed=2))
+        out = transform_set(small_set, "rotate", 2)
         a = kde_histogram(small_set.pixels[:16], spec)
         b = kde_histogram(out.pixels[:16], spec)
         changed = np.sum(np.abs(a - b).max(axis=1) > 1e-6)

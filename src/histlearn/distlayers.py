@@ -127,6 +127,14 @@ class ArithmeticDistributionLayer:
     and :func:`sum_matrix` and applies both to the batch; the backward pass
     is their exact adjoint, plain matmuls plus one gather per kernel, and
     writes both kernel gradients.
+
+    A kernel is folded once per value, not once per batch: the layer keeps
+    a copy of each kernel it last folded and refolds only when the current
+    value differs (``np.array_equal``), so evaluation folds once for all
+    its chunks, while a training step, whose Adam update edits the kernels
+    in place, refolds both.  Values that compare equal fold to the same
+    bits: they can differ only in the sign of a zero, and a zero weight
+    adds nothing to a cell of the fold.
     """
 
     def __init__(self, spec: HistogramSpec, kernel: DistributionKernel, name="arith"):
@@ -138,6 +146,7 @@ class ArithmeticDistributionLayer:
         self.spec = spec
         self.weight_hist = Parameter(kernel.weight_hist, name=f"{name}.weight_hist")
         self.bias_hist = Parameter(kernel.bias_hist, name=f"{name}.bias_hist")
+        self._folded_w = self._folded_b = None  # the kernel values _mw and _mb fold
 
     def params(self):
         return [self.weight_hist, self.bias_hist]
@@ -147,8 +156,13 @@ class ArithmeticDistributionLayer:
         n = self.spec.n_bins
         if x.ndim != 2 or x.shape[1] != n:
             raise ShapeError(f"expected histograms of shape (batch, {n}), got {x.shape}")
-        self._mw = product_matrix(self.weight_hist.value, self.spec)
-        self._mb = sum_matrix(self.bias_hist.value, self.spec)
+        w, b = self.weight_hist.value, self.bias_hist.value
+        if not np.array_equal(w, self._folded_w):
+            self._mw = product_matrix(w, self.spec)
+            self._folded_w = w.copy()
+        if not np.array_equal(b, self._folded_b):
+            self._mb = sum_matrix(b, self.spec)
+            self._folded_b = b.copy()
         self._fx = x
         self._fy = x @ self._mw.T
         return self._fy @ self._mb.T

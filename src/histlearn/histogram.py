@@ -54,7 +54,10 @@ from ``g`` changes exactly those two edge coefficients, so the whole rule
 is one centring step per row, ``h = g - (g . bins)``, and the gradient is
 ``c * sum_e G(e - x) (h_e - h_{e-1}) / total``.  ``G`` is exactly 0 where
 the erf is saturated, so the sum runs over the pixel's band of edges from
-the forward pass, again in bounded groups of whole rows.
+the forward pass, again in bounded groups of whole rows.  Equal pixels of a
+row get equal gradients, so the sum is evaluated once per distinct value of
+each row, as in the forward pass, and gathered back to the pixels through
+the sort's order; each pixel gets the bits its own evaluation would give.
 """
 
 from dataclasses import dataclass, field
@@ -212,6 +215,16 @@ def _row_groups(rows: np.ndarray, spec: HistogramSpec):
     return [slice(lo, lo + step) for lo in range(0, b, step)]
 
 
+def _runs(srt: np.ndarray):
+    """``(first, starts, values)`` of rows sorted along axis 1: whether each
+    entry starts a run of equal values, the flat index of each run's start,
+    and its value; runs never span two rows."""
+    first = np.ones(srt.shape, dtype=bool)
+    first[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    starts = np.flatnonzero(first)
+    return first, starts, srt.ravel()[starts]
+
+
 def _banded_masses(rows: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     """Unnormalized bin masses ``2M * raw`` of checked rows, shaped (B, N).
 
@@ -224,10 +237,7 @@ def _banded_masses(rows: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     b, m = rows.shape
     n = spec.n_bins
     srt = np.sort(rows, axis=1)
-    first = np.ones(srt.shape, dtype=bool)
-    first[:, 1:] = srt[:, 1:] != srt[:, :-1]
-    starts = np.flatnonzero(first)
-    values = srt.ravel()[starts]
+    _, starts, values = _runs(srt)
     counts = np.diff(starts, append=srt.size)
     lo, edges = _band(values, spec)
     inv = 1.0 / (_SQRT2 * spec.bandwidth)
@@ -288,10 +298,16 @@ def kde_histogram_backward(grad_bins, images, spec: HistogramSpec) -> np.ndarray
     out = np.empty_like(rows)
     for group in _row_groups(rows, spec):
         px = rows[group]
-        _, edges = _band(px, spec)
-        gauss = _gauss_saturated((spec.edges[edges] - px[..., None]) * inv)
-        band_coeff = np.take_along_axis(coeff[group, None, :], edges, axis=2)
-        out[group] = c * (gauss * band_coeff).sum(axis=2) / totals[group, None]
+        order = np.argsort(px, axis=1)
+        srt = np.take_along_axis(px, order, axis=1)
+        first, starts, values = _runs(srt)
+        row = starts // m + group.start
+        _, edges = _band(values, spec)
+        gauss = _gauss_saturated((spec.edges[edges] - values[:, None]) * inv)
+        per_value = c * (gauss * coeff[row[:, None], edges]).sum(axis=1) / totals[row]
+        # each sorted pixel takes its run's value, put back in pixel order
+        run = np.cumsum(first.ravel()).reshape(srt.shape) - 1
+        np.put_along_axis(out[group], order, per_value[run], axis=1)
     return out.reshape(np.shape(images))
 
 

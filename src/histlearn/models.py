@@ -16,6 +16,12 @@ The layers in front of a model's first layer with parameters have nothing
 to learn and training inputs are fixed, so :func:`train` runs that frozen
 prefix once, in memory (dadm's histograms, base's ``Flatten`` view), and
 every step from the first trained layer on.
+
+:func:`evaluate` runs the test set in chunks of ``EVAL_BATCH`` images, and
+each chunk goes through its transforms and the model's forward pass while
+its buffers are still in cache.  The forward pass is the one training runs;
+it leaves the backward's masks unbuilt, and dadm's distribution layer folds
+its kernels once for all chunks, as they do not change between them.
 """
 
 import time
@@ -32,7 +38,14 @@ from .transforms import TransformSpec, stream_states, transform_batch
 
 ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 
-EVAL_BATCH = 256  # images per forward pass in predict, per chunk in evaluate
+# Images per forward pass in predict and per chunk in evaluate, small enough
+# that a chunk's transform temporaries and layer buffers stay near cache
+# (lenet's conv1 im2col buffer is 3.7 MB at 32 images, 29.5 MB at 256).
+# perfbench eval-battery, 25 s runs, seeds 401-403, median ref_img_per_s and
+# peak_rss_mb: 32 -> 8071, 78 MB; 64 -> 8162, 91 MB; 128 -> 7306, 110 MB;
+# 256 -> 6976, 158 MB (1 BLAS thread, 2-vCPU Xeon VM with 2 MiB L2 per
+# core).  32 and 64 tie within run noise and 32 holds less.
+EVAL_BATCH = 32
 
 
 @dataclass

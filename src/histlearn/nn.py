@@ -1,13 +1,16 @@
 """Dense-tensor layers with hand-written backward passes, plus Adam.
 
-There is no autograd here.  Every layer caches what its backward pass
-needs during ``forward`` and exposes an explicit ``backward`` that sets
-each parameter gradient (it writes ``Parameter.grad`` rather than adding
-to it, so nothing zeroes gradients between steps) and returns the gradient
-with respect to its input.  A layer with parameters takes
-``input_grad=False`` to skip that input gradient when nobody reads it (the
-first trained layer of a model) and return ``None``; its parameter
-gradients are the same bits.
+There is no autograd here.  During ``forward`` every layer keeps the
+arrays its backward pass reads (its input or output, or a convolution's
+im2col buffer); anything derived from them alone, such as ReLU's and
+max-pool's routing masks, is built in ``backward``, so a forward-only pass
+builds nothing it does not use.  Each layer exposes an explicit
+``backward`` that sets each parameter gradient (it writes
+``Parameter.grad`` rather than adding to it, so nothing zeroes gradients
+between steps) and returns the gradient with respect to its input.  A
+layer with parameters takes ``input_grad=False`` to skip that input
+gradient when nobody reads it (the first trained layer of a model) and
+return ``None``; its parameter gradients are the same bits.
 All math is float64 and every layer takes batches only: the leading
 dimension is the batch, and a single sample is a batch of one.
 An input of the wrong rank is a ``ShapeError``, never reinterpreted.
@@ -157,10 +160,11 @@ class MaxPool2d:
     The four window taps are the strided views ``x[:, :, i::2, j::2]``.
     Backward routes the upstream gradient to the first maximal tap of each
     window in row-major scan order, which keeps the pass deterministic on
-    plateaus.  ``forward`` records that tap as one ``uint8`` code per
-    window, ``ne0 * (1 + ne1 * (1 + ne2))`` with ``ne_k = t_k != max``:
-    the index of the first tap equal to the max, and 3 when none is, as in
-    a window holding NaN.
+    plateaus.  ``forward`` keeps its input and output, and ``backward``
+    derives that tap from them as one ``uint8`` code per window,
+    ``ne0 * (1 + ne1 * (1 + ne2))`` with ``ne_k = t_k != max``: the index
+    of the first tap equal to the max, and 3 when none is, as in a window
+    holding NaN.
     """
 
     window = 2
@@ -178,16 +182,20 @@ class MaxPool2d:
             raise ShapeError(f"maxpool2d: spatial dims must be even, got {h}x{w}")
         t0, t1, t2, t3 = (x[:, :, i::2, j::2] for i, j in self._TAPS)
         out = np.maximum(np.maximum(t0, t1), np.maximum(t2, t3))
-        ne0, ne1, ne2 = (t != out for t in (t0, t1, t2))
-        self._code = ne0 * (1 + ne1 * (1 + ne2.view(np.uint8)))
-        self._in_shape = x.shape
+        self._x, self._out = x, out
         return out
+
+    def _code(self):
+        """The ``uint8`` code of each window of the last forward pass."""
+        ne0, ne1, ne2 = (self._x[:, :, i::2, j::2] != self._out for i, j in self._TAPS[:3])
+        return ne0 * (1 + ne1 * (1 + ne2.view(np.uint8)))
 
     def backward(self, grad):
         g = np.asarray(grad, dtype=np.float64)
-        dx = np.empty(self._in_shape)
+        code = self._code()
+        dx = np.empty(self._x.shape)
         for tap, (i, j) in enumerate(self._TAPS):
-            np.multiply(g, self._code == tap, out=dx[:, :, i::2, j::2])
+            np.multiply(g, code == tap, out=dx[:, :, i::2, j::2])
         return dx
 
 
@@ -196,12 +204,12 @@ class ReLU:
         return []
 
     def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        self._mask = x > 0  # subgradient 0 at exactly 0
-        return np.maximum(x, 0.0)
+        self._y = np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+        return self._y
 
     def backward(self, grad):
-        return np.asarray(grad, dtype=np.float64) * self._mask
+        # y > 0 exactly where x > 0, NaN included; subgradient 0 at exactly 0
+        return np.asarray(grad, dtype=np.float64) * (self._y > 0)
 
 
 class Flatten:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from histlearn import nn
+from histlearn import distlayers, nn
 from histlearn.distlayers import (
     ArithmeticDistributionLayer,
     DistributionKernel,
@@ -383,6 +383,33 @@ class TestBatchedLayer:
             assert np.abs(gx[i] - gxi[0]).max() < 1e-12
         assert np.abs(layer.weight_hist.grad - want_w).max() < 1e-12
         assert np.abs(layer.bias_hist.grad - want_b).max() < 1e-12
+
+    def test_folds_once_per_kernel_value(self, monkeypatch):
+        # forwards with unchanged kernels reuse the folds; an in-place edit,
+        # as Adam's update and selftest's probes make, refolds that kernel
+        rng = np.random.default_rng(16)
+        spec = spec_of(16)
+        layer = ArithmeticDistributionLayer(
+            spec, DistributionKernel(rng.standard_normal(16), rng.standard_normal(16))
+        )
+        folds = []
+        for name in ("product_matrix", "sum_matrix"):
+            fold = getattr(distlayers, name)
+            monkeypatch.setattr(
+                distlayers, name, lambda k, s, fold=fold, name=name: folds.append(name) or fold(k, s)
+            )
+        batch = rng.standard_normal((3, 16))
+        first = layer.forward(batch)
+        assert np.array_equal(layer.forward(batch), first)
+        assert folds == ["product_matrix", "sum_matrix"]
+        layer.weight_hist.value[3] += 0.5
+        layer.forward(batch)
+        assert folds[2:] == ["product_matrix"]
+        layer.bias_hist.value[...] = rng.standard_normal(16)
+        out = layer.forward(batch)
+        assert folds[3:] == ["sum_matrix"]
+        kernel = DistributionKernel(layer.weight_hist.value.copy(), layer.bias_hist.value.copy())
+        assert np.array_equal(out, ArithmeticDistributionLayer(spec, kernel).forward(batch))
 
     def test_shape_errors(self):
         spec = spec_of(8)

@@ -322,6 +322,21 @@ def _dense_backward_reference(grad_bins, rows, spec):
     return np.array(out)
 
 
+def _per_pixel_backward_reference(grad_bins, rows, spec):
+    """The banded backward evaluated at every pixel, not once per distinct
+    value: each pixel's band of saturated Gaussians times the centred edge
+    coefficients, summed, as ``kde_histogram_backward`` defines it."""
+    bins, totals = histogram._kde_rows(rows, spec)
+    h = grad_bins - (grad_bins * bins).sum(axis=1, keepdims=True)
+    coeff = np.diff(h, axis=1, prepend=0.0, append=0.0)
+    inv = 1.0 / (np.sqrt(2.0) * spec.bandwidth)
+    c = (2.0 / np.sqrt(np.pi)) * inv / (2.0 * rows.shape[1])
+    _, edges = histogram._band(rows, spec)
+    gauss = histogram._gauss_saturated((spec.edges[edges] - rows[..., None]) * inv)
+    band_coeff = np.take_along_axis(coeff[:, None, :], edges, axis=2)
+    return c * (gauss * band_coeff).sum(axis=2) / totals[:, None]
+
+
 class TestKdeBackward:
     def test_uniform_upstream_grad_is_flat(self):
         # the histogram always sums to 1, so a constant upstream gradient
@@ -413,6 +428,22 @@ class TestBatchedBackward:
         ref = _dense_backward_reference(grad, rows, spec)
         err = np.abs(kde_histogram_backward(grad, rows, spec) - ref).max()
         assert err <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n_bins, bandwidth", [(256, 0.001), *WIDE_SETTINGS])
+    def test_once_per_value_matches_per_pixel_bitwise(self, small_set, n_bins, bandwidth, monkeypatch):
+        # byte images repeat few values, rotated ones many; signed zeros and
+        # the domain ends are equal values that must share one evaluation
+        spec = HistogramSpec(n_bins=n_bins, bandwidth=bandwidth)
+        rng = np.random.default_rng(37)
+        rows = _byte_and_rotated(small_set, 12)
+        rows[0, :4] = [0.0, -0.0, -1.0, 1.0]
+        rows[1, :4] = [-0.0, 0.0, 1.0, -1.0]
+        grad = rng.standard_normal((len(rows), n_bins))
+        ref = _per_pixel_backward_reference(grad, rows, spec)
+        assert np.array_equal(kde_histogram_backward(grad, rows, spec), ref)
+        # and across row groups split inside the batch
+        monkeypatch.setattr(histogram, "_BAND_TERMS", 5 * rows.shape[1] * (histogram._band_width(spec) + 1))
+        assert np.array_equal(kde_histogram_backward(grad, rows, spec), ref)
 
     def test_batch_axis_required(self):
         spec = HistogramSpec(n_bins=8, bandwidth=0.05)

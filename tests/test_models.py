@@ -9,6 +9,7 @@ from conftest import make_imageset, transform_set
 from histlearn import models, nn
 from histlearn.errors import NonFiniteError
 from histlearn.histogram import kde_histogram, kde_histogram_backward
+from histlearn.transforms import TRANSFORM_KINDS
 
 ARCHS = ("lenet", "base", "cnn", "dadm")
 
@@ -21,6 +22,19 @@ def tiny_cfg(arch, **kw):
 
 def batch_of(image_set, n):
     return image_set.pixels[:n, None, :, :]
+
+
+def _held_bytes(model):
+    """Bytes of the distinct arrays a model's layers keep between calls,
+    parameters aside; views count as the array they view."""
+    owners = {}
+    for layer in model.layers:
+        for value in vars(layer).values():
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                owners[id(value)] = value.nbytes
+    return sum(owners.values())
 
 
 class TestBuildModel:
@@ -379,8 +393,9 @@ class TestEvaluate:
         reports = models.evaluate(self.model, test_set, kinds, seed=2)
         assert [r.transform for r in reports] == kinds
         # per chunk: the originals once, then one pass per transform other than none
-        assert len(calls) == 6
-        for lo, (original, *transformed) in ((0, calls[:3]), (models.EVAL_BATCH, calls[3:])):
+        starts = range(0, test_set.count, models.EVAL_BATCH)
+        assert len(calls) == 3 * len(starts)
+        for lo, (original, *transformed) in zip(starts, (calls[i : i + 3] for i in range(0, len(calls), 3))):
             assert np.array_equal(original, test_set.pixels[lo : lo + models.EVAL_BATCH])
             assert np.shares_memory(original, test_set.pixels)
             assert not any(np.shares_memory(c, test_set.pixels) for c in transformed)
@@ -389,6 +404,30 @@ class TestEvaluate:
             top1, per_class = models.accuracy_breakdown(predict(self.model, out.pixels), out.labels)
             assert (reports[i].top1, reports[i].per_class) == (top1, per_class)
         assert reports[1].delta == 0.0
+
+    @pytest.mark.parametrize("arch", ["lenet", "dadm"])
+    def test_chunk_size_changes_no_report(self, arch, monkeypatch):
+        cfg = tiny_cfg(arch)
+        model = models.build_model(cfg)
+        models.train(model, self.train_set, cfg)
+        test_set = make_imageset(3 * models.EVAL_BATCH + 5, seed=34)  # ends in a partial chunk
+        kinds = list(TRANSFORM_KINDS)
+        chunked = models.evaluate(model, test_set, kinds, seed=3)
+        monkeypatch.setattr(models, "EVAL_BATCH", test_set.count)
+        assert models.evaluate(model, test_set, kinds, seed=3) == chunked
+
+    def test_lenet_holds_one_chunk_after_evaluate(self):
+        # every layer keeps only its newest forward's arrays, so after a
+        # battery the model holds one chunk's buffers, not the set's
+        model = models.build_model(tiny_cfg("lenet"))
+        model.forward(batch_of(self.test_set, 1))
+        per_image = _held_bytes(model)
+        models.evaluate(model, make_imageset(2 * models.EVAL_BATCH, seed=35), ["none", "rotate"], seed=4)
+        held = _held_bytes(model)
+        assert held == models.EVAL_BATCH * per_image
+        # about 233 KiB per image: chunks of up to 64 images stay under this
+        # bound, and a 256-image chunk would hold 58 MiB
+        assert held < 16 * 2**20
 
     def test_dadm_prediction_invariance_on_multiset_transforms(self):
         cfg = tiny_cfg("dadm", epochs=2)

@@ -309,14 +309,15 @@ class TestMaxPool2d:
         layer = nn.MaxPool2d()
         out = layer.forward(x)
         dx = layer.backward(g)
-        assert layer._code.dtype == np.uint8 and layer._code.shape == out.shape
+        code = layer._code()
+        assert code.dtype == np.uint8 and code.shape == out.shape
         ref_out, ref_dx = self._where_routing(x, g)
         # compared as bits: sign of zero and NaN payloads included
         assert np.array_equal(out.view(np.uint64), ref_out.view(np.uint64))
         assert np.array_equal(dx.view(np.uint64), ref_dx.view(np.uint64))
         if case == "nan":
             windows = np.isnan(out)
-            assert windows.any() and np.all(layer._code[windows] == 3)
+            assert windows.any() and np.all(code[windows] == 3)
 
 
 class TestReLU:
@@ -329,6 +330,14 @@ class TestReLU:
         out = layer.forward(np.full(5, -3.0))
         assert np.all(out == 0.0)
         assert np.all(layer.backward(np.ones(5)) == 0.0)
+
+    def test_backward_routes_where_input_positive(self):
+        # backward reads its mask off the output: y > 0 exactly where x > 0
+        x = np.array([np.nan, -0.0, 0.0, -np.inf, np.inf, 5e-324, -5e-324, 2.0])
+        layer = nn.ReLU()
+        layer.forward(x)
+        g = np.arange(1.0, 9.0)
+        assert np.array_equal(layer.backward(g), g * (x > 0))
 
     def test_finite_difference_grads_away_from_kink(self):
         rng = np.random.default_rng(11)

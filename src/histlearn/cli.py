@@ -286,7 +286,7 @@ def _cmd_report(opts):
         # keyed by the image's position in the test set, matching the
         # streams `eval` uses for the same seed
         tspec = TransformSpec(kind, rng_seed=opts["seed"])
-        image = transform_image(test_set.pixels[index], index, tspec)
+        image = transform_image(test_set.take(index), index, tspec)
         name = "original" if kind == "none" else kind
         dump_path = os.path.join(out_dir, f"hist_{name}.csv")
         write_histogram_dump(dump_path, spec.centers, kde_histogram(image[None], spec)[0])

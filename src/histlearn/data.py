@@ -6,7 +6,8 @@ dimension fields, then unsigned bytes.  Files may be given raw or gzipped;
 gzip is detected from the two-byte signature.
 
 Pixels are mapped from bytes to ``v / 127.5 - 1`` so the working range is
-exactly [-1, 1].
+exactly [-1, 1].  A loaded split is held as its bytes; training and
+evaluation normalize only the rows each batch or chunk reads.
 """
 
 import gzip
@@ -100,55 +101,82 @@ def load_idx(images_path, labels_path):
 
 
 def normalize(raw) -> np.ndarray:
-    """Bytes 0..255 -> float64 in [-1, 1]; 0 maps to -1 and 255 to +1."""
+    """Bytes 0..255 -> float64 in [-1, 1]; 0 maps to -1 and 255 to +1.
+
+    Element by element, so a batch normalized on its own is bitwise the
+    same rows of the whole set normalized at once."""
     return np.asarray(raw, dtype=np.float64) / 127.5 - 1.0
 
 
 @dataclass
 class ImageSet:
-    """Normalized grayscale images with labels.
+    """Grayscale images with labels, held as given.
 
-    Invariants checked at construction: pixels in [-1, 1], labels in 0..9,
-    one label per image.
+    ``images`` stays uint8 bytes when it is given as bytes (an IDX split:
+    a 60k MNIST split is 47 MB of bytes, 376 MB as float64) and is float64
+    pixels in [-1, 1] otherwise.  :meth:`take` returns float64 pixels of
+    the rows a batch or chunk reads, normalizing only those bytes.
+
+    Invariants checked at construction: float pixels finite and in
+    [-1, 1], labels in 0..9, one label per image.
     """
 
-    pixels: np.ndarray  # (count, H, W) float64
+    images: np.ndarray  # (count, H, W) uint8 bytes or float64 pixels
     labels: np.ndarray  # (count,) int64
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
+        self.images = np.asarray(self.images)
+        if self.images.dtype != np.uint8:
+            self.images = self.images.astype(np.float64, copy=False)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.pixels.ndim != 3:
-            raise DataFormatError(f"pixels must be (count, H, W), got shape {self.pixels.shape}")
-        if self.labels.shape != (self.pixels.shape[0],):
+        if self.images.ndim != 3:
+            raise DataFormatError(f"pixels must be (count, H, W), got shape {self.images.shape}")
+        if self.labels.shape != (self.images.shape[0],):
             raise DataFormatError(
-                f"{self.pixels.shape[0]} images but {self.labels.shape[0]} labels"
+                f"{self.images.shape[0]} images but {self.labels.shape[0]} labels"
             )
-        if self.pixels.size and (self.pixels.min() < -1.0 or self.pixels.max() > 1.0):
-            raise DataFormatError("pixel values outside [-1, 1]")
+        if self.images.dtype == np.float64 and self.images.size:
+            lo, hi = self.images.min(), self.images.max()
+            if not (lo >= -1.0 and hi <= 1.0):  # NaN fails both
+                raise DataFormatError(
+                    f"pixel values must be finite and in [-1, 1], got range [{lo}, {hi}]"
+                )
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 9):
             raise DataFormatError("labels must be class indices 0..9")
 
     @property
     def count(self):
-        return self.pixels.shape[0]
+        return self.images.shape[0]
 
     @property
     def height(self):
-        return self.pixels.shape[1]
+        return self.images.shape[1]
 
     @property
     def width(self):
-        return self.pixels.shape[2]
+        return self.images.shape[2]
+
+    def take(self, index) -> np.ndarray:
+        """Float64 pixels of ``images[index]`` (an index, slice or index
+        array); bytes are normalized, float pixels returned as indexed."""
+        rows = self.images[index]
+        return normalize(rows) if rows.dtype == np.uint8 else rows
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The whole set as float64 pixels.  A byte set builds a float copy
+        8x its size on every access, so no package path reads this."""
+        return normalize(self.images) if self.images.dtype == np.uint8 else self.images
 
     @classmethod
     def from_idx_files(cls, images_path, labels_path) -> "ImageSet":
         images, labels = load_idx(images_path, labels_path)
-        return cls(normalize(images), labels.astype(np.int64))
+        return cls(images, labels.astype(np.int64))
 
 
 def load_mnist(data_dir, split="train") -> ImageSet:
-    """Load one MNIST split from a directory holding the standard IDX files.
+    """Load one MNIST split, held as its bytes, from a directory holding
+    the standard IDX files.
 
     A split with no images, or with images that are not 28x28, raises
     :class:`DataFormatError` naming the file, before any model sees it.
@@ -163,10 +191,10 @@ def load_mnist(data_dir, split="train") -> ImageSet:
     image_set = ImageSet.from_idx_files(images, os.path.join(data_dir, labels))
     if image_set.count == 0:
         raise DataFormatError(f"{images}: holds no images")
-    if image_set.pixels.shape[1:] != IMAGE_SHAPE:
-        height, width = image_set.pixels.shape[1:]
+    if (image_set.height, image_set.width) != IMAGE_SHAPE:
         raise DataFormatError(
-            f"{images}: images are {height}x{width}, expected {IMAGE_SHAPE[0]}x{IMAGE_SHAPE[1]}"
+            f"{images}: images are {image_set.height}x{image_set.width}, "
+            f"expected {IMAGE_SHAPE[0]}x{IMAGE_SHAPE[1]}"
         )
     return image_set
 

@@ -65,15 +65,17 @@ def _index_maps(n_bins: int):
     Pair (i, m), kernel bin i against input bin m, lands in output bin
     k(i, m); ``prod_flat`` / ``sum_flat`` hold the composite indices
     ``k * N + m`` into an (N, N) matrix, pairs in row-major order.
+
+    The sum's bin is computed in integers: ``(centers[i] + centers[m] + 1)
+    * N/2`` is exactly ``i + m + 1 - N/2``, which floors to ``i + m + 1 -
+    ceil(N/2)``.  Evaluated in floats it can round just below an integer
+    (at even N that is not a power of two) and land a bin low.
     """
     spec = HistogramSpec(n_bins=n_bins, bandwidth=1.0)
     centers = spec.centers
     prod = bin_index(np.multiply.outer(centers, centers), spec)
-    pair_sums = centers[:, None] + centers[None, :]
-    sum_ = np.clip(
-        np.floor((pair_sums + 1.0) * (n_bins / 2.0)).astype(np.int64), 0, n_bins - 1
-    )
     cols = np.arange(n_bins)
+    sum_ = np.clip(cols[:, None] + cols[None, :] + 1 - (n_bins + 1) // 2, 0, n_bins - 1)
     return {
         "prod_flat": (prod * n_bins + cols).ravel(),
         "sum_flat": (sum_ * n_bins + cols).ravel(),

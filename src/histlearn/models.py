@@ -12,16 +12,21 @@ dadm   per-image KDE histogram (256 bins) -> distribution-arithmetic layer
        (two learnable 256-kernels) / ReLU / Linear(256->512) / ReLU
        / Linear(512->10)
 
-The layers in front of a model's first layer with parameters have nothing
-to learn and training inputs are fixed, so :func:`train` runs that frozen
-prefix once, in memory (dadm's histograms, base's ``Flatten`` view), and
-every step from the first trained layer on.
+A split loaded from IDX files is held as its bytes (see
+:class:`~histlearn.data.ImageSet`), and only the rows a step or chunk reads
+are normalized to float pixels.  The layers in front of a model's first
+layer with parameters have nothing to learn and training inputs are fixed,
+so :func:`train` runs that frozen prefix once, ``PREFIX_CHUNK`` images at
+a time, into one array (dadm's histograms, base's flattened pixels), and
+every step from the first trained layer on; a model with no frozen prefix
+(lenet, cnn) normalizes each batch as its step reads it.
 
 :func:`evaluate` runs the test set in chunks of ``EVAL_BATCH`` images, and
-each chunk goes through its transforms and the model's forward pass while
-its buffers are still in cache.  The forward pass is the one training runs;
-it leaves the backward's masks unbuilt, and dadm's distribution layer folds
-its kernels once for all chunks, as they do not change between them.
+each chunk is normalized and goes through its transforms and the model's
+forward pass while its buffers are still in cache.  The forward pass is the
+one training runs; it leaves the backward's masks unbuilt, and dadm's
+distribution layer folds its kernels once for all chunks, as they do not
+change between them.
 """
 
 import time
@@ -46,6 +51,13 @@ ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 # 256 -> 6976, 158 MB (1 BLAS thread, 2-vCPU Xeon VM with 2 MiB L2 per
 # core).  32 and 64 tie within run noise and 32 holds less.
 EVAL_BATCH = 32
+
+# Images per chunk of the frozen prefix that train runs once over the set
+# (dadm's histograms), near the histogram's own group of 222 rows at 256
+# bins and bandwidth 0.001.  Normalize plus kde_histogram of 1024 perfbench
+# images, median of 7: 32 -> 35.6 ms, 64 -> 31.6, 128 -> 29.8, 256 -> 28.8,
+# the whole set at once -> 30.2 (1 BLAS thread, 2-vCPU Xeon VM).
+PREFIX_CHUNK = 256
 
 
 @dataclass
@@ -224,23 +236,36 @@ class EvalReport:
             raise ShapeError(f"per_class must have 10 entries, got {len(self.per_class)}")
 
 
+def _prefix_outputs(layers, image_set: ImageSet) -> np.ndarray:
+    """``layers`` run over the whole set, ``PREFIX_CHUNK`` images at a time,
+    into one array: only a chunk of the set is ever float pixels."""
+    out = None
+    for lo in range(0, image_set.count, PREFIX_CHUNK):
+        x = image_set.take(slice(lo, lo + PREFIX_CHUNK))[:, None, :, :]
+        for layer in layers:
+            x = layer.forward(x)
+        if out is None:
+            out = np.empty((image_set.count, *x.shape[1:]), dtype=x.dtype)
+        out[lo : lo + x.shape[0]] = x
+    return out
+
+
 def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     """Adam + NLL minibatch training; returns the per-epoch loss/accuracy curve.
 
     The frozen prefix, the layers in front of the first layer with
-    parameters, runs once over the whole training set, and every step
-    starts at the first trained layer, whose backward skips the input
-    gradient nobody reads.  Training is fully deterministic given
-    ``cfg.seed``: initialization is seeded at build time and the batch
-    shuffle stream here derives from the same seed.  The training set is
-    consumed as-is; there is no augmentation hook.  ``log`` receives one
-    line per epoch with the epoch's mean loss, training accuracy, wall
-    seconds and images/s.
+    parameters, runs once over the whole training set, chunk by chunk, and
+    every step starts at the first trained layer, whose backward skips the
+    input gradient nobody reads.  A model with no frozen prefix (lenet,
+    cnn) instead normalizes each batch's rows as the step reads them.
+    Training is fully deterministic given ``cfg.seed``: initialization is
+    seeded at build time and the batch shuffle stream here derives from the
+    same seed.  The training set is consumed as-is; there is no
+    augmentation hook.  ``log`` receives one line per epoch with the
+    epoch's mean loss, training accuracy, wall seconds and images/s.
     """
     start = next(i for i, layer in enumerate(model.layers) if layer.params())
-    inputs = train_set.pixels[:, None, :, :]
-    for layer in model.layers[:start]:
-        inputs = layer.forward(inputs)
+    inputs = _prefix_outputs(model.layers[:start], train_set) if start else None
     labels = train_set.labels
     n = train_set.count
     optimizer = Adam(model.parameters(), lr=cfg.lr)
@@ -253,7 +278,8 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
         correct = 0
         for batch_no, lo in enumerate(range(0, n, cfg.batch_size)):
             idx = order[lo : lo + cfg.batch_size]
-            logits = model.forward(inputs[idx], start=start)
+            batch = inputs[idx] if start else train_set.take(idx)[:, None, :, :]
+            logits = model.forward(batch, start=start)
             loss, grad = log_softmax_nll(logits, labels[idx])
             if not np.isfinite(loss):
                 raise NonFiniteError(
@@ -302,9 +328,10 @@ def accuracy_breakdown(predictions: np.ndarray, labels: np.ndarray):
 def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     """One :class:`EvalReport` per transform kind, in the order given.
 
-    One pass over chunks of ``EVAL_BATCH`` test images, so no transformed
-    copy of the whole set is built: each chunk's originals are predicted,
-    then for each kind other than ``none`` the chunk is transformed by
+    One pass over chunks of ``EVAL_BATCH`` test images, so neither a float
+    nor a transformed copy of the whole set is built: each chunk's
+    normalized originals are predicted, then for each kind other than
+    ``none`` the chunk is transformed by
     :func:`~histlearn.transforms.transform_batch` and predicted.  The
     chunk's streams ``default_rng([seed, i])`` are seeded once for all
     those kinds, and not at all when only ``none`` is asked for.  The
@@ -316,7 +343,7 @@ def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     original = np.empty(test_set.count, dtype=np.int64)
     preds = {kind: np.empty_like(original) for kind in kinds if kind != "none"}
     for lo in range(0, test_set.count, EVAL_BATCH):
-        chunk = test_set.pixels[lo : lo + EVAL_BATCH]
+        chunk = test_set.take(slice(lo, lo + EVAL_BATCH))
         hi = lo + chunk.shape[0]
         original[lo:hi] = predict(model, chunk)
         if preds:

@@ -382,6 +382,21 @@ class TestReportCommand:
         _, masses = read_histogram_dump(os.path.join(out_dir, "hist_rotate.csv"))
         assert np.array_equal(masses, expected)
 
+    def test_commands_read_no_whole_split_pixels(self, synth_data_dir, tmp_path, monkeypatch):
+        # a split is held as bytes: train, eval and report normalize only
+        # the rows they read, never the whole split at once
+        def whole_split(self):
+            raise AssertionError("read a whole split's float pixels")
+
+        monkeypatch.setattr(data.ImageSet, "pixels", property(whole_split))
+        train_dir, eval_dir = str(tmp_path / "train"), str(tmp_path / "eval")
+        assert run("train", "--arch", "dadm", "--data-dir", synth_data_dir, "--out-dir", train_dir,
+                   *TRAIN_ARGS) == 0
+        assert run("eval", os.path.join(train_dir, "model_dadm.ckpt"), "--data-dir", synth_data_dir,
+                   "--out-dir", eval_dir) == 0
+        assert run("report", os.path.join(eval_dir, "reports.csv"), "--data-dir", synth_data_dir,
+                   "--out-dir", str(tmp_path / "report"), "--image-index", "3") == 0
+
     def test_malformed_reports_csv_exits_2(self, synth_data_dir, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("model,transform\nlenet\n")

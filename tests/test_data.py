@@ -131,6 +131,24 @@ class TestImageSet:
             ImageSet(np.zeros((2, 4, 4)), np.array([0, 10]))
         with pytest.raises(DataFormatError):
             ImageSet(np.zeros((2, 4, 4)), np.zeros(3, dtype=int))
+        # NaN compares false both ways, so a min/max range check alone
+        # would pass it
+        for bad in (np.nan, -np.inf, np.inf):
+            pixels = np.zeros((2, 4, 4))
+            pixels[1, 2, 3] = bad
+            with pytest.raises(DataFormatError, match="finite"):
+                ImageSet(pixels, np.zeros(2, dtype=int))
+
+    def test_bytes_held_as_bytes_and_normalized_per_take(self):
+        rng = np.random.default_rng(3)
+        raw = rng.integers(0, 256, (5, 4, 4), dtype=np.uint8)
+        image_set = ImageSet(raw, np.arange(5))
+        assert image_set.images.dtype == np.uint8
+        whole = normalize(raw)
+        for index in (2, slice(1, 4), np.array([4, 0, 4])):
+            got = image_set.take(index)
+            assert got.dtype == np.float64 and np.array_equal(got, whole[index])
+        assert np.array_equal(image_set.pixels, whole)
 
     def test_from_idx_files(self, idx_pair):
         (img_path, lbl_path), images, labels = idx_pair
@@ -138,6 +156,7 @@ class TestImageSet:
         assert image_set.count == 3
         assert image_set.height == image_set.width == 28
         assert np.array_equal(image_set.labels, labels)
+        assert np.array_equal(image_set.images, images)  # held as the file's bytes
         assert image_set.pixels.min() >= -1.0 and image_set.pixels.max() <= 1.0
 
 

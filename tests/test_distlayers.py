@@ -1,5 +1,8 @@
 """Distribution layer: scatter matrices, adjoints, independent oracles."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -181,6 +184,18 @@ class TestSumLayer:
             spec = spec_of(n)
             fb = rng.standard_normal(n)
             assert np.array_equal(sum_matrix(fb, spec), fold_loops(fb, spec, np.add))
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_matches_rational_law(self, n):
+        # even N that is not a power of two: evaluated in floats, some pair
+        # sums round just below a bin edge and would land a bin low
+        spec = spec_of(n)
+        centers = [Fraction(-1) + Fraction(2 * i + 1, n) for i in range(n)]
+        for i in range(n):
+            s = sum_matrix(delta(n, i), spec)
+            for m in range(n):
+                k = min(max(math.floor((centers[i] + centers[m] + 1) * Fraction(n, 2)), 0), n - 1)
+                assert np.array_equal(s[:, m], delta(n, k)), (i, m)
 
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(7)

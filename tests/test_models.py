@@ -1,12 +1,14 @@
 """Architectures, training loop, evaluation."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_imageset, transform_set
+from conftest import make_imageset, to_bytes_images, transform_set
 from histlearn import models, nn
+from histlearn.data import ImageSet, normalize
 from histlearn.errors import NonFiniteError
 from histlearn.histogram import kde_histogram, kde_histogram_backward
 from histlearn.transforms import TRANSFORM_KINDS
@@ -22,6 +24,11 @@ def tiny_cfg(arch, **kw):
 
 def batch_of(image_set, n):
     return image_set.pixels[:n, None, :, :]
+
+
+def byte_set(count, seed):
+    """A synthetic set held as uint8 bytes, as ``load_mnist`` holds a split."""
+    return ImageSet(*to_bytes_images(make_imageset(count, seed=seed)))
 
 
 def _held_bytes(model):
@@ -272,6 +279,58 @@ class TestTraining:
         steps = cfg.epochs * len(range(0, train_set.count, cfg.batch_size))
         assert [c for c in calls if c[0] is prefix] == [(prefix, "forward", {})]
         assert [c for c in calls if c[0] is trained] == [(trained, "backward", {"input_grad": False})] * steps
+
+    @pytest.mark.parametrize("arch", ["lenet", "dadm"])
+    def test_bytes_and_their_floats_train_and_evaluate_alike(self, arch, monkeypatch):
+        train_set, test_set = byte_set(100, seed=28), byte_set(3 * models.EVAL_BATCH + 5, seed=29)
+        cfg = tiny_cfg(arch)
+
+        def run(train_set, test_set):
+            model = models.build_model(cfg)
+            models.train(model, train_set, cfg)
+            reports = models.evaluate(model, test_set, list(TRANSFORM_KINDS), seed=5)
+            return [p.value for p in model.parameters()], reports
+
+        def as_floats(image_set):
+            return ImageSet(normalize(image_set.images), image_set.labels)
+
+        want_params, want_reports = run(as_floats(train_set), as_floats(test_set))
+        runs = {"bytes": run(train_set, test_set)}
+        # a frozen prefix run in chunks that end in a partial one
+        monkeypatch.setattr(models, "PREFIX_CHUNK", 24)
+        runs["chunks of 24"] = run(train_set, test_set)
+        for name, (params, reports) in runs.items():
+            assert all(np.array_equal(a, b) for a, b in zip(params, want_params)), name
+            assert reports == want_reports, name
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_train_and_evaluate_read_no_whole_set_pixels(self, arch, monkeypatch):
+        train_set, test_set = byte_set(80, seed=30), byte_set(40, seed=31)
+
+        def whole_set(self):
+            raise AssertionError("read a whole set's float pixels")
+
+        monkeypatch.setattr(ImageSet, "pixels", property(whole_set))
+        cfg = tiny_cfg(arch)
+        model = models.build_model(cfg)
+        models.train(model, train_set, cfg)
+        assert len(models.evaluate(model, test_set, list(TRANSFORM_KINDS))) == len(TRANSFORM_KINDS)
+
+    def test_lenet_train_memory_does_not_scale_with_float_pixels(self):
+        # a set built from bytes holds them, and only each batch is
+        # normalized, so a bigger set costs its shuffle order, not a float
+        # copy of its pixels
+        cfg = tiny_cfg("lenet")
+        peaks = {}
+        for count in (512, 2048):
+            raw, labels = to_bytes_images(make_imageset(count, seed=32))
+            model = models.build_model(cfg)
+            tracemalloc.start()
+            models.train(model, ImageSet(raw, labels), cfg)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        float_copy_of_added = (2048 - 512) * 28 * 28 * 8
+        assert peaks[2048] - peaks[512] < float_copy_of_added / 8
 
     def test_epoch_log_line_format(self):
         train_set = make_imageset(64, seed=26)

@@ -365,6 +365,8 @@ def main(argv=None) -> int:
         opts = _resolve(args, _names(args.command))
         # before the command imports any numeric module
         _set_threads(opts["threads"])
+        if "seed" in opts and opts["seed"] < 0:
+            raise UsageError(f"--seed must be >= 0, got {opts['seed']}")
         if "arch" in opts and not opts["arch"]:
             raise UsageError("--arch is required (lenet, base, cnn, or dadm)")
         if "data_dir" in opts and not opts["data_dir"]:

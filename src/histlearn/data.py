@@ -57,9 +57,10 @@ def load_idx(images_path, labels_path):
     """Parse an IDX image/label file pair into raw arrays.
 
     Returns ``(images, labels)`` with images uint8 of shape (count, H, W)
-    and labels uint8 of shape (count,).  Raises :class:`DataFormatError`
-    for corrupt gzip data, bad magic numbers, truncated payloads, or
-    image/label count mismatches, each with a distinct message.
+    and labels uint8 of shape (count,), read-only views of the file's
+    bytes.  Raises :class:`DataFormatError` for corrupt gzip data, bad
+    magic numbers, truncated payloads, or image/label count mismatches,
+    each with a distinct message.
     """
     img_bytes = _read_file(images_path)
     if len(img_bytes) < 16:
@@ -97,7 +98,7 @@ def load_idx(images_path, labels_path):
             f"image count {count} ({images_path}) != label count {lcount} ({labels_path})"
         )
     labels = np.frombuffer(lbl_bytes, dtype=np.uint8, offset=8)
-    return images.copy(), labels.copy()
+    return images, labels
 
 
 def normalize(raw) -> np.ndarray:
@@ -112,10 +113,11 @@ def normalize(raw) -> np.ndarray:
 class ImageSet:
     """Grayscale images with labels, held as given.
 
-    ``images`` stays uint8 bytes when it is given as bytes (an IDX split:
-    a 60k MNIST split is 47 MB of bytes, 376 MB as float64) and is float64
-    pixels in [-1, 1] otherwise.  :meth:`take` returns float64 pixels of
-    the rows a batch or chunk reads, normalizing only those bytes.
+    ``images`` stays uint8 bytes when it is given as bytes (an IDX split,
+    held read-only as the file's bytes: a 60k MNIST split is 47 MB of
+    bytes, 376 MB as float64) and is float64 pixels in [-1, 1] otherwise.
+    :meth:`take` returns float64 pixels of the rows a batch or chunk reads,
+    normalizing only those bytes.
 
     Invariants checked at construction: float pixels finite and in
     [-1, 1], labels in 0..9, one label per image.
@@ -170,8 +172,7 @@ class ImageSet:
 
     @classmethod
     def from_idx_files(cls, images_path, labels_path) -> "ImageSet":
-        images, labels = load_idx(images_path, labels_path)
-        return cls(images, labels.astype(np.int64))
+        return cls(*load_idx(images_path, labels_path))
 
 
 def load_mnist(data_dir, split="train") -> ImageSet:

@@ -12,14 +12,16 @@ dadm   per-image KDE histogram (256 bins) -> distribution-arithmetic layer
        (two learnable 256-kernels) / ReLU / Linear(256->512) / ReLU
        / Linear(512->10)
 
+A ``Linear`` reads its ``(batch, C, H, W)`` input as one row per sample.
+
 A split loaded from IDX files is held as its bytes (see
 :class:`~histlearn.data.ImageSet`), and only the rows a step or chunk reads
 are normalized to float pixels.  The layers in front of a model's first
 layer with parameters have nothing to learn and training inputs are fixed,
-so :func:`train` runs that frozen prefix once, ``PREFIX_CHUNK`` images at
-a time, into one array (dadm's histograms, base's flattened pixels), and
-every step from the first trained layer on; a model with no frozen prefix
-(lenet, cnn) normalizes each batch as its step reads it.
+so :func:`train` runs that frozen prefix (dadm's histogram) once,
+``PREFIX_CHUNK`` images at a time, into one array, and every step from the
+first trained layer on; a model with no frozen prefix (lenet, base, cnn)
+normalizes each batch as its step reads it.
 
 :func:`evaluate` runs the test set in chunks of ``EVAL_BATCH`` images, and
 each chunk is normalized and goes through its transforms and the model's
@@ -38,7 +40,7 @@ from .data import ImageSet
 from .distlayers import ArithmeticDistributionLayer, init_kernel
 from .errors import NonFiniteError, ShapeError
 from .histogram import HistogramSpec, kde_histogram, kde_histogram_backward
-from .nn import Adam, Conv2d, Flatten, Linear, MaxPool2d, ReLU, log_softmax_nll
+from .nn import Adam, Conv2d, Linear, MaxPool2d, ReLU, log_softmax_nll
 from .transforms import TransformSpec, stream_states, transform_batch
 
 ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
@@ -166,7 +168,6 @@ def build_model(cfg: ModelConfig) -> Model:
             Conv2d(6, 16, 5, 5, rng, name="conv2"),
             ReLU(),
             MaxPool2d(),
-            Flatten(),
             Linear(256, 120, rng, name="fc1"),
             ReLU(),
             Linear(120, 84, rng, name="fc2"),
@@ -175,7 +176,6 @@ def build_model(cfg: ModelConfig) -> Model:
         ]
     elif arch == "base":
         layers = [
-            Flatten(),
             Linear(784, 256, rng, name="fc1"),
             ReLU(),
             Linear(256, 512, rng, name="fc2"),
@@ -186,7 +186,6 @@ def build_model(cfg: ModelConfig) -> Model:
         layers = [
             Conv2d(1, 4, 3, 3, rng, name="conv1"),
             ReLU(),
-            Flatten(),
             Linear(2704, 256, rng, name="fc1"),  # 4 channels x 26 x 26
             ReLU(),
             Linear(256, 512, rng, name="fc2"),
@@ -257,7 +256,7 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     parameters, runs once over the whole training set, chunk by chunk, and
     every step starts at the first trained layer, whose backward skips the
     input gradient nobody reads.  A model with no frozen prefix (lenet,
-    cnn) instead normalizes each batch's rows as the step reads them.
+    base, cnn) instead normalizes each batch's rows as the step reads them.
     Training is fully deterministic given ``cfg.seed``: initialization is
     seeded at build time and the batch shuffle stream here derives from the
     same seed.  The training set is consumed as-is; there is no

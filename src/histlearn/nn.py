@@ -14,6 +14,8 @@ return ``None``; its parameter gradients are the same bits.
 All math is float64 and every layer takes batches only: the leading
 dimension is the batch, and a single sample is a batch of one.
 An input of the wrong rank is a ``ShapeError``, never reinterpreted.
+Reshaping a batch to rows has one home, ``Linear``: it reads any
+``(batch, ...)`` input as one row per sample, so no layer only flattens.
 
 ``grad_check`` closes the loop: central finite differences against any
 ``f(x) -> (scalar, grad)`` pair, used throughout the test suite.
@@ -42,7 +44,10 @@ def _uniform_init(rng, shape, fan_in):
 
 
 class Linear:
-    """y = x @ W.T + b with weight shaped (out_features, in_features)."""
+    """y = x @ W.T + b with weight shaped (out_features, in_features).
+
+    ``x`` is ``(batch, ...)``, read as ``(batch, in_features)`` rows in C
+    order; the input gradient comes back in ``x``'s shape."""
 
     def __init__(self, in_features, out_features, rng, name="linear"):
         self.in_features = in_features
@@ -59,19 +64,20 @@ class Linear:
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_features:
+        if x.ndim < 2 or np.prod(x.shape[1:]) != self.in_features:
             raise ShapeError(
                 f"linear: input shape {x.shape} does not match "
                 f"weight shape {self.weight.value.shape}"
             )
-        self._x = x
-        return x @ self.weight.value.T + self.bias.value
+        self._in_shape = x.shape
+        self._x = x.reshape(x.shape[0], self.in_features)
+        return self._x @ self.weight.value.T + self.bias.value
 
     def backward(self, grad, input_grad=True):
         g = np.asarray(grad, dtype=np.float64)
         np.matmul(g.T, self._x, out=self.weight.grad)
         np.sum(g, axis=0, out=self.bias.grad)
-        return g @ self.weight.value if input_grad else None
+        return (g @ self.weight.value).reshape(self._in_shape) if input_grad else None
 
 
 class Conv2d:
@@ -210,21 +216,6 @@ class ReLU:
     def backward(self, grad):
         # y > 0 exactly where x > 0, NaN included; subgradient 0 at exactly 0
         return np.asarray(grad, dtype=np.float64) * (self._y > 0)
-
-
-class Flatten:
-    def params(self):
-        return []
-
-    def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim < 2:
-            raise ShapeError(f"flatten: expected (batch, ...), got shape {x.shape}")
-        self._in_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad):
-        return np.asarray(grad, dtype=np.float64).reshape(self._in_shape)
 
 
 def log_softmax_nll(logits, labels):

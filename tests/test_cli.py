@@ -137,6 +137,18 @@ class TestUsageErrors:
         monkeypatch.delenv(DATA_DIR_ENV, raising=False)
         assert run("train", "--arch", "base", "--out-dir", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("command", ["train", "eval", "ablation", "report"])
+    def test_negative_seed_refused_before_any_file(self, command, tmp_path, capsys):
+        # every path is missing, so a command that read one first would exit 2
+        positionals = {"train": ["--arch", "base"], "eval": [str(tmp_path / "missing.ckpt")],
+                       "ablation": [], "report": [str(tmp_path / "missing.csv")]}[command]
+        out_dir = tmp_path / "out"
+        code = run(command, *positionals, "--seed", "-1", "--data-dir", str(tmp_path / "no-data"),
+                   "--out-dir", str(out_dir))
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
+        assert list(out_dir.glob("*")) == []
+
 
 def _bad_data_dir(directory, side=28, counts=(64, 32), gzip_cut=False):
     """An MNIST-shaped data directory; ``gzip_cut`` stores each file gzipped
@@ -384,16 +396,22 @@ class TestReportCommand:
 
     def test_commands_read_no_whole_split_pixels(self, synth_data_dir, tmp_path, monkeypatch):
         # a split is held as bytes: train, eval and report normalize only
-        # the rows they read, never the whole split at once
+        # the rows they read, never the whole split at once; and the bytes
+        # are a read-only view of the file, so a command that wrote to a
+        # split would fail rather than pass
+        for split in ("train", "test"):
+            assert not data.load_mnist(synth_data_dir, split).images.flags.writeable
+
         def whole_split(self):
             raise AssertionError("read a whole split's float pixels")
 
         monkeypatch.setattr(data.ImageSet, "pixels", property(whole_split))
-        train_dir, eval_dir = str(tmp_path / "train"), str(tmp_path / "eval")
-        assert run("train", "--arch", "dadm", "--data-dir", synth_data_dir, "--out-dir", train_dir,
-                   *TRAIN_ARGS) == 0
-        assert run("eval", os.path.join(train_dir, "model_dadm.ckpt"), "--data-dir", synth_data_dir,
-                   "--out-dir", eval_dir) == 0
+        for arch in ("lenet", "base", "cnn", "dadm"):
+            train_dir, eval_dir = str(tmp_path / arch), str(tmp_path / f"eval-{arch}")
+            assert run("train", "--arch", arch, "--data-dir", synth_data_dir, "--out-dir", train_dir,
+                       *TRAIN_ARGS) == 0
+            assert run("eval", os.path.join(train_dir, f"model_{arch}.ckpt"),
+                       "--data-dir", synth_data_dir, "--out-dir", eval_dir) == 0
         assert run("report", os.path.join(eval_dir, "reports.csv"), "--data-dir", synth_data_dir,
                    "--out-dir", str(tmp_path / "report"), "--image-index", "3") == 0
 

@@ -1,12 +1,13 @@
 """Distribution layer: scatter matrices, adjoints, independent oracles."""
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from histlearn import distlayers, nn
+from histlearn import distlayers, nn, selftest
 from histlearn.distlayers import (
     ArithmeticDistributionLayer,
     DistributionKernel,
@@ -26,17 +27,6 @@ def delta(n, i):
     v = np.zeros(n)
     v[i] = 1.0
     return v
-
-
-def fold_loops(kernel, spec, op):
-    """Independent oracle: M[k(i, m), m] += kernel[i], i ascending."""
-    n = spec.n_bins
-    out = np.zeros((n, n))
-    for i in range(n):
-        for m in range(n):
-            k = int(np.floor((op(spec.centers[i], spec.centers[m]) + 1.0) * (n / 2.0)))
-            out[min(max(k, 0), n - 1), m] += kernel[i]
-    return out
 
 
 def layer_of(spec, fw, fb):
@@ -101,7 +91,7 @@ class TestProductLayer:
         for n in (4, 8):
             spec = spec_of(n)
             fw = rng.standard_normal(n)
-            assert np.array_equal(product_matrix(fw, spec), fold_loops(fw, spec, np.multiply))
+            assert np.array_equal(product_matrix(fw, spec), selftest._fold_bruteforce(fw, spec, operator.mul))
 
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(2)
@@ -183,7 +173,7 @@ class TestSumLayer:
         for n in (4, 8):
             spec = spec_of(n)
             fb = rng.standard_normal(n)
-            assert np.array_equal(sum_matrix(fb, spec), fold_loops(fb, spec, np.add))
+            assert np.array_equal(sum_matrix(fb, spec), selftest._fold_bruteforce(fb, spec, operator.add))
 
     @pytest.mark.parametrize("n", [6, 12])
     def test_matches_rational_law(self, n):

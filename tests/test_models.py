@@ -253,31 +253,38 @@ class TestTraining:
             assert np.array_equal(got.value, want.value), got.name
 
     @pytest.mark.parametrize(
-        "arch, frozen", [("base", nn.Flatten), ("dadm", models.HistogramLayer)], ids=["base", "dadm"]
+        "arch, frozen", [("base", []), ("dadm", [models.HistogramLayer])], ids=["base", "dadm"]
     )
     def test_frozen_prefix_runs_forward_once_and_never_backward(self, arch, frozen, monkeypatch):
+        # dadm's histogram is the only frozen prefix: base's first layer is trained
         train_set = make_imageset(80, seed=27)
         cfg = tiny_cfg(arch, epochs=2)
         model = models.build_model(cfg)
-        prefix, trained = model.layers[0], model.layers[1]
-        assert isinstance(prefix, frozen) and not prefix.params() and trained.params()
+        prefix, trained = model.layers[: len(frozen)], model.layers[len(frozen)]
+        assert [type(layer) for layer in prefix] == frozen and trained.params()
+        assert not any(layer.params() for layer in prefix)
         calls = []
 
-        def spy(layer, method):
-            original = getattr(layer, method)
+        def spy(owner, method):
+            original = getattr(owner, method)
 
             def recording(*args, **kwargs):
-                calls.append((layer, method, kwargs))
+                calls.append((owner, method, kwargs))
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(layer, method, recording)
+            monkeypatch.setattr(owner, method, recording)
 
-        spy(prefix, "forward")
-        spy(prefix, "backward")
+        spy(models, "_prefix_outputs")
+        for layer in prefix:
+            spy(layer, "forward")
+            spy(layer, "backward")
         spy(trained, "backward")
         models.train(model, train_set, cfg)
         steps = cfg.epochs * len(range(0, train_set.count, cfg.batch_size))
-        assert [c for c in calls if c[0] is prefix] == [(prefix, "forward", {})]
+        runs = [c for c in calls if c[0] is models]
+        assert runs == [(models, "_prefix_outputs", {})] * (1 if prefix else 0)
+        for layer in prefix:
+            assert [c for c in calls if c[0] is layer] == [(layer, "forward", {})]
         assert [c for c in calls if c[0] is trained] == [(trained, "backward", {"input_grad": False})] * steps
 
     @pytest.mark.parametrize("arch", ["lenet", "dadm"])

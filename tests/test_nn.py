@@ -106,6 +106,30 @@ class TestLinear:
         for i in range(5):
             assert np.allclose(batched[i], layer.forward(xs[i : i + 1])[0], atol=1e-12)
 
+    def test_image_batch_is_its_rows(self):
+        # (B, C, H, W) reads as (B, C*H*W) rows: the same bits forward and
+        # for the parameters, and the input gradient in the input's shape
+        rng = np.random.default_rng(6)
+        layer = nn.Linear(2 * 3 * 4, 5, rng)
+        x = rng.standard_normal((3, 2, 3, 4))
+        g = rng.standard_normal((3, 5))
+        got_y, got_dx = layer.forward(x), layer.backward(g)
+        got_grads = [p.grad.copy() for p in layer.params()]
+        rows = x.reshape(3, -1)
+        want_y, want_dx = layer.forward(rows), layer.backward(g)
+        assert np.array_equal(got_y, want_y)
+        assert all(np.array_equal(a, p.grad) for a, p in zip(got_grads, layer.params()))
+        assert got_dx.shape == x.shape and np.array_equal(got_dx, want_dx.reshape(x.shape))
+        layer.forward(x)
+        assert layer.backward(g, input_grad=False) is None
+
+    def test_finite_difference_grads_on_image_batch(self):
+        rng = np.random.default_rng(7)
+        layer = nn.Linear(2 * 2 * 3, 4, rng)
+        x = rng.standard_normal((2, 2, 2, 3))
+        w = rng.standard_normal((2, 4))
+        assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-6
+
 
 class TestConv2d:
     def test_output_shape(self):
@@ -576,7 +600,7 @@ class TestLayerInvariants:
             (nn.Conv2d(1, 2, 2, 2, rng), rng.standard_normal((2, 1, 4, 4))),
             (nn.MaxPool2d(), rng.standard_normal((2, 1, 4, 4))),
             (nn.ReLU(), rng.standard_normal(9)),
-            (nn.Flatten(), rng.standard_normal((2, 3, 3))),
+            (nn.Linear(9, 4, rng), rng.standard_normal((2, 1, 3, 3))),
         ]
         for layer, x in pairs:
             assert np.array_equal(layer.forward(x), layer.forward(x))
@@ -605,8 +629,8 @@ def single_sample_cases():
         "linear": (lambda x, _: nn.Linear(4, 3, rng).forward(x), np.zeros(4)),
         "conv2d": (lambda x, _: nn.Conv2d(1, 2, 2, 2, rng).forward(x), np.zeros((1, 4, 4))),
         "maxpool2d": (lambda x, _: nn.MaxPool2d().forward(x), np.zeros((1, 4, 4))),
-        # one feature vector, not five one-feature rows
-        "flatten": (lambda x, _: nn.Flatten().forward(x), np.zeros(5)),
+        # one image is 28 rows of 28 features, not one row of 784
+        "flatten": (lambda x, _: nn.Linear(784, 3, rng).forward(x), image),
         "log-softmax-nll": (nn.log_softmax_nll, np.zeros(10)),
         "arithmetic-layer": (lambda x, _: arith.forward(x), np.full(8, 0.125)),
     }

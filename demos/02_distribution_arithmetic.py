@@ -57,7 +57,7 @@ print(f"  sum(f_sum)  = {f_sum.sum():.15f}")
 spec_odd = HistogramSpec(n_bins=15, bandwidth=0.05)
 f = np.exp(-0.5 * ((spec_odd.centers - 0.2) / 0.2) ** 2)
 f /= f.sum()
-kernel = init_kernel(spec_odd, seed=0, noise_scale=0.0)
-out = ArithmeticDistributionLayer(spec_odd, kernel).forward(f[None])[0]  # a batch of one
+f_w0, f_b0 = init_kernel(spec_odd, seed=0, noise_scale=0.0)
+out = ArithmeticDistributionLayer(spec_odd, f_w0, f_b0).forward(f[None])[0]  # a batch of one
 print(f"\nnoise-free init on 15 bins: max |module(f) - f| = {np.abs(out - f).max():.1e}")
 print("training nudges the two kernel histograms away from this identity")

@@ -25,7 +25,6 @@ is BLAS matrix multiplication, whose summation order is the library's.
 batch of distributions, shaped (batch, N); it takes batches only.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,29 +32,6 @@ import numpy as np
 from .errors import ShapeError
 from .histogram import HistogramSpec, bin_index
 from .nn import Parameter
-
-
-@dataclass
-class DistributionKernel:
-    """The learnable pair of kernel histograms (weight and bias variables).
-
-    Entries are unconstrained reals; nothing forces nonnegativity or unit
-    mass during training.
-    """
-
-    weight_hist: np.ndarray
-    bias_hist: np.ndarray
-
-    def __post_init__(self):
-        self.weight_hist = np.asarray(self.weight_hist, dtype=np.float64)
-        self.bias_hist = np.asarray(self.bias_hist, dtype=np.float64)
-        if self.weight_hist.shape != self.bias_hist.shape or self.weight_hist.ndim != 1:
-            raise ShapeError(
-                f"kernel histograms must be 1-D and equal length, got "
-                f"{self.weight_hist.shape} and {self.bias_hist.shape}"
-            )
-        if not (np.all(np.isfinite(self.weight_hist)) and np.all(np.isfinite(self.bias_hist))):
-            raise ValueError("kernel histograms must be finite")
 
 
 @lru_cache(maxsize=8)
@@ -102,8 +78,9 @@ def sum_matrix(f_b, spec: HistogramSpec) -> np.ndarray:
     return _scatter_matrix(f_b, spec, "sum_flat", "f_b")
 
 
-def init_kernel(spec: HistogramSpec, seed: int, noise_scale: float = 0.01) -> DistributionKernel:
-    """Near-identity kernels: W a delta at the bin of 1 - D, B a delta at 0.
+def init_kernel(spec: HistogramSpec, seed: int, noise_scale: float = 0.01):
+    """Near-identity kernels ``(weight_hist, bias_hist)``: W a delta at the
+    bin of 1 - D, B a delta at 0.
 
     Uniform noise of amplitude ``noise_scale`` is added entrywise (weight
     noise drawn before bias noise), so the module starts as a slightly
@@ -119,11 +96,15 @@ def init_kernel(spec: HistogramSpec, seed: int, noise_scale: float = 0.01) -> Di
     bias = np.zeros(n)
     bias[bin_index(0.0, spec)] = 1.0
     bias += rng.uniform(-noise_scale, noise_scale, size=n)
-    return DistributionKernel(weight, bias)
+    return weight, bias
 
 
 class ArithmeticDistributionLayer:
     """Batched W*X + B distribution layer over learnable kernel histograms.
+
+    ``weight_hist`` and ``bias_hist`` are the (N,) kernels of W and B, for
+    example from :func:`init_kernel`.  Their entries are unconstrained
+    reals: nothing forces nonnegativity or unit mass during training.
 
     The forward pass folds the current kernels into :func:`product_matrix`
     and :func:`sum_matrix` and applies both to the batch; the backward pass
@@ -139,15 +120,17 @@ class ArithmeticDistributionLayer:
     adds nothing to a cell of the fold.
     """
 
-    def __init__(self, spec: HistogramSpec, kernel: DistributionKernel, name="arith"):
-        if kernel.weight_hist.shape != (spec.n_bins,):
-            raise ShapeError(
-                f"kernel length {kernel.weight_hist.shape} does not match spec "
-                f"({spec.n_bins} bins)"
-            )
+    def __init__(self, spec: HistogramSpec, weight_hist, bias_hist, name="arith"):
         self.spec = spec
-        self.weight_hist = Parameter(kernel.weight_hist, name=f"{name}.weight_hist")
-        self.bias_hist = Parameter(kernel.bias_hist, name=f"{name}.bias_hist")
+        self.weight_hist = Parameter(weight_hist, name=f"{name}.weight_hist")
+        self.bias_hist = Parameter(bias_hist, name=f"{name}.bias_hist")
+        w, b = self.weight_hist.value, self.bias_hist.value
+        if w.shape != (spec.n_bins,) or b.shape != (spec.n_bins,):
+            raise ShapeError(
+                f"kernel histograms have shapes {w.shape} and {b.shape}, expected ({spec.n_bins},) each"
+            )
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise ValueError("kernel histograms must be finite")
         self._folded_w = self._folded_b = None  # the kernel values _mw and _mb fold
 
     def params(self):

@@ -197,7 +197,7 @@ def build_model(cfg: ModelConfig) -> Model:
         kernel_seed = int(rng.integers(2**31 - 1))
         layers = [
             HistogramLayer(spec),
-            ArithmeticDistributionLayer(spec, init_kernel(spec, kernel_seed), name="arith"),
+            ArithmeticDistributionLayer(spec, *init_kernel(spec, kernel_seed), name="arith"),
             ReLU(),
             Linear(spec.n_bins, 512, rng, name="fc1"),
             ReLU(),

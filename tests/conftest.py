@@ -91,6 +91,22 @@ def selftest_run():
     return results, time.monotonic() - start
 
 
+@pytest.fixture(scope="session")
+def property_results(selftest_run):
+    """The session run's selftest results by check name."""
+    return {r.name: r for r in selftest_run[0]}
+
+
+def assert_check_passed(property_results, name, allowed):
+    """Selftest check ``name`` passed, at a tolerance no looser than ``allowed``.
+
+    The oracles and probes live in :mod:`histlearn.selftest`; a test whose
+    assertion one of its checks carries reads that check's session result.
+    """
+    result = property_results[name]
+    assert result.passed and result.allowed <= allowed, result.line()
+
+
 @pytest.fixture
 def small_set():
     return make_imageset(256, seed=1)

@@ -73,11 +73,6 @@ def ablation_runs(mnist_sets):
     return out
 
 
-@pytest.fixture(scope="session")
-def property_results(selftest_run):
-    return {r.name: r for r in selftest_run[0]}
-
-
 # --------------------------------------------------------------------------
 # quantitative criteria (accuracy bands on real MNIST)
 

@@ -1,20 +1,13 @@
 """Distribution layer: scatter matrices, adjoints, independent oracles."""
 
-import math
 import operator
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import assert_check_passed
 from histlearn import distlayers, nn, selftest
-from histlearn.distlayers import (
-    ArithmeticDistributionLayer,
-    DistributionKernel,
-    init_kernel,
-    product_matrix,
-    sum_matrix,
-)
+from histlearn.distlayers import ArithmeticDistributionLayer, init_kernel, product_matrix, sum_matrix
 from histlearn.errors import ShapeError
 from histlearn.histogram import HistogramSpec, bin_index
 
@@ -29,10 +22,6 @@ def delta(n, i):
     return v
 
 
-def layer_of(spec, fw, fb):
-    return ArithmeticDistributionLayer(spec, DistributionKernel(fw, fb))
-
-
 def layer_grads(layer, fx, g):
     """(grad_w, grad_b, grad_x) of one forward/backward pass."""
     layer.forward(fx)
@@ -40,29 +29,11 @@ def layer_grads(layer, fx, g):
     return layer.weight_hist.grad.copy(), layer.bias_hist.grad.copy(), gx
 
 
-def layer_fd_probes(layer, fx, g):
-    """FD probes of the layer's value fx -> <layer(fx), g> in x, W and B."""
-
-    def f_x(v):
-        out = layer.forward(v)
-        return float((out * g).sum()), layer_grads(layer, v, g)[2]
-
-    def of_param(param, which):
-        def f(v):
-            param.value[...] = v
-            out = layer.forward(fx)
-            return float((out * g).sum()), layer_grads(layer, fx, g)[which]
-
-        return f
-
-    return f_x, of_param(layer.weight_hist, 0), of_param(layer.bias_hist, 1)
-
-
 def check_constant_upstream_grad(fx, fw, fb, c):
     # a constant upstream gradient c sees only the total mass
     # c * sum(w) * sum(b) * sum(x) of the bilinear output
     spec = spec_of(fw.size)
-    grad_w, grad_b, grad_x = layer_grads(layer_of(spec, fw, fb), fx, np.full(fx.shape, c))
+    grad_w, grad_b, grad_x = layer_grads(ArithmeticDistributionLayer(spec, fw, fb), fx, np.full(fx.shape, c))
     np.testing.assert_allclose(grad_w, c * fb.sum() * fx.sum(), atol=1e-12)
     np.testing.assert_allclose(grad_b, c * fw.sum() * fx.sum(), atol=1e-12)
     np.testing.assert_allclose(grad_x, c * fw.sum() * fb.sum(), atol=1e-12)
@@ -86,44 +57,25 @@ class TestProductLayer:
             fz = product_matrix(delta(n, n - 1), spec) @ fx
             assert np.array_equal(fz, fx)
 
-    def test_matches_double_loop_bitwise(self):
-        rng = np.random.default_rng(1)
-        for n in (4, 8):
-            spec = spec_of(n)
-            fw = rng.standard_normal(n)
-            assert np.array_equal(product_matrix(fw, spec), selftest._fold_bruteforce(fw, spec, operator.mul))
+    def test_matches_double_loop_bitwise(self, property_results):
+        assert_check_passed(property_results, "scatter-vs-bruteforce", 0.0)
 
-    def test_monte_carlo_oracle(self):
-        rng = np.random.default_rng(2)
-        spec = spec_of(8)
-        fw = rng.random(8)
-        fw /= fw.sum()
-        fx = rng.random(8)
-        fx /= fx.sum()
-        draws = 1_000_000
-        wi = rng.choice(8, size=draws, p=fw)
-        xm = rng.choice(8, size=draws, p=fx)
-        emp = np.bincount(bin_index(spec.centers[wi] * spec.centers[xm], spec), minlength=8) / draws
-        tv = 0.5 * np.abs(emp - product_matrix(fw, spec) @ fx).sum()
-        assert tv < 0.01
+    def test_monte_carlo_oracle(self, property_results):
+        # total variation against 1e6 draws of W and X at N=8
+        assert_check_passed(property_results, "scatter-vs-montecarlo", 0.01)
 
     def test_constant_upstream_grad_conserves(self):
         rng = np.random.default_rng(3)
         check_constant_upstream_grad(rng.random((1, 8)), rng.random(8), rng.random(8), 2.5)
 
-    def test_backward_finite_differences(self):
-        spec = spec_of(4)
-        fx = np.array([[0.1, 0.4, 0.3, 0.2]])
-        fw = np.array([-0.5, 1.2, 0.3, 0.8])
-        fb = np.array([0.7, -0.4, 0.9, 0.1])
-        g = np.array([[1.0, -2.0, 0.5, 0.25]])
-        f_x, f_w, _ = layer_fd_probes(layer_of(spec, fw, fb), fx, g)
-        assert nn.grad_check(f_w, fw) < 1e-8
-        assert nn.grad_check(f_x, fx) < 1e-8
+    def test_backward_finite_differences(self, property_results):
+        assert_check_passed(property_results, "gradient-product-layer", 1e-8)
+        assert_check_passed(property_results, "gradient-arithmetic-module", 1e-8)
 
     def test_zero_input_zero_weight_grad(self):
         spec = spec_of(8)
-        grad_w, _, _ = layer_grads(layer_of(spec, np.ones(8), np.ones(8)), np.zeros((1, 8)), np.ones((1, 8)))
+        layer = ArithmeticDistributionLayer(spec, np.ones(8), np.ones(8))
+        grad_w, _, _ = layer_grads(layer, np.zeros((1, 8)), np.ones((1, 8)))
         assert np.all(grad_w == 0.0)
 
     def test_positive_weight_support_preserves_probability(self):
@@ -168,85 +120,46 @@ class TestSumLayer:
         fz = sum_matrix(delta(4, 0), spec) @ delta(4, 0)  # -1.5
         assert fz[0] == 1.0
 
-    def test_matches_double_loop_bitwise(self):
-        rng = np.random.default_rng(6)
-        for n in (4, 8):
-            spec = spec_of(n)
-            fb = rng.standard_normal(n)
-            assert np.array_equal(sum_matrix(fb, spec), selftest._fold_bruteforce(fb, spec, operator.add))
+    def test_matches_double_loop_bitwise(self, property_results):
+        assert_check_passed(property_results, "scatter-vs-bruteforce", 0.0)
 
     @pytest.mark.parametrize("n", [6, 12])
     def test_matches_rational_law(self, n):
         # even N that is not a power of two: evaluated in floats, some pair
-        # sums round just below a bin edge and would land a bin low
+        # sums round just below a bin edge and would land a bin low; the
+        # loop fold bins each pair sum exactly
         spec = spec_of(n)
-        centers = [Fraction(-1) + Fraction(2 * i + 1, n) for i in range(n)]
-        for i in range(n):
-            s = sum_matrix(delta(n, i), spec)
-            for m in range(n):
-                k = min(max(math.floor((centers[i] + centers[m] + 1) * Fraction(n, 2)), 0), n - 1)
-                assert np.array_equal(s[:, m], delta(n, k)), (i, m)
+        fb = np.random.default_rng(n).standard_normal(n)
+        assert np.array_equal(sum_matrix(fb, spec), selftest._fold_bruteforce(fb, spec, operator.add))
 
-    def test_monte_carlo_oracle(self):
-        rng = np.random.default_rng(7)
-        spec = spec_of(8)
-        fb = rng.random(8)
-        fb /= fb.sum()
-        fx = rng.random(8)
-        fx /= fx.sum()
-        draws = 1_000_000
-        bi = rng.choice(8, size=draws, p=fb)
-        xm = rng.choice(8, size=draws, p=fx)
-        sums = spec.centers[bi] + spec.centers[xm]
-        k = np.clip(np.floor((sums + 1.0) * 4.0).astype(np.int64), 0, 7)
-        emp = np.bincount(k, minlength=8) / draws
-        tv = 0.5 * np.abs(emp - sum_matrix(fb, spec) @ fx).sum()
-        assert tv < 0.01
+    def test_monte_carlo_oracle(self, property_results):
+        # total variation against 1e6 draws of B and X at N=8
+        assert_check_passed(property_results, "scatter-vs-montecarlo", 0.01)
 
-    def test_commutative_exactly(self):
-        # sum_matrix(e_j) @ e_m is column m of sum_matrix(e_j): its nonzero
-        # cells keyed (j, m, output bin) must be those keyed (m, j, bin)
-        for n in (4, 8, 64, 256):
-            spec = spec_of(n)
-            eye = np.eye(n)
-            cells = {}
-            for j in range(n):
-                s = sum_matrix(eye[j], spec)
-                for k, m in zip(*np.nonzero(s)):
-                    cells[j, m, k] = s[k, m]
-            assert cells == {(m, j, k): v for (j, m, k), v in cells.items()}
+    def test_commutative_exactly(self, property_results):
+        # point masses at N=4, 8, 64, 256
+        assert_check_passed(property_results, "sum-commutativity", 0.0)
 
     def test_constant_upstream_grad_conserves(self):
         rng = np.random.default_rng(9)
         fx = rng.random((3, 8))
         check_constant_upstream_grad(fx, rng.random(8), rng.random(8), -1.5)
 
-    def test_backward_finite_differences(self):
-        spec = spec_of(4)
-        fx = np.array([[0.2, 0.3, 0.4, 0.1]])
-        fw = np.array([-0.5, 1.2, 0.3, 0.8])
-        fb = np.array([0.7, -0.4, 0.9, 0.1])
-        g = np.array([[0.5, 2.0, -1.0, 0.75]])
-        f_x, _, f_b = layer_fd_probes(layer_of(spec, fw, fb), fx, g)
-        assert nn.grad_check(f_b, fb) < 1e-8
-        assert nn.grad_check(f_x, fx) < 1e-8
+    def test_backward_finite_differences(self, property_results):
+        assert_check_passed(property_results, "gradient-sum-layer", 1e-8)
+        assert_check_passed(property_results, "gradient-arithmetic-module", 1e-8)
 
     def test_zero_bias_zero_input_grad(self):
         spec = spec_of(8)
-        _, _, grad_x = layer_grads(layer_of(spec, np.ones(8), np.zeros(8)), np.ones((1, 8)), np.ones((1, 8)))
+        layer = ArithmeticDistributionLayer(spec, np.ones(8), np.zeros(8))
+        _, _, grad_x = layer_grads(layer, np.ones((1, 8)), np.ones((1, 8)))
         assert np.all(grad_x == 0.0)
 
 
 class TestMassConservation:
-    def test_exact_for_unconstrained_vectors(self):
-        rng = np.random.default_rng(10)
-        for n in (8, 64):
-            spec = spec_of(n)
-            fx = rng.standard_normal(n)
-            fk = rng.standard_normal(n)
-            expected = fk.sum() * fx.sum()
-            assert abs((product_matrix(fk, spec) @ fx).sum() - expected) < 1e-12
-            assert abs((sum_matrix(fk, spec) @ fx).sum() - expected) < 1e-12
+    def test_exact_for_unconstrained_vectors(self, property_results):
+        # both stages at N=8, 16, 64, 256
+        assert_check_passed(property_results, "mass-conservation", 1e-12)
 
 
 class TestContinuumLimit:
@@ -299,7 +212,7 @@ class TestArithmeticModule:
         rng = np.random.default_rng(11)
         spec = spec_of(9)
         fx = rng.random((1, 9))
-        fz = ArithmeticDistributionLayer(spec, init_kernel(spec, 0, noise_scale=0.0)).forward(fx)
+        fz = ArithmeticDistributionLayer(spec, *init_kernel(spec, 0, noise_scale=0.0)).forward(fx)
         assert np.array_equal(fz, fx)
 
     def test_default_width_chains_into_classifier(self):
@@ -307,8 +220,7 @@ class TestArithmeticModule:
         # contribute exactly 2 x 256 learnable values
         rng = np.random.default_rng(12)
         spec = HistogramSpec()
-        kernel = init_kernel(spec, 3)
-        layer = ArithmeticDistributionLayer(spec, kernel)
+        layer = ArithmeticDistributionLayer(spec, *init_kernel(spec, 3))
         assert sum(p.value.size for p in layer.params()) == 512
         fx = rng.random((2, 256))
         fx /= fx.sum(axis=1, keepdims=True)
@@ -317,37 +229,31 @@ class TestArithmeticModule:
         out = nn.Linear(256, 512, rng).forward(fz)
         assert out.shape == (2, 512)
 
-    def test_full_module_finite_differences(self):
-        rng = np.random.default_rng(13)
-        spec = spec_of(8)
-        fx = rng.standard_normal((2, 8))
-        kernel = DistributionKernel(rng.standard_normal(8), rng.standard_normal(8))
-        g = rng.standard_normal((2, 8))
-        f_x, f_w, f_b = layer_fd_probes(ArithmeticDistributionLayer(spec, kernel), fx, g)
-        assert nn.grad_check(f_x, fx) < 1e-8
-        assert nn.grad_check(f_w, kernel.weight_hist.copy()) < 1e-8
-        assert nn.grad_check(f_b, kernel.bias_hist.copy()) < 1e-8
+    def test_full_module_finite_differences(self, property_results):
+        # d/d input, weight_hist and bias_hist at N=8 and N=256
+        for name in ("gradient-arithmetic-module", "gradient-product-layer", "gradient-sum-layer"):
+            assert_check_passed(property_results, name, 1e-8)
 
 
 class TestInitKernel:
     def test_zero_noise_gives_exact_deltas(self):
         spec = spec_of(8)
-        kernel = init_kernel(spec, 0, noise_scale=0.0)
-        assert np.array_equal(kernel.weight_hist, delta(8, 7))
-        assert np.array_equal(kernel.bias_hist, delta(8, 4))
+        weight, bias = init_kernel(spec, 0, noise_scale=0.0)
+        assert np.array_equal(weight, delta(8, 7))
+        assert np.array_equal(bias, delta(8, 4))
 
     def test_deterministic_per_seed(self):
         spec = spec_of(16)
         a = init_kernel(spec, 42)
         b = init_kernel(spec, 42)
-        assert np.array_equal(a.weight_hist, b.weight_hist)
-        assert np.array_equal(a.bias_hist, b.bias_hist)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_different_seeds_differ(self):
         spec = spec_of(16)
         a = init_kernel(spec, 0)
         b = init_kernel(spec, 1)
-        assert not np.array_equal(a.weight_hist, b.weight_hist)
+        assert not np.array_equal(a[0], b[0])
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -359,20 +265,20 @@ class TestBatchedLayer:
         # each batch row against the layer run on that row as a batch of one
         rng = np.random.default_rng(14)
         spec = spec_of(16)
-        kernel = DistributionKernel(rng.standard_normal(16), rng.standard_normal(16))
-        layer = ArithmeticDistributionLayer(spec, kernel)
+        kernel = rng.standard_normal(16), rng.standard_normal(16)
+        layer = ArithmeticDistributionLayer(spec, *kernel)
         batch = rng.standard_normal((5, 16))
         out = layer.forward(batch)
         for i in range(5):
-            ref = ArithmeticDistributionLayer(spec, kernel).forward(batch[i : i + 1])[0]
+            ref = ArithmeticDistributionLayer(spec, *kernel).forward(batch[i : i + 1])[0]
             assert np.abs(out[i] - ref).max() < 1e-12
 
     def test_backward_matches_functional_adjoints(self):
         # batch gradients against the sum of passes over batches of one
         rng = np.random.default_rng(15)
         spec = spec_of(16)
-        kernel = DistributionKernel(rng.standard_normal(16), rng.standard_normal(16))
-        layer = ArithmeticDistributionLayer(spec, kernel)
+        kernel = rng.standard_normal(16), rng.standard_normal(16)
+        layer = ArithmeticDistributionLayer(spec, *kernel)
         batch = rng.standard_normal((4, 16))
         grads = rng.standard_normal((4, 16))
         layer.forward(batch)
@@ -381,7 +287,7 @@ class TestBatchedLayer:
         want_w = np.zeros(16)
         want_b = np.zeros(16)
         for i in range(4):
-            layer_i = ArithmeticDistributionLayer(spec, kernel)
+            layer_i = ArithmeticDistributionLayer(spec, *kernel)
             gw, gb, gxi = layer_grads(layer_i, batch[i : i + 1], grads[i : i + 1])
             want_w += gw
             want_b += gb
@@ -394,9 +300,7 @@ class TestBatchedLayer:
         # as Adam's update and selftest's probes make, refolds that kernel
         rng = np.random.default_rng(16)
         spec = spec_of(16)
-        layer = ArithmeticDistributionLayer(
-            spec, DistributionKernel(rng.standard_normal(16), rng.standard_normal(16))
-        )
+        layer = ArithmeticDistributionLayer(spec, rng.standard_normal(16), rng.standard_normal(16))
         folds = []
         for name in ("product_matrix", "sum_matrix"):
             fold = getattr(distlayers, name)
@@ -413,13 +317,26 @@ class TestBatchedLayer:
         layer.bias_hist.value[...] = rng.standard_normal(16)
         out = layer.forward(batch)
         assert folds[3:] == ["sum_matrix"]
-        kernel = DistributionKernel(layer.weight_hist.value.copy(), layer.bias_hist.value.copy())
-        assert np.array_equal(out, ArithmeticDistributionLayer(spec, kernel).forward(batch))
+        fresh = ArithmeticDistributionLayer(spec, layer.weight_hist.value, layer.bias_hist.value)
+        assert np.array_equal(out, fresh.forward(batch))
 
     def test_shape_errors(self):
         spec = spec_of(8)
-        layer = ArithmeticDistributionLayer(spec, init_kernel(spec, 0))
+        layer = ArithmeticDistributionLayer(spec, *init_kernel(spec, 0))
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((2, 7)))
         with pytest.raises(ShapeError):
-            ArithmeticDistributionLayer(spec_of(16), init_kernel(spec, 0))
+            ArithmeticDistributionLayer(spec_of(16), *init_kernel(spec, 0))
+        weight, bias = init_kernel(spec, 0)
+        for bad in ((weight, bias[:7]), (weight[None], bias), (weight, np.zeros((8, 8)))):
+            with pytest.raises(ShapeError):
+                ArithmeticDistributionLayer(spec, *bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_kernel_rejected(self, bad):
+        spec = spec_of(8)
+        for which in (0, 1):
+            kernel = list(init_kernel(spec, 0))
+            kernel[which][2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ArithmeticDistributionLayer(spec, *kernel)

@@ -2,12 +2,11 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import erf
 
-from conftest import to_bytes_images, transform_set
+from conftest import assert_check_passed, to_bytes_images, transform_set
 from histlearn.data import ImageSet, normalize
-from histlearn import histogram
+from histlearn import histogram, nn
 from histlearn.errors import ShapeError
 from histlearn.histogram import (
     HistogramSpec,
@@ -16,6 +15,8 @@ from histlearn.histogram import (
     kde_histogram,
     kde_histogram_backward,
 )
+from histlearn.models import HistogramLayer
+from histlearn.selftest import _probe_input
 from histlearn.transforms import rotate
 
 
@@ -94,26 +95,10 @@ class TestKdeHistogram:
         assert abs(bins[128] - 0.5) < 1e-4
         assert abs(bins[127] - bins[128]) < 1e-12
 
-    def test_matches_adaptive_quadrature(self):
-        # independent oracle: integrate the kernel-density estimate over
-        # each bin numerically, then normalize the same way
-        rng = np.random.default_rng(42)
-        spec = HistogramSpec(n_bins=16, bandwidth=0.05)
-        px = rng.uniform(-0.5, 0.5, size=16)
-        bins = kde_histogram(px[None], spec)[0]
-
-        b = spec.bandwidth
-
-        def density(x):
-            return np.exp(-0.5 * ((x - px) / b) ** 2).sum() / (px.size * b * np.sqrt(2 * np.pi))
-
-        raw = np.array(
-            [
-                quad(density, spec.edges[i], spec.edges[i + 1], epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-                for i in range(16)
-            ]
-        )
-        np.testing.assert_allclose(bins, raw / raw.sum(), atol=1e-10)
+    def test_matches_adaptive_quadrature(self, property_results):
+        # the kernel-density estimate integrated over each bin numerically,
+        # then normalized the same way
+        assert_check_passed(property_results, "kde-vs-quadrature", 1e-10)
 
     def test_input_validation(self):
         spec = HistogramSpec()
@@ -145,16 +130,7 @@ class TestKdeHistogram:
         assert np.array_equal(kde_histogram(image[None, :, ::-1], spec), kde_histogram(image[None], spec))
 
     def test_matches_dense_reference_at_production_settings(self, small_set):
-        # every (pixel, edge) erf term summed directly, with no grouping of
-        # equal pixels and no saturation cut-off
         spec = HistogramSpec(n_bins=256, bandwidth=0.001)
-
-        def dense(pixels):
-            px = np.asarray(pixels).ravel()
-            per_edge = erf((spec.edges[None, :] - px[:, None]) / (np.sqrt(2.0) * spec.bandwidth)).sum(axis=0)
-            raw = np.diff(per_edge)
-            return raw / raw.sum()
-
         rng = np.random.default_rng(10)
         raw_bytes, labels = to_bytes_images(small_set)
         byte_set = ImageSet(normalize(raw_bytes), labels)
@@ -162,15 +138,12 @@ class TestKdeHistogram:
         rotated = transform_set(byte_set, "rotate", 3).pixels
         for images in (byte_set.pixels[:8], noise, rotated[:8]):
             for image in images:
-                assert np.abs(kde_histogram(image[None], spec)[0] - dense(image)).max() < 1e-12
+                want = _dense_reference(image.reshape(1, -1), spec)
+                assert np.abs(kde_histogram(image[None], spec) - want).max() < 1e-12
 
-    def test_converges_to_discrete_histogram(self):
+    def test_converges_to_discrete_histogram(self, property_results):
         # tiny bandwidth, pixels far from boundaries: KDE == counting
-        rng = np.random.default_rng(9)
-        spec = HistogramSpec(n_bins=16, bandwidth=1e-6)
-        px = spec.centers[rng.integers(0, 16, 200)] + rng.uniform(-0.03, 0.03, 200)
-        diff = np.abs(kde_histogram(px[None], spec) - discrete_histogram(px[None], spec)).max()
-        assert diff < 1e-6
+        assert_check_passed(property_results, "kde-vs-discrete", 1e-6)
 
     def test_smoothing_monotonicity(self):
         # wider kernels spread a single pixel's mass: peak strictly drops.
@@ -349,30 +322,13 @@ class TestKdeBackward:
 
     def test_single_pixel_finite_differences(self):
         spec = HistogramSpec(n_bins=4, bandwidth=0.1)
-        g = np.array([0.3, -1.1, 0.7, 0.2])
-        x0 = np.array([0.31])
-        analytic = kde_histogram_backward(g[None], x0[None], spec)[0, 0]
-        h = 1e-5
-        fp = kde_histogram([x0 + h], spec)[0] @ g
-        fm = kde_histogram([x0 - h], spec)[0] @ g
-        numeric = (fp - fm) / (2 * h)
-        assert abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric)) < 1e-5
+        g = np.array([[0.3, -1.1, 0.7, 0.2]])
+        x0 = np.full((1, 1, 1, 1), 0.31)
+        assert nn.grad_check(_probe_input(HistogramLayer(spec), g), x0, h=1e-5) < 1e-5
 
-    def test_matches_finite_differences_away_from_edges(self):
-        rng = np.random.default_rng(13)
-        spec = HistogramSpec(n_bins=8, bandwidth=0.05)
-        px = spec.centers[rng.integers(0, 8, 12)] + rng.uniform(-0.08, 0.08, 12)
-        g = rng.standard_normal(8)
-        analytic = kde_histogram_backward(g[None], px[None], spec)[0]
-        h = 1e-4
-        for i in range(px.size):
-            xp = px.copy()
-            xp[i] += h
-            xm = px.copy()
-            xm[i] -= h
-            numeric = (kde_histogram([xp], spec)[0] @ g - kde_histogram([xm], spec)[0] @ g) / (2 * h)
-            rel = abs(analytic[i] - numeric) / max(1e-8, abs(analytic[i]) + abs(numeric))
-            assert rel < 1e-4
+    def test_matches_finite_differences_away_from_edges(self, property_results):
+        # pixels parked > 2h from every bin edge, N=8, B=0.05, h=1e-4
+        assert_check_passed(property_results, "gradient-kde-histogram", 1e-4)
 
     def test_deep_interior_pixel_has_vanishing_gradient(self):
         # > 8 bandwidths from both bin bounds: the Gaussian tails leave

@@ -3,31 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import assert_check_passed
 from histlearn import nn
 from histlearn.distlayers import ArithmeticDistributionLayer, init_kernel
 from histlearn.errors import NonFiniteError, ShapeError
 from histlearn.histogram import HistogramSpec
 from histlearn.models import HistogramLayer
-
-
-def layer_input_probe(layer, weights):
-    """f(x) -> (scalar, grad) for grad_check, probing the layer input."""
-
-    def f(x):
-        out = layer.forward(x)
-        return float((out * weights).sum()), layer.backward(weights)
-
-    return f
-
-
-def layer_param_probe(layer, param, x, weights):
-    def f(pv):
-        param.value[...] = pv
-        out = layer.forward(x)
-        layer.backward(weights)
-        return float((out * weights).sum()), param.grad.copy()
-
-    return f
+from histlearn.selftest import _probe_input, _probe_param
 
 
 def conv2d_reference(x, weight, bias, grad):
@@ -82,14 +64,9 @@ class TestLinear:
         x = np.array([[0.5, -1.0, 2.0, 0.0]])
         assert np.array_equal(layer.forward(x), x)
 
-    def test_finite_difference_grads(self):
-        rng = np.random.default_rng(1)
-        layer = nn.Linear(2, 3, rng)
-        x = np.array([[1.0, 2.0], [-0.5, 0.25]])
-        w = rng.standard_normal((2, 3))
-        assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-6
-        assert nn.grad_check(layer_param_probe(layer, layer.weight, x, w), layer.weight.value.copy()) < 1e-6
-        assert nn.grad_check(layer_param_probe(layer, layer.bias, x, w), layer.bias.value.copy()) < 1e-6
+    def test_finite_difference_grads(self, property_results):
+        # input, weight and bias gradients against central differences
+        assert_check_passed(property_results, "gradient-linear", 1e-6)
 
     def test_shape_mismatch_names_both_shapes(self):
         rng = np.random.default_rng(2)
@@ -128,7 +105,7 @@ class TestLinear:
         layer = nn.Linear(2 * 2 * 3, 4, rng)
         x = rng.standard_normal((2, 2, 2, 3))
         w = rng.standard_normal((2, 4))
-        assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-6
+        assert nn.grad_check(_probe_input(layer, w), x) < 1e-6
 
 
 class TestConv2d:
@@ -146,14 +123,9 @@ class TestConv2d:
         x = rng.standard_normal((1, 1, 6, 6))
         assert np.array_equal(layer.forward(x), x)
 
-    def test_finite_difference_grads(self):
-        rng = np.random.default_rng(6)
-        layer = nn.Conv2d(1, 1, 2, 2, rng)
-        x = rng.standard_normal((2, 1, 4, 4))
-        w = rng.standard_normal((2, 1, 3, 3))
-        assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-6
-        assert nn.grad_check(layer_param_probe(layer, layer.weight, x, w), layer.weight.value.copy()) < 1e-6
-        assert nn.grad_check(layer_param_probe(layer, layer.bias, x, w), layer.bias.value.copy()) < 1e-6
+    def test_finite_difference_grads(self, property_results):
+        # input, weight and bias gradients, one and several channels
+        assert_check_passed(property_results, "gradient-conv2d", 1e-6)
 
     def test_kernel_larger_than_input(self):
         rng = np.random.default_rng(7)
@@ -230,7 +202,7 @@ class TestInputGradOff:
         if name == "conv-c6":
             return nn.Conv2d(6, 16, 5, 5, rng), rng.standard_normal((9, 6, 12, 12))
         spec = HistogramSpec(n_bins=16, bandwidth=0.05)
-        return ArithmeticDistributionLayer(spec, init_kernel(spec, 3)), rng.random((9, 16))
+        return ArithmeticDistributionLayer(spec, *init_kernel(spec, 3)), rng.random((9, 16))
 
     @pytest.mark.parametrize("name", ["linear", "conv-c1", "conv-c6", "arith"])
     def test_returns_none_with_bitwise_parameter_grads(self, name):
@@ -281,12 +253,9 @@ class TestMaxPool2d:
         expected[0, 0, ::2, ::2] = 1.0  # first element of each 2x2 window
         assert np.array_equal(dx, expected)
 
-    def test_finite_difference_grads_untied(self):
-        rng = np.random.default_rng(10)
-        layer = nn.MaxPool2d()
-        x = rng.permutation(32).astype(float).reshape(2, 1, 4, 4)
-        w = rng.standard_normal((2, 1, 2, 2))
-        assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-6
+    def test_finite_difference_grads_untied(self, property_results):
+        # distinct values, so every window has one maximum
+        assert_check_passed(property_results, "gradient-maxpool", 1e-6)
 
     def test_plateaus_and_zeros_match_loop_reference(self):
         rng = np.random.default_rng(21)
@@ -363,13 +332,8 @@ class TestReLU:
         g = np.arange(1.0, 9.0)
         assert np.array_equal(layer.backward(g), g * (x > 0))
 
-    def test_finite_difference_grads_away_from_kink(self):
-        rng = np.random.default_rng(11)
-        layer = nn.ReLU()
-        x = rng.standard_normal(20)
-        x[np.abs(x) < 0.05] = 0.3
-        w = rng.standard_normal(20)
-        assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-6
+    def test_finite_difference_grads_away_from_kink(self, property_results):
+        assert_check_passed(property_results, "gradient-relu", 1e-6)
 
 
 class TestLogSoftmaxNll:
@@ -385,10 +349,9 @@ class TestLogSoftmaxNll:
         assert loss < 1e-12
         assert np.abs(grad).max() < 1e-12
 
-    def test_finite_difference_grads(self):
-        rng = np.random.default_rng(12)
-        logits = rng.standard_normal((3, 10))
-        assert nn.grad_check(lambda z: nn.log_softmax_nll(z, [7, 0, 7]), logits) < 1e-6
+    def test_finite_difference_grads(self, property_results):
+        # the mean loss of a batch of 3
+        assert_check_passed(property_results, "gradient-log-softmax-nll", 1e-6)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
@@ -524,12 +487,6 @@ class TestGradCheck:
 
         assert nn.grad_check(f, np.array(3.0)) < 1e-10
 
-    def test_linear_layer_loss(self):
-        rng = np.random.default_rng(17)
-        layer = nn.Linear(3, 2, rng)
-        w = rng.standard_normal((2, 2))
-        assert nn.grad_check(layer_input_probe(layer, w), rng.standard_normal((2, 3))) < 1e-6
-
     def test_relu_sum_away_from_kink(self):
         def f(x):
             return float(np.maximum(x, 0).sum()), (x > 0).astype(float)
@@ -558,23 +515,23 @@ class TestLayerInvariants:
             layer = nn.Linear(6, 5, rng)
             x = rng.standard_normal((2, 6))
             w = rng.standard_normal((2, 5))
-            assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-4
-            assert nn.grad_check(layer_param_probe(layer, layer.weight, x, w), layer.weight.value.copy()) < 1e-4
+            assert nn.grad_check(_probe_input(layer, w), x) < 1e-4
+            assert nn.grad_check(_probe_param(layer, layer.weight, x, w), layer.weight.value.copy()) < 1e-4
             checked["linear"] = checked.get("linear", 0) + 12 + 30
 
         for trial in range(3):
             layer = nn.Conv2d(1, 2, 3, 3, rng)
             x = rng.standard_normal((2, 1, 5, 5))
             w = rng.standard_normal((2, 2, 3, 3))
-            assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-4
-            assert nn.grad_check(layer_param_probe(layer, layer.weight, x, w), layer.weight.value.copy()) < 1e-4
+            assert nn.grad_check(_probe_input(layer, w), x) < 1e-4
+            assert nn.grad_check(_probe_param(layer, layer.weight, x, w), layer.weight.value.copy()) < 1e-4
             checked["conv"] = checked.get("conv", 0) + 50 + 18
 
         for trial in range(7):
             layer = nn.MaxPool2d()
             x = rng.permutation(32).astype(float).reshape(2, 1, 4, 4)
             w = rng.standard_normal((2, 1, 2, 2))
-            assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-4
+            assert nn.grad_check(_probe_input(layer, w), x) < 1e-4
             checked["maxpool"] = checked.get("maxpool", 0) + 32
 
         for trial in range(10):
@@ -582,7 +539,7 @@ class TestLayerInvariants:
             x = rng.standard_normal(10)
             x[np.abs(x) < 0.05] = 0.4
             w = rng.standard_normal(10)
-            assert nn.grad_check(layer_input_probe(layer, w), x) < 1e-4
+            assert nn.grad_check(_probe_input(layer, w), x) < 1e-4
             checked["relu"] = checked.get("relu", 0) + 10
 
         for trial in range(10):
@@ -623,7 +580,7 @@ def single_sample_cases():
     the same sample as a batch of one)."""
     rng = np.random.default_rng(23)
     spec = HistogramSpec(n_bins=8, bandwidth=0.05)
-    arith = ArithmeticDistributionLayer(spec, init_kernel(spec, 0))
+    arith = ArithmeticDistributionLayer(spec, *init_kernel(spec, 0))
     image = np.zeros((28, 28))
     cases = {
         "linear": (lambda x, _: nn.Linear(4, 3, rng).forward(x), np.zeros(4)),

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from histlearn import nn, selftest
+from histlearn import distlayers, nn, selftest
 from histlearn.distlayers import ArithmeticDistributionLayer
+from histlearn.histogram import HistogramSpec
 
 CHECK_NAMES = {
     "gradient-linear",
@@ -80,6 +81,25 @@ def test_loss_gradient_without_batch_scale_fails_the_loss_check(monkeypatch):
     monkeypatch.setattr(nn, "log_softmax_nll", unscaled)
     failed = [r.name for r in selftest.run_all() if not r.passed]
     assert failed == ["gradient-log-softmax-nll"]
+
+
+def test_float_sum_bins_fail_the_scatter_check(monkeypatch):
+    # the sum stage's bin evaluated in floats, (centers[i] + centers[m] + 1)
+    # * N/2, lands some pairs a bin low at N=6 and 12; the loop folds bin
+    # each pair exactly, so the scatter check must see it
+    index_maps = distlayers._index_maps
+
+    def float_sum_maps(n_bins):
+        maps = dict(index_maps(n_bins))
+        centers = HistogramSpec(n_bins=n_bins, bandwidth=1.0).centers
+        pair_sums = np.add.outer(centers, centers)
+        sum_ = np.clip(np.floor((pair_sums + 1.0) * (n_bins / 2.0)).astype(np.int64), 0, n_bins - 1)
+        maps["sum_flat"] = (sum_ * n_bins + np.arange(n_bins)).ravel()
+        return maps
+
+    monkeypatch.setattr(distlayers, "_index_maps", float_sum_maps)
+    result = selftest.check_scatter_vs_bruteforce()
+    assert not result.passed and result.measured > result.allowed
 
 
 def test_input_gradient_oracles_call_the_full_backward(monkeypatch):

@@ -28,7 +28,7 @@ def make_set(count, seed):
         c0 = int(rng.integers(2, 18))
         pixels[i, r0 : r0 + height, c0 : c0 + 8] = 0.8
         pixels[i, 26, :] = -1.0 + 2.0 * (c + 1) / 11.0
-    return ImageSet(pixels, labels.astype(np.int64))
+    return ImageSet(np.rint((pixels + 1.0) * 127.5).astype(np.uint8), labels)
 
 
 train_set = make_set(2048, seed=0)

@@ -167,18 +167,22 @@ def _model_config(opts, arch):
     )
 
 
-def _train_one(cfg, data_dir):
-    """Train one architecture; returns (model, curve, test_set)."""
-    from . import models
+def _load_splits(data_dir):
+    """The (train, test) splits, loaded once per command."""
     from .data import load_mnist
 
-    train_set = load_mnist(data_dir, "train")
-    test_set = load_mnist(data_dir, "test")
+    return load_mnist(data_dir, "train"), load_mnist(data_dir, "test")
+
+
+def _train_one(cfg, train_set):
+    """Train one architecture; returns (model, curve)."""
+    from . import models
+
     model = models.build_model(cfg)
     print(f"training {cfg.architecture}: {train_set.count} images, "
           f"{cfg.epochs} epochs, batch {cfg.batch_size}, lr {cfg.lr}, seed {cfg.seed}")
     curve = models.train(model, train_set, cfg, log=print)
-    return model, curve, test_set
+    return model, curve
 
 
 def _print_reports(reports):
@@ -201,7 +205,8 @@ def _cmd_train(opts):
 
     out_dir = opts["out_dir"]
     cfg = _model_config(opts, opts["arch"])
-    model, curve, test_set = _train_one(cfg, opts["data_dir"])
+    train_set, test_set = _load_splits(opts["data_dir"])
+    model, curve = _train_one(cfg, train_set)
 
     ckpt_path = os.path.join(out_dir, f"model_{cfg.architecture}.ckpt")
     save_checkpoint(model, cfg, ckpt_path)
@@ -248,10 +253,11 @@ def _cmd_ablation(opts):
     out_dir = opts["out_dir"]
     kinds = _parse_transform_list(opts["transforms"])
 
+    train_set, test_set = _load_splits(opts["data_dir"])
     all_reports = []
     for arch in ("base", "cnn", "dadm"):
         cfg = _model_config(opts, arch)
-        model, curve, test_set = _train_one(cfg, opts["data_dir"])
+        model, curve = _train_one(cfg, train_set)
         save_checkpoint(model, cfg, os.path.join(out_dir, f"model_{arch}.ckpt"))
         write_loss_curve(os.path.join(out_dir, f"loss_curve_{arch}.csv"), curve)
         reports = evaluate(model, test_set, kinds, seed=opts["seed"])

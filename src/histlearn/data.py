@@ -6,8 +6,8 @@ dimension fields, then unsigned bytes.  Files may be given raw or gzipped;
 gzip is detected from the two-byte signature.
 
 Pixels are mapped from bytes to ``v / 127.5 - 1`` so the working range is
-exactly [-1, 1].  A loaded split is held as its bytes; training and
-evaluation normalize only the rows each batch or chunk reads.
+exactly [-1, 1].  An image set is held as its bytes; float pixels exist only
+as the batch or chunk that training or evaluation reads and normalizes.
 """
 
 import gzip
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cli import DATA_DIR_ENV  # noqa: F401 - re-exported for callers of this module
 from .errors import DataFormatError
 
 IMAGE_MAGIC = 0x00000803
@@ -111,38 +110,31 @@ def normalize(raw) -> np.ndarray:
 
 @dataclass
 class ImageSet:
-    """Grayscale images with labels, held as given.
+    """Grayscale byte images with labels.
 
-    ``images`` stays uint8 bytes when it is given as bytes (an IDX split,
-    held read-only as the file's bytes: a 60k MNIST split is 47 MB of
-    bytes, 376 MB as float64) and is float64 pixels in [-1, 1] otherwise.
-    :meth:`take` returns float64 pixels of the rows a batch or chunk reads,
-    normalizing only those bytes.
+    ``images`` is held as the uint8 bytes it is given; an IDX split is
+    held read-only as the file's bytes (a 60k MNIST split is 47 MB of
+    bytes, 376 MB as float64).  :meth:`take` returns float64 pixels of the
+    rows a batch or chunk reads, normalizing only those bytes.
 
-    Invariants checked at construction: float pixels finite and in
-    [-1, 1], labels in 0..9, one label per image.
+    Invariants checked at construction: images uint8 and (count, H, W),
+    labels in 0..9, one label per image.
     """
 
-    images: np.ndarray  # (count, H, W) uint8 bytes or float64 pixels
+    images: np.ndarray  # (count, H, W) uint8
     labels: np.ndarray  # (count,) int64
 
     def __post_init__(self):
         self.images = np.asarray(self.images)
-        if self.images.dtype != np.uint8:
-            self.images = self.images.astype(np.float64, copy=False)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.images.dtype != np.uint8:
+            raise DataFormatError(f"images must be uint8 bytes, got dtype {self.images.dtype}")
         if self.images.ndim != 3:
             raise DataFormatError(f"pixels must be (count, H, W), got shape {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):
             raise DataFormatError(
                 f"{self.images.shape[0]} images but {self.labels.shape[0]} labels"
             )
-        if self.images.dtype == np.float64 and self.images.size:
-            lo, hi = self.images.min(), self.images.max()
-            if not (lo >= -1.0 and hi <= 1.0):  # NaN fails both
-                raise DataFormatError(
-                    f"pixel values must be finite and in [-1, 1], got range [{lo}, {hi}]"
-                )
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 9):
             raise DataFormatError("labels must be class indices 0..9")
 
@@ -160,15 +152,14 @@ class ImageSet:
 
     def take(self, index) -> np.ndarray:
         """Float64 pixels of ``images[index]`` (an index, slice or index
-        array); bytes are normalized, float pixels returned as indexed."""
-        rows = self.images[index]
-        return normalize(rows) if rows.dtype == np.uint8 else rows
+        array), normalizing only those bytes."""
+        return normalize(self.images[index])
 
     @property
     def pixels(self) -> np.ndarray:
-        """The whole set as float64 pixels.  A byte set builds a float copy
-        8x its size on every access, so no package path reads this."""
-        return normalize(self.images) if self.images.dtype == np.uint8 else self.images
+        """The whole set as float64 pixels, a float copy 8x its size built
+        on every access, so no package path reads this."""
+        return normalize(self.images)
 
     @classmethod
     def from_idx_files(cls, images_path, labels_path) -> "ImageSet":

@@ -14,7 +14,7 @@ dadm   per-image KDE histogram (256 bins) -> distribution-arithmetic layer
 
 A ``Linear`` reads its ``(batch, C, H, W)`` input as one row per sample.
 
-A split loaded from IDX files is held as its bytes (see
+An image set is held as its bytes (see
 :class:`~histlearn.data.ImageSet`), and only the rows a step or chunk reads
 are normalized to float pixels.  The layers in front of a model's first
 layer with parameters have nothing to learn and training inputs are fixed,
@@ -96,9 +96,9 @@ class HistogramLayer:
 
     The forward pass is one :func:`~histlearn.histogram.kde_histogram`
     call over the whole batch, which works through it in groups of whole
-    rows with bounded memory, so the 60k training images of a dadm run go
-    through in one call.  Each row's histogram is bitwise what the image
-    alone would give.
+    rows with bounded memory.  :func:`train` feeds it the training set
+    ``PREFIX_CHUNK`` images at a time (see :func:`_prefix_outputs`).  Each
+    row's histogram is bitwise what the image alone would give.
 
     No learnable parameters.  The backward pass is one
     :func:`~histlearn.histogram.kde_histogram_backward` call over the whole

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from . import distlayers, histogram, nn, transforms
+from . import data, distlayers, histogram, nn, transforms
 
 
 @dataclass
@@ -185,7 +185,7 @@ def _byte_and_rotated_rows(rng, shape, count=2):
     """``count`` byte-valued images of ``shape`` and the same images each
     rotated by a random angle, as the rows of one batch: the two kinds of
     input the dadm histogram layer gets (originals and the eval battery)."""
-    byte = rng.integers(0, 256, (count, *shape)) / 127.5 - 1.0
+    byte = data.normalize(rng.integers(0, 256, (count, *shape)))
     rotated = np.stack([transforms.rotate(img, rng.uniform(0.0, 90.0)) for img in byte])
     return np.concatenate([byte, rotated]).reshape(2 * count, -1)
 
@@ -233,7 +233,7 @@ def check_kde_vs_discrete():
     # bin centers plus a little, and bytes 1-254 (0 and 255 are the domain
     # edges); a right-angle rotation keeps the values, only moves them
     px = spec.centers[rng.integers(0, 16, size=64)] + rng.uniform(-0.02, 0.02, size=64)
-    byte = rng.integers(1, 255, size=64) / 127.5 - 1.0
+    byte = data.normalize(rng.integers(1, 255, size=64))
     images = np.stack([px, byte]).reshape(2, 8, 8)
     rotated = np.stack([transforms.rotate(img, 90.0) for img in images])
     rows = np.concatenate([images, rotated]).reshape(4, -1)

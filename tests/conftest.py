@@ -21,7 +21,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
-from histlearn.data import DATA_DIR_ENV, ImageSet, mnist_files_present
+from histlearn.cli import DATA_DIR_ENV
+from histlearn.data import ImageSet, mnist_files_present
 from histlearn.transforms import stream_states, transform_batch
 
 
@@ -39,24 +40,20 @@ def make_imageset(count, seed=0, balanced=False):
         c0 = int(rng.integers(2, 18))
         pixels[i, r0 : r0 + height, c0 : c0 + 8] = 0.8
         pixels[i, 26, :] = -1.0 + 2.0 * (c + 1) / 11.0
-    return ImageSet(pixels, labels.astype(np.int64))
+    return ImageSet(np.rint((pixels + 1.0) * 127.5).astype(np.uint8), labels)
 
 
 def transform_set(image_set, kind, seed):
-    """The whole set under ``kind``, image i drawing from the stream
-    ``default_rng([seed, i])`` that ``models.evaluate`` gives it."""
+    """The whole set's float pixels under ``kind``, shaped (count, H, W),
+    image i drawing from the stream ``default_rng([seed, i])`` that
+    ``models.evaluate`` gives it."""
     states = stream_states(seed, range(image_set.count))
-    return ImageSet(transform_batch(image_set.pixels, states, kind), image_set.labels.copy())
-
-
-def to_bytes_images(image_set):
-    """Quantize a synthetic set back to uint8 images + labels for IDX files."""
-    raw = np.clip(np.rint((image_set.pixels + 1.0) * 127.5), 0, 255).astype(np.uint8)
-    return raw, image_set.labels.astype(np.uint8)
+    return transform_batch(image_set.pixels, states, kind)
 
 
 def write_idx_pair(directory, images, labels, prefix):
-    """Write one images/labels IDX file pair; returns the two paths."""
+    """Write one images/labels IDX file pair, labels as bytes; returns the
+    two paths."""
     os.makedirs(directory, exist_ok=True)
     n, h, w = images.shape
     img_path = os.path.join(directory, f"{prefix}-images-idx3-ubyte")
@@ -66,7 +63,7 @@ def write_idx_pair(directory, images, labels, prefix):
     lbl_path = os.path.join(directory, f"{prefix}-labels-idx1-ubyte")
     with open(lbl_path, "wb") as fh:
         fh.write(struct.pack(">II", 0x00000801, n))
-        fh.write(labels.tobytes())
+        fh.write(labels.astype(np.uint8).tobytes())
     return img_path, lbl_path
 
 
@@ -122,8 +119,8 @@ def synth_data_dir(tmp_path):
     """A directory shaped like an MNIST data dir but with synthetic content."""
     train = make_imageset(512, seed=10)
     test = make_imageset(256, seed=11)
-    write_idx_pair(tmp_path, *to_bytes_images(train), "train")
-    write_idx_pair(tmp_path, *to_bytes_images(test), "t10k")
+    write_idx_pair(tmp_path, train.images, train.labels, "train")
+    write_idx_pair(tmp_path, test.images, test.labels, "t10k")
     return str(tmp_path)
 
 

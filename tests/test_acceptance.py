@@ -92,7 +92,7 @@ def test_criterion_2_dadm_shuffle_gap_and_identity(dadm_run, mnist_sets):
     gap = battery["shuffle"].delta
     shuffled = transform_set(test_set, "shuffle", EVAL_SEED)
     identity = float(
-        (models.predict(model, shuffled.pixels) == models.predict(model, test_set.pixels)).mean()
+        (models.predict(model, shuffled) == models.predict(model, test_set.pixels)).mean()
     )
     ok = gap <= 0.2 and identity >= 0.999
     criterion(2, ok, f"dadm shuffle gap {gap:.3f} pts (<=0.2), prediction identity {identity:.4f} (>=0.999)")
@@ -227,11 +227,12 @@ def test_criterion_11_determinism(tmp_path):
         )
     curves_ok = curves[0] == curves[1]
 
-    from conftest import to_bytes_images, write_idx_pair
+    from conftest import write_idx_pair
 
     data_dir = tmp_path / "data"
-    write_idx_pair(data_dir, *to_bytes_images(make_imageset(128, seed=41)), "train")
-    write_idx_pair(data_dir, *to_bytes_images(make_imageset(64, seed=42)), "t10k")
+    for prefix, count, seed in (("train", 128, 41), ("t10k", 64, 42)):
+        image_set = make_imageset(count, seed=seed)
+        write_idx_pair(data_dir, image_set.images, image_set.labels, prefix)
     out = tmp_path / "train"
     code = cli.main(["train", "--arch", "base", "--data-dir", str(data_dir), "--out-dir", str(out),
                      "--epochs", "1", "--batch", "32"])

@@ -16,7 +16,7 @@ import histlearn
 from conftest import transform_set, write_idx_pair
 from histlearn import cli, data, selftest
 from histlearn.checkpoint import save_checkpoint
-from histlearn.data import DATA_DIR_ENV
+from histlearn.cli import DATA_DIR_ENV
 from histlearn.models import ModelConfig, build_model
 from histlearn.reports import read_bar_chart, read_eval_reports, read_histogram_dump, read_loss_curve
 
@@ -349,6 +349,20 @@ class TestAblationCommand:
             assert os.path.isfile(os.path.join(out_dir, f"model_{arch}.ckpt"))
             assert os.path.isfile(os.path.join(out_dir, f"loss_curve_{arch}.csv"))
 
+    def test_loads_each_split_once(self, synth_data_dir, tmp_path, monkeypatch):
+        # the three architectures train and evaluate on the same two splits
+        loaded = []
+        load_mnist = data.load_mnist
+
+        def counting_load(data_dir, split="train"):
+            loaded.append(split)
+            return load_mnist(data_dir, split)
+
+        monkeypatch.setattr(data, "load_mnist", counting_load)
+        assert run("ablation", "--data-dir", synth_data_dir, "--out-dir", str(tmp_path / "out"),
+                   "--transforms", "none", *TRAIN_ARGS) == 0
+        assert loaded == ["train", "test"]
+
 
 class TestReportCommand:
     def test_bar_chart_and_histogram_dumps(self, synth_data_dir, tmp_path, trained_checkpoint):
@@ -390,7 +404,7 @@ class TestReportCommand:
 
         test_set = load_mnist(synth_data_dir, "test")
         rotated = transform_set(test_set, "rotate", 0)
-        expected = kde_histogram(rotated.pixels[5:6], HistogramSpec(n_bins=32, bandwidth=0.01))[0]
+        expected = kde_histogram(rotated[5:6], HistogramSpec(n_bins=32, bandwidth=0.01))[0]
         _, masses = read_histogram_dump(os.path.join(out_dir, "hist_rotate.csv"))
         assert np.array_equal(masses, expected)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from conftest import assert_check_passed, to_bytes_images, transform_set
-from histlearn.data import ImageSet, normalize
+from conftest import assert_check_passed, transform_set
+from histlearn.data import normalize
 from histlearn import histogram, nn
 from histlearn.errors import ShapeError
 from histlearn.histogram import (
@@ -126,17 +126,15 @@ class TestKdeHistogram:
         for _ in range(4):
             again = kde_histogram(rng.permutation(px)[None], spec)
             assert np.array_equal(again, bins)
-        image = rng.integers(0, 256, (28, 28)) / 127.5 - 1.0
+        image = normalize(rng.integers(0, 256, (28, 28)))
         assert np.array_equal(kde_histogram(image[None, :, ::-1], spec), kde_histogram(image[None], spec))
 
     def test_matches_dense_reference_at_production_settings(self, small_set):
         spec = HistogramSpec(n_bins=256, bandwidth=0.001)
         rng = np.random.default_rng(10)
-        raw_bytes, labels = to_bytes_images(small_set)
-        byte_set = ImageSet(normalize(raw_bytes), labels)
-        noise = rng.integers(0, 256, (4, 28, 28)) / 127.5 - 1.0
-        rotated = transform_set(byte_set, "rotate", 3).pixels
-        for images in (byte_set.pixels[:8], noise, rotated[:8]):
+        noise = normalize(rng.integers(0, 256, (4, 28, 28)))
+        rotated = transform_set(small_set, "rotate", 3)
+        for images in (small_set.take(slice(8)), noise, rotated[:8]):
             for image in images:
                 want = _dense_reference(image.reshape(1, -1), spec)
                 assert np.abs(kde_histogram(image[None], spec) - want).max() < 1e-12
@@ -197,10 +195,8 @@ def _all_bins_reference(rows, spec):
 
 def _byte_and_rotated(small_set, count):
     """``count`` byte-valued images and the first of them rotated, as rows."""
-    raw, labels = to_bytes_images(small_set)
-    byte_set = ImageSet(normalize(raw[:count]), labels[:count])
-    rotated = transform_set(byte_set, "rotate", 5).pixels
-    return np.concatenate([byte_set.pixels, rotated]).reshape(2 * count, -1)
+    rotated = transform_set(small_set, "rotate", 5)[:count]
+    return np.concatenate([small_set.take(slice(count)), rotated]).reshape(2 * count, -1)
 
 
 # (n_bins, bandwidth) pairs beside the production 256 / 0.001: wide

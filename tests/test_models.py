@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_imageset, to_bytes_images, transform_set
+from conftest import make_imageset, transform_set
 from histlearn import models, nn
 from histlearn.data import ImageSet, normalize
 from histlearn.errors import NonFiniteError
@@ -24,11 +24,6 @@ def tiny_cfg(arch, **kw):
 
 def batch_of(image_set, n):
     return image_set.pixels[:n, None, :, :]
-
-
-def byte_set(count, seed):
-    """A synthetic set held as uint8 bytes, as ``load_mnist`` holds a split."""
-    return ImageSet(*to_bytes_images(make_imageset(count, seed=seed)))
 
 
 def _held_bytes(model):
@@ -119,7 +114,7 @@ class TestForward:
         model = models.build_model(tiny_cfg("dadm"))
         shuffled = transform_set(small_set, "shuffle", 1)
         a = model.forward(batch_of(small_set, 8))
-        b = model.forward(shuffled.pixels[:8, None, :, :])
+        b = model.forward(shuffled[:8, None, :, :])
         assert np.abs(a - b).max() < 1e-9
 
 
@@ -287,32 +282,26 @@ class TestTraining:
             assert [c for c in calls if c[0] is layer] == [(layer, "forward", {})]
         assert [c for c in calls if c[0] is trained] == [(trained, "backward", {"input_grad": False})] * steps
 
-    @pytest.mark.parametrize("arch", ["lenet", "dadm"])
-    def test_bytes_and_their_floats_train_and_evaluate_alike(self, arch, monkeypatch):
-        train_set, test_set = byte_set(100, seed=28), byte_set(3 * models.EVAL_BATCH + 5, seed=29)
-        cfg = tiny_cfg(arch)
+    def test_dadm_prefix_in_chunks_trains_and_evaluates_alike(self, monkeypatch):
+        train_set, test_set = make_imageset(100, seed=28), make_imageset(3 * models.EVAL_BATCH + 5, seed=29)
+        cfg = tiny_cfg("dadm")
 
-        def run(train_set, test_set):
+        def run():
             model = models.build_model(cfg)
             models.train(model, train_set, cfg)
             reports = models.evaluate(model, test_set, list(TRANSFORM_KINDS), seed=5)
             return [p.value for p in model.parameters()], reports
 
-        def as_floats(image_set):
-            return ImageSet(normalize(image_set.images), image_set.labels)
-
-        want_params, want_reports = run(as_floats(train_set), as_floats(test_set))
-        runs = {"bytes": run(train_set, test_set)}
+        want_params, want_reports = run()
         # a frozen prefix run in chunks that end in a partial one
         monkeypatch.setattr(models, "PREFIX_CHUNK", 24)
-        runs["chunks of 24"] = run(train_set, test_set)
-        for name, (params, reports) in runs.items():
-            assert all(np.array_equal(a, b) for a, b in zip(params, want_params)), name
-            assert reports == want_reports, name
+        params, reports = run()
+        assert all(np.array_equal(a, b) for a, b in zip(params, want_params))
+        assert reports == want_reports
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_train_and_evaluate_read_no_whole_set_pixels(self, arch, monkeypatch):
-        train_set, test_set = byte_set(80, seed=30), byte_set(40, seed=31)
+        train_set, test_set = make_imageset(80, seed=30), make_imageset(40, seed=31)
 
         def whole_set(self):
             raise AssertionError("read a whole set's float pixels")
@@ -324,16 +313,15 @@ class TestTraining:
         assert len(models.evaluate(model, test_set, list(TRANSFORM_KINDS))) == len(TRANSFORM_KINDS)
 
     def test_lenet_train_memory_does_not_scale_with_float_pixels(self):
-        # a set built from bytes holds them, and only each batch is
-        # normalized, so a bigger set costs its shuffle order, not a float
-        # copy of its pixels
+        # a set holds its bytes, and only each batch is normalized, so a
+        # bigger set costs its shuffle order, not a float copy of its pixels
         cfg = tiny_cfg("lenet")
         peaks = {}
         for count in (512, 2048):
-            raw, labels = to_bytes_images(make_imageset(count, seed=32))
+            train_set = make_imageset(count, seed=32)
             model = models.build_model(cfg)
             tracemalloc.start()
-            models.train(model, ImageSet(raw, labels), cfg)
+            models.train(model, train_set, cfg)
             peaks[count] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         float_copy_of_added = (2048 - 512) * 28 * 28 * 8
@@ -462,12 +450,11 @@ class TestEvaluate:
         starts = range(0, test_set.count, models.EVAL_BATCH)
         assert len(calls) == 3 * len(starts)
         for lo, (original, *transformed) in zip(starts, (calls[i : i + 3] for i in range(0, len(calls), 3))):
-            assert np.array_equal(original, test_set.pixels[lo : lo + models.EVAL_BATCH])
-            assert np.shares_memory(original, test_set.pixels)
-            assert not any(np.shares_memory(c, test_set.pixels) for c in transformed)
+            assert np.array_equal(original, normalize(test_set.images[lo : lo + models.EVAL_BATCH]))
+            assert not any(np.shares_memory(c, original) for c in transformed)
         for i, kind in ((0, "flip"), (2, "rotate")):
             out = transform_set(test_set, kind, 2)
-            top1, per_class = models.accuracy_breakdown(predict(self.model, out.pixels), out.labels)
+            top1, per_class = models.accuracy_breakdown(predict(self.model, out), test_set.labels)
             assert (reports[i].top1, reports[i].per_class) == (top1, per_class)
         assert reports[1].delta == 0.0
 
@@ -502,6 +489,6 @@ class TestEvaluate:
         base_preds = models.predict(model, self.test_set.pixels)
         for kind in ("flip", "shuffle"):
             out = transform_set(self.test_set, kind, 2)
-            preds = models.predict(model, out.pixels)
+            preds = models.predict(model, out)
             assert (preds == base_preds).mean() >= 0.999
 

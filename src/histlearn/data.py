@@ -118,7 +118,7 @@ class ImageSet:
     rows a batch or chunk reads, normalizing only those bytes.
 
     Invariants checked at construction: images uint8 and (count, H, W),
-    labels in 0..9, one label per image.
+    labels of an integer dtype and in 0..9, one label per image.
     """
 
     images: np.ndarray  # (count, H, W) uint8
@@ -126,9 +126,13 @@ class ImageSet:
 
     def __post_init__(self):
         self.images = np.asarray(self.images)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if self.images.dtype != np.uint8:
             raise DataFormatError(f"images must be uint8 bytes, got dtype {self.images.dtype}")
+        # a cast would truncate float labels: 0.9 would become class 0
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise DataFormatError(f"labels must be integers, got dtype {labels.dtype}")
+        self.labels = labels.astype(np.int64, copy=False)
         if self.images.ndim != 3:
             raise DataFormatError(f"pixels must be (count, H, W), got shape {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):

@@ -4,7 +4,8 @@ Every check pairs an implementation path with an independent oracle:
 finite differences for gradients, adaptive quadrature for the KDE
 histogram, literal Python double loops and Monte-Carlo sampling for the
 scatter matrices of the W*X + B layer and for the layer itself, the code
-that dadm trains with.  The histogram oracles likewise run
+that dadm trains with, and the textbook formula for the Adam optimizer
+every architecture trains with.  The histogram oracles likewise run
 ``kde_histogram``, the function the dadm histogram layer calls, on
 batches that mix byte-valued and rotated images.  Each result carries the
 measured error and the allowed tolerance so failures are directly
@@ -12,16 +13,18 @@ actionable.
 
 This module is the one home of those oracles and of the gradient probes
 (``_probe_input``, ``_probe_param``, ``_fold_bruteforce``,
-``_law_bruteforce``, ...).  The test suite imports them rather than
-keeping copies, and a test whose assertion a check here already carries
-reads that check's result from its one session run of the battery.
+``_law_bruteforce``, ``_adam_reference``, ...).  The test suite imports
+them rather than keeping copies, and a test whose assertion a check here
+already carries reads that check's result from its one session run of
+the battery.
 
 The whole battery runs in well under two minutes on a desktop CPU and
-needs no dataset.  The test suite breaks layers' backward passes and the
-sum stage's bins by monkeypatching them, to prove the harness can
-actually fail.
+needs no dataset.  The test suite breaks layers' backward passes, the
+sum stage's bins and Adam's step by monkeypatching them, to prove the
+harness can actually fail.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -411,6 +414,50 @@ def check_sum_commutativity():
     return _result("sum-commutativity", worst, 0.0, "point masses at N=4, 8, 64, 256")
 
 
+def _adam_reference(value, m, v, g, t, lr):
+    """Adam step ``t`` as :func:`nn.adam_step` runs it, out of place and
+    unblocked: bias-free moment sums and both corrections folded into the
+    step size and the denominator guard.  Returns the new ``(value, m, v)``."""
+    b1, b2 = nn.BETA1, nn.BETA2
+    r = math.sqrt((1.0 - b2**t) / (1.0 - b2))
+    alpha = lr * (1.0 - b1) / (1.0 - b1**t) * r
+    m = b1 * m + g
+    v = b2 * v + g * g
+    return value - alpha * (m / (np.sqrt(v) + nn.EPS * r)), m, v
+
+
+def _adam_textbook(value, m, v, g, t, lr):
+    """Adam step ``t`` as Kingma & Ba (2015) write it: bias-corrected
+    moment estimates.  Returns the new ``(value, m, v)``."""
+    b1, b2 = nn.BETA1, nn.BETA2
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g**2
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + nn.EPS), m, v
+
+
+def check_adam_vs_textbook():
+    rng = np.random.default_rng(29)
+    lr, steps = 0.001, 1000
+    value = rng.standard_normal(256)
+    param = nn.Parameter(value.copy(), "p")
+    optimizer = nn.Adam([param], lr=lr)
+    m = v = np.zeros_like(value)
+    # each element keeps one gradient scale in 1e-9..1e2, where sqrt(v_hat)
+    # is far below and far above EPS; signs and sizes are redrawn each step
+    scale = 10.0 ** rng.uniform(-9.0, 2.0, size=value.size)
+    worst = 0.0
+    for t in range(1, steps + 1):
+        g = scale * rng.standard_normal(value.size)
+        param.grad[...] = g
+        optimizer.step()
+        value, m, v = _adam_textbook(value, m, v, g, t, lr)
+        worst = max(worst, float(np.abs(param.value - value).max()))
+    detail = f"max |p - p_textbook| over {steps} steps, |g| 1e-9..1e2"
+    return _result("adam-vs-textbook", worst, 1e-12, detail)
+
+
 def run_all():
     """Run every check; returns a list of :class:`CheckResult`."""
     return [
@@ -432,4 +479,5 @@ def run_all():
         check_scatter_vs_montecarlo(),
         check_mass_conservation(),
         check_sum_commutativity(),
+        check_adam_vs_textbook(),
     ]

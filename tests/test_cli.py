@@ -35,7 +35,7 @@ class TestSelftestCommand:
         assert run("selftest", "--threads", "1") == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "FAIL" not in out
-        assert "all 18 checks passed" in out
+        assert "all 19 checks passed" in out
 
     def test_failure_exit_code(self, monkeypatch, capsys):
         broken = selftest.CheckResult("gradient-linear", False, 1.0, 1e-4)

@@ -135,6 +135,12 @@ class TestImageSet:
             with pytest.raises(DataFormatError, match="uint8"):
                 ImageSet(images.astype(dtype), np.zeros(2, dtype=int))
 
+    @pytest.mark.parametrize("labels", [[0.9, 9.99], [0.0, 9.0]], ids=["fractional", "integral"])
+    def test_float_labels_refused_not_truncated(self, labels):
+        # a cast to int64 would read 0.9 as class 0 and 9.99 as class 9
+        with pytest.raises(DataFormatError, match="labels must be integers"):
+            ImageSet(np.zeros((2, 4, 4), dtype=np.uint8), np.array(labels))
+
     def test_bytes_held_as_bytes_and_normalized_per_take(self):
         rng = np.random.default_rng(3)
         raw = rng.integers(0, 256, (5, 4, 4), dtype=np.uint8)

@@ -11,6 +11,7 @@ from histlearn import models, nn
 from histlearn.data import ImageSet, normalize
 from histlearn.errors import NonFiniteError
 from histlearn.histogram import kde_histogram, kde_histogram_backward
+from histlearn.selftest import _adam_reference
 from histlearn.transforms import TRANSFORM_KINDS
 
 ARCHS = ("lenet", "base", "cnn", "dadm")
@@ -213,10 +214,9 @@ class TestEndToEndGradients:
 
 def reference_epoch(model, train_set, cfg):
     """One epoch as textbook as it gets: the full forward and backward of
-    every batch, input gradient included, and out-of-place Adam per
-    parameter."""
-    lr, b1, b2, eps = cfg.lr, 0.9, 0.999, 1e-8
-    inputs = train_set.pixels[:, None, :, :]
+    every batch, input gradient included, and selftest's out-of-place Adam
+    per parameter."""
+    inputs = train_set.take(slice(None))[:, None, :, :]
     params = model.parameters()
     m = [np.zeros_like(p.value) for p in params]
     v = [np.zeros_like(p.value) for p in params]
@@ -227,12 +227,7 @@ def reference_epoch(model, train_set, cfg):
         _, grad = nn.log_softmax_nll(logits, train_set.labels[idx])
         model.backward(grad)
         for i, p in enumerate(params):
-            g = p.grad.copy()
-            m[i] = b1 * m[i] + (1.0 - b1) * g
-            v[i] = b2 * v[i] + (1.0 - b2) * g**2
-            m_hat = m[i] / (1.0 - b1**t)
-            v_hat = v[i] / (1.0 - b2**t)
-            p.value[...] = p.value - lr * m_hat / (np.sqrt(v_hat) + eps)
+            p.value[...], m[i], v[i] = _adam_reference(p.value, m[i], v[i], p.grad, t, cfg.lr)
 
 
 class TestTraining:

@@ -9,7 +9,7 @@ from histlearn.distlayers import ArithmeticDistributionLayer, init_kernel
 from histlearn.errors import NonFiniteError, ShapeError
 from histlearn.histogram import HistogramSpec
 from histlearn.models import HistogramLayer
-from histlearn.selftest import _probe_input, _probe_param
+from histlearn.selftest import _adam_reference, _probe_input, _probe_param
 
 
 def conv2d_reference(x, weight, bias, grad):
@@ -377,20 +377,24 @@ class TestLogSoftmaxNll:
             assert np.allclose(grad[i], singles[i][1][0] / 6, atol=1e-12)
 
 
+def one_adam(value, lr=0.001, name="p"):
+    """A parameter of ``value`` and an Adam over it alone: (param, optimizer)."""
+    p = nn.Parameter(value, name)
+    return p, nn.Adam([p], lr=lr)
+
+
 class TestAdam:
     def test_zeros_gradient_is_noop(self):
-        p = nn.Parameter(np.array([1.0, -2.0]), "p")
-        state = nn.AdamState(p)
-        nn.adam_step(p, state, lr=0.001)
+        p, opt = one_adam(np.array([1.0, -2.0]))
+        opt.step()
         assert np.array_equal(p.value, [1.0, -2.0])
-        assert state.t == 1
+        assert opt.states[0].t == 1
 
     def test_scalar_first_step(self):
         # m_hat = v_hat = 1 after the first step, so the move is ~lr
-        p = nn.Parameter(np.array(0.0), "p")
-        state = nn.AdamState(p)
+        p, opt = one_adam(np.array(0.0))
         p.grad[...] = 1.0
-        nn.adam_step(p, state, lr=0.001)
+        opt.step()
         assert abs(p.value + 0.001) < 1e-9
 
     def test_identical_parameters_update_identically(self):
@@ -399,10 +403,9 @@ class TestAdam:
         grads = rng.standard_normal(7)
         updated = []
         for _ in range(2):
-            p = nn.Parameter(values.copy(), "p")
-            state = nn.AdamState(p)
+            p, opt = one_adam(values.copy(), lr=0.01)
             p.grad[...] = grads
-            nn.adam_step(p, state, lr=0.01)
+            opt.step()
             updated.append(p.value.copy())
         assert np.array_equal(updated[0], updated[1])
 
@@ -412,63 +415,79 @@ class TestAdam:
         ids=["2d", "0d", "cnn-fc1", "chunks-plus-tail"],
     )
     def test_five_steps_match_textbook_formula_bitwise(self, shape):
+        # the blocked in-place update is bitwise selftest's out-of-place one,
+        # which adam-vs-textbook holds to the textbook formula
         rng = np.random.default_rng(22)
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        lr = 0.01
         value = rng.standard_normal(shape)
-        p = nn.Parameter(value.copy(), "p")
-        state = nn.AdamState(p)
-        m = np.zeros(shape)
-        v = np.zeros(shape)
+        p, opt = one_adam(value.copy(), lr=lr)
+        state = opt.states[0]
+        m = v = np.zeros(shape)
         for t in range(1, 6):
             g = rng.standard_normal(shape)
             p.grad[...] = g
-            nn.adam_step(p, state, lr)
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g**2
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            value = value - lr * m_hat / (np.sqrt(v_hat) + eps)
+            opt.step()
+            value, m, v = _adam_reference(value, m, v, g, t, lr)
             assert np.array_equal(p.value, value)
             assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
         assert p.value.shape == shape
 
+    @pytest.mark.parametrize("big", [1e154, 1e200], ids=["norm-overflows", "squares-overflow-too"])
+    def test_finite_gradient_whose_norm_overflows_steps(self, big):
+        # the guard's squared norm overflows to inf, yet every element is
+        # finite, so the step goes ahead; at 1e200 each square overflows
+        # too and v holds inf there, which stops those elements, as the
+        # textbook formula does
+        rng = np.random.default_rng(24)
+        value = rng.standard_normal(3 * nn.CHUNK + 5)
+        p, opt = one_adam(value.copy(), lr=0.01)
+        g = rng.standard_normal(value.shape)
+        g[[7, -2]] = big, -big
+        p.grad[...] = g
+        with np.errstate(over="ignore" if big > 1e155 else "raise"):
+            opt.step()
+            want, m, v = _adam_reference(value, 0.0, 0.0, g, 1, 0.01)
+        assert opt.states[0].t == 1 and np.all(np.isfinite(p.value))
+        assert np.array_equal(p.value, want)
+        assert np.array_equal(opt.states[0].m, m) and np.array_equal(opt.states[0].v, v)
+
     def test_nonfinite_grad_names_parameter(self):
-        p = nn.Parameter(np.zeros(3), "fc1.weight")
+        p, opt = one_adam(np.zeros(3), name="fc1.weight")
         p.grad[1] = np.nan
         with pytest.raises(NonFiniteError) as err:
-            nn.adam_step(p, nn.AdamState(p), lr=0.001)
+            opt.step()
         assert "fc1.weight" in str(err.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_nonfinite_in_last_chunk_leaves_state_untouched(self, bad):
         rng = np.random.default_rng(23)
-        p = nn.Parameter(rng.standard_normal(3 * nn.CHUNK + 5), "fc1.weight")
-        state = nn.AdamState(p)
+        p, opt = one_adam(rng.standard_normal(3 * nn.CHUNK + 5), lr=0.01, name="fc1.weight")
+        state = opt.states[0]
         p.grad[...] = rng.standard_normal(p.value.shape)
-        nn.adam_step(p, state, lr=0.01)
+        opt.step()
         p.grad[...] = rng.standard_normal(p.value.shape)
         p.grad[-2] = bad
         before = [a.copy() for a in (p.value, p.grad, state.m, state.v)]
         with pytest.raises(NonFiniteError, match="fc1.weight"):
-            nn.adam_step(p, state, lr=0.01)
+            opt.step()
         assert state.t == 1
         for got, want in zip((p.value, p.grad, state.m, state.v), before):
             assert np.array_equal(got, want, equal_nan=True)
 
     def test_noncontiguous_state_raises_before_update(self):
-        p = nn.Parameter(np.ones((3, 4)), "fc1.weight")
-        state = nn.AdamState(p)
+        p, opt = one_adam(np.ones((3, 4)), lr=0.01, name="fc1.weight")
+        state = opt.states[0]
         p.value = p.value.T
         p.grad = np.ones((4, 3))
         state.m, state.v = np.zeros((4, 3)), np.zeros((4, 3))
         with pytest.raises(ValueError, match="C-contiguous"):
-            nn.adam_step(p, state, lr=0.01)
+            opt.step()
         assert state.t == 0 and np.all(p.value == 1.0) and np.all(p.grad == 1.0)
 
     def test_bad_lr(self):
-        p = nn.Parameter(np.ones(3), "p")
+        _, opt = one_adam(np.ones(3), lr=0.0)
         with pytest.raises(ValueError):
-            nn.adam_step(p, nn.AdamState(p), lr=0.0)
+            opt.step()
 
     def test_optimizer_tracks_states(self):
         rng = np.random.default_rng(16)

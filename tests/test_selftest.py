@@ -25,6 +25,7 @@ CHECK_NAMES = {
     "scatter-vs-montecarlo",
     "mass-conservation",
     "sum-commutativity",
+    "adam-vs-textbook",
 }
 
 
@@ -99,6 +100,19 @@ def test_float_sum_bins_fail_the_scatter_check(monkeypatch):
 
     monkeypatch.setattr(distlayers, "_index_maps", float_sum_maps)
     result = selftest.check_scatter_vs_bruteforce()
+    assert not result.passed and result.measured > result.allowed
+
+
+def test_adam_step_size_off_by_a_little_fails_the_adam_check(monkeypatch):
+    # a step size off by a relative 1e-9 moves the parameters by about
+    # 1e-10 over the check's 1000 steps, far above its tolerance
+    adam_step = nn.adam_step
+
+    def off_by_a_little(param, state, lr, buf):
+        adam_step(param, state, lr * (1.0 + 1e-9), buf)
+
+    monkeypatch.setattr(nn, "adam_step", off_by_a_little)
+    result = selftest.check_adam_vs_textbook()
     assert not result.passed and result.measured > result.allowed
 
 

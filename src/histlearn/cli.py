@@ -228,8 +228,8 @@ def _cmd_eval(opts):
     kinds = _parse_transform_list(opts["transforms"])
     if not os.path.isfile(opts["checkpoint"]):
         raise DataFormatError(f"checkpoint not found: {opts['checkpoint']}")
-    test_set = load_mnist(opts["data_dir"], "test")
     model, cfg = load_checkpoint(opts["checkpoint"])
+    test_set = load_mnist(opts["data_dir"], "test")
     reports = evaluate(model, test_set, kinds, seed=opts["seed"])
 
     path = os.path.join(opts["out_dir"], "reports.csv")

@@ -1,4 +1,5 @@
-"""MNIST ingestion: IDX parsing, download with verification, normalization.
+"""MNIST ingestion: IDX parsing, download with verification, normalization,
+and the atomic file writer the downloads and checkpoints share.
 
 IDX is the dataset's raw binary container: a big-endian magic number
 (0x00000803 for image files, 0x00000801 for label files), big-endian
@@ -14,6 +15,7 @@ import gzip
 import hashlib
 import os
 import struct
+import tempfile
 import urllib.request
 import zlib
 from dataclasses import dataclass
@@ -204,6 +206,32 @@ def mnist_files_present(data_dir, file_table=None) -> bool:
     return True
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def write_atomic(path, parts):
+    """Write the byte buffers ``parts`` to ``path`` through a temp file of
+    this call's own and an atomic rename, so readers never see a torn file
+    and concurrent writers never share one; a failed write leaves nothing."""
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
+    )
+    try:
+        # mkstemp creates the file 0600; give it the mode open() would have
+        os.fchmod(fd, 0o666 & ~_umask())
+        with os.fdopen(fd, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _default_download(url: str) -> bytes:
     with urllib.request.urlopen(url, timeout=60) as response:
         return response.read()
@@ -268,12 +296,7 @@ def fetch_mnist(data_dir, mirrors=MNIST_MIRRORS, download=None, file_table=None)
             raise DataFormatError(
                 f"{name}: decompressed size {len(raw)} does not match expected {raw_size}"
             )
-        tmp = raw_path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(raw)
-        os.replace(tmp, raw_path)
+        write_atomic(raw_path, [raw])
         if not os.path.isfile(gz_path):
-            with open(gz_path + ".tmp", "wb") as fh:
-                fh.write(blob)
-            os.replace(gz_path + ".tmp", gz_path)
+            write_atomic(gz_path, [blob])
     return paths

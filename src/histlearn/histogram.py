@@ -22,10 +22,10 @@ histogram implemented by :func:`discrete_histogram`.
 Evaluation (:func:`kde_histogram`, one batch of images at a time).  Equal
 pixels add equal terms, so each image is sorted and run-length encoded
 into its distinct values and their counts; an MNIST image has at most 256.
-Every erf term is saturated: where ``|edge - x| / (sqrt(2) B)`` reaches
-``_SATURATION`` = 8 it is taken as exactly +-1 (the true value differs by
-about 1e-29).  A bin whose two edges are both saturated on the same side
-of ``x`` therefore gets exactly 0 from ``x``, and only a band of bins
+Every erf term saturates: erf itself rounds to exactly +-1.0 from
+``|edge - x| / (sqrt(2) B)`` of about 5.92 on, below ``_SATURATION`` = 8.
+A bin whose two edges are both past ``_SATURATION`` on the same side of
+``x`` therefore gets exactly 0 from ``x``, and only a band of bins
 around the value's own bin can get more: ``2R + 1`` bins with
 ``R = ceil(8 sqrt(2) B / W)``, which is 2 at 256 bins and B = 0.001 and
 covers every bin at wide bandwidths.  Each distinct value adds
@@ -67,8 +67,8 @@ from scipy.special import erf
 
 from .errors import ShapeError
 
-# erf(8) differs from 1 by ~1e-29 and exp(-64) ~ 1.6e-28: past this point the
-# kernel terms are numerically saturated and are short-circuited.
+# erf is exactly +-1.0 past ~5.92 and exp(-64) ~ 1.6e-28: past this point the
+# kernel terms are saturated, and the Gaussian is short-circuited to 0.
 _SATURATION = 8.0
 
 # band edges (distinct values x band width) a histogram evaluates per group
@@ -154,15 +154,6 @@ def bin_index(x, spec: HistogramSpec):
     return idx
 
 
-def _erf_saturated(args: np.ndarray) -> np.ndarray:
-    """erf with the tails short-circuited to +-1 beyond the saturation point."""
-    out = np.sign(args)
-    small = np.abs(args) < _SATURATION
-    if np.any(small):
-        out[small] = erf(args[small])
-    return out
-
-
 def _gauss_saturated(args: np.ndarray) -> np.ndarray:
     """exp(-args^2), zero beyond the saturation point."""
     out = np.zeros_like(args)
@@ -241,7 +232,7 @@ def _banded_masses(rows: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     counts = np.diff(starts, append=srt.size)
     lo, edges = _band(values, spec)
     inv = 1.0 / (_SQRT2 * spec.bandwidth)
-    erfs = _erf_saturated((spec.edges[edges] - values[:, None]) * inv)
+    erfs = erf((spec.edges[edges] - values[:, None]) * inv)
     terms = counts[:, None] * (erfs[:, 1:] - erfs[:, :-1])
     keys = ((starts // m) * n + lo)[:, None] + np.arange(terms.shape[1])
     return np.bincount(keys.ravel(), weights=terms.ravel(), minlength=b * n).reshape(b, n)

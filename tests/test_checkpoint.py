@@ -1,10 +1,13 @@
 """Binary checkpoint round trips and corruption handling."""
 
+import hashlib
 import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_imageset
 from histlearn import checkpoint, cli, models
@@ -30,7 +33,49 @@ def test_round_trip_preserves_logits(arch, tmp_path):
     loaded, loaded_cfg = load_checkpoint(path)
     assert loaded_cfg == cfg
     assert loaded.architecture == arch
+    for got, saved in zip(loaded.parameters(), model.parameters(), strict=True):
+        assert got.value.tobytes() == saved.value.tobytes(), got.name
     assert np.array_equal(loaded.forward(batch), before)
+
+
+# What a checkpoint's values mean: the file stores no names or shapes, only
+# each parameter's float64 bytes in this order.
+LAYOUT = {
+    "lenet": [
+        ("conv1.weight", (6, 1, 5, 5)), ("conv1.bias", (6,)),
+        ("conv2.weight", (16, 6, 5, 5)), ("conv2.bias", (16,)),
+        ("fc1.weight", (120, 256)), ("fc1.bias", (120,)),
+        ("fc2.weight", (84, 120)), ("fc2.bias", (84,)),
+        ("fc3.weight", (10, 84)), ("fc3.bias", (10,)),
+    ],
+    "base": [
+        ("fc1.weight", (256, 784)), ("fc1.bias", (256,)),
+        ("fc2.weight", (512, 256)), ("fc2.bias", (512,)),
+        ("fc3.weight", (10, 512)), ("fc3.bias", (10,)),
+    ],
+    "cnn": [
+        ("conv1.weight", (4, 1, 3, 3)), ("conv1.bias", (4,)),
+        ("fc1.weight", (256, 2704)), ("fc1.bias", (256,)),
+        ("fc2.weight", (512, 256)), ("fc2.bias", (512,)),
+        ("fc3.weight", (10, 512)), ("fc3.bias", (10,)),
+    ],
+    "dadm": [
+        ("arith.weight_hist", (256,)), ("arith.bias_hist", (256,)),
+        ("fc1.weight", (512, 256)), ("fc1.bias", (512,)),
+        ("fc2.weight", (10, 512)), ("fc2.bias", (10,)),
+    ],
+}
+
+
+@pytest.mark.parametrize("arch", sorted(LAYOUT))
+def test_parameter_layout_is_pinned(arch):
+    model = models.build_model(models.ModelConfig(arch))
+    layout = [(p.name, p.value.shape) for p in model.parameters()]
+    assert layout == LAYOUT[arch], (
+        f"{arch}'s parameter names, shapes or order changed; a checkpoint stores only the "
+        f"values in this order, so changing the layout means bumping checkpoint.VERSION "
+        f"(now {checkpoint.VERSION}) and updating LAYOUT"
+    )
 
 
 def test_bad_magic(tmp_path):
@@ -101,6 +146,11 @@ def test_failed_save_removes_temp_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def _signed(body):
+    """``body`` followed by its sha256, as ``save_checkpoint`` ends a file."""
+    return body + hashlib.sha256(body).digest()
+
+
 def _corrupt_dadm_checkpoint(directory, old, new):
     cfg = models.ModelConfig("dadm", epochs=1, seed=0)
     directory.mkdir()
@@ -115,26 +165,26 @@ def _corrupt_dadm_checkpoint(directory, old, new):
 
 def _rewrite_config(path, old, new):
     """A copy of the checkpoint at ``path`` beside it, with the config line
-    ``old`` replaced by ``new`` and the config block's length prefix fixed."""
-    blob = path.read_bytes()
+    ``old`` replaced by ``new``, the config block's length prefix fixed and
+    the digest re-signed, as a crafted file would carry them."""
+    blob = path.read_bytes()[: -checkpoint._DIGEST_SIZE]
     start = blob.index(b"architecture=")  # the config block, after its u32 length
     (length,) = struct.unpack_from("<I", blob, start - 4)
     config = blob[start : start + length]
     assert config.count(old) == 1
     config = config.replace(old, new)
     bad = path.with_name("bad.ckpt")
-    bad.write_bytes(blob[: start - 4] + struct.pack("<I", len(config)) + config + blob[start + length :])
+    bad.write_bytes(_signed(blob[: start - 4] + struct.pack("<I", len(config)) + config + blob[start + length :]))
     return bad
 
 
 @pytest.mark.parametrize(
     "old, new",
     [
-        (b"\x04\x00\x00\x00dadm", b"\x04\x00\x00\x00\xffadm"),  # undecodable arch tag
         (b"bandwidth=0.001", b"bandwidth=0.000"),
         (b"n_bins=256", b"n_bins=000"),
     ],
-    ids=["arch-tag-0xff", "bandwidth-zero", "n-bins-zero"],
+    ids=["bandwidth-zero", "n-bins-zero"],
 )
 def test_corrupt_checkpoint_is_data_error(old, new, tmp_path, synth_data_dir):
     bad = _corrupt_dadm_checkpoint(tmp_path / "ckpt", old, new)
@@ -193,3 +243,72 @@ def test_nonfinite_parameter_is_data_error(arch, name, bad, tmp_path, synth_data
         load_checkpoint(path)
     out_dir = str(tmp_path / "eval")
     assert cli.main(["eval", str(path), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2
+
+
+def test_version_1_file_is_refused(tmp_path, synth_data_dir):
+    # a version 1 header goes on with an architecture tag; its reader is gone
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(checkpoint.MAGIC + struct.pack("<II", 1, 4) + b"dadm" + b"\x00" * 64)
+    with pytest.raises(DataFormatError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
+    out_dir = str(tmp_path / "eval")
+    assert cli.main(["eval", str(path), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2
+
+
+@pytest.mark.parametrize("change", ["one-value-short", "one-value-over"])
+def test_signed_file_with_wrong_value_count_is_data_error(change, tmp_path):
+    # a digest proves the bytes are as written, not that they fit the config
+    cfg = models.ModelConfig("lenet", epochs=1, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(models.build_model(cfg), cfg, path)
+    body = path.read_bytes()[: -checkpoint._DIGEST_SIZE]
+    body = body[:-8] if change == "one-value-short" else body + bytes(8)
+    path.write_bytes(_signed(body))
+    with pytest.raises(DataFormatError, match="bytes of parameter values"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoints(tmp_path_factory):
+    """``arch -> (bytes of a saved checkpoint, a scratch path)`` for lenet and dadm."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    saved = {}
+    for arch in ("lenet", "dadm"):
+        cfg = models.ModelConfig(arch, epochs=1, seed=0)
+        path = directory / f"{arch}.ckpt"
+        save_checkpoint(models.build_model(cfg), cfg, path)
+        saved[arch] = (path.read_bytes(), directory / f"bad-{arch}.ckpt")
+    return saved
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    arch=st.sampled_from(["lenet", "dadm"]),
+    position=st.integers(min_value=0),
+    mask=st.integers(1, 255),
+    truncate=st.booleans(),
+)
+def test_any_flipped_or_cut_byte_is_data_error(saved_checkpoints, arch, position, mask, truncate):
+    # one byte xor-ed anywhere, or the file cut anywhere, never loads as a
+    # model (the values of a flipped mantissa byte are finite and plausible)
+    blob, bad = saved_checkpoints[arch]
+    data = bytearray(blob)
+    if truncate:
+        del data[position % len(data) :]
+    else:
+        data[position % len(data)] ^= mask
+    bad.write_bytes(bytes(data))
+    with pytest.raises(DataFormatError):
+        load_checkpoint(bad)
+
+
+def test_flipped_value_byte_through_eval_exits_2(tmp_path, synth_data_dir, capsys):
+    cfg = models.ModelConfig("lenet", epochs=1, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(models.build_model(cfg), cfg, path)
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01  # the low mantissa bit of one weight
+    path.write_bytes(bytes(data))
+    out_dir = str(tmp_path / "eval")
+    assert cli.main(["eval", str(path), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2
+    assert "sha256" in capsys.readouterr().err

@@ -326,6 +326,20 @@ class TestEvalCommand:
                    "--out-dir", str(tmp_path))
         assert code == 2
 
+    def test_corrupt_checkpoint_reported_before_data_is_read(self, tmp_path, capsys):
+        # the checkpoint is loaded and verified first: with no test split in
+        # the data dir either, the error names the checkpoint, not an IDX file
+        cfg = ModelConfig("base", epochs=1, seed=0)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(cfg), cfg, ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:-1])
+        data_dir = tmp_path / "no-test-split"
+        data_dir.mkdir()
+        code = run("eval", str(ckpt), "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "eval"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "idx" not in err
+
     def test_same_seed_identical_csv(self, synth_data_dir, tmp_path, trained_checkpoint):
         outs = []
         for name in ("a", "b"):

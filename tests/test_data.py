@@ -3,6 +3,7 @@
 import gc
 import gzip
 import hashlib
+import os
 import struct
 import warnings
 from pathlib import Path
@@ -257,3 +258,27 @@ class TestFetch:
         with pytest.raises(DataFormatError) as err:
             fetch_mnist(tmp_path / "d", download=down, file_table=table)
         assert "mirror" in str(err.value)
+
+    def test_another_writers_temp_file_is_left_alone(self, tmp_path):
+        # each write goes through a temp file of its own, never a fixed
+        # <name>.tmp that a concurrent fetch into the same directory shares
+        table, blobs = small_table(tmp_path)
+        out = tmp_path / "d"
+        out.mkdir()
+        other = out / "train-images-idx3-ubyte.tmp"
+        other.write_bytes(b"another writer")
+        fetch_mnist(out, download=lambda url: blobs[url.rsplit("/", 1)[1]], file_table=table)
+        assert other.read_bytes() == b"another writer"
+        assert sorted(p.name for p in out.iterdir()) == sorted([*table, *blobs, other.name])
+
+    def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch):
+        table, blobs = small_table(tmp_path)
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        out = tmp_path / "d"
+        with pytest.raises(OSError, match="disk full"):
+            fetch_mnist(out, download=lambda url: blobs[url.rsplit("/", 1)[1]], file_table=table)
+        assert list(out.iterdir()) == []

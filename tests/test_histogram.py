@@ -185,7 +185,7 @@ def _all_bins_reference(rows, spec):
     for px in rows:
         values, counts = np.unique(px, return_counts=True)
         scaled = (spec.edges[None, :] - values[:, None]) * (1.0 / (np.sqrt(2.0) * spec.bandwidth))
-        erfs = histogram._erf_saturated(scaled)
+        erfs = erf(scaled)
         terms = counts[:, None] * np.diff(erfs, axis=1)
         keys = np.broadcast_to(np.arange(spec.n_bins), terms.shape)
         out.append(np.bincount(keys.ravel(), weights=terms.ravel(), minlength=spec.n_bins))

@@ -20,8 +20,16 @@ at -1 and +1.  As ``B`` shrinks the result converges to the counting
 histogram implemented by :func:`discrete_histogram`.
 
 Evaluation (:func:`kde_histogram`, one batch of images at a time).  Equal
-pixels add equal terms, so each image is sorted and run-length encoded
-into its distinct values and their counts; an MNIST image has at most 256.
+pixels add equal terms, so each image is reduced to its distinct values and
+their counts, in ascending order, in one of two ways chosen from the input.
+A group of rows whose every pixel is a byte's value (``data.normalize`` of
+0..255: training images, and eval's originals, translations, flips and
+shuffles) counts its byte codes in one ``np.bincount`` and reads each
+value's erf differences from a table of all 256 bytes, computed once per
+bin count and bandwidth.  Any other group (rotated images, arbitrary
+values) sorts each row and run-length encodes it.  The two give the same
+values, counts and terms in the same order, hence the same bits; an MNIST
+image has at most 256 distinct values.
 Every erf term saturates: erf itself rounds to exactly +-1.0 from
 ``|edge - x| / (sqrt(2) B)`` of about 5.92 on, below ``_SATURATION`` = 8.
 A bin whose two edges are both past ``_SATURATION`` on the same side of
@@ -60,11 +68,14 @@ each row, as in the forward pass, and gathered back to the pixels through
 the sort's order; each pixel gets the bits its own evaluation would give.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf
 
+from .data import normalize
 from .errors import ShapeError
 
 # erf is exactly +-1.0 past ~5.92 and exp(-64) ~ 1.6e-28: past this point the
@@ -75,7 +86,8 @@ _SATURATION = 8.0
 # of rows: about 8 MB per temporary array
 _BAND_TERMS = 1 << 20
 
-_SQRT2 = np.sqrt(2.0)
+# Python floats, so a huge bandwidth's reach overflows to inf without a warning
+_SQRT2 = math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 
@@ -92,6 +104,10 @@ class HistogramSpec:
     # each at this bound; a config or checkpoint asking for more is refused
     # here, before anything of that size is allocated.
     MAX_BINS = 1024
+    # Past this the kernel terms at MAX_BINS, about 1.13 * W / (sqrt(2) B),
+    # near the subnormal range (1e-303 here), and sqrt(2) B overflows at
+    # about 1.3e308; the histogram is uniform to rounding long before.
+    MAX_BANDWIDTH = 1e300
 
     n_bins: int = 256
     bandwidth: float = 0.001
@@ -105,8 +121,10 @@ class HistogramSpec:
             raise ValueError(
                 f"n_bins must be an integer in [1, {self.MAX_BINS}], got {self.n_bins!r}"
             )
-        if not 0 < self.bandwidth < np.inf:
-            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth!r}")
+        if not 0 < self.bandwidth <= self.MAX_BANDWIDTH:
+            raise ValueError(
+                f"bandwidth must be in (0, {self.MAX_BANDWIDTH:g}], got {self.bandwidth!r}"
+            )
         self.n_bins = int(self.n_bins)
         self.bandwidth = float(self.bandwidth)
         self.bin_width = 2.0 / self.n_bins
@@ -176,7 +194,9 @@ def _band_radius(spec: HistogramSpec) -> int:
     the same scatter over all bins checks this, including a bandwidth whose
     reach is a whole number of bins.  R = 2 at 256 bins and B = 0.001.
     """
-    return int(np.ceil(_SATURATION * _SQRT2 * spec.bandwidth / spec.bin_width))
+    # clamped in float, before any int conversion: a band never needs more
+    # than every bin, and a huge bandwidth's reach would overflow int64
+    return math.ceil(min(_SATURATION * _SQRT2 * spec.bandwidth / spec.bin_width, spec.n_bins))
 
 
 def _band_width(spec: HistogramSpec) -> int:
@@ -216,25 +236,65 @@ def _runs(srt: np.ndarray):
     return first, starts, srt.ravel()[starts]
 
 
+def _band_terms(values: np.ndarray, spec: HistogramSpec):
+    """``(lo, diffs)``: each value's leftmost band bin, and its
+    ``erf(right) - erf(left)`` for each bin of its band."""
+    lo, edges = _band(values, spec)
+    erfs = erf((spec.edges[edges] - values[:, None]) * (1.0 / (_SQRT2 * spec.bandwidth)))
+    return lo, erfs[:, 1:] - erfs[:, :-1]
+
+
+# the pixel value of every byte, as data.normalize maps it
+_BYTE_VALUES = normalize(np.arange(256))
+
+
+@lru_cache(maxsize=8)
+def _byte_terms(n_bins: int, bandwidth: float):
+    """:func:`_band_terms` of every byte's pixel value, one row per byte."""
+    return _band_terms(_BYTE_VALUES, HistogramSpec(n_bins, bandwidth))
+
+
+def _byte_codes(rows: np.ndarray):
+    """Each pixel's byte when every pixel of ``rows`` is a byte's pixel
+    value, else ``None``.  The first row is tried alone before the rest, so
+    a group of rotated rows costs about one row's check."""
+    for part in (rows[:1], rows):
+        codes = part + 1.0
+        codes *= 127.5
+        np.rint(codes, out=codes)
+        if not np.array_equal(normalize(codes), part):
+            return None
+    return codes.astype(np.intp)
+
+
 def _banded_masses(rows: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     """Unnormalized bin masses ``2M * raw`` of checked rows, shaped (B, N).
 
-    Each row is sorted and run-length encoded; each distinct value adds
-    ``count * (erf(right) - erf(left))`` to the bins of its band, all rows
-    in one ``np.bincount`` keyed by ``row * N + bin``.  A cell receives its
-    terms in ascending value order, so it does not depend on the order of
-    the pixels or on the other rows.
+    Each row's distinct values are found in ascending order with their
+    counts: from one ``np.bincount`` of byte codes when every pixel of the
+    rows is a byte's value, taking each value's erf differences from a
+    per-spec table, and by sorting and run-length encoding each row
+    otherwise.  The two give the same values, counts and terms in the same
+    order.  Each distinct value adds ``count * (erf(right) - erf(left))`` to
+    the bins of its band, all rows in one ``np.bincount`` keyed by
+    ``row * N + bin``.  A cell receives its terms in ascending value order,
+    so it does not depend on the order of the pixels or on the other rows.
     """
     b, m = rows.shape
     n = spec.n_bins
-    srt = np.sort(rows, axis=1)
-    _, starts, values = _runs(srt)
-    counts = np.diff(starts, append=srt.size)
-    lo, edges = _band(values, spec)
-    inv = 1.0 / (_SQRT2 * spec.bandwidth)
-    erfs = erf((spec.edges[edges] - values[:, None]) * inv)
-    terms = counts[:, None] * (erfs[:, 1:] - erfs[:, :-1])
-    keys = ((starts // m) * n + lo)[:, None] + np.arange(terms.shape[1])
+    codes = _byte_codes(rows)
+    if codes is not None:
+        per_row = np.bincount((codes + 256 * np.arange(b)[:, None]).ravel(), minlength=256 * b)
+        present = np.flatnonzero(per_row)
+        counts, row = per_row[present], present // 256
+        lo, diffs = (table[present % 256] for table in _byte_terms(n, spec.bandwidth))
+    else:
+        srt = np.sort(rows, axis=1)
+        _, starts, values = _runs(srt)
+        counts, row = np.diff(starts, append=srt.size), starts // m
+        lo, diffs = _band_terms(values, spec)
+    terms = counts[:, None] * diffs
+    keys = (row * n + lo)[:, None] + np.arange(terms.shape[1])
     return np.bincount(keys.ravel(), weights=terms.ravel(), minlength=b * n).reshape(b, n)
 
 

@@ -3,7 +3,7 @@
 Architectures (final layer emits 10 logits; the log-softmax + NLL loss is
 fused into :func:`histlearn.nn.log_softmax_nll`):
 
-lenet  Conv(1->6, 5x5) / ReLU / MaxPool / Conv(6->16, 5x5) / ReLU / MaxPool
+lenet  Conv(1->6, 5x5) / MaxPool / ReLU / Conv(6->16, 5x5) / MaxPool / ReLU
        / Linear(256->120) / ReLU / Linear(120->84) / ReLU / Linear(84->10)
 base   Linear(784->256) / ReLU / Linear(256->512) / ReLU / Linear(512->10)
 cnn    Conv(1->4, 3x3) / ReLU / Linear(2704->256) / ReLU / Linear(256->512)
@@ -13,6 +13,10 @@ dadm   per-image KDE histogram (256 bins) -> distribution-arithmetic layer
        / Linear(512->10)
 
 A ``Linear`` reads its ``(batch, C, H, W)`` input as one row per sample.
+lenet's ReLUs follow its pools, where they see a quarter of the values:
+ReLU is monotone, so it commutes with the max, and a window whose max is not
+positive passes no gradient either way, so the logits and gradients are
+bitwise those of the usual ReLU-then-pool order.
 
 An image set is held as its bytes (see
 :class:`~histlearn.data.ImageSet`), and only the rows a step or chunk reads
@@ -48,17 +52,17 @@ ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 # Images per forward pass in predict and per chunk in evaluate, small enough
 # that a chunk's transform temporaries and layer buffers stay near cache
 # (lenet's conv1 im2col buffer is 3.7 MB at 32 images, 29.5 MB at 256).
-# perfbench eval-battery, 25 s runs, seeds 401-403, median ref_img_per_s and
-# peak_rss_mb: 32 -> 8071, 78 MB; 64 -> 8162, 91 MB; 128 -> 7306, 110 MB;
-# 256 -> 6976, 158 MB (1 BLAS thread, 2-vCPU Xeon VM with 2 MiB L2 per
-# core).  32 and 64 tie within run noise and 32 holds less.
+# perfbench eval-battery, 25 s runs, 4 alternating pairs at seeds 611-614,
+# median ref_img_per_s (quartiles) and peak_rss_mb: 32 -> 9285 (9184-9579),
+# 77 MB; 64 -> 9388 (9168-9632), 88 MB (1 BLAS thread, 2-vCPU Xeon VM with
+# 2 MiB L2 per core).  32 and 64 tie within run noise and 32 holds less.
 EVAL_BATCH = 32
 
 # Images per chunk of the frozen prefix that train runs once over the set
 # (dadm's histograms), near the histogram's own group of 222 rows at 256
 # bins and bandwidth 0.001.  Normalize plus kde_histogram of 1024 perfbench
-# images, median of 7: 32 -> 35.6 ms, 64 -> 31.6, 128 -> 29.8, 256 -> 28.8,
-# the whole set at once -> 30.2 (1 BLAS thread, 2-vCPU Xeon VM).
+# images, median of 7: 32 -> 20.0 ms, 64 -> 18.8, 128 -> 18.7, 256 -> 19.0,
+# the whole set at once -> 19.0 (1 BLAS thread, 2-vCPU Xeon VM).
 PREFIX_CHUNK = 256
 
 
@@ -163,11 +167,11 @@ def build_model(cfg: ModelConfig) -> Model:
     if arch == "lenet":
         layers = [
             Conv2d(1, 6, 5, 5, rng, name="conv1"),
-            ReLU(),
             MaxPool2d(),
+            ReLU(),
             Conv2d(6, 16, 5, 5, rng, name="conv2"),
-            ReLU(),
             MaxPool2d(),
+            ReLU(),
             Linear(256, 120, rng, name="fc1"),
             ReLU(),
             Linear(120, 84, rng, name="fc2"),

@@ -17,6 +17,14 @@ An input of the wrong rank is a ``ShapeError``, never reinterpreted.
 Reshaping a batch to rows has one home, ``Linear``: it reads any
 ``(batch, ...)`` input as one row per sample, so no layer only flattens.
 
+Convolutions compute batch-innermost: ``Conv2d`` returns an NCHW-shaped
+view of a ``(C, H, W, B)`` buffer, max-pooling and ReLU keep their input's
+memory order, and so the next ``Conv2d`` reads its input in place and a
+``Linear`` reads it as the transpose of an ``(in_features, batch)``
+matrix.  ``Linear``, ``Conv2d`` and ``MaxPool2d`` return their input
+gradient in their input's memory order and ``ReLU`` in its upstream
+gradient's, so backward passes need no relayout either.
+
 ``grad_check`` closes the loop: central finite differences against any
 ``f(x) -> (scalar, grad)`` pair, used throughout the test suite.
 """
@@ -49,7 +57,8 @@ class Linear:
     """y = x @ W.T + b with weight shaped (out_features, in_features).
 
     ``x`` is ``(batch, ...)``, read as ``(batch, in_features)`` rows in C
-    order; the input gradient comes back in ``x``'s shape."""
+    order; a batch-innermost ``x`` is read in place.  The input gradient
+    comes back in ``x``'s shape and memory order."""
 
     def __init__(self, in_features, out_features, rng, name="linear"):
         self.in_features = in_features
@@ -72,31 +81,47 @@ class Linear:
                 f"weight shape {self.weight.value.shape}"
             )
         self._in_shape = x.shape
-        self._x = x.reshape(x.shape[0], self.in_features)
+        # a batch-innermost input (a convolution's) is read in place, as the
+        # transpose of an (in_features, batch) matrix
+        last = x.transpose(*range(1, x.ndim), 0)
+        self._batch_last = not x.flags.c_contiguous and last.flags.c_contiguous
+        if self._batch_last:
+            self._x = last.reshape(self.in_features, x.shape[0]).T
+        else:
+            self._x = x.reshape(x.shape[0], self.in_features)
         return self._x @ self.weight.value.T + self.bias.value
 
     def backward(self, grad, input_grad=True):
         g = np.asarray(grad, dtype=np.float64)
         np.matmul(g.T, self._x, out=self.weight.grad)
         np.sum(g, axis=0, out=self.bias.grad)
-        return (g @ self.weight.value).reshape(self._in_shape) if input_grad else None
+        if not input_grad:
+            return None
+        dx = (g @ self.weight.value).reshape(self._in_shape)
+        if self._batch_last:
+            # back in the input's memory order, the order a convolution reads
+            return np.moveaxis(np.ascontiguousarray(np.moveaxis(dx, 0, -1)), -1, 0)
+        return dx
 
 
 class Conv2d:
     """Valid cross-correlation, stride 1, one bias per output channel.
 
-    ``forward`` builds im2col channel-major: one contiguous
-    ``(B, C*kh*kw, OH*OW)`` buffer whose rows follow the weight's
-    ``(C, kh, kw)`` flattening, so the correlation is ``W @ cols`` per
-    sample and lands directly in C-contiguous NCHW.  ``backward`` takes the
-    weight gradient as ``g @ cols.T`` summed over the batch.  The input
-    gradient is batch-innermost: one GEMM ``W.T @ g`` with ``g`` laid out
-    ``(K, OH*OW*B)``, then a col2im of kh*kw tap adds into a ``(C, H, W, B)``
-    buffer, so each contiguous run is ``OW*B`` long rather than ``OW``, and
-    a transposed copy back to C-contiguous NCHW.  Every element adds its
-    taps in the same (u, v) order from zero, so the result is bitwise that
-    of the per-sample ``(B, C, kh, kw, OH, OW)`` col2im.
-    ``input_grad=False`` skips both.
+    The layer computes batch-innermost.  ``forward`` reads its input as
+    ``(C, H, W*B)``, which costs nothing when the input is the output of
+    another batch-innermost layer, and builds im2col as kh*kw slice copies
+    of ``OW*B``-long runs into one ``(C*kh*kw, OH*OW*B)`` buffer whose rows
+    follow the weight's ``(C, kh, kw)`` flattening.  One GEMM ``W @ cols``
+    then fills a ``(K, OH, OW, B)`` buffer, returned as an NCHW-shaped view
+    of it; pooling and ReLU keep that memory order.  ``backward`` reads the
+    gradient in the same order, for free when it comes from such a layer.
+    It reduces the weight gradient one output row at a time, a GEMM of
+    ``OW*B``-long runs per row summed over the rows, and takes the input
+    gradient as one GEMM ``W.T @ g`` and a col2im of kh*kw tap adds into a
+    ``(C, H, W, B)`` buffer, again returned as an NCHW-shaped view.  Every
+    input-gradient element adds its taps in the same (u, v) order from
+    zero, so it is bitwise that of the per-sample ``(B, C, kh, kw, OH, OW)``
+    col2im.  ``input_grad=False`` skips both.
     Only the newest batch's buffer is held: it is released before the next
     one is built.
     """
@@ -125,41 +150,42 @@ class Conv2d:
                 f"conv2d: input shape {x.shape} does not match kernel shape "
                 f"{self.weight.value.shape}"
             )
-        b, _, h, w = x.shape
+        b, c, h, w = x.shape
         kh, kw = self.kernel_h, self.kernel_w
         if kh > h or kw > w:
             raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{w}")
         oh, ow = h - kh + 1, w - kw + 1
         self._cols = None  # free the previous batch's buffer before building this one
-        windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-        cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
-        self._cols = cols.reshape(b, -1, oh * ow)
+        xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).reshape(c, h, w * b)
+        cols = np.empty((c, kh, kw, oh, ow * b))
+        for u in range(kh):
+            for v in range(kw):
+                cols[:, u, v] = xt[:, u : u + oh, v * b : (v + ow) * b]
+        self._cols = cols.reshape(c * kh * kw, oh * ow * b)
         self._in_shape = x.shape
-        wmat = self.weight.value.reshape(self.out_channels, -1)
-        y = wmat @ self._cols
+        y = self.weight.value.reshape(self.out_channels, -1) @ self._cols
         y += self.bias.value[:, None]
-        return y.reshape(b, self.out_channels, oh, ow)
+        return y.reshape(self.out_channels, oh, ow, b).transpose(3, 0, 1, 2)
 
     def backward(self, grad, input_grad=True):
         g = np.asarray(grad, dtype=np.float64)
         b, k, oh, ow = g.shape
-        g3 = g.reshape(b, k, oh * ow)
-        per_sample = (g3 @ self._cols.transpose(0, 2, 1)).reshape(b, *self.weight.grad.shape)
-        np.sum(per_sample, axis=0, out=self.weight.grad)
-        np.sum(g3, axis=(0, 2), out=self.bias.grad)
+        g_last = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(k, oh * ow * b)
+        # per output row: (OH, K, OW*B) @ (OH, OW*B, C*kh*kw), summed over rows
+        rows = g_last.reshape(k, oh, ow * b).transpose(1, 0, 2)
+        cols = self._cols.reshape(-1, oh, ow * b).transpose(1, 2, 0)
+        np.sum(rows @ cols, axis=0, out=self.weight.grad.reshape(k, -1))
+        np.sum(g_last, axis=1, out=self.bias.grad)
         if not input_grad:
             return None
         kh, kw = self.kernel_h, self.kernel_w
         _, c, h, w = self._in_shape
-        wmat = self.weight.value.reshape(k, -1)
-        g_last = g.transpose(1, 2, 3, 0).reshape(k, oh * ow * b)
-        dcols = (wmat.T @ g_last).reshape(c, kh, kw, oh, ow * b)
+        dcols = (self.weight.value.reshape(k, -1).T @ g_last).reshape(c, kh, kw, oh, ow * b)
         dx = np.zeros((c, h, w * b))
         for u in range(kh):
             for v in range(kw):
                 dx[:, u : u + oh, v * b : (v + ow) * b] += dcols[:, u, v]
-        # contiguous NCHW: the max-pool backward in front reads it tap-strided
-        return np.ascontiguousarray(dx.reshape(c, h, w, b).transpose(3, 0, 1, 2))
+        return dx.reshape(c, h, w, b).transpose(3, 0, 1, 2)
 
 
 class MaxPool2d:
@@ -172,7 +198,9 @@ class MaxPool2d:
     derives that tap from them as one ``uint8`` code per window,
     ``ne0 * (1 + ne1 * (1 + ne2))`` with ``ne_k = t_k != max``: the index
     of the first tap equal to the max, and 3 when none is, as in a window
-    holding NaN.
+    holding NaN.  The output and the input gradient keep the input's memory
+    order (``np.maximum`` of the taps, ``np.empty_like``), so after a
+    batch-innermost ``Conv2d`` both stay batch-innermost.
     """
 
     window = 2
@@ -201,7 +229,7 @@ class MaxPool2d:
     def backward(self, grad):
         g = np.asarray(grad, dtype=np.float64)
         code = self._code()
-        dx = np.empty(self._x.shape)
+        dx = np.empty_like(self._x)
         for tap, (i, j) in enumerate(self._TAPS):
             np.multiply(g, code == tap, out=dx[:, :, i::2, j::2])
         return dx

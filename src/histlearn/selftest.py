@@ -7,7 +7,9 @@ scatter matrices of the W*X + B layer and for the layer itself, the code
 that dadm trains with, and the textbook formula for the Adam optimizer
 every architecture trains with.  The histogram oracles likewise run
 ``kde_histogram``, the function the dadm histogram layer calls, on
-batches that mix byte-valued and rotated images.  Each result carries the
+batches that mix byte-valued and rotated images, which take its sort
+path; ``kde-byte-vs-sort`` holds its byte-count path, the one all-byte
+batches take, to the same bits.  Each result carries the
 measured error and the allowed tolerance so failures are directly
 actionable.
 
@@ -260,6 +262,29 @@ def check_kde_permutation_invariance():
     return _result("kde-permutation-invariance", worst, 0.0, "byte and rotated rows")
 
 
+def check_kde_byte_vs_sort():
+    # the byte-count path, which all-byte batches take (training and four of
+    # eval's five kinds), against the sort path the oracles above run: a row
+    # has the same bits alone and in any batch, so each all-byte batch goes
+    # once alone and once beside a rotated row, which makes its group sort
+    rng = np.random.default_rng(30)
+    images = data.normalize(rng.integers(0, 256, (2, 28, 28)))
+    rows = np.concatenate([
+        images,
+        transforms.translate(images[0], 5, -7)[None],
+        np.full((1, 28, 28), -1.0),
+        np.full((1, 28, 28), images[1, 0, 0]),
+    ]).reshape(5, -1)
+    rotated = transforms.rotate(images[1], 33.0).reshape(1, -1)
+    worst = 0.0
+    for n_bins, bandwidth in ((256, 0.001), (16, 0.5)):
+        spec = histogram.HistogramSpec(n_bins=n_bins, bandwidth=bandwidth)
+        counted = histogram.kde_histogram(rows, spec)
+        sorted_ = histogram.kde_histogram(np.concatenate([rows, rotated]), spec)[:-1]
+        worst = max(worst, np.abs(counted - sorted_).max())
+    return _result("kde-byte-vs-sort", worst, 0.0, "all-byte rows at N=256 B=0.001 and N=16 B=0.5")
+
+
 @lru_cache(maxsize=8)
 def _pair_bins(n, op):
     """Bin of op(centers[i], centers[m]) for every pair, as rows i of columns m.
@@ -474,6 +499,7 @@ def run_all():
         check_kde_normalization(),
         check_kde_vs_discrete(),
         check_kde_permutation_invariance(),
+        check_kde_byte_vs_sort(),
         check_scatter_vs_bruteforce(),
         check_layer_vs_bruteforce(),
         check_scatter_vs_montecarlo(),

@@ -83,29 +83,28 @@ def _rotate_batch(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     s = sindg(degrees)[:, None, None]
     c = cosdg(degrees)[:, None, None]
 
-    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    dy = rows - cy
-    dx = cols - cx
-    src_r = cy + dx * s + dy * c
-    src_c = cx + dx * c - dy * s
+    # each source coordinate is a per-column term plus or minus a per-row
+    # term, added in the order cy + dx*s + dy*c and cx + dx*c - dy*s
+    dy = np.arange(h)[:, None] - cy
+    dx = np.arange(w) - cx
+    src_r = (cy + dx * s) + dy * c
+    src_c = (cx + dx * c) - dy * s
 
-    r0 = np.floor(src_r).astype(np.int64)
-    c0 = np.floor(src_c).astype(np.int64)
+    r0 = np.floor(src_r)
+    c0 = np.floor(src_c)
     fr = src_r - r0
     fc = src_c - c0
+    gr = 1 - fr
+    gc = 1 - fc
 
     # flat index of each (r0, c0) tap in the padded batch
     hp, wp = padded.shape[1:]
-    base = (np.arange(b)[:, None, None] * hp + r0 + pad) * wp + c0 + pad
+    corner = ((np.arange(b) * hp + pad) * wp + pad)[:, None, None]
+    base = r0.astype(np.int64) * wp + c0.astype(np.int64) + corner
     flat = padded.ravel()
     out = np.zeros(src_r.shape)
-    for offset, weight in (
-        (0, (1 - fr) * (1 - fc)),
-        (1, (1 - fr) * fc),
-        (wp, fr * (1 - fc)),
-        (wp + 1, fr * fc),
-    ):
-        out += weight * flat[base + offset]
+    for offset, weight in ((0, gr * gc), (1, gr * fc), (wp, fr * gc), (wp + 1, fr * fc)):
+        out += weight * flat[offset:][base]
     return np.clip(out, -1.0, 1.0)
 
 

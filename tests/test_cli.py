@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import urllib.error
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ class TestSelftestCommand:
         assert run("selftest", "--threads", "1") == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "FAIL" not in out
-        assert "all 19 checks passed" in out
+        assert "all 20 checks passed" in out
 
     def test_failure_exit_code(self, monkeypatch, capsys):
         broken = selftest.CheckResult("gradient-linear", False, 1.0, 1e-4)
@@ -148,6 +149,33 @@ class TestUsageErrors:
         assert code == 1
         assert "--seed" in capsys.readouterr().err
         assert list(out_dir.glob("*")) == []
+
+    @pytest.mark.parametrize("bandwidth", ["1e18", "1e300", "1.7e308"])
+    @pytest.mark.parametrize("command", ["train", "report"])
+    def test_huge_bandwidth_is_not_a_traceback(self, command, bandwidth, synth_data_dir, tmp_path,
+                                                capsys):
+        # the band radius is clamped to the bin count before it becomes an
+        # int, and a bandwidth past HistogramSpec.MAX_BANDWIDTH is refused
+        from histlearn.models import EvalReport
+        from histlearn.reports import write_eval_reports
+
+        if command == "train":
+            argv = ["train", "--arch", "dadm", "--epochs", "1", "--batch", "64", "--bins", "32"]
+        else:
+            reports_csv = str(tmp_path / "reports.csv")
+            write_eval_reports(reports_csv, [EvalReport("dadm", "none", 50.0, [50.0] * 10, 0.0)])
+            argv = ["report", reports_csv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(*argv, "--bandwidth", bandwidth, "--data-dir", synth_data_dir,
+                       "--out-dir", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1)
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("histlearn: ") and err.count("\n") == 1
 
 
 def _bad_data_dir(directory, side=28, counts=(64, 32), gzip_cut=False):

@@ -51,6 +51,23 @@ class TestSpecGeometry:
         with pytest.raises(ValueError, match="n_bins"):
             HistogramSpec(n_bins=HistogramSpec.MAX_BINS + 1)
 
+    def test_bandwidth_is_bounded(self):
+        top = HistogramSpec.MAX_BANDWIDTH
+        assert HistogramSpec(bandwidth=top).bandwidth == top
+        with pytest.raises(ValueError, match="bandwidth"):
+            HistogramSpec(bandwidth=np.nextafter(top, np.inf))
+
+    @pytest.mark.parametrize("bandwidth", [1e18, 1e300])
+    def test_band_radius_is_clamped_to_the_bin_count(self, bandwidth):
+        # an unclamped radius overflows int64 and fails in _band
+        spec = HistogramSpec(n_bins=16, bandwidth=bandwidth)
+        assert histogram._band_radius(spec) == 16
+        row = normalize(np.arange(0, 256, 16))[None]
+        assert np.array_equal(kde_histogram(row, spec), _all_bins_reference(row, spec))
+
+    def test_production_band_radius(self):
+        assert histogram._band_radius(HistogramSpec()) == 2
+
 
 class TestBinIndex:
     def test_edges(self):
@@ -272,6 +289,55 @@ class TestBatchedHistograms:
     def test_batch_axis_required(self):
         with pytest.raises(ShapeError):
             kde_histogram(np.zeros(5), HistogramSpec(n_bins=8, bandwidth=0.05))
+
+
+def _byte_path_cases(small_set):
+    """Batches whose every pixel is a byte's value, by name."""
+    translated = transform_set(small_set, "translate", 6)[:5]
+    return {
+        "all-background": np.full((3, 784), -1.0),
+        "single-value": np.full((2, 784), normalize(200)),
+        "translate-filled": translated.reshape(5, -1),
+        "batch-of-one": small_set.take(slice(1)).reshape(1, -1),
+        "digits": small_set.take(slice(40)).reshape(40, -1),
+    }
+
+
+class TestBytePath:
+    """A group of rows whose pixels are all byte values finds its distinct
+    values by counting byte codes; every other group sorts.  The two give
+    the same bits."""
+
+    @pytest.mark.parametrize("n_bins, bandwidth", [(256, 0.001), *WIDE_SETTINGS])
+    @pytest.mark.parametrize(
+        "case", ["all-background", "single-value", "translate-filled", "batch-of-one", "digits"]
+    )
+    def test_byte_path_is_the_sort_path_bitwise(self, small_set, case, n_bins, bandwidth,
+                                                monkeypatch):
+        spec = HistogramSpec(n_bins=n_bins, bandwidth=bandwidth)
+        rows = _byte_path_cases(small_set)[case]
+        assert histogram._byte_codes(rows) is not None
+        counted = kde_histogram(rows, spec)
+        monkeypatch.setattr(histogram, "_byte_codes", lambda rows: None)
+        assert np.array_equal(counted.view(np.uint64), kde_histogram(rows, spec).view(np.uint64))
+
+    def test_one_non_byte_row_sends_its_group_down_the_sort_path(self, small_set):
+        spec = HistogramSpec()
+        rows = _byte_and_rotated(small_set, 8)[:9]  # 8 byte rows and one rotated
+        assert histogram._byte_codes(rows[:8]) is not None
+        assert histogram._byte_codes(rows) is None
+        alone = np.array([kde_histogram(row[None], spec)[0] for row in rows])
+        assert np.array_equal(kde_histogram(rows, spec).view(np.uint64), alone.view(np.uint64))
+
+    def test_a_value_off_its_byte_is_not_a_byte(self):
+        row = normalize(np.arange(0, 256, 8))[None]
+        assert np.array_equal(histogram._byte_codes(row), np.arange(0, 256, 8)[None])
+        row[0, 5] = np.nextafter(row[0, 5], 2.0)
+        assert histogram._byte_codes(row) is None
+
+    def test_selftest_check_passes(self, property_results):
+        # all-byte batches at 256 bins and a wide bandwidth, bitwise
+        assert_check_passed(property_results, "kde-byte-vs-sort", 0.0)
 
 
 def _dense_backward_reference(grad_bins, rows, spec):

@@ -212,6 +212,48 @@ class TestEndToEndGradients:
         assert np.array_equal(out, kde_histogram_backward(grad, images, cfg.histogram_spec()))
 
 
+class TestReluAfterPool:
+    """lenet runs each ReLU after its max-pool, on a quarter of the values.
+    ReLU is monotone, so it commutes with the max, and a window whose max is
+    not positive passes no gradient either way: the swap changes no bit."""
+
+    @staticmethod
+    def _logits_and_grads(model, x, labels):
+        logits = model.forward(x)
+        _, grad = nn.log_softmax_nll(logits, labels)
+        model.backward(grad)
+        return logits, [p.grad.copy() for p in model.parameters()]
+
+    @pytest.mark.parametrize("case", ["digits", "ties", "signed-zeros", "nan"])
+    def test_logits_and_gradients_match_relu_before_pool_bitwise(self, case, small_set):
+        rng = np.random.default_rng(40)
+        if case == "digits":
+            x = batch_of(small_set, 16)
+        elif case == "ties":
+            # few levels and wide flat areas: tied windows, many all-negative
+            x = normalize(rng.choice([0, 0, 0, 128, 255], size=(16, 1, 28, 28)))
+            x[:4] = -1.0
+        elif case == "signed-zeros":
+            x = rng.choice([0.0, -0.0, -1.0], size=(16, 1, 28, 28))
+        else:
+            x = batch_of(small_set, 16).copy()
+            x[3, 0, 10, 12] = np.nan
+        labels = rng.integers(0, 10, 16)
+        after = models.build_model(tiny_cfg("lenet"))
+        conv1, pool1, relu1, conv2, pool2, relu2, *head = after.layers
+        assert [type(layer) for layer in (pool1, relu1, pool2, relu2)] == [
+            nn.MaxPool2d, nn.ReLU, nn.MaxPool2d, nn.ReLU,
+        ]
+        before = models.Model("lenet", [conv1, relu1, pool1, conv2, relu2, pool2, *head])
+        logits, grads = self._logits_and_grads(after, x, labels)
+        want_logits, want_grads = self._logits_and_grads(before, x, labels)
+        assert np.array_equal(logits.view(np.uint64), want_logits.view(np.uint64))
+        for got, want in zip(grads, want_grads):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if case == "nan":
+            assert np.isnan(logits[3]).all() and not np.isnan(logits[:3]).any()
+
+
 def reference_epoch(model, train_set, cfg):
     """One epoch as textbook as it gets: the full forward and backward of
     every batch, input gradient included, and selftest's out-of-place Adam

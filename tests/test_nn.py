@@ -100,6 +100,23 @@ class TestLinear:
         layer.forward(x)
         assert layer.backward(g, input_grad=False) is None
 
+    def test_batch_innermost_input_is_read_in_place(self):
+        # a convolution's output, (C, H, W, B) in memory, gives the bits of
+        # its C-contiguous copy, and its input gradient comes back in the
+        # same memory order, where the convolution's backward reads it
+        rng = np.random.default_rng(8)
+        layer = nn.Linear(2 * 3 * 4, 5, rng)
+        x = np.ascontiguousarray(rng.standard_normal((2, 3, 4, 6))).transpose(3, 0, 1, 2)
+        g = rng.standard_normal((6, 5))
+        got_y, got_dx = layer.forward(x), layer.backward(g)
+        assert np.shares_memory(layer._x, x)
+        got_grads = [p.grad.copy() for p in layer.params()]
+        want_y, want_dx = layer.forward(np.ascontiguousarray(x)), layer.backward(g)
+        assert np.array_equal(got_y, want_y)
+        assert all(np.array_equal(a, p.grad) for a, p in zip(got_grads, layer.params()))
+        assert np.array_equal(got_dx, want_dx)
+        assert got_dx.transpose(1, 2, 3, 0).flags.c_contiguous and want_dx.flags.c_contiguous
+
     def test_finite_difference_grads_on_image_batch(self):
         rng = np.random.default_rng(7)
         layer = nn.Linear(2 * 2 * 3, 4, rng)
@@ -161,7 +178,8 @@ class TestConv2d:
         y = layer.forward(x)
         dx = layer.backward(g)
         ref = conv2d_reference(x, layer.weight.value, layer.bias.value, g)
-        assert y.flags.c_contiguous
+        # batch-innermost: (K, OH, OW, B) in memory, an NCHW-shaped view
+        assert y.transpose(1, 2, 3, 0).flags.c_contiguous
         for got, want in zip((y, layer.weight.grad, layer.bias.grad, dx), ref):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -185,7 +203,7 @@ class TestConv2d:
         for u in range(kernel):
             for v in range(kernel):
                 want[:, :, u : u + out, v : v + out] += dcols[:, :, u, v]
-        assert dx.flags.c_contiguous
+        assert dx.transpose(1, 2, 3, 0).flags.c_contiguous
         assert np.array_equal(dx, want)
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from histlearn import distlayers, nn, selftest
+from histlearn import distlayers, histogram, nn, selftest
 from histlearn.distlayers import ArithmeticDistributionLayer
 from histlearn.histogram import HistogramSpec
 
@@ -20,6 +20,7 @@ CHECK_NAMES = {
     "kde-normalization",
     "kde-vs-discrete",
     "kde-permutation-invariance",
+    "kde-byte-vs-sort",
     "scatter-vs-bruteforce",
     "layer-vs-bruteforce",
     "scatter-vs-montecarlo",
@@ -101,6 +102,23 @@ def test_float_sum_bins_fail_the_scatter_check(monkeypatch):
     monkeypatch.setattr(distlayers, "_index_maps", float_sum_maps)
     result = selftest.check_scatter_vs_bruteforce()
     assert not result.passed and result.measured > result.allowed
+
+
+def test_byte_table_off_by_an_ulp_fails_only_the_byte_check(monkeypatch):
+    # the other kde oracles run batches mixing byte and rotated rows, which
+    # take the sort path; only the byte check sees the byte-count path
+    byte_terms = histogram._byte_terms
+
+    def off_by_an_ulp(n_bins, bandwidth):
+        lo, diffs = byte_terms(n_bins, bandwidth)
+        return lo, np.nextafter(diffs, np.inf)
+
+    monkeypatch.setattr(histogram, "_byte_terms", off_by_an_ulp)
+    result = selftest.check_kde_byte_vs_sort()
+    assert not result.passed and result.measured > result.allowed
+    others = (selftest.check_kde_vs_quadrature, selftest.check_kde_normalization,
+              selftest.check_kde_vs_discrete, selftest.check_kde_permutation_invariance)
+    assert all(check().passed for check in others)
 
 
 def test_adam_step_size_off_by_a_little_fails_the_adam_check(monkeypatch):

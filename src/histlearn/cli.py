@@ -132,9 +132,11 @@ def _parse_transform_list(text):
     kinds = [t.strip() for t in text.split(",") if t.strip()]
     if not kinds:
         raise UsageError("empty transform list")
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         if kind not in TRANSFORM_KINDS:
             raise UsageError(f"unknown transform {kind!r}, expected one of {TRANSFORM_KINDS}")
+        if kind in kinds[:i]:
+            raise UsageError(f"transform {kind!r} listed twice")
     return kinds
 
 

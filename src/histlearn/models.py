@@ -336,23 +336,29 @@ def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     normalized originals are predicted, then for each kind other than
     ``none`` the chunk is transformed by
     :func:`~histlearn.transforms.transform_batch` and predicted.  The
-    chunk's streams ``default_rng([seed, i])`` are seeded once for all
-    those kinds, and not at all when only ``none`` is asked for.  The
-    originals' accuracy is every report's reference for ``delta`` (so
-    ``none`` reads 0), and their predictions are the ``none`` report's.
+    streams ``default_rng([seed, i])`` of the whole set are computed once
+    per evaluate, for all those kinds, and each chunk reads its slice; none
+    are computed when only ``none`` is asked for.  The originals' accuracy
+    is every report's reference for ``delta`` (so ``none`` reads 0), and
+    their predictions are the ``none`` report's.  A kind listed twice
+    raises ``ValueError``.
     """
+    kinds = list(kinds)
+    repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
+    if repeated:
+        raise ValueError(f"transform kinds listed more than once: {repeated}")
     for kind in kinds:
-        TransformSpec(kind, rng_seed=seed)  # rejects an unknown kind or a negative seed
+        TransformSpec(kind, rng_seed=seed)  # rejects an unknown kind or a bad seed
     original = np.empty(test_set.count, dtype=np.int64)
     preds = {kind: np.empty_like(original) for kind in kinds if kind != "none"}
+    if preds:
+        streams = stream_states(seed, range(test_set.count))
     for lo in range(0, test_set.count, EVAL_BATCH):
         chunk = test_set.take(slice(lo, lo + EVAL_BATCH))
         hi = lo + chunk.shape[0]
         original[lo:hi] = predict(model, chunk)
-        if preds:
-            states = stream_states(seed, range(lo, hi))
         for kind, out in preds.items():
-            out[lo:hi] = predict(model, transform_batch(chunk, states, kind))
+            out[lo:hi] = predict(model, transform_batch(chunk, streams[lo:hi], kind))
     preds["none"] = original
     original_top1, _ = accuracy_breakdown(original, test_set.labels)
     reports = []

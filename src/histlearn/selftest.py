@@ -9,16 +9,18 @@ every architecture trains with.  The histogram oracles likewise run
 ``kde_histogram``, the function the dadm histogram layer calls, on
 batches that mix byte-valued and rotated images, which take its sort
 path; ``kde-byte-vs-sort`` holds its byte-count path, the one all-byte
-batches take, to the same bits.  Each result carries the
+batches take, to the same bits.  ``transform-streams-vs-numpy`` holds the
+eval battery's array-computed random streams and draws to the generators
+numpy seeds one image at a time.  Each result carries the
 measured error and the allowed tolerance so failures are directly
 actionable.
 
 This module is the one home of those oracles and of the gradient probes
 (``_probe_input``, ``_probe_param``, ``_fold_bruteforce``,
-``_law_bruteforce``, ``_adam_reference``, ...).  The test suite imports
-them rather than keeping copies, and a test whose assertion a check here
-already carries reads that check's result from its one session run of
-the battery.
+``_law_bruteforce``, ``_adam_reference``, ``_reference_draws``, ...).
+The test suite imports them rather than keeping copies, and a test whose
+assertion a check here already carries reads that check's result from its
+one session run of the battery.
 
 The whole battery runs in well under two minutes on a desktop CPU and
 needs no dataset.  The test suite breaks layers' backward passes, the
@@ -285,6 +287,47 @@ def check_kde_byte_vs_sort():
     return _result("kde-byte-vs-sort", worst, 0.0, "all-byte rows at N=256 B=0.001 and N=16 B=0.5")
 
 
+def _reference_draws(seed, i, kind, n_pixels):
+    """Image ``i``'s draws for ``kind``, straight from its own generator
+    ``default_rng([seed, i])``: rotate's angle, translate's ``(dx, dy)``,
+    flip's horizontal flag or shuffle's permutation."""
+    rng = np.random.default_rng([seed, i])
+    if kind == "rotate":
+        return rng.uniform(0.0, transforms.MAX_DEGREES)
+    if kind == "translate":
+        span = (-transforms.MAX_OFFSET, transforms.MAX_OFFSET + 1)
+        return int(rng.integers(*span)), int(rng.integers(*span))
+    if kind == "flip":
+        return rng.random() < 0.5
+    return rng.permutation(n_pixels)
+
+
+def check_transform_streams():
+    # every seed length SeedSequence treats differently: entropy of 2 to 6
+    # uint32 words, short of, filling and past its 4-word pool; indices at
+    # both ends of their one word
+    seeds = (0, 7, 2**32 + 5, 2**64 + 3, 2**128 + 1)
+    indices = np.r_[0:24, 2**31, 2**32 - 1]
+    kinds = ("rotate", "translate", "flip", "shuffle")
+    bad = set()
+    for seed in seeds:
+        streams = transforms.stream_states(seed, indices)
+        draws = {kind: transforms.stream_draws(streams, kind, 784) for kind in kinds}
+        draws["translate"] = np.stack(draws["translate"], axis=1)
+        for j, i in enumerate(indices.tolist()):
+            bit_generator = np.random.default_rng([seed, i]).bit_generator
+            state = bit_generator.state["state"]
+            state_hi, state_lo, inc_hi, inc_lo, r0 = streams[j].tolist()
+            ok = state["state"] == state_hi << 64 | state_lo and state["inc"] == inc_hi << 64 | inc_lo
+            ok = ok and int(bit_generator.random_raw()) == r0
+            for kind in kinds:
+                ok = ok and np.array_equal(draws[kind][j], _reference_draws(seed, i, kind, 784))
+            if not ok:
+                bad.add((seed, i))
+    detail = f"images whose state, first output or draws differ, of {len(seeds) * len(indices)}"
+    return _result("transform-streams-vs-numpy", len(bad), 0, detail)
+
+
 @lru_cache(maxsize=8)
 def _pair_bins(n, op):
     """Bin of op(centers[i], centers[m]) for every pair, as rows i of columns m.
@@ -506,4 +549,5 @@ def run_all():
         check_mass_conservation(),
         check_sum_commutativity(),
         check_adam_vs_textbook(),
+        check_transform_streams(),
     ]

@@ -36,7 +36,7 @@ class TestSelftestCommand:
         assert run("selftest", "--threads", "1") == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "FAIL" not in out
-        assert "all 20 checks passed" in out
+        assert "all 21 checks passed" in out
 
     def test_failure_exit_code(self, monkeypatch, capsys):
         broken = selftest.CheckResult("gradient-linear", False, 1.0, 1e-4)
@@ -133,6 +133,17 @@ class TestUsageErrors:
         ckpt = str(tmp_path / "missing.ckpt")
         code = run("eval", ckpt, "--data-dir", synth_data_dir, "--transforms", "zoom")
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["eval", "ablation"])
+    def test_repeated_transform_refused(self, command, synth_data_dir, tmp_path, capsys):
+        positionals = [str(tmp_path / "missing.ckpt")] if command == "eval" else []
+        out_dir = tmp_path / "out"
+        code = run(command, *positionals, "--data-dir", synth_data_dir, "--out-dir", str(out_dir),
+                   "--transforms", "rotate,rotate,none")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("histlearn: error:") and "'rotate'" in err[0]
+        assert list(out_dir.glob("*")) == []
 
     def test_missing_data_dir(self, monkeypatch, tmp_path):
         monkeypatch.delenv(DATA_DIR_ENV, raising=False)

@@ -11,6 +11,7 @@ from histlearn import models, nn
 from histlearn.data import ImageSet, normalize
 from histlearn.errors import NonFiniteError
 from histlearn.histogram import kde_histogram, kde_histogram_backward
+from histlearn.reports import write_eval_reports
 from histlearn.selftest import _adam_reference
 from histlearn.transforms import TRANSFORM_KINDS
 
@@ -458,6 +459,9 @@ class TestEvaluate:
         # a kind evaluated alone gives the same report as inside a battery
         [again] = models.evaluate(self.model, self.test_set, ["shuffle"], seed=1)
         assert again == shuffled
+        # kinds are read more than once, so an iterator of them is taken whole
+        reports = models.evaluate(self.model, self.test_set, iter(["none", "shuffle"]), seed=1)
+        assert reports == [original, shuffled]
 
     def test_bad_kind_or_seed_rejected_before_any_pass(self, monkeypatch):
         def unexpected(model, images):
@@ -466,8 +470,11 @@ class TestEvaluate:
         monkeypatch.setattr(models, "predict", unexpected)
         with pytest.raises(ValueError, match="zoom"):
             models.evaluate(self.model, self.test_set, ["none", "zoom"])
-        with pytest.raises(ValueError, match="rng_seed"):
-            models.evaluate(self.model, self.test_set, ["none", "flip"], seed=-1)
+        for seed in (-1, 1.5, "3"):
+            with pytest.raises(ValueError, match="rng_seed"):
+                models.evaluate(self.model, self.test_set, ["none", "flip"], seed=seed)
+        with pytest.raises(ValueError, match="rotate"):
+            models.evaluate(self.model, self.test_set, ["rotate", "none", "rotate"])
 
     def test_battery_predicts_originals_once(self, monkeypatch):
         calls = []
@@ -494,6 +501,31 @@ class TestEvaluate:
             top1, per_class = models.accuracy_breakdown(predict(self.model, out), test_set.labels)
             assert (reports[i].top1, reports[i].per_class) == (top1, per_class)
         assert reports[1].delta == 0.0
+
+    def test_chunks_read_their_slice_of_one_record(self, monkeypatch, tmp_path):
+        # 300 images end in a tail chunk of 6 at EVAL_BATCH 7 and of 12 at 32
+        test_set = make_imageset(300, seed=36)
+        seed = 2**64 + 3
+        transform_batch = models.transform_batch
+        outs = []
+
+        def recording(images, streams, kind):
+            outs.append((kind, transform_batch(images, streams, kind)))
+            return outs[-1][1]
+
+        monkeypatch.setattr(models, "transform_batch", recording)
+        written = []
+        for size in (7, 32):
+            monkeypatch.setattr(models, "EVAL_BATCH", size)
+            outs.clear()
+            reports = models.evaluate(self.model, test_set, list(TRANSFORM_KINDS), seed=seed)
+            for kind in TRANSFORM_KINDS[1:]:
+                out = np.concatenate([o for k, o in outs if k == kind])
+                assert out.tobytes() == transform_set(test_set, kind, seed).tobytes(), (size, kind)
+            path = tmp_path / f"reports-{size}.csv"
+            write_eval_reports(path, reports, {"eval_seed": seed})
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("arch", ["lenet", "dadm"])
     def test_chunk_size_changes_no_report(self, arch, monkeypatch):

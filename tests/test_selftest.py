@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from histlearn import distlayers, histogram, nn, selftest
+from histlearn import distlayers, histogram, nn, selftest, transforms
 from histlearn.distlayers import ArithmeticDistributionLayer
 from histlearn.histogram import HistogramSpec
 
@@ -27,6 +27,7 @@ CHECK_NAMES = {
     "mass-conservation",
     "sum-commutativity",
     "adam-vs-textbook",
+    "transform-streams-vs-numpy",
 }
 
 
@@ -118,6 +119,18 @@ def test_byte_table_off_by_an_ulp_fails_only_the_byte_check(monkeypatch):
     assert not result.passed and result.measured > result.allowed
     others = (selftest.check_kde_vs_quadrature, selftest.check_kde_normalization,
               selftest.check_kde_vs_discrete, selftest.check_kde_permutation_invariance)
+    assert all(check().passed for check in others)
+
+
+def test_one_bit_off_in_the_pcg_multiplier_fails_only_the_stream_check(monkeypatch):
+    # the other checks that use transforms pass explicit angles and offsets
+    high, low = transforms._PCG_MULT
+    monkeypatch.setattr(transforms, "_PCG_MULT", (high, low ^ 1 << 17))
+    result = selftest.check_transform_streams()
+    assert not result.passed and result.measured > result.allowed
+    others = (selftest.check_kde_grad, selftest.check_kde_vs_quadrature, selftest.check_kde_normalization,
+              selftest.check_kde_vs_discrete, selftest.check_kde_permutation_invariance,
+              selftest.check_kde_byte_vs_sort)
     assert all(check().passed for check in others)
 
 

@@ -5,12 +5,16 @@ import pytest
 from scipy.special import cosdg, sindg
 
 from conftest import make_imageset, transform_set
+from histlearn import transforms
+from histlearn.errors import ShapeError
 from histlearn.histogram import HistogramSpec, kde_histogram
+from histlearn.selftest import _reference_draws
 from histlearn.transforms import (
     TRANSFORM_KINDS,
     TransformSpec,
     flip,
     rotate,
+    stream_draws,
     stream_states,
     transform_batch,
     transform_image,
@@ -60,27 +64,67 @@ def translate_reference(img, dx, dy):
 
 
 def transform_reference(img, i, kind, seed):
-    rng = np.random.default_rng([seed, i])
+    draw = _reference_draws(seed, i, kind, img.size)
     if kind == "rotate":
-        return rotate_reference(img, rng.uniform(0.0, 90.0))
+        return rotate_reference(img, draw)
     if kind == "translate":
-        dx = int(rng.integers(-8, 9))
-        dy = int(rng.integers(-8, 9))
-        return translate_reference(img, dx, dy)
+        return translate_reference(img, *draw)
     if kind == "flip":
-        return img[:, ::-1].copy() if rng.random() < 0.5 else img[::-1, :].copy()
-    return img.ravel()[rng.permutation(img.size)].reshape(img.shape)
+        return img[:, ::-1].copy() if draw else img[::-1, :].copy()
+    return img.ravel()[draw].reshape(img.shape)
+
+
+def reference_set(image_set, kind, seed):
+    return np.stack([transform_reference(img, i, kind, seed) for i, img in enumerate(image_set.pixels)])
+
+
+KINDS = ["rotate", "translate", "flip", "shuffle"]
 
 
 class TestBatchedGathers:
-    @pytest.mark.parametrize("kind", ["rotate", "translate", "flip", "shuffle"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_set_matches_per_image_reference_bytewise(self, kind):
-        image_set = make_imageset(300, seed=12)
-        out = transform_set(image_set, kind, 9)
-        expected = np.stack(
-            [transform_reference(img, i, kind, 9) for i, img in enumerate(image_set.pixels)]
-        )
-        assert out.tobytes() == expected.tobytes()
+        # seeds of 1, 2, 3 and 5 uint32 words: with 3, seed and index fill
+        # SeedSequence's 4-word pool; with 5, two words are mixed in after it
+        for seed, count in ((9, 300), (2**32 + 5, 100), (2**64 + 3, 100), (2**128 + 1, 100)):
+            image_set = make_imageset(count, seed=12)
+            out = transform_set(image_set, kind, seed)
+            assert out.tobytes() == reference_set(image_set, kind, seed).tobytes(), seed
+
+    def test_translate_fallback_matches_reference(self, monkeypatch):
+        # numpy rejects one 32-bit word in 2**32 and draws again; force that
+        # for every image, so every offset comes from a Generator
+        rejects = []
+
+        def always(product, span):
+            rejects.append(product.size)
+            return np.ones(product.shape, dtype=bool)
+
+        monkeypatch.setattr(transforms, "_lemire_rejects", always)
+        image_set = make_imageset(40, seed=15)
+        out = transform_set(image_set, "translate", 9)
+        assert rejects == [40, 40]
+        assert out.tobytes() == reference_set(image_set, "translate", 9).tobytes()
+
+    @pytest.mark.parametrize("r0", [0x9E3779B9_00000000, 0x00000000_9E3779B9], ids=["dx", "dy"])
+    def test_translate_redraws_where_numpy_rejects(self, r0):
+        # a state whose first output has a zero 32-bit half, which numpy's
+        # Lemire draw over 17 values rejects: pick the state after one step
+        # so that its output is r0 (rotation 0), then step back from it
+        multiplier = transforms._PCG_MULT[0] << 64 | transforms._PCG_MULT[1]
+        inc = 2 * 0x5851F42D4C957F2D + 1
+        after = 0x0123456789ABCDEF << 64 | (0x0123456789ABCDEF ^ r0)
+        state = (after - inc) * pow(multiplier, -1, 2**128) % 2**128
+        streams = np.array([(state >> 64, state & (2**64 - 1), inc >> 64, inc & (2**64 - 1), r0)],
+                           dtype=transforms._STREAM)
+        numpy_state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0}
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = numpy_state
+        assert int(rng.bit_generator.random_raw()) == r0
+        rng.bit_generator.state = numpy_state
+        expected = [int(rng.integers(-8, 9)), int(rng.integers(-8, 9))]
+        assert np.stack(stream_draws(streams, "translate", 784), axis=1).tolist() == [expected]
 
     def test_rotate_matches_reference_at_edge_angles(self):
         rng = np.random.default_rng(13)
@@ -239,6 +283,21 @@ class TestApplyTransform:
         with pytest.raises(ValueError):
             TransformSpec("zoom")
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_record_of_another_length_is_a_shape_error(self, kind, small_set, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("drew before checking the record's length")
+
+        monkeypatch.setattr(transforms, "stream_draws", unexpected)
+        streams = stream_states(0, range(3))
+        with pytest.raises(ShapeError, match="4 images but 3 streams"):
+            transform_batch(small_set.pixels[:4], streams, kind)
+
+    def test_record_slice_is_the_record_of_its_indices(self):
+        whole = stream_states(5, range(300))
+        assert whole[100:207].tobytes() == stream_states(5, range(100, 207)).tobytes()
+        assert stream_states(5, []).size == 0
+
     def test_flip_and_shuffle_preserve_histograms(self, small_set):
         # multiset preservation means identical per-image KDE histograms
         spec = HistogramSpec(n_bins=64, bandwidth=0.01)
@@ -248,7 +307,7 @@ class TestApplyTransform:
             assert np.array_equal(kde_histogram(out[:16], spec), before)
 
     def test_battery_matches_separate_calls_bytewise(self):
-        # one seeding per image and seed, restored for every kind
+        # one stream record per seed, read by every kind
         image_set = make_imageset(300, seed=13)
         specs = [TransformSpec(kind, rng_seed=7) for kind in TRANSFORM_KINDS]
         specs += [TransformSpec("rotate", rng_seed=8), TransformSpec("shuffle", rng_seed=7)]
@@ -277,3 +336,34 @@ class TestApplyTransform:
         b = kde_histogram(out[:16], spec)
         changed = np.sum(np.abs(a - b).max(axis=1) > 1e-6)
         assert changed >= 15  # an exact right angle draw would be a measure-zero fluke
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TransformSpec("rotate", rng_seed=1.5),
+            lambda: TransformSpec("rotate", rng_seed="3"),
+            lambda: TransformSpec("rotate", rng_seed=np.float64(2.0)),
+            lambda: TransformSpec("rotate", rng_seed=None),
+            lambda: TransformSpec("rotate", rng_seed=-1),
+            lambda: TransformSpec("rotate", rng_seed=np.int64(-1)),
+            lambda: stream_states(1.5, [0]),
+            lambda: stream_states(-1, [0]),
+            lambda: stream_states(0, [-1]),
+            lambda: stream_states(0, [0, 2**32]),
+            lambda: stream_states(0, np.array([0.0, 1.0])),
+        ],
+        ids=["float", "str", "numpy-float", "none", "negative", "numpy-negative",
+             "states-float-seed", "states-negative-seed", "negative-index", "index-2**32", "float-index"],
+    )
+    def test_non_integer_or_out_of_range_is_a_value_error(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_numpy_integers_are_the_python_integers(self):
+        img = np.random.default_rng(16).uniform(-1, 1, (28, 28))
+        for seed in (np.int64(7), np.uint64(7), np.uint64(2**64 - 1)):
+            for kind in KINDS:
+                out = transform_image(img, 2**32 - 1, TransformSpec(kind, rng_seed=seed))
+                assert out.tobytes() == transform_reference(img, 2**32 - 1, kind, int(seed)).tobytes()

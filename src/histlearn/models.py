@@ -27,12 +27,19 @@ so :func:`train` runs that frozen prefix (dadm's histogram) once,
 first trained layer on; a model with no frozen prefix (lenet, base, cnn)
 normalizes each batch as its step reads it.
 
-:func:`evaluate` runs the test set in chunks of ``EVAL_BATCH`` images, and
-each chunk is normalized and goes through its transforms and the model's
-forward pass while its buffers are still in cache.  The forward pass is the
-one training runs; it leaves the backward's masks unbuilt, and dadm's
-distribution layer folds its kernels once for all chunks, as they do not
-change between them.
+:func:`evaluate` runs the test set in blocks, normalizing each block once.
+For a model with a frozen prefix (dadm) a block is ``PREFIX_CHUNK``
+images: each kind's transform and the prefix run ``EVAL_BATCH`` images at
+a time, while a sub-chunk's buffers are still in cache, and the trained
+layers run once over the block's prefix outputs.  A kind whose block of
+prefix outputs is bitwise that of the originals (dadm's histograms of a
+flipped or shuffled image) takes the originals' predictions for the
+block; the comparison is made on every block, so a block in which any row
+differs runs the trained layers.  A model with no frozen prefix (lenet,
+base, cnn) takes blocks of ``EVAL_BATCH`` images and runs one forward pass
+per block and kind.  The forward pass is the one training runs; it leaves
+the backward's masks unbuilt, and dadm's distribution layer folds its
+kernels once for all blocks, as they do not change between them.
 """
 
 import time
@@ -49,7 +56,9 @@ from .transforms import TransformSpec, stream_states, transform_batch
 
 ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 
-# Images per forward pass in predict and per chunk in evaluate, small enough
+# Images per forward pass in predict, and per chunk that evaluate transforms
+# and runs through a frozen prefix; a model with no frozen prefix (lenet,
+# base, cnn) also runs its layers on one such chunk at a time.  Small enough
 # that a chunk's transform temporaries and layer buffers stay near cache
 # (lenet's conv1 im2col buffer is 3.7 MB at 32 images, 29.5 MB at 256).
 # perfbench eval-battery, 25 s runs, 4 alternating pairs at seeds 611-614,
@@ -63,6 +72,13 @@ EVAL_BATCH = 32
 # bins and bandwidth 0.001.  Normalize plus kde_histogram of 1024 perfbench
 # images, median of 7: 32 -> 20.0 ms, 64 -> 18.8, 128 -> 18.7, 256 -> 19.0,
 # the whole set at once -> 19.0 (1 BLAS thread, 2-vCPU Xeon VM).
+# Also the block over which evaluate runs a frozen-prefix model's trained
+# layers once per kind.  dadm evaluate of 1024 perfbench test images, five
+# kinds, medians of 15 alternating rounds in two runs, and traced numpy
+# peak: 32 -> 325/338 ms, 4.1 MiB; 64 -> 275/309, 4.9; 128 -> 263/286, 6.0;
+# 256 -> 266/301, 8.3; 512 -> 247/296, 14.4; the whole set -> 266/266,
+# 28.5 (same machine).  From 128 up the sizes tie within run noise while
+# the peak grows.
 PREFIX_CHUNK = 256
 
 
@@ -101,8 +117,9 @@ class HistogramLayer:
     The forward pass is one :func:`~histlearn.histogram.kde_histogram`
     call over the whole batch, which works through it in groups of whole
     rows with bounded memory.  :func:`train` feeds it the training set
-    ``PREFIX_CHUNK`` images at a time (see :func:`_prefix_outputs`).  Each
-    row's histogram is bitwise what the image alone would give.
+    ``PREFIX_CHUNK`` images at a time (see :func:`_prefix_outputs`), and
+    :func:`evaluate` each transformed test chunk, ``EVAL_BATCH`` images.
+    Each row's histogram is bitwise what the image alone would give.
 
     No learnable parameters.  The backward pass is one
     :func:`~histlearn.histogram.kde_histogram_backward` call over the whole
@@ -239,6 +256,12 @@ class EvalReport:
             raise ShapeError(f"per_class must have 10 entries, got {len(self.per_class)}")
 
 
+def _first_trained(model: Model) -> int:
+    """Index of the model's first layer with parameters; the layers in
+    front of it are its frozen prefix."""
+    return next(i for i, layer in enumerate(model.layers) if layer.params())
+
+
 def _prefix_outputs(layers, image_set: ImageSet) -> np.ndarray:
     """``layers`` run over the whole set, ``PREFIX_CHUNK`` images at a time,
     into one array: only a chunk of the set is ever float pixels."""
@@ -267,7 +290,7 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     augmentation hook.  ``log`` receives one line per epoch with the
     epoch's mean loss, training accuracy, wall seconds and images/s.
     """
-    start = next(i for i, layer in enumerate(model.layers) if layer.params())
+    start = _first_trained(model)
     inputs = _prefix_outputs(model.layers[:start], train_set) if start else None
     labels = train_set.labels
     n = train_set.count
@@ -331,17 +354,23 @@ def accuracy_breakdown(predictions: np.ndarray, labels: np.ndarray):
 def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     """One :class:`EvalReport` per transform kind, in the order given.
 
-    One pass over chunks of ``EVAL_BATCH`` test images, so neither a float
-    nor a transformed copy of the whole set is built: each chunk's
-    normalized originals are predicted, then for each kind other than
-    ``none`` the chunk is transformed by
-    :func:`~histlearn.transforms.transform_batch` and predicted.  The
-    streams ``default_rng([seed, i])`` of the whole set are computed once
-    per evaluate, for all those kinds, and each chunk reads its slice; none
-    are computed when only ``none`` is asked for.  The originals' accuracy
-    is every report's reference for ``delta`` (so ``none`` reads 0), and
-    their predictions are the ``none`` report's.  A kind listed twice
-    raises ``ValueError``.
+    One pass over blocks of the test set (see the module docstring), so
+    neither a float nor a transformed copy of the whole set is built.  A
+    block is ``PREFIX_CHUNK`` images for a model with a frozen prefix and
+    ``EVAL_BATCH`` images otherwise, and is normalized once.  For the
+    originals and for each kind other than ``none``, the block is
+    transformed by :func:`~histlearn.transforms.transform_batch` and run
+    through the frozen prefix ``EVAL_BATCH`` images at a time into one
+    array, and the trained layers run once over that array.  With a frozen
+    prefix, a kind whose array is bitwise equal (``np.array_equal``) to the
+    originals' takes the originals' predictions for the block instead;
+    without one the arrays are pixels, which the transforms move, and are
+    not compared.  The streams ``default_rng([seed, i])`` of the whole set
+    are computed once per evaluate, for all those kinds, and each sub-chunk
+    reads its slice; none are computed when only ``none`` is asked for.
+    The originals' accuracy is every report's reference for ``delta`` (so
+    ``none`` reads 0), and their predictions are the ``none`` report's.  A
+    kind listed twice raises ``ValueError``.
     """
     kinds = list(kinds)
     repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
@@ -349,18 +378,34 @@ def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
         raise ValueError(f"transform kinds listed more than once: {repeated}")
     for kind in kinds:
         TransformSpec(kind, rng_seed=seed)  # rejects an unknown kind or a bad seed
-    original = np.empty(test_set.count, dtype=np.int64)
-    preds = {kind: np.empty_like(original) for kind in kinds if kind != "none"}
-    if preds:
+    start = _first_trained(model)
+    prefix = model.layers[:start]
+    # the originals come first: every other kind's memo compares with them
+    preds = {kind: np.empty(test_set.count, dtype=np.int64) for kind in ["none", *kinds]}
+    if len(preds) > 1:
         streams = stream_states(seed, range(test_set.count))
-    for lo in range(0, test_set.count, EVAL_BATCH):
-        chunk = test_set.take(slice(lo, lo + EVAL_BATCH))
-        hi = lo + chunk.shape[0]
-        original[lo:hi] = predict(model, chunk)
+    block = PREFIX_CHUNK if prefix else EVAL_BATCH
+    for lo in range(0, test_set.count, block):
+        images = test_set.take(slice(lo, lo + block))
+        hi = lo + images.shape[0]
         for kind, out in preds.items():
-            out[lo:hi] = predict(model, transform_batch(chunk, streams[lo:hi], kind))
-    preds["none"] = original
-    original_top1, _ = accuracy_breakdown(original, test_set.labels)
+            parts = []
+            for sub in range(lo, hi, EVAL_BATCH):
+                x = images[sub - lo : sub - lo + EVAL_BATCH]
+                if kind != "none":
+                    x = transform_batch(x, streams[sub : sub + x.shape[0]], kind)
+                x = x[:, None, :, :]
+                for layer in prefix:
+                    x = layer.forward(x)
+                parts.append(x)
+            x = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            if kind == "none":
+                originals = x
+            elif prefix and np.array_equal(x, originals):
+                out[lo:hi] = preds["none"][lo:hi]
+                continue
+            out[lo:hi] = model.forward(x, start=start).argmax(axis=1)
+    original_top1, _ = accuracy_breakdown(preds["none"], test_set.labels)
     reports = []
     for kind in kinds:
         top1, per_class = accuracy_breakdown(preds[kind], test_set.labels)

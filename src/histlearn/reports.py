@@ -88,10 +88,20 @@ def write_eval_reports(path, reports, meta=None):
 
 
 def read_eval_reports(path):
-    """Returns ``(reports, meta)``; inverse of :func:`write_eval_reports`."""
+    """Returns ``(reports, meta)``; inverse of :func:`write_eval_reports`.
+    A (model, transform) pair given on two rows is a ``DataFormatError``
+    naming both lines."""
     meta, rows = _read_lines(path)
     reports = []
+    first_line = {}
     for lineno, cells in _records(path, rows, EVAL_HEADER):
+        key = (cells[0], cells[1])
+        if key in first_line:
+            raise DataFormatError(
+                f"{path}: line {lineno}: model {key[0]!r}, transform {key[1]!r} "
+                f"repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
         reports.append(
             EvalReport(
                 model=cells[0],

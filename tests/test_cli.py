@@ -18,8 +18,14 @@ from conftest import transform_set, write_idx_pair
 from histlearn import cli, data, selftest
 from histlearn.checkpoint import save_checkpoint
 from histlearn.cli import DATA_DIR_ENV
-from histlearn.models import ModelConfig, build_model
-from histlearn.reports import read_bar_chart, read_eval_reports, read_histogram_dump, read_loss_curve
+from histlearn.models import EvalReport, ModelConfig, build_model
+from histlearn.reports import (
+    read_bar_chart,
+    read_eval_reports,
+    read_histogram_dump,
+    read_loss_curve,
+    write_eval_reports,
+)
 
 TRAIN_ARGS = ["--epochs", "1", "--batch", "32", "--bins", "32", "--bandwidth", "0.01"]
 
@@ -46,9 +52,6 @@ class TestSelftestCommand:
 
     def test_thread_flags_accepted(self, synth_data_dir, tmp_path):
         # report, the cheapest subcommand to run, registers --threads too
-        from histlearn.models import EvalReport
-        from histlearn.reports import write_eval_reports
-
         reports_csv = str(tmp_path / "reports.csv")
         write_eval_reports(reports_csv, [EvalReport("dadm", "none", 50.0, [50.0] * 10, 0.0)])
         code = run("report", reports_csv, "--data-dir", synth_data_dir,
@@ -167,9 +170,6 @@ class TestUsageErrors:
                                                 capsys):
         # the band radius is clamped to the bin count before it becomes an
         # int, and a bandwidth past HistogramSpec.MAX_BANDWIDTH is refused
-        from histlearn.models import EvalReport
-        from histlearn.reports import write_eval_reports
-
         if command == "train":
             argv = ["train", "--arch", "dadm", "--epochs", "1", "--batch", "64", "--bins", "32"]
         else:
@@ -493,6 +493,16 @@ class TestReportCommand:
         assert run("report", str(bad), "--data-dir", synth_data_dir, "--out-dir", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert "latin1.csv" in err and "line 2" in err
+
+    def test_repeated_report_row_exits_2_and_writes_nothing(self, synth_data_dir, tmp_path, capsys):
+        bad = tmp_path / "repeated.csv"
+        row = EvalReport("dadm", "rotate", 61.5, [60.0] * 10, 30.25)
+        write_eval_reports(bad, [row, row], {"eval_seed": "0"})
+        out_dir = tmp_path / "report"
+        assert run("report", str(bad), "--data-dir", synth_data_dir, "--out-dir", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert "repeated.csv" in err and "line 4" in err and "line 3" in err
+        assert list(out_dir.iterdir()) == []
 
     def test_image_index_bounds(self, synth_data_dir, tmp_path, trained_checkpoint):
         # refused before anything is written

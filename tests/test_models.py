@@ -13,7 +13,7 @@ from histlearn.errors import NonFiniteError
 from histlearn.histogram import kde_histogram, kde_histogram_backward
 from histlearn.reports import write_eval_reports
 from histlearn.selftest import _adam_reference
-from histlearn.transforms import TRANSFORM_KINDS
+from histlearn.transforms import TRANSFORM_KINDS, stream_states
 
 ARCHS = ("lenet", "base", "cnn", "dadm")
 
@@ -464,10 +464,12 @@ class TestEvaluate:
         assert reports == [original, shuffled]
 
     def test_bad_kind_or_seed_rejected_before_any_pass(self, monkeypatch):
-        def unexpected(model, images):
-            raise AssertionError("predicted before validating")
+        def unexpected(*args, **kwargs):
+            raise AssertionError("ran a pass before validating")
 
-        monkeypatch.setattr(models, "predict", unexpected)
+        # every pass transforms a chunk or runs the model's layers
+        monkeypatch.setattr(models, "transform_batch", unexpected)
+        monkeypatch.setattr(models.Model, "forward", unexpected)
         with pytest.raises(ValueError, match="zoom"):
             models.evaluate(self.model, self.test_set, ["none", "zoom"])
         for seed in (-1, 1.5, "3"):
@@ -477,14 +479,16 @@ class TestEvaluate:
             models.evaluate(self.model, self.test_set, ["rotate", "none", "rotate"])
 
     def test_battery_predicts_originals_once(self, monkeypatch):
+        # base has no frozen prefix: each EVAL_BATCH chunk of each kind is
+        # one forward pass from the first layer
         calls = []
-        predict = models.predict
+        forward = models.Model.forward
 
-        def counting_predict(model, images):
-            calls.append(images)
-            return predict(model, images)
+        def counting_forward(model, x, start=0):
+            calls.append((x, start))
+            return forward(model, x, start=start)
 
-        monkeypatch.setattr(models, "predict", counting_predict)
+        monkeypatch.setattr(models.Model, "forward", counting_forward)
         test_set = make_imageset(300, seed=33)
         assert models.EVAL_BATCH < test_set.count  # a chunk boundary falls inside the set
         kinds = ["flip", "none", "rotate"]
@@ -492,13 +496,15 @@ class TestEvaluate:
         assert [r.transform for r in reports] == kinds
         # per chunk: the originals once, then one pass per transform other than none
         starts = range(0, test_set.count, models.EVAL_BATCH)
-        assert len(calls) == 3 * len(starts)
+        assert len(calls) == 3 * len(starts) and {start for _, start in calls} == {0}
         for lo, (original, *transformed) in zip(starts, (calls[i : i + 3] for i in range(0, len(calls), 3))):
-            assert np.array_equal(original, normalize(test_set.images[lo : lo + models.EVAL_BATCH]))
-            assert not any(np.shares_memory(c, original) for c in transformed)
+            chunk = normalize(test_set.images[lo : lo + models.EVAL_BATCH])[:, None, :, :]
+            assert np.array_equal(original[0], chunk)
+            assert not any(np.shares_memory(x, original[0]) for x, _ in transformed)
+        monkeypatch.setattr(models.Model, "forward", forward)
         for i, kind in ((0, "flip"), (2, "rotate")):
             out = transform_set(test_set, kind, 2)
-            top1, per_class = models.accuracy_breakdown(predict(self.model, out), test_set.labels)
+            top1, per_class = models.accuracy_breakdown(models.predict(self.model, out), test_set.labels)
             assert (reports[i].top1, reports[i].per_class) == (top1, per_class)
         assert reports[1].delta == 0.0
 
@@ -535,8 +541,12 @@ class TestEvaluate:
         test_set = make_imageset(3 * models.EVAL_BATCH + 5, seed=34)  # ends in a partial chunk
         kinds = list(TRANSFORM_KINDS)
         chunked = models.evaluate(model, test_set, kinds, seed=3)
-        monkeypatch.setattr(models, "EVAL_BATCH", test_set.count)
-        assert models.evaluate(model, test_set, kinds, seed=3) == chunked
+        # (PREFIX_CHUNK, EVAL_BATCH): the set as one block of one sub-chunk;
+        # blocks that end in a partial sub-chunk; blocks smaller than one
+        for prefix_chunk, eval_batch in ((test_set.count,) * 2, (24, 7), (5, 32)):
+            monkeypatch.setattr(models, "PREFIX_CHUNK", prefix_chunk)
+            monkeypatch.setattr(models, "EVAL_BATCH", eval_batch)
+            assert models.evaluate(model, test_set, kinds, seed=3) == chunked, (prefix_chunk, eval_batch)
 
     def test_lenet_holds_one_chunk_after_evaluate(self):
         # every layer keeps only its newest forward's arrays, so after a
@@ -561,3 +571,129 @@ class TestEvaluate:
             preds = models.predict(model, out)
             assert (preds == base_preds).mean() >= 0.999
 
+
+@pytest.fixture(scope="module")
+def trained_lenet_dadm():
+    train_set = make_imageset(256, seed=37)
+    trained = {}
+    for arch in ("lenet", "dadm"):
+        cfg = tiny_cfg(arch)
+        trained[arch] = models.build_model(cfg)
+        models.train(trained[arch], train_set, cfg)
+    return trained
+
+
+def chunk_by_chunk_reports(model, test_set, kinds, seed):
+    """The battery the plain way: each kind's whole transformed set, each
+    EVAL_BATCH chunk forwarded from the first layer on its own."""
+    preds = {}
+    for kind in ["none", *kinds]:
+        x = transform_set(test_set, kind, seed)[:, None, :, :]
+        chunks = range(0, test_set.count, models.EVAL_BATCH)
+        preds[kind] = np.concatenate([model.forward(x[lo : lo + models.EVAL_BATCH]).argmax(axis=1) for lo in chunks])
+    original_top1, _ = models.accuracy_breakdown(preds["none"], test_set.labels)
+    reports = []
+    for kind in kinds:
+        top1, per_class = models.accuracy_breakdown(preds[kind], test_set.labels)
+        reports.append(models.EvalReport(model.architecture, kind, top1, per_class, original_top1 - top1))
+    return reports
+
+
+def spy_rows(monkeypatch, layer):
+    """Record the batch size of every forward call of one layer."""
+    rows = []
+    forward = layer.forward
+
+    def recording(x):
+        rows.append(len(x))
+        return forward(x)
+
+    monkeypatch.setattr(layer, "forward", recording)
+    return rows
+
+
+class TestEvaluateBlocks:
+    """A frozen prefix (dadm's histogram) runs EVAL_BATCH images at a time
+    into a PREFIX_CHUNK block, the trained layers run once per block, and a
+    kind whose block of prefix outputs equals the originals' skips them."""
+
+    # 300 images end in a partial block and a partial sub-chunk at both
+    # settings: 256 + 44 (32 + 12) and 12 * 24 + 12 (7 + 5)
+    @pytest.mark.parametrize("sizes", [None, (24, 7)], ids=["default", "24-7"])
+    @pytest.mark.parametrize("arch", ["lenet", "dadm"])
+    def test_reports_equal_chunk_by_chunk_reference(self, arch, sizes, trained_lenet_dadm, monkeypatch,
+                                                    tmp_path):
+        if sizes:
+            monkeypatch.setattr(models, "PREFIX_CHUNK", sizes[0])
+            monkeypatch.setattr(models, "EVAL_BATCH", sizes[1])
+        model = trained_lenet_dadm[arch]
+        test_set = make_imageset(300, seed=38)
+        kinds = list(TRANSFORM_KINDS)
+        written = []
+        for reports in (models.evaluate(model, test_set, kinds, seed=6),
+                        chunk_by_chunk_reports(model, test_set, kinds, seed=6)):
+            path = tmp_path / "reports.csv"
+            write_eval_reports(path, reports, {"eval_seed": 6})
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+
+    def test_trained_layers_run_once_per_block_and_never_for_flip_or_shuffle(self, trained_lenet_dadm,
+                                                                              monkeypatch):
+        monkeypatch.setattr(models, "PREFIX_CHUNK", 24)
+        monkeypatch.setattr(models, "EVAL_BATCH", 7)
+        model = trained_lenet_dadm["dadm"]
+        rows = spy_rows(monkeypatch, model.layers[1])
+        test_set = make_imageset(58, seed=39)  # blocks of 24, 24 and 10
+        models.evaluate(model, test_set, ["flip", "rotate", "none", "shuffle", "translate"], seed=7)
+        # each block: none, rotate and translate, in the order evaluate runs them
+        assert rows == [24] * 3 + [24] * 3 + [10] * 3
+        rows.clear()
+        models.evaluate(model, test_set, ["flip", "shuffle"], seed=7)
+        assert rows == [24, 24, 10]  # the originals alone
+
+    def test_one_pixel_off_flip_runs_the_trained_layers_for_its_block(self, trained_lenet_dadm, monkeypatch):
+        monkeypatch.setattr(models, "PREFIX_CHUNK", 24)
+        monkeypatch.setattr(models, "EVAL_BATCH", 7)
+        model = trained_lenet_dadm["dadm"]
+        test_set = make_imageset(58, seed=39)
+        target, seed = 30, 8  # block 1, the sub-chunk of images 28-34
+        target_stream = stream_states(seed, [target])[0]
+        transform_batch = models.transform_batch
+
+        def one_pixel_off(images, streams, kind):
+            out = transform_batch(images, streams, kind)
+            hit = np.flatnonzero(streams == target_stream)
+            if kind == "flip" and hit.size:
+                out = out.copy()
+                out[hit[0], 0, 0] = 0.8  # a background pixel takes the stroke's value
+            return out
+
+        monkeypatch.setattr(models, "transform_batch", one_pixel_off)
+        rows = spy_rows(monkeypatch, model.layers[1])
+        seen = {}
+        accuracy_breakdown = models.accuracy_breakdown
+
+        def recording(predictions, labels):
+            seen.setdefault("preds", predictions.copy())
+            return accuracy_breakdown(predictions, labels)
+
+        monkeypatch.setattr(models, "accuracy_breakdown", recording)
+        models.evaluate(model, test_set, ["flip"], seed=seed)
+        assert rows == [24, 24, 24, 10]  # the originals' three blocks, then flip's block 1
+        flipped = transform_set(test_set, "flip", seed)
+        flipped[target, 0, 0] = 0.8
+        assert np.array_equal(seen["preds"], model.forward(flipped[:, None, :, :]).argmax(axis=1))
+
+    def test_dadm_holds_one_block_after_evaluate(self, trained_lenet_dadm, monkeypatch):
+        # every layer keeps only its newest forward's arrays: after a battery
+        # over three blocks, dadm's layers hold at most one block's rows
+        model = trained_lenet_dadm["dadm"]
+        test_set = make_imageset(82, seed=40)
+        model.forward(test_set.take(slice(0, 1))[:, None, :, :])
+        one = _held_bytes(model)
+        model.forward(test_set.take(slice(0, 2))[:, None, :, :])
+        per_row = _held_bytes(model) - one
+        monkeypatch.setattr(models, "PREFIX_CHUNK", 24)
+        monkeypatch.setattr(models, "EVAL_BATCH", 7)
+        models.evaluate(model, test_set, list(TRANSFORM_KINDS), seed=9)
+        assert _held_bytes(model) <= one + (models.PREFIX_CHUNK - 1) * per_row

@@ -89,6 +89,20 @@ def test_wrong_field_count_names_line(tmp_path):
     assert "line 3" in str(err.value)
 
 
+def test_repeated_model_and_transform_names_both_lines(tmp_path):
+    path = tmp_path / "reports.csv"
+    reports = sample_reports()
+    # line 1 is the metadata, line 2 the header: reports[i] is on line i + 3
+    write_eval_reports(path, [reports[0], reports[1], reports[2], reports[1]], {"eval_seed": "0"})
+    with pytest.raises(DataFormatError) as err:
+        read_eval_reports(path)
+    message = str(err.value)
+    assert "line 6" in message and "line 4" in message and "'rotate'" in message
+    # the same transform under another model is no repeat
+    write_eval_reports(path, [reports[1], reports[6]], {})
+    assert [(r.model, r.transform) for r in read_eval_reports(path)[0]] == [("lenet", "rotate"), ("dadm", "rotate")]
+
+
 def test_header_mismatch_reported(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")

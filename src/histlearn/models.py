@@ -59,12 +59,14 @@ ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 # Images per forward pass in predict, and per chunk that evaluate transforms
 # and runs through a frozen prefix; a model with no frozen prefix (lenet,
 # base, cnn) also runs its layers on one such chunk at a time.  Small enough
-# that a chunk's transform temporaries and layer buffers stay near cache
-# (lenet's conv1 im2col buffer is 3.7 MB at 32 images, 29.5 MB at 256).
-# perfbench eval-battery, 25 s runs, 4 alternating pairs at seeds 611-614,
-# median ref_img_per_s (quartiles) and peak_rss_mb: 32 -> 9285 (9184-9579),
-# 77 MB; 64 -> 9388 (9168-9632), 88 MB (1 BLAS thread, 2-vCPU Xeon VM with
-# 2 MiB L2 per core).  32 and 64 tie within run noise and 32 holds less.
+# that a chunk's transform temporaries and layer outputs stay near cache
+# (lenet's conv1 output is 0.9 MB at 32 images, 7.1 MB at 256; its im2col
+# is built in blocks of nn.IM2COL_BYTES at any size).  perfbench
+# eval-battery, 25 s runs, 4 rounds in rotating order at seeds 811-814,
+# median ref_img_per_s (range) and peak_rss_mb: 32 -> 13114 (12964-13394),
+# 78 MB; 64 -> 11756 (11565-11804), 80 MB; 128 -> 11474 (11212-11644),
+# 90 MB (1 BLAS thread, 2-vCPU Xeon VM with 2 MiB L2 per core).  32 is
+# fastest in every round and holds least.
 EVAL_BATCH = 32
 
 # Images per chunk of the frozen prefix that train runs once over the set

@@ -1,16 +1,18 @@
 """Dense-tensor layers with hand-written backward passes, plus Adam.
 
 There is no autograd here.  During ``forward`` every layer keeps the
-arrays its backward pass reads (its input or output, or a convolution's
-im2col buffer); anything derived from them alone, such as ReLU's and
-max-pool's routing masks, is built in ``backward``, so a forward-only pass
-builds nothing it does not use.  Each layer exposes an explicit
+arrays its backward pass reads, its input or output; anything derived from
+them alone, such as ReLU's and max-pool's routing masks and a
+convolution's im2col columns, is built in ``backward``, so a forward-only
+pass builds nothing it does not use.  Each layer exposes an explicit
 ``backward`` that sets each parameter gradient (it writes
 ``Parameter.grad`` rather than adding to it, so nothing zeroes gradients
 between steps) and returns the gradient with respect to its input.  A
-layer with parameters takes ``input_grad=False`` to skip that input
-gradient when nobody reads it (the first trained layer of a model) and
-return ``None``; its parameter gradients are the same bits.
+gradient not shaped like the last forward's output is a ``ShapeError``,
+raised before any work.  A layer with parameters takes
+``input_grad=False`` to skip that input gradient when nobody reads it (the
+first trained layer of a model) and return ``None``; its parameter
+gradients are the same bits.
 All math is float64 and every layer takes batches only: the leading
 dimension is the batch, and a single sample is a batch of one.
 An input of the wrong rank is a ``ShapeError``, never reinterpreted.
@@ -32,6 +34,7 @@ gradient's, so backward passes need no relayout either.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFiniteError, ShapeError
 
@@ -46,6 +49,19 @@ class Parameter:
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.value.shape})"
+
+
+def _checked_grad(layer, grad, out_shape):
+    """``grad`` as float64, shaped ``out_shape``, the last forward's output
+    shape (``None`` before any forward), or else a ``ShapeError``."""
+    g = np.asarray(grad, dtype=np.float64)
+    if out_shape is None:
+        raise ShapeError(f"{layer}: backward before any forward")
+    if g.shape != out_shape:
+        raise ShapeError(
+            f"{layer}: gradient shape {g.shape} does not match output shape {out_shape}"
+        )
+    return g
 
 
 def _uniform_init(rng, shape, fan_in):
@@ -69,6 +85,7 @@ class Linear:
         )
         self.bias = Parameter(_uniform_init(rng, (out_features,), in_features), name=f"{name}.bias")
         self._x = None
+        self._out_shape = None
 
     def params(self):
         return [self.weight, self.bias]
@@ -81,6 +98,7 @@ class Linear:
                 f"weight shape {self.weight.value.shape}"
             )
         self._in_shape = x.shape
+        self._out_shape = (x.shape[0], self.out_features)
         # a batch-innermost input (a convolution's) is read in place, as the
         # transpose of an (in_features, batch) matrix
         last = x.transpose(*range(1, x.ndim), 0)
@@ -92,7 +110,7 @@ class Linear:
         return self._x @ self.weight.value.T + self.bias.value
 
     def backward(self, grad, input_grad=True):
-        g = np.asarray(grad, dtype=np.float64)
+        g = _checked_grad("linear", grad, self._out_shape)
         np.matmul(g.T, self._x, out=self.weight.grad)
         np.sum(g, axis=0, out=self.bias.grad)
         if not input_grad:
@@ -104,26 +122,42 @@ class Linear:
         return dx
 
 
+# Bytes of the im2col block that Conv2d fills and multiplies at a time, a
+# whole number of output rows and at least one, so that the GEMM reads the
+# block while it is still in L2 cache.  perfbench digits, 20 rounds
+# alternating with one whole-batch buffer, median ms: lenet evaluate of 256
+# images under 5 kinds, whole 123.6, 256 KiB 94.1, 384 KiB 92.9, 512 KiB
+# 90.4, 768 KiB 101.6, 1 MiB 107.1; one lenet and one cnn training epoch of
+# 1024 images, whole 576, 256 KiB 524, 512 KiB 554, 1 MiB 541, all within
+# one another's quartiles (1 BLAS thread, 2-vCPU Xeon VM with 2 MiB L2 per
+# core).
+IM2COL_BYTES = 2**19
+
+
 class Conv2d:
     """Valid cross-correlation, stride 1, one bias per output channel.
 
     The layer computes batch-innermost.  ``forward`` reads its input as
     ``(C, H, W*B)``, which costs nothing when the input is the output of
-    another batch-innermost layer, and builds im2col as kh*kw slice copies
-    of ``OW*B``-long runs into one ``(C*kh*kw, OH*OW*B)`` buffer whose rows
-    follow the weight's ``(C, kh, kw)`` flattening.  One GEMM ``W @ cols``
-    then fills a ``(K, OH, OW, B)`` buffer, returned as an NCHW-shaped view
-    of it; pooling and ReLU keep that memory order.  ``backward`` reads the
-    gradient in the same order, for free when it comes from such a layer.
-    It reduces the weight gradient one output row at a time, a GEMM of
-    ``OW*B``-long runs per row summed over the rows, and takes the input
-    gradient as one GEMM ``W.T @ g`` and a col2im of kh*kw tap adds into a
-    ``(C, H, W, B)`` buffer, again returned as an NCHW-shaped view.  Every
-    input-gradient element adds its taps in the same (u, v) order from
-    zero, so it is bitwise that of the per-sample ``(B, C, kh, kw, OH, OW)``
-    col2im.  ``input_grad=False`` skips both.
-    Only the newest batch's buffer is held: it is released before the next
-    one is built.
+    another batch-innermost layer, and keeps only that.  It works through
+    the output rows in blocks of about ``IM2COL_BYTES`` of im2col: one copy
+    of ``OW*B``-long runs, from a window view of the input, into a
+    ``(C*kh*kw, rows*OW*B)`` buffer whose rows follow the weight's
+    ``(C, kh, kw)`` flattening, and one GEMM ``W @ cols`` into those rows
+    of a ``(K, OH, OW, B)`` buffer, returned as an NCHW-shaped view of it;
+    pooling and ReLU keep that memory order.  BLAS sums each output element
+    over ``C*kh*kw`` in the same order whatever columns a call covers, so
+    the blocks change no bit.  ``backward`` reads the gradient in the same
+    order, for free when it comes from such a layer.  It rebuilds each
+    block's columns from the kept input and reduces the weight gradient one
+    output row at a time, a GEMM of ``OW*B``-long runs per row, summed over
+    the rows in ascending order.  It takes the input gradient as one GEMM
+    ``W.T @ g`` and a col2im of kh*kw tap adds into a ``(C, H, W, B)``
+    buffer, again returned as an NCHW-shaped view.  Every input-gradient
+    element adds its taps in the same (u, v) order from zero, so it is
+    bitwise that of the per-sample ``(B, C, kh, kw, OH, OW)`` col2im.
+    ``input_grad=False`` skips both.  No im2col buffer is held between
+    calls.
     """
 
     def __init__(self, in_channels, out_channels, kernel_h, kernel_w, rng, name="conv"):
@@ -137,8 +171,8 @@ class Conv2d:
             name=f"{name}.weight",
         )
         self.bias = Parameter(_uniform_init(rng, (out_channels,), fan_in), name=f"{name}.bias")
-        self._cols = None
-        self._in_shape = None
+        self._xt = None
+        self._out_shape = None
 
     def params(self):
         return [self.weight, self.bias]
@@ -151,41 +185,65 @@ class Conv2d:
                 f"{self.weight.value.shape}"
             )
         b, c, h, w = x.shape
-        kh, kw = self.kernel_h, self.kernel_w
+        k, kh, kw = self.out_channels, self.kernel_h, self.kernel_w
         if kh > h or kw > w:
             raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{w}")
         oh, ow = h - kh + 1, w - kw + 1
-        self._cols = None  # free the previous batch's buffer before building this one
-        xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).reshape(c, h, w * b)
-        cols = np.empty((c, kh, kw, oh, ow * b))
-        for u in range(kh):
-            for v in range(kw):
-                cols[:, u, v] = xt[:, u : u + oh, v * b : (v + ow) * b]
-        self._cols = cols.reshape(c * kh * kw, oh * ow * b)
-        self._in_shape = x.shape
-        y = self.weight.value.reshape(self.out_channels, -1) @ self._cols
-        y += self.bias.value[:, None]
-        return y.reshape(self.out_channels, oh, ow, b).transpose(3, 0, 1, 2)
+        self._xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).reshape(c, h, w * b)
+        self._out_shape = (b, k, oh, ow)
+        wmat = self.weight.value.reshape(k, -1)
+        y = np.empty((k, oh, ow * b))
+        for r0, r1, cols in self._im2col_blocks():
+            np.matmul(wmat, cols, out=y[:, r0:r1].reshape(k, -1))
+        y += self.bias.value[:, None, None]
+        return y.reshape(k, oh, ow, b).transpose(3, 0, 1, 2)
+
+    def _im2col_blocks(self):
+        """``(r0, r1, cols)`` per block of output rows ``r0..r1-1``, in
+        ascending order: ``cols`` is that block's ``(C*kh*kw, (r1-r0)*OW*B)``
+        im2col of the kept input, in one buffer that the next block
+        overwrites."""
+        b, _, oh, ow = self._out_shape
+        c, kh, kw = self.in_channels, self.kernel_h, self.kernel_w
+        run = ow * b
+        # every tap's window of OW*B-long runs, (C, kh, kw, OH, OW*B): tap
+        # (u, v) of output row i is input row i + u from column v*B on
+        windows = sliding_window_view(self._xt, (kh, run), axis=(1, 2))[:, :, ::b]
+        windows = windows.transpose(0, 3, 2, 1, 4)
+        rows = min(oh, max(1, IM2COL_BYTES // (c * kh * kw * run * 8)))
+        buf = np.empty(c * kh * kw * rows * run)
+        for r0 in range(0, oh, rows):
+            r1 = min(r0 + rows, oh)
+            cols = buf[: c * kh * kw * (r1 - r0) * run].reshape(c, kh, kw, r1 - r0, run)
+            cols[...] = windows[:, :, :, r0:r1]
+            yield r0, r1, cols.reshape(c * kh * kw, -1)
 
     def backward(self, grad, input_grad=True):
-        g = np.asarray(grad, dtype=np.float64)
+        g = _checked_grad("conv2d", grad, self._out_shape)
         b, k, oh, ow = g.shape
-        g_last = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(k, oh * ow * b)
-        # per output row: (OH, K, OW*B) @ (OH, OW*B, C*kh*kw), summed over rows
-        rows = g_last.reshape(k, oh, ow * b).transpose(1, 0, 2)
-        cols = self._cols.reshape(-1, oh, ow * b).transpose(1, 2, 0)
-        np.sum(rows @ cols, axis=0, out=self.weight.grad.reshape(k, -1))
-        np.sum(g_last, axis=1, out=self.bias.grad)
+        g_last = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(k, oh, ow * b)
+        wmat = self.weight.value.reshape(k, -1)
+        # one (K, OW*B) @ (OW*B, C*kh*kw) product per output row, summed over
+        # the rows in ascending order
+        per_row = np.empty((oh, k, wmat.shape[1]))
+        for r0, r1, cols in self._im2col_blocks():
+            np.matmul(
+                g_last[:, r0:r1].transpose(1, 0, 2),
+                cols.reshape(-1, r1 - r0, ow * b).transpose(1, 2, 0),
+                out=per_row[r0:r1],
+            )
+        np.sum(per_row, axis=0, out=self.weight.grad.reshape(k, -1))
+        np.sum(g_last.reshape(k, -1), axis=1, out=self.bias.grad)
         if not input_grad:
             return None
+        c, h, wb = self._xt.shape
         kh, kw = self.kernel_h, self.kernel_w
-        _, c, h, w = self._in_shape
-        dcols = (self.weight.value.reshape(k, -1).T @ g_last).reshape(c, kh, kw, oh, ow * b)
-        dx = np.zeros((c, h, w * b))
+        dcols = (wmat.T @ g_last.reshape(k, -1)).reshape(c, kh, kw, oh, ow * b)
+        dx = np.zeros((c, h, wb))
         for u in range(kh):
             for v in range(kw):
                 dx[:, u : u + oh, v * b : (v + ow) * b] += dcols[:, u, v]
-        return dx.reshape(c, h, w, b).transpose(3, 0, 1, 2)
+        return dx.reshape(c, h, wb // b, b).transpose(3, 0, 1, 2)
 
 
 class MaxPool2d:
@@ -205,6 +263,7 @@ class MaxPool2d:
 
     window = 2
     _TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))
+    _out = None
 
     def params(self):
         return []
@@ -227,7 +286,7 @@ class MaxPool2d:
         return ne0 * (1 + ne1 * (1 + ne2.view(np.uint8)))
 
     def backward(self, grad):
-        g = np.asarray(grad, dtype=np.float64)
+        g = _checked_grad("maxpool2d", grad, None if self._out is None else self._out.shape)
         code = self._code()
         dx = np.empty_like(self._x)
         for tap, (i, j) in enumerate(self._TAPS):
@@ -236,6 +295,8 @@ class MaxPool2d:
 
 
 class ReLU:
+    _y = None
+
     def params(self):
         return []
 
@@ -245,7 +306,8 @@ class ReLU:
 
     def backward(self, grad):
         # y > 0 exactly where x > 0, NaN included; subgradient 0 at exactly 0
-        return np.asarray(grad, dtype=np.float64) * (self._y > 0)
+        g = _checked_grad("relu", grad, None if self._y is None else self._y.shape)
+        return g * (self._y > 0)
 
 
 def log_softmax_nll(logits, labels):

@@ -550,16 +550,30 @@ class TestEvaluate:
 
     def test_lenet_holds_one_chunk_after_evaluate(self):
         # every layer keeps only its newest forward's arrays, so after a
-        # battery the model holds one chunk's buffers, not the set's
+        # battery the model holds one chunk's buffers, not the set's.  The
+        # one-image batch owns its memory: conv1 keeps its input, which for
+        # one image is a view of the caller's array
         model = models.build_model(tiny_cfg("lenet"))
-        model.forward(batch_of(self.test_set, 1))
+        model.forward(batch_of(self.test_set, 1).copy())
         per_image = _held_bytes(model)
         models.evaluate(model, make_imageset(2 * models.EVAL_BATCH, seed=35), ["none", "rotate"], seed=4)
         held = _held_bytes(model)
         assert held == models.EVAL_BATCH * per_image
-        # about 233 KiB per image: chunks of up to 64 images stay under this
-        # bound, and a 256-image chunk would hold 58 MiB
-        assert held < 16 * 2**20
+        # about 60 KiB per image, with no im2col buffer held: chunks of up to
+        # 64 images stay under this bound (the whole-batch buffers held 233
+        # KiB per image)
+        assert held < 4 * 2**20
+
+    def test_lenet_forward_builds_no_whole_batch_im2col_buffer(self):
+        # conv1's im2col of 256 images would be 29.5 MB at once; in blocks of
+        # output rows one forward peaks at about 16 MiB, all buffers included
+        model = models.build_model(tiny_cfg("lenet"))
+        x = batch_of(make_imageset(256, seed=36), 256)
+        tracemalloc.start()
+        model.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_dadm_prediction_invariance_on_multiset_transforms(self):
         cfg = tiny_cfg("dadm", epochs=2)

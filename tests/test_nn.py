@@ -31,6 +31,39 @@ def conv2d_reference(x, weight, bias, grad):
     return y, dw, grad.sum(axis=(0, 2, 3)), dx
 
 
+def conv2d_whole_buffer(x, weight, bias, grad):
+    """Conv forward and gradients through one im2col buffer of the whole
+    batch and one GEMM, as ``Conv2d`` computed them before it worked in
+    blocks of output rows: the bits the blocked layer keeps."""
+    b, c, h, w = x.shape
+    k, _, kh, kw = weight.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).reshape(c, h, w * b)
+    cols = np.empty((c, kh, kw, oh, ow * b))
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, u, v] = xt[:, u : u + oh, v * b : (v + ow) * b]
+    cols = cols.reshape(c * kh * kw, oh * ow * b)
+    wmat = weight.reshape(k, -1)
+    y = wmat @ cols
+    y += bias[:, None]
+    g_last = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(k, oh * ow * b)
+    # per output row: (OH, K, OW*B) @ (OH, OW*B, C*kh*kw), summed over rows
+    rows = g_last.reshape(k, oh, ow * b).transpose(1, 0, 2)
+    dw = np.sum(rows @ cols.reshape(-1, oh, ow * b).transpose(1, 2, 0), axis=0)
+    dcols = (wmat.T @ g_last).reshape(c, kh, kw, oh, ow * b)
+    dx = np.zeros((c, h, w * b))
+    for u in range(kh):
+        for v in range(kw):
+            dx[:, u : u + oh, v * b : (v + ow) * b] += dcols[:, u, v]
+    return (
+        y.reshape(k, oh, ow, b).transpose(3, 0, 1, 2),
+        dw.reshape(weight.shape),
+        np.sum(g_last, axis=1),
+        dx.reshape(c, h, w, b).transpose(3, 0, 1, 2),
+    )
+
+
 def maxpool_reference(x, grad):
     """2x2/2 max pool by explicit loops; ties go to the first tap in row-major order."""
     b, c, h, w = x.shape
@@ -125,6 +158,18 @@ class TestLinear:
         assert nn.grad_check(_probe_input(layer, w), x) < 1e-6
 
 
+# lenet's conv1 and conv2 and cnn's conv1 at batch 1, 32 and 64, with
+# IM2COL_BYTES at its default, at one output row a block, and at five rows a
+# block, so that the last block of every shape is partial; the batch-64
+# default case keeps the plain shape id
+CONV_CASES = [
+    pytest.param(*shape, batch, blocks, id=name if (batch, blocks) == (64, "default") else f"{name}-{batch}-{blocks}")
+    for shape, name in (((1, 6, 5, 28), "lenet-conv1"), ((6, 16, 5, 12), "lenet-conv2"), ((1, 4, 3, 28), "cnn-conv1"))
+    for batch in (1, 32, 64)
+    for blocks in ("default", "one-row", "partial")
+]
+
+
 class TestConv2d:
     def test_output_shape(self):
         rng = np.random.default_rng(4)
@@ -164,19 +209,29 @@ class TestConv2d:
         for i in range(4):
             assert np.allclose(batched[i], layer.forward(xs[i : i + 1])[0], atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "c_in,c_out,kernel,size",
-        [(1, 6, 5, 28), (6, 16, 5, 12), (1, 4, 3, 28)],
-        ids=["lenet-conv1", "lenet-conv2", "cnn-conv1"],
-    )
-    def test_production_shapes_match_loop_reference(self, c_in, c_out, kernel, size):
+    @staticmethod
+    def _blocked_layer(monkeypatch, blocks, c_in, c_out, kernel, size, batch):
+        """A layer after a forward and backward of random ``batch`` images
+        at one of ``CONV_CASES``' block sizes; returns the layer, its
+        outputs ``(y, dx)`` and its inputs ``(x, g)``."""
+        out = size - kernel + 1
+        row_bytes = c_in * kernel * kernel * out * batch * 8
+        budget = {"default": nn.IM2COL_BYTES, "one-row": 1, "partial": 5 * row_bytes}[blocks]
+        monkeypatch.setattr(nn, "IM2COL_BYTES", budget)
         rng = np.random.default_rng(20)
         layer = nn.Conv2d(c_in, c_out, kernel, kernel, rng)
-        x = rng.standard_normal((64, c_in, size, size))
-        out = size - kernel + 1
-        g = rng.standard_normal((64, c_out, out, out))
+        x = rng.standard_normal((batch, c_in, size, size))
+        g = rng.standard_normal((batch, c_out, out, out))
         y = layer.forward(x)
         dx = layer.backward(g)
+        starts = [r0 for r0, _, _ in layer._im2col_blocks()]
+        rows = {"default": max(1, budget // row_bytes), "one-row": 1, "partial": 5}[blocks]
+        assert starts == list(range(0, out, rows))
+        return layer, (y, dx), (x, g)
+
+    @pytest.mark.parametrize("c_in,c_out,kernel,size,batch,blocks", CONV_CASES)
+    def test_production_shapes_match_loop_reference(self, monkeypatch, c_in, c_out, kernel, size, batch, blocks):
+        layer, (y, dx), (x, g) = self._blocked_layer(monkeypatch, blocks, c_in, c_out, kernel, size, batch)
         ref = conv2d_reference(x, layer.weight.value, layer.bias.value, g)
         # batch-innermost: (K, OH, OW, B) in memory, an NCHW-shaped view
         assert y.transpose(1, 2, 3, 0).flags.c_contiguous
@@ -184,6 +239,15 @@ class TestConv2d:
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("c_in,c_out,kernel,size,batch,blocks", CONV_CASES)
+    def test_row_blocks_keep_the_whole_buffer_bits(self, monkeypatch, c_in, c_out, kernel, size, batch, blocks):
+        # BLAS sums each element over C*kh*kw in one order whatever columns a
+        # call covers, and the weight gradient's rows and the input
+        # gradient's taps add in the whole-buffer order
+        layer, (y, dx), (x, g) = self._blocked_layer(monkeypatch, blocks, c_in, c_out, kernel, size, batch)
+        ref = conv2d_whole_buffer(x, layer.weight.value, layer.bias.value, g)
+        for got, want in zip((y, layer.weight.grad, layer.bias.grad, dx), ref):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "c_in,c_out,kernel,size", [(6, 16, 5, 12), (1, 4, 3, 28)], ids=["lenet-conv2", "cnn-conv1"]
@@ -253,6 +317,42 @@ class TestBackwardSetsGradients:
         layer.backward(g)
         for p, want in zip(layer.params(), once):
             assert np.array_equal(p.grad.view(np.uint64), want.view(np.uint64)), p.name
+
+
+class TestGradientShape:
+    """A backward whose gradient is not shaped like the last forward's
+    output, or that comes before any forward, is a ``ShapeError`` raised
+    before any work: no parameter gradient is written."""
+
+    @staticmethod
+    def _layer_and_input(name, rng):
+        if name == "maxpool2d":
+            return nn.MaxPool2d(), rng.standard_normal((9, 2, 6, 6))
+        if name == "relu":
+            return nn.ReLU(), rng.standard_normal((9, 2, 6, 6))
+        return TestInputGradOff._layer_and_input(name, rng)
+
+    @pytest.mark.parametrize("case", ["smaller-batch", "batch-of-one", "before-forward"])
+    @pytest.mark.parametrize("name", ["linear", "conv-c1", "conv-c6", "maxpool2d", "relu"])
+    def test_mismatch_is_shape_error_naming_both_shapes(self, name, case):
+        rng = np.random.default_rng(26)
+        layer, x = self._layer_and_input(name, rng)
+        out_shape = None
+        if case == "before-forward":
+            g = rng.standard_normal((9, 1))
+        else:
+            out_shape = layer.forward(x).shape
+            g = rng.standard_normal(((8 if case == "smaller-batch" else 1),) + out_shape[1:])
+        for p in layer.params():
+            p.grad.fill(np.nan)
+        with pytest.raises(ShapeError) as err:
+            layer.backward(g)
+        if out_shape is None:
+            assert "before any forward" in str(err.value)
+        else:
+            assert str(g.shape) in str(err.value) and str(out_shape) in str(err.value)
+        for p in layer.params():
+            assert np.isnan(p.grad).all(), p.name
 
 
 class TestMaxPool2d:

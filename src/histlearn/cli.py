@@ -11,21 +11,30 @@ Subcommands::
 
 Each option (``--arch --epochs --batch --lr --seed --bins --bandwidth
 --data-dir --out-dir --transforms --threads --image-index``) is declared
-once, with its type, default and help, in ``_OPTIONS``; ``_COMMANDS`` lists
-once which of them each subcommand takes, and every subcommand also takes
-``--config`` and ``--threads``.  ``main`` resolves each option once, in
-order: explicit flag > ``--config`` file (flat key=value lines) >
-``HISTLEARN_DATA_DIR`` (for the data directory) > built-in default, and
-every run writes its resolved options to ``run_config.txt`` next to its
-outputs.
+once, with its converter, default and help, in ``_OPTIONS``; ``_COMMANDS``
+lists once which of them each subcommand takes, and every subcommand also
+takes ``--config`` and ``--threads``.  argparse only collects strings.
+``main`` takes each option from the first source that gives it (explicit
+flag > ``--config`` file of flat key=value lines > ``HISTLEARN_DATA_DIR``
+for the data directory > built-in default) through its converter.
+
+The one rule: every option value, from any source, is checked the same way,
+and a bad one is refused with exit 1 and one ``histlearn: error:`` line
+before any file is read.  A converter names the option and the value's
+source (``--epochs`` or ``file: line N: epochs``); a value that only a typed
+config judges (``--epochs 0``, ``--bins 2000``) is refused by the
+``ModelConfig`` or ``HistogramSpec`` each command builds before it opens a
+file.  Only ``report``'s upper bound on ``--image-index`` waits for the
+data.  After a command that takes ``--out-dir`` succeeds, ``main`` writes
+the resolved options to ``run_config.txt`` there.
 
 Exit codes are stable for CI: 0 success, 1 usage error, 2 data error
 (missing/corrupt files), 3 failed property or numeric check.
 
-``--threads N`` caps the BLAS thread pools via environment variables.
-``main`` sets them before it imports any numeric module, so they take
-effect when histlearn starts as a program; a ``main`` called in a process
-that has already loaded numpy cannot resize its pools.
+``--threads N`` caps the BLAS thread pools via environment variables.  Its
+converter sets them, and runs before any other, so before numpy loads:
+they take effect when histlearn starts as a program; a ``main`` called in a
+process that has already loaded numpy cannot resize its pools.
 """
 
 import argparse
@@ -43,22 +52,75 @@ EXIT_CHECK = 3
 # before numpy may load; `data` re-exports it.
 DATA_DIR_ENV = "HISTLEARN_DATA_DIR"
 
-# name -> (type, default, help); a default of None means unset
+# Converters: an option's text, or its default, to its checked value; a bad
+# value raises ValueError, to which `_resolve` adds where it came from.
+
+
+def _number(kind, least=None):
+    def convert(value):
+        try:
+            number = kind(value)
+        except ValueError:
+            raise ValueError(f"invalid {kind.__name__} value: {value!r}") from None
+        if least is not None and number < least:
+            raise ValueError(f"must be >= {least}, got {number}")
+        return number
+    return convert
+
+
+def _required(hint):
+    def convert(value):
+        if not value:
+            raise ValueError(f"required ({hint})")
+        return value
+    return convert
+
+
+def _set_threads(value):
+    """Unset, or an integer >= 1 that caps the BLAS thread pools."""
+    if value is None:
+        return None
+    n = _number(int, 1)(value)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        os.environ[var] = str(n)
+    return n
+
+
+def _transform_kinds(text):
+    from .transforms import TRANSFORM_KINDS
+
+    kinds = tuple(t.strip() for t in text.split(",") if t.strip())
+    if not kinds:
+        raise ValueError("empty transform list")
+    for i, kind in enumerate(kinds):
+        if kind not in TRANSFORM_KINDS:
+            raise ValueError(f"unknown transform {kind!r}, expected one of {TRANSFORM_KINDS}")
+        if kind in kinds[:i]:
+            raise ValueError(f"transform {kind!r} listed twice")
+    return kinds
+
+
+# name -> (converter, default, help); a default of None means unset
 _OPTIONS = {
-    "arch": (str, None, "architecture: lenet, base, cnn, or dadm"),
-    "epochs": (int, 10, "training epochs (default 10)"),
-    "batch": (int, 64, "minibatch size (default 64)"),
-    "lr": (float, 0.001, "Adam learning rate (default 0.001)"),
-    "seed": (int, 0, "seed for init, batch order, and transform draws (default 0)"),
-    "bins": (int, 256, "histogram bin count (default 256)"),
-    "bandwidth": (float, 0.001, "KDE bandwidth (default 0.001)"),
-    "data_dir": (str, None, "directory with the MNIST IDX files (or $HISTLEARN_DATA_DIR)"),
+    "arch": (_required("lenet, base, cnn, or dadm"), None, "architecture: lenet, base, cnn, or dadm"),
+    "epochs": (_number(int), 10, "training epochs (default 10)"),
+    "batch": (_number(int), 64, "minibatch size (default 64)"),
+    "lr": (_number(float), 0.001, "Adam learning rate (default 0.001)"),
+    "seed": (_number(int, 0), 0, "seed for init, batch order, and transform draws (default 0)"),
+    "bins": (_number(int), 256, "histogram bin count (default 256)"),
+    "bandwidth": (_number(float), 0.001, "KDE bandwidth (default 0.001)"),
+    "data_dir": (
+        _required(f"give --data-dir, a config line, or {DATA_DIR_ENV}"), None,
+        "directory with the MNIST IDX files (or $HISTLEARN_DATA_DIR)",
+    ),
     "out_dir": (str, ".", "where to write artifacts (default .)"),
     "transforms": (
-        str, "none,rotate,translate,flip,shuffle", "comma list from none,rotate,translate,flip,shuffle"
+        _transform_kinds, "none,rotate,translate,flip,shuffle",
+        "comma list from none,rotate,translate,flip,shuffle",
     ),
-    "threads": (int, None, "cap BLAS thread pools at N"),
-    "image_index": (int, 0, "test image whose histograms are dumped (default 0)"),
+    "threads": (_set_threads, None, "cap BLAS thread pools at N"),
+    "image_index": (_number(int, 0), 0, "test image whose histograms are dumped (default 0)"),
 }
 
 
@@ -72,124 +134,114 @@ class UsageError(Exception):
     pass
 
 
-def _parse_config_file(path):
-    values = {}
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _read_config(path):
+    """A ``--config`` file as option name -> (text, where it was given)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataFormatError(f"cannot read config file {path}: {exc}") from exc
+    values = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         key = key.strip().replace("-", "_")
+        where = f"{path}: line {lineno}"
         if not sep or not key:
-            raise UsageError(f"{path}: line {lineno}: expected key=value, got {line!r}")
+            raise UsageError(f"{where}: expected key=value, got {line!r}")
         if key == "command":
             continue
         if key not in _OPTIONS:
-            raise UsageError(f"{path}: line {lineno}: unknown option {key!r}")
-        value = value.strip()
-        try:
-            values[key] = _OPTIONS[key][0](value)
-        except ValueError as exc:
-            raise UsageError(f"{path}: line {lineno}: bad value for {key}: {value!r}") from exc
+            raise UsageError(f"{where}: unknown option {key!r}")
+        values[key] = (value.strip(), f"{where}: {key}")
     return values
 
 
-def _resolve(args, names):
-    """flag > config file > environment (data_dir) > default, for each name."""
+def _resolve(args):
+    """Each option the command takes, from the first source that gives it:
+    flag > config file > environment (data_dir) > default, through the
+    option's converter.  ``threads`` comes first, so its caps are set
+    before a converter may load numpy.  A config line for an option the
+    command does not take is checked too, and then dropped."""
     flags = vars(args)
-    config_values = _parse_config_file(args.config) if args.config else {}
-    resolved = {}
-    for name in names:
+    config = _read_config(args.config) if args.config else {}
+    _, _, positionals, options = _COMMANDS[args.command]
+    opts = {name: flags[name] for name in positionals}
+    for name in dict.fromkeys(("threads", *options, *config)):
+        convert, default, _ = _OPTIONS[name]
         if name in flags:
-            resolved[name] = flags[name]
-        elif name in config_values:
-            resolved[name] = config_values[name]
+            value, where = flags[name], _flag(name)
+        elif name in config:
+            value, where = config[name]
         elif name == "data_dir" and os.environ.get(DATA_DIR_ENV):
-            resolved[name] = os.environ[DATA_DIR_ENV]
+            value, where = os.environ[DATA_DIR_ENV], DATA_DIR_ENV
         else:
-            resolved[name] = _OPTIONS[name][1]
-    return resolved
+            value, where = default, _flag(name)
+        try:
+            opts[name] = convert(value)
+        except ValueError as exc:
+            raise UsageError(f"{where}: {exc}") from None
+    return {name: opts[name] for name in (*positionals, *options, "threads")}
 
 
-def _set_threads(n):
-    if n is None:
-        return
-    if n < 1:
-        raise UsageError(f"--threads must be >= 1, got {n}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ[var] = str(n)
-
-
-def _parse_transform_list(text):
-    from .transforms import TRANSFORM_KINDS
-
-    kinds = [t.strip() for t in text.split(",") if t.strip()]
-    if not kinds:
-        raise UsageError("empty transform list")
-    for i, kind in enumerate(kinds):
-        if kind not in TRANSFORM_KINDS:
-            raise UsageError(f"unknown transform {kind!r}, expected one of {TRANSFORM_KINDS}")
-        if kind in kinds[:i]:
-            raise UsageError(f"transform {kind!r} listed twice")
-    return kinds
-
-
-def _write_run_config(out_dir, command, resolved):
+def _write_run_config(out_dir, command, opts):
     """Write the resolved options as a ``--config`` file.  Positional
     arguments are not options, so they go in as ``# name=value`` comments:
     the file replays with the same positionals on the command line."""
     positionals = _COMMANDS[command][2]
-    path = os.path.join(out_dir, "run_config.txt")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "run_config.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"command={command}\n")
-        for key in sorted(resolved):
-            if resolved[key] is not None:
+        for key in sorted(opts):
+            value = opts[key]
+            if value is not None:
                 prefix = "# " if key in positionals else ""
-                fh.write(f"{prefix}{key}={resolved[key]}\n")
-    return path
+                text = ",".join(value) if isinstance(value, tuple) else value
+                fh.write(f"{prefix}{key}={text}\n")
 
 
 def _model_config(opts, arch):
     from .models import ModelConfig
 
-    return ModelConfig(
-        architecture=arch,
-        epochs=opts["epochs"],
-        batch_size=opts["batch"],
-        lr=opts["lr"],
-        seed=opts["seed"],
-        n_bins=opts["bins"],
-        bandwidth=opts["bandwidth"],
-    )
+    return ModelConfig(arch, epochs=opts["epochs"], batch_size=opts["batch"], lr=opts["lr"],
+                       seed=opts["seed"], n_bins=opts["bins"], bandwidth=opts["bandwidth"])
 
 
 def _load_splits(data_dir):
-    """The (train, test) splits, loaded once per command."""
     from .data import load_mnist
 
     return load_mnist(data_dir, "train"), load_mnist(data_dir, "test")
 
 
-def _train_one(cfg, train_set):
-    """Train one architecture; returns (model, curve)."""
+def _train_step(cfg, train_set, out_dir, curve_name):
+    """Train, then save the checkpoint and loss curve; returns (model, checkpoint path)."""
     from . import models
+    from .checkpoint import save_checkpoint
+    from .reports import write_loss_curve
 
     model = models.build_model(cfg)
     print(f"training {cfg.architecture}: {train_set.count} images, "
           f"{cfg.epochs} epochs, batch {cfg.batch_size}, lr {cfg.lr}, seed {cfg.seed}")
     curve = models.train(model, train_set, cfg, log=print)
-    return model, curve
+    ckpt_path = os.path.join(out_dir, f"model_{cfg.architecture}.ckpt")
+    save_checkpoint(model, cfg, ckpt_path)
+    write_loss_curve(os.path.join(out_dir, curve_name), curve)
+    return model, ckpt_path
 
 
-def _print_reports(reports):
+def _eval_step(model, test_set, opts):
+    """The reports under ``--transforms`` at ``--seed``, one printed line each."""
+    from .models import evaluate
+
+    reports = evaluate(model, test_set, opts["transforms"], seed=opts["seed"])
     for r in reports:
         print(f"{r.model:6s} {r.transform:10s} top1 {r.top1:6.2f}%  drop {r.delta:6.2f}")
+    return reports
 
 
 def _cmd_fetch(opts):
@@ -201,20 +253,11 @@ def _cmd_fetch(opts):
 
 
 def _cmd_train(opts):
-    from .checkpoint import save_checkpoint
     from .models import evaluate
-    from .reports import write_loss_curve
 
-    out_dir = opts["out_dir"]
     cfg = _model_config(opts, opts["arch"])
     train_set, test_set = _load_splits(opts["data_dir"])
-    model, curve = _train_one(cfg, train_set)
-
-    ckpt_path = os.path.join(out_dir, f"model_{cfg.architecture}.ckpt")
-    save_checkpoint(model, cfg, ckpt_path)
-    write_loss_curve(os.path.join(out_dir, "loss_curve.csv"), curve)
-    _write_run_config(out_dir, "train", opts)
-
+    model, ckpt_path = _train_step(cfg, train_set, opts["out_dir"], "loss_curve.csv")
     report = evaluate(model, test_set, ["none"])[0]
     print(f"checkpoint: {ckpt_path}")
     print(f"final test accuracy (original): {report.top1:.2f}%")
@@ -224,51 +267,29 @@ def _cmd_train(opts):
 def _cmd_eval(opts):
     from .checkpoint import load_checkpoint
     from .data import load_mnist
-    from .models import evaluate
     from .reports import write_eval_reports
 
-    kinds = _parse_transform_list(opts["transforms"])
-    if not os.path.isfile(opts["checkpoint"]):
-        raise DataFormatError(f"checkpoint not found: {opts['checkpoint']}")
-    model, cfg = load_checkpoint(opts["checkpoint"])
-    test_set = load_mnist(opts["data_dir"], "test")
-    reports = evaluate(model, test_set, kinds, seed=opts["seed"])
-
+    model, _ = load_checkpoint(opts["checkpoint"])
+    reports = _eval_step(model, load_mnist(opts["data_dir"], "test"), opts)
     path = os.path.join(opts["out_dir"], "reports.csv")
-    meta = {
-        "model": model.architecture,
-        "checkpoint": opts["checkpoint"],
-        "eval_seed": opts["seed"],
-    }
+    meta = {"model": model.architecture, "checkpoint": opts["checkpoint"], "eval_seed": opts["seed"]}
     write_eval_reports(path, reports, meta)
-    _write_run_config(opts["out_dir"], "eval", opts)
-    _print_reports(reports)
     print(f"report: {path}")
     return EXIT_OK
 
 
 def _cmd_ablation(opts):
-    from .checkpoint import save_checkpoint
-    from .models import evaluate
-    from .reports import write_eval_reports, write_loss_curve
+    from .reports import write_eval_reports
 
-    out_dir = opts["out_dir"]
-    kinds = _parse_transform_list(opts["transforms"])
-
+    cfgs = [_model_config(opts, arch) for arch in ("base", "cnn", "dadm")]
     train_set, test_set = _load_splits(opts["data_dir"])
-    all_reports = []
-    for arch in ("base", "cnn", "dadm"):
-        cfg = _model_config(opts, arch)
-        model, curve = _train_one(cfg, train_set)
-        save_checkpoint(model, cfg, os.path.join(out_dir, f"model_{arch}.ckpt"))
-        write_loss_curve(os.path.join(out_dir, f"loss_curve_{arch}.csv"), curve)
-        reports = evaluate(model, test_set, kinds, seed=opts["seed"])
-        _print_reports(reports)
-        all_reports.extend(reports)
-
-    path = os.path.join(out_dir, "ablation.csv")
-    write_eval_reports(path, all_reports, {"eval_seed": opts["seed"]})
-    _write_run_config(out_dir, "ablation", opts)
+    reports = []
+    for cfg in cfgs:
+        curve_name = f"loss_curve_{cfg.architecture}.csv"
+        model, _ = _train_step(cfg, train_set, opts["out_dir"], curve_name)
+        reports += _eval_step(model, test_set, opts)
+    path = os.path.join(opts["out_dir"], "ablation.csv")
+    write_eval_reports(path, reports, {"eval_seed": opts["seed"]})
     print(f"report: {path}")
     return EXIT_OK
 
@@ -280,12 +301,12 @@ def _cmd_report(opts):
     from .transforms import TRANSFORM_KINDS, TransformSpec, transform_image
 
     out_dir = opts["out_dir"]
+    spec = HistogramSpec(n_bins=opts["bins"], bandwidth=opts["bandwidth"])
     reports, _ = read_eval_reports(opts["reports_csv"])
     test_set = load_mnist(opts["data_dir"], "test")
     index = opts["image_index"]
-    if not 0 <= index < test_set.count:
+    if index >= test_set.count:
         raise UsageError(f"--image-index {index} outside dataset (count {test_set.count})")
-    spec = HistogramSpec(n_bins=opts["bins"], bandwidth=opts["bandwidth"])
 
     bar_path = os.path.join(out_dir, "bar_chart.csv")
     write_bar_chart(bar_path, reports)
@@ -299,8 +320,6 @@ def _cmd_report(opts):
         dump_path = os.path.join(out_dir, f"hist_{name}.csv")
         write_histogram_dump(dump_path, spec.centers, kde_histogram(image[None], spec)[0])
         print(f"histogram dump: {dump_path}")
-
-    _write_run_config(out_dir, "report", opts)
     return EXIT_OK
 
 
@@ -308,10 +327,9 @@ def _cmd_selftest(opts):
     from .selftest import run_all
 
     results = run_all()
-    failed = 0
     for result in results:
         print(result.line())
-        failed += 0 if result.passed else 1
+    failed = sum(not result.passed for result in results)
     if failed:
         print(f"{failed} of {len(results)} checks FAILED")
         return EXIT_CHECK
@@ -322,44 +340,27 @@ def _cmd_selftest(opts):
 # name -> (function, help, positional arguments, options besides --threads and --config)
 _COMMANDS = {
     "fetch": (_cmd_fetch, "download and verify MNIST", (), ("data_dir",)),
-    "train": (
-        _cmd_train, "train one architecture", (),
-        ("arch", "epochs", "batch", "lr", "seed", "bins", "bandwidth", "data_dir", "out_dir"),
-    ),
-    "eval": (
-        _cmd_eval, "evaluate a checkpoint under transforms", ("checkpoint",),
-        ("seed", "data_dir", "out_dir", "transforms"),
-    ),
-    "ablation": (
-        _cmd_ablation, "train and evaluate base, cnn, dadm", (),
-        ("epochs", "batch", "lr", "seed", "bins", "bandwidth", "data_dir", "out_dir", "transforms"),
-    ),
-    "report": (
-        _cmd_report, "bar-chart data and histogram dumps", ("reports_csv",),
-        ("seed", "bins", "bandwidth", "data_dir", "out_dir", "image_index"),
-    ),
+    "train": (_cmd_train, "train one architecture", (),
+              ("arch", "epochs", "batch", "lr", "seed", "bins", "bandwidth", "data_dir", "out_dir")),
+    "eval": (_cmd_eval, "evaluate a checkpoint under transforms", ("checkpoint",),
+             ("seed", "data_dir", "out_dir", "transforms")),
+    "ablation": (_cmd_ablation, "train and evaluate base, cnn, dadm", (),
+                 ("epochs", "batch", "lr", "seed", "bins", "bandwidth", "data_dir", "out_dir", "transforms")),
+    "report": (_cmd_report, "bar-chart data and histogram dumps", ("reports_csv",),
+               ("seed", "bins", "bandwidth", "data_dir", "out_dir", "image_index")),
     "selftest": (_cmd_selftest, "run the dataset-free property checks", (), ()),
 }
-
-
-def _names(command):
-    """The names ``command`` resolves: positionals, options, then threads."""
-    _, _, positionals, options = _COMMANDS[command]
-    return (*positionals, *options, "threads")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="histlearn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, positionals, _) in _COMMANDS.items():
+    for command, (_, help_text, positionals, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        for name in _names(command):
-            if name in positionals:
-                p.add_argument(name)
-                continue
-            kind, _, option_help = _OPTIONS[name]
-            p.add_argument("--" + name.replace("_", "-"), type=kind, default=argparse.SUPPRESS,
-                           help=option_help)
+        for name in positionals:
+            p.add_argument(name)
+        for name in (*options, "threads"):
+            p.add_argument(_flag(name), default=argparse.SUPPRESS, help=_OPTIONS[name][2])
         p.add_argument("--config", default=None, help="flat key=value option file")
     return parser
 
@@ -370,20 +371,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        opts = _resolve(args, _names(args.command))
-        # before the command imports any numeric module
-        _set_threads(opts["threads"])
-        if "seed" in opts and opts["seed"] < 0:
-            raise UsageError(f"--seed must be >= 0, got {opts['seed']}")
-        if "arch" in opts and not opts["arch"]:
-            raise UsageError("--arch is required (lenet, base, cnn, or dadm)")
-        if "data_dir" in opts and not opts["data_dir"]:
-            raise UsageError(
-                "no data directory given (use --data-dir, a config file, or HISTLEARN_DATA_DIR)"
-            )
+        opts = _resolve(args)
         if "out_dir" in opts:
             os.makedirs(opts["out_dir"], exist_ok=True)
-        return _COMMANDS[args.command][0](opts)
+        code = _COMMANDS[args.command][0](opts)
+        if code == EXIT_OK and "out_dir" in opts:
+            _write_run_config(opts["out_dir"], args.command, opts)
+        return code
     except (UsageError, ValueError, ShapeError) as exc:
         print(f"histlearn: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -56,10 +56,10 @@ from .transforms import TransformSpec, stream_states, transform_batch
 
 ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 
-# Images per forward pass in predict, and per chunk that evaluate transforms
-# and runs through a frozen prefix; a model with no frozen prefix (lenet,
-# base, cnn) also runs its layers on one such chunk at a time.  Small enough
-# that a chunk's transform temporaries and layer outputs stay near cache
+# Images per chunk that evaluate transforms and runs through a frozen
+# prefix; a model with no frozen prefix (lenet, base, cnn) also runs its
+# layers on one such chunk at a time.  Small enough that a chunk's
+# transform temporaries and layer outputs stay near cache
 # (lenet's conv1 output is 0.9 MB at 32 images, 7.1 MB at 256; its im2col
 # is built in blocks of nn.IM2COL_BYTES at any size).  perfbench
 # eval-battery, 25 s runs, 4 rounds in rotating order at seeds 811-814,
@@ -299,48 +299,39 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     optimizer = Adam(model.parameters(), lr=cfg.lr)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     curve = []
-    for epoch in range(1, cfg.epochs + 1):
-        began = time.perf_counter()
-        order = shuffle_rng.permutation(n)
-        total_loss = 0.0
-        correct = 0
-        for batch_no, lo in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[lo : lo + cfg.batch_size]
-            batch = inputs[idx] if start else train_set.take(idx)[:, None, :, :]
-            logits = model.forward(batch, start=start)
-            loss, grad = log_softmax_nll(logits, labels[idx])
-            if not np.isfinite(loss):
-                raise NonFiniteError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no} "
-                    f"({model.architecture})"
+    # an overflow shows as a non-finite loss, which the guard below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            began = time.perf_counter()
+            order = shuffle_rng.permutation(n)
+            total_loss = 0.0
+            correct = 0
+            for batch_no, lo in enumerate(range(0, n, cfg.batch_size)):
+                idx = order[lo : lo + cfg.batch_size]
+                batch = inputs[idx] if start else train_set.take(idx)[:, None, :, :]
+                logits = model.forward(batch, start=start)
+                loss, grad = log_softmax_nll(logits, labels[idx])
+                if not np.isfinite(loss):
+                    raise NonFiniteError(
+                        f"non-finite loss at epoch {epoch}, batch {batch_no} "
+                        f"({model.architecture})"
+                    )
+                # the trained layer's output gradient is passed, not bound to a
+                # name, so it is freed before the next forward
+                model.layers[start].backward(model.backward(grad, stop=start + 1), input_grad=False)
+                optimizer.step()
+                total_loss += loss * idx.size
+                correct += int((logits.argmax(axis=1) == labels[idx]).sum())
+            seconds = time.perf_counter() - began
+            stats = EpochStats(epoch, float(total_loss / n), 100.0 * correct / n)
+            curve.append(stats)
+            if log is not None:
+                log(
+                    f"epoch {stats.epoch:3d}  loss {stats.mean_loss:.4f}  "
+                    f"train acc {stats.train_accuracy:.2f}%  "
+                    f"{seconds:.2f} s  {n / seconds:.0f} img/s"
                 )
-            # the trained layer's output gradient is passed, not bound to a
-            # name, so it is freed before the next forward
-            model.layers[start].backward(model.backward(grad, stop=start + 1), input_grad=False)
-            optimizer.step()
-            total_loss += loss * idx.size
-            correct += int((logits.argmax(axis=1) == labels[idx]).sum())
-        seconds = time.perf_counter() - began
-        stats = EpochStats(epoch, float(total_loss / n), 100.0 * correct / n)
-        curve.append(stats)
-        if log is not None:
-            log(
-                f"epoch {stats.epoch:3d}  loss {stats.mean_loss:.4f}  "
-                f"train acc {stats.train_accuracy:.2f}%  "
-                f"{seconds:.2f} s  {n / seconds:.0f} img/s"
-            )
     return curve
-
-
-def predict(model: Model, images: np.ndarray) -> np.ndarray:
-    """Top-1 class per image of a (count, H, W) array, forward passes of
-    ``EVAL_BATCH`` images."""
-    inputs = images[:, None, :, :]
-    out = np.empty(images.shape[0], dtype=np.int64)
-    for lo in range(0, images.shape[0], EVAL_BATCH):
-        logits = model.forward(inputs[lo : lo + EVAL_BATCH])
-        out[lo : lo + logits.shape[0]] = logits.argmax(axis=1)
-    return out
 
 
 def accuracy_breakdown(predictions: np.ndarray, labels: np.ndarray):

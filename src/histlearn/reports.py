@@ -76,15 +76,19 @@ def _parse_number(path, lineno, text, kind=float):
         raise DataFormatError(f"{path}: line {lineno}: bad number {text!r}") from exc
 
 
-def write_eval_reports(path, reports, meta=None):
+def _write_csv(path, header, rows, meta=None):
+    """The ``# key=value`` lines of ``meta``, the header, then one line of
+    cells per row."""
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in (meta or {}).items():
             fh.write(f"# {key}={value}\n")
-        fh.write(",".join(EVAL_HEADER) + "\n")
-        for r in reports:
-            cells = [r.model, r.transform, _fmt(r.top1), _fmt(r.delta)]
-            cells += [_fmt(v) for v in r.per_class]
-            fh.write(",".join(cells) + "\n")
+        for cells in [header, *rows]:
+            fh.write(",".join(_fmt(c) for c in cells) + "\n")
+
+
+def write_eval_reports(path, reports, meta=None):
+    rows = ([r.model, r.transform, r.top1, r.delta, *r.per_class] for r in reports)
+    _write_csv(path, EVAL_HEADER, rows, meta)
 
 
 def read_eval_reports(path):
@@ -115,12 +119,7 @@ def read_eval_reports(path):
 
 
 def write_loss_curve(path, curve, meta=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(CURVE_HEADER) + "\n")
-        for s in curve:
-            fh.write(f"{s.epoch},{_fmt(s.mean_loss)},{_fmt(s.train_accuracy)}\n")
+    _write_csv(path, CURVE_HEADER, ([s.epoch, s.mean_loss, s.train_accuracy] for s in curve), meta)
 
 
 def read_loss_curve(path):
@@ -139,10 +138,7 @@ def read_loss_curve(path):
 
 def write_bar_chart(path, reports):
     """Accuracy matrix flattened to one (model, transform, top1) row each."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(BAR_HEADER) + "\n")
-        for r in reports:
-            fh.write(f"{r.model},{r.transform},{_fmt(r.top1)}\n")
+    _write_csv(path, BAR_HEADER, ([r.model, r.transform, r.top1] for r in reports))
 
 
 def read_bar_chart(path):
@@ -154,12 +150,7 @@ def read_bar_chart(path):
 
 
 def write_histogram_dump(path, centers, masses):
-    centers = np.asarray(centers)
-    masses = np.asarray(masses)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(HIST_HEADER) + "\n")
-        for c, m in zip(centers, masses):
-            fh.write(f"{_fmt(float(c))},{_fmt(float(m))}\n")
+    _write_csv(path, HIST_HEADER, ([float(c), float(m)] for c, m in zip(centers, masses)))
 
 
 def read_histogram_dump(path):

@@ -189,6 +189,57 @@ class TestUsageErrors:
             assert err.startswith("histlearn: ") and err.count("\n") == 1
 
 
+# option, bad value, the commands that take the option
+BAD_VALUES = [
+    ("epochs", "x", ["train", "ablation"]),
+    ("epochs", "0", ["train", "ablation"]),
+    ("lr", "0", ["train", "ablation"]),
+    ("seed", "-1", ["train", "eval", "ablation", "report"]),
+    ("threads", "0", ["fetch", "train", "eval", "ablation", "report", "selftest"]),
+    ("bins", "0", ["train", "ablation", "report"]),
+    ("transforms", "rotate,rotate", ["eval", "ablation"]),
+    ("image_index", "-1", ["report"]),
+]
+
+
+class TestBadOptionValue:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, name, value", [
+        pytest.param(command, name, value, id=f"{command}-{name}={value}")
+        for name, value, commands in BAD_VALUES
+        for command in commands
+    ])
+    def test_refused_in_one_line_before_any_file(self, command, name, value, source, tmp_path,
+                                                  monkeypatch, capsys):
+        # every path is missing, so a command that read one first would exit
+        # 2; fetch would reach the (unreachable) mirrors, selftest its checks
+        def unreachable(url):
+            raise urllib.error.URLError(f"unreachable: {url}")
+
+        def no_checks():
+            raise AssertionError("selftest ran its checks")
+
+        monkeypatch.setattr(data, "_default_download", unreachable)
+        monkeypatch.setattr(selftest, "run_all", no_checks)
+        out_dir = tmp_path / "out"
+        argv = {"train": ["--arch", "base"], "eval": [str(tmp_path / "missing.ckpt")],
+                "report": [str(tmp_path / "missing.csv")]}.get(command, [])
+        if command != "selftest":
+            argv += ["--data-dir", str(tmp_path / "no-data")]
+        if command not in ("fetch", "selftest"):
+            argv += ["--out-dir", str(out_dir)]
+        if source == "flag":
+            argv += ["--" + name.replace("_", "-"), value]
+        else:
+            (tmp_path / "bad.cfg").write_text(f"{name}={value}\n")
+            argv += ["--config", str(tmp_path / "bad.cfg")]
+        assert run(command, *argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("histlearn: error:"), err
+        assert name.replace("_", "-") in err[0].replace("_", "-"), err
+        assert list(out_dir.glob("*")) == []
+
+
 def _bad_data_dir(directory, side=28, counts=(64, 32), gzip_cut=False):
     """An MNIST-shaped data directory; ``gzip_cut`` stores each file gzipped
     and cut to half its length."""
@@ -296,6 +347,23 @@ class TestTrainCommand:
                    "--out-dir", str(tmp_path / "flagged")) == 0
         curve, _ = read_loss_curve(str(tmp_path / "flagged" / "loss_curve.csv"))
         assert len(curve) == 2
+
+    @pytest.mark.parametrize("arch, lr", [("base", "1e300"), ("lenet", "1e308")])
+    def test_huge_lr_is_one_numeric_error_line(self, arch, lr, synth_data_dir, tmp_path, capsys):
+        # an overflow in a step shows as the non-finite loss it leads to, not
+        # as numpy warnings (which the suite turns into errors)
+        code = run("train", "--arch", arch, "--lr", lr, "--epochs", "1", "--data-dir", synth_data_dir,
+                   "--out-dir", str(tmp_path / "out"))
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("histlearn: numeric check failed:"), err
+
+    def test_bad_value_in_an_untaken_config_key_is_refused(self, tmp_path):
+        # eval takes no --epochs, but a config line's value is checked anyway
+        config = tmp_path / "run.cfg"
+        config.write_text("epochs=x\n")
+        assert run("eval", str(tmp_path / "missing.ckpt"), "--config", str(config),
+                   "--data-dir", str(tmp_path / "no-data")) == 1
 
     def test_bad_config_key_is_usage_error(self, synth_data_dir, tmp_path):
         config = tmp_path / "run.cfg"
@@ -505,7 +573,7 @@ class TestReportCommand:
         assert list(out_dir.iterdir()) == []
 
     def test_image_index_bounds(self, synth_data_dir, tmp_path, trained_checkpoint):
-        # refused before anything is written
+        # refused before anything is written; -1 before the out dir is made
         eval_dir = str(tmp_path / "eval")
         assert run("eval", trained_checkpoint, "--data-dir", synth_data_dir, "--out-dir", eval_dir) == 0
         for index in ("999", "-1"):
@@ -513,4 +581,4 @@ class TestReportCommand:
             code = run("report", os.path.join(eval_dir, "reports.csv"), "--data-dir", synth_data_dir,
                        "--out-dir", str(out_dir), "--image-index", index)
             assert code == 1
-            assert list(out_dir.iterdir()) == []
+            assert list(out_dir.glob("*")) == []

@@ -108,7 +108,7 @@ class TestForward:
         # accuracy lands near 10%
         for arch in ARCHS:
             model = models.build_model(tiny_cfg(arch))
-            preds = models.predict(model, balanced_set.pixels)
+            preds = model.forward(balanced_set.pixels[:, None]).argmax(1)
             acc = 100.0 * (preds == balanced_set.labels).mean()
             assert 7.0 <= acc <= 13.0, f"{arch}: {acc}"
 
@@ -504,7 +504,8 @@ class TestEvaluate:
         monkeypatch.setattr(models.Model, "forward", forward)
         for i, kind in ((0, "flip"), (2, "rotate")):
             out = transform_set(test_set, kind, 2)
-            top1, per_class = models.accuracy_breakdown(models.predict(self.model, out), test_set.labels)
+            preds = self.model.forward(out[:, None]).argmax(1)
+            top1, per_class = models.accuracy_breakdown(preds, test_set.labels)
             assert (reports[i].top1, reports[i].per_class) == (top1, per_class)
         assert reports[1].delta == 0.0
 
@@ -579,10 +580,10 @@ class TestEvaluate:
         cfg = tiny_cfg("dadm", epochs=2)
         model = models.build_model(cfg)
         models.train(model, self.train_set, cfg)
-        base_preds = models.predict(model, self.test_set.pixels)
+        base_preds = model.forward(self.test_set.pixels[:, None]).argmax(1)
         for kind in ("flip", "shuffle"):
             out = transform_set(self.test_set, kind, 2)
-            preds = models.predict(model, out)
+            preds = model.forward(out[:, None]).argmax(1)
             assert (preds == base_preds).mean() >= 0.999
 
 

@@ -20,13 +20,13 @@ for the data directory > built-in default) through its converter.
 
 The one rule: every option value, from any source, is checked the same way,
 and a bad one is refused with exit 1 and one ``histlearn: error:`` line
-before any file is read.  A converter names the option and the value's
-source (``--epochs`` or ``file: line N: epochs``); a value that only a typed
-config judges (``--epochs 0``, ``--bins 2000``) is refused by the
-``ModelConfig`` or ``HistogramSpec`` each command builds before it opens a
-file.  Only ``report``'s upper bound on ``--image-index`` waits for the
-data.  After a command that takes ``--out-dir`` succeeds, ``main`` writes
-the resolved options to ``run_config.txt`` there.
+before any file is read, naming the option and the value's source
+(``--epochs`` or ``file: line N: epochs``).  A model option's converter
+applies ``ModelConfig.check`` to its field (``HistogramSpec.check`` for bins
+and bandwidth), so ``--batch 0`` is refused there too.  Only ``report``'s
+upper bound on ``--image-index`` waits for the data.  After a command that
+takes ``--out-dir`` succeeds, ``main`` writes the resolved options to
+``run_config.txt`` there.
 
 Exit codes are stable for CI: 0 success, 1 usage error, 2 data error
 (missing/corrupt files), 3 failed property or numeric check.
@@ -76,6 +76,15 @@ def _required(hint):
     return convert
 
 
+def _model_field(name, convert):
+    """``convert``, then ``ModelConfig``'s check of its field ``name``."""
+    def check(text):
+        from .models import ModelConfig
+
+        return ModelConfig.check(name, convert(text))
+    return check
+
+
 def _set_threads(value):
     """Unset, or an integer >= 1 that caps the BLAS thread pools."""
     if value is None:
@@ -103,13 +112,14 @@ def _transform_kinds(text):
 
 # name -> (converter, default, help); a default of None means unset
 _OPTIONS = {
-    "arch": (_required("lenet, base, cnn, or dadm"), None, "architecture: lenet, base, cnn, or dadm"),
-    "epochs": (_number(int), 10, "training epochs (default 10)"),
-    "batch": (_number(int), 64, "minibatch size (default 64)"),
-    "lr": (_number(float), 0.001, "Adam learning rate (default 0.001)"),
+    "arch": (_model_field("architecture", _required("lenet, base, cnn, or dadm")), None,
+             "architecture: lenet, base, cnn, or dadm"),
+    "epochs": (_model_field("epochs", _number(int)), 10, "training epochs (default 10)"),
+    "batch": (_model_field("batch_size", _number(int)), 64, "minibatch size (default 64)"),
+    "lr": (_model_field("lr", _number(float)), 0.001, "Adam learning rate (default 0.001)"),
     "seed": (_number(int, 0), 0, "seed for init, batch order, and transform draws (default 0)"),
-    "bins": (_number(int), 256, "histogram bin count (default 256)"),
-    "bandwidth": (_number(float), 0.001, "KDE bandwidth (default 0.001)"),
+    "bins": (_model_field("n_bins", _number(int)), 256, "histogram bin count (default 256)"),
+    "bandwidth": (_model_field("bandwidth", _number(float)), 0.001, "KDE bandwidth (default 0.001)"),
     "data_dir": (
         _required(f"give --data-dir, a config line, or {DATA_DIR_ENV}"), None,
         "directory with the MNIST IDX files (or $HISTLEARN_DATA_DIR)",

@@ -116,15 +116,19 @@ class HistogramSpec:
     edges: np.ndarray = field(init=False, repr=False)
     centers: np.ndarray = field(init=False, repr=False)
 
+    @classmethod
+    def check(cls, name, value):
+        """``value`` if it is a valid ``n_bins`` or ``bandwidth`` (``name``),
+        else ``ValueError``; the command line checks each option this way."""
+        if name == "n_bins" and not (isinstance(value, (int, np.integer)) and 1 <= value <= cls.MAX_BINS):
+            raise ValueError(f"n_bins must be an integer in [1, {cls.MAX_BINS}], got {value!r}")
+        if name == "bandwidth" and not 0 < value <= cls.MAX_BANDWIDTH:
+            raise ValueError(f"bandwidth must be in (0, {cls.MAX_BANDWIDTH:g}], got {value!r}")
+        return value
+
     def __post_init__(self):
-        if not isinstance(self.n_bins, (int, np.integer)) or not 1 <= self.n_bins <= self.MAX_BINS:
-            raise ValueError(
-                f"n_bins must be an integer in [1, {self.MAX_BINS}], got {self.n_bins!r}"
-            )
-        if not 0 < self.bandwidth <= self.MAX_BANDWIDTH:
-            raise ValueError(
-                f"bandwidth must be in (0, {self.MAX_BANDWIDTH:g}], got {self.bandwidth!r}"
-            )
+        self.check("n_bins", self.n_bins)
+        self.check("bandwidth", self.bandwidth)
         self.n_bins = int(self.n_bins)
         self.bandwidth = float(self.bandwidth)
         self.bin_width = 2.0 / self.n_bins

@@ -43,7 +43,7 @@ kernels once for all blocks, as they do not change between them.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,19 +94,22 @@ class ModelConfig:
     n_bins: int = 256
     bandwidth: float = 0.001
 
+    @staticmethod
+    def check(name, value):
+        """``value`` if it is a valid field ``name``, else ``ValueError``; the
+        command line checks each option this way.  ``n_bins`` and
+        ``bandwidth`` follow :meth:`HistogramSpec.check`."""
+        if name == "architecture" and value not in ARCHITECTURES:
+            raise ValueError(f"unknown architecture {value!r}, expected one of {ARCHITECTURES}")
+        if name in ("epochs", "batch_size") and not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if name == "lr" and not 0 < value < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {value!r}")
+        return HistogramSpec.check(name, value)
+
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(
-                f"unknown architecture {self.architecture!r}, expected one of {ARCHITECTURES}"
-            )
-        for key in ("epochs", "batch_size"):
-            value = getattr(self, key)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
-        if not 0 < self.lr < np.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
-        # n_bins and bandwidth follow HistogramSpec's rules
-        self.histogram_spec()
+        for f in fields(self):
+            self.check(f.name, getattr(self, f.name))
 
     def histogram_spec(self) -> HistogramSpec:
         return HistogramSpec(n_bins=self.n_bins, bandwidth=self.bandwidth)
@@ -278,6 +281,7 @@ def _prefix_outputs(layers, image_set: ImageSet) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     """Adam + NLL minibatch training; returns the per-epoch loss/accuracy curve.
 
@@ -286,6 +290,8 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     every step starts at the first trained layer, whose backward skips the
     input gradient nobody reads.  A model with no frozen prefix (lenet,
     base, cnn) instead normalizes each batch's rows as the step reads them.
+    Overflow warnings are off: an overflow shows as a non-finite loss, which
+    raises :class:`~histlearn.errors.NonFiniteError`.
     Training is fully deterministic given ``cfg.seed``: initialization is
     seeded at build time and the batch shuffle stream here derives from the
     same seed.  The training set is consumed as-is; there is no
@@ -299,38 +305,36 @@ def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     optimizer = Adam(model.parameters(), lr=cfg.lr)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     curve = []
-    # an overflow shows as a non-finite loss, which the guard below reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, cfg.epochs + 1):
-            began = time.perf_counter()
-            order = shuffle_rng.permutation(n)
-            total_loss = 0.0
-            correct = 0
-            for batch_no, lo in enumerate(range(0, n, cfg.batch_size)):
-                idx = order[lo : lo + cfg.batch_size]
-                batch = inputs[idx] if start else train_set.take(idx)[:, None, :, :]
-                logits = model.forward(batch, start=start)
-                loss, grad = log_softmax_nll(logits, labels[idx])
-                if not np.isfinite(loss):
-                    raise NonFiniteError(
-                        f"non-finite loss at epoch {epoch}, batch {batch_no} "
-                        f"({model.architecture})"
-                    )
-                # the trained layer's output gradient is passed, not bound to a
-                # name, so it is freed before the next forward
-                model.layers[start].backward(model.backward(grad, stop=start + 1), input_grad=False)
-                optimizer.step()
-                total_loss += loss * idx.size
-                correct += int((logits.argmax(axis=1) == labels[idx]).sum())
-            seconds = time.perf_counter() - began
-            stats = EpochStats(epoch, float(total_loss / n), 100.0 * correct / n)
-            curve.append(stats)
-            if log is not None:
-                log(
-                    f"epoch {stats.epoch:3d}  loss {stats.mean_loss:.4f}  "
-                    f"train acc {stats.train_accuracy:.2f}%  "
-                    f"{seconds:.2f} s  {n / seconds:.0f} img/s"
+    for epoch in range(1, cfg.epochs + 1):
+        began = time.perf_counter()
+        order = shuffle_rng.permutation(n)
+        total_loss = 0.0
+        correct = 0
+        for batch_no, lo in enumerate(range(0, n, cfg.batch_size)):
+            idx = order[lo : lo + cfg.batch_size]
+            batch = inputs[idx] if start else train_set.take(idx)[:, None, :, :]
+            logits = model.forward(batch, start=start)
+            loss, grad = log_softmax_nll(logits, labels[idx])
+            if not np.isfinite(loss):
+                raise NonFiniteError(
+                    f"non-finite loss at epoch {epoch}, batch {batch_no} "
+                    f"({model.architecture})"
                 )
+            # the trained layer's output gradient is passed, not bound to a
+            # name, so it is freed before the next forward
+            model.layers[start].backward(model.backward(grad, stop=start + 1), input_grad=False)
+            optimizer.step()
+            total_loss += loss * idx.size
+            correct += int((logits.argmax(axis=1) == labels[idx]).sum())
+        seconds = time.perf_counter() - began
+        stats = EpochStats(epoch, float(total_loss / n), 100.0 * correct / n)
+        curve.append(stats)
+        if log is not None:
+            log(
+                f"epoch {stats.epoch:3d}  loss {stats.mean_loss:.4f}  "
+                f"train acc {stats.train_accuracy:.2f}%  "
+                f"{seconds:.2f} s  {n / seconds:.0f} img/s"
+            )
     return curve
 
 
@@ -344,6 +348,7 @@ def accuracy_breakdown(predictions: np.ndarray, labels: np.ndarray):
     return overall, per_class
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     """One :class:`EvalReport` per transform kind, in the order given.
 
@@ -363,7 +368,8 @@ def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     reads its slice; none are computed when only ``none`` is asked for.
     The originals' accuracy is every report's reference for ``delta`` (so
     ``none`` reads 0), and their predictions are the ``none`` report's.  A
-    kind listed twice raises ``ValueError``.
+    kind listed twice raises ``ValueError``, and non-finite logits (an
+    overflow, as in :func:`train`) ``NonFiniteError`` naming kind and model.
     """
     kinds = list(kinds)
     repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
@@ -397,7 +403,10 @@ def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
             elif prefix and np.array_equal(x, originals):
                 out[lo:hi] = preds["none"][lo:hi]
                 continue
-            out[lo:hi] = model.forward(x, start=start).argmax(axis=1)
+            logits = model.forward(x, start=start)
+            if not np.isfinite(logits).all():
+                raise NonFiniteError(f"non-finite logits under {kind} ({model.architecture})")
+            out[lo:hi] = logits.argmax(axis=1)
     original_top1, _ = accuracy_breakdown(preds["none"], test_set.labels)
     reports = []
     for kind in kinds:

@@ -9,7 +9,8 @@ every architecture trains with.  The histogram oracles likewise run
 ``kde_histogram``, the function the dadm histogram layer calls, on
 batches that mix byte-valued and rotated images, which take its sort
 path; ``kde-byte-vs-sort`` holds its byte-count path, the one all-byte
-batches take, to the same bits.  ``transform-streams-vs-numpy`` holds the
+batches take, to the same bits, and ``kde-vs-quadrature`` also runs each
+path alone at the production settings, 256 bins and bandwidth 0.001.  ``transform-streams-vs-numpy`` holds the
 eval battery's array-computed random streams and draws to the generators
 numpy seeds one image at a time.  Each result carries the
 measured error and the allowed tolerance so failures are directly
@@ -212,14 +213,24 @@ def _quadrature_histogram(px, spec):
     return raw / raw.sum()
 
 
+def _quadrature_error(rows, spec):
+    """Largest gap between ``kde_histogram`` of a batch and each row's quadrature."""
+    bins = histogram.kde_histogram(rows, spec)
+    return max(np.abs(b - _quadrature_histogram(row, spec)).max() for b, row in zip(bins, rows))
+
+
 def check_kde_vs_quadrature():
     rng = np.random.default_rng(20)
-    spec = histogram.HistogramSpec(n_bins=16, bandwidth=0.05)
     px = rng.uniform(-0.5, 0.5, size=16)  # away from the domain edges
     rows = np.concatenate([px[None], _byte_and_rotated_rows(rng, (4, 4))])
-    bins = histogram.kde_histogram(rows, spec)
-    err = max(np.abs(b - _quadrature_histogram(row, spec)).max() for b, row in zip(bins, rows))
-    return _result("kde-vs-quadrature", err, 1e-10, "N=16 B=0.05, uniform, byte and rotated rows")
+    err = _quadrature_error(rows, histogram.HistogramSpec(n_bins=16, bandwidth=0.05))
+    # the production settings: all-byte rows alone take the byte-count path,
+    # their rotations the sort path
+    rows = _byte_and_rotated_rows(rng, (4, 4))
+    spec = histogram.HistogramSpec()
+    err = max(err, _quadrature_error(rows[:2], spec), _quadrature_error(rows[2:], spec))
+    detail = "N=16 B=0.05 uniform, byte and rotated rows; N=256 B=0.001 byte rows, rotated rows"
+    return _result("kde-vs-quadrature", err, 1e-10, detail)
 
 
 def check_kde_normalization():

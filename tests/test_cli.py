@@ -130,7 +130,7 @@ class TestUsageErrors:
         code = run("train", "--arch", "dadm", "--bins", too_many, "--data-dir", synth_data_dir,
                    "--out-dir", str(out_dir))
         assert code == 1
-        assert os.listdir(out_dir) == []  # refused before training
+        assert list(out_dir.glob("*")) == []  # refused before training
 
     def test_unknown_transform(self, synth_data_dir, tmp_path):
         ckpt = str(tmp_path / "missing.ckpt")
@@ -191,12 +191,15 @@ class TestUsageErrors:
 
 # option, bad value, the commands that take the option
 BAD_VALUES = [
+    ("arch", "resnet", ["train"]),
     ("epochs", "x", ["train", "ablation"]),
     ("epochs", "0", ["train", "ablation"]),
+    ("batch", "0", ["train", "ablation"]),
     ("lr", "0", ["train", "ablation"]),
     ("seed", "-1", ["train", "eval", "ablation", "report"]),
     ("threads", "0", ["fetch", "train", "eval", "ablation", "report", "selftest"]),
     ("bins", "0", ["train", "ablation", "report"]),
+    ("bandwidth", "0", ["train", "ablation", "report"]),
     ("transforms", "rotate,rotate", ["eval", "ablation"]),
     ("image_index", "-1", ["report"]),
 ]
@@ -222,21 +225,23 @@ class TestBadOptionValue:
         monkeypatch.setattr(data, "_default_download", unreachable)
         monkeypatch.setattr(selftest, "run_all", no_checks)
         out_dir = tmp_path / "out"
-        argv = {"train": ["--arch", "base"], "eval": [str(tmp_path / "missing.ckpt")],
+        argv = {"train": [] if name == "arch" else ["--arch", "base"],
+                "eval": [str(tmp_path / "missing.ckpt")],
                 "report": [str(tmp_path / "missing.csv")]}.get(command, [])
         if command != "selftest":
             argv += ["--data-dir", str(tmp_path / "no-data")]
         if command not in ("fetch", "selftest"):
             argv += ["--out-dir", str(out_dir)]
         if source == "flag":
-            argv += ["--" + name.replace("_", "-"), value]
+            where = "--" + name.replace("_", "-")
+            argv += [where, value]
         else:
+            where = f"{tmp_path / 'bad.cfg'}: line 1: {name}"
             (tmp_path / "bad.cfg").write_text(f"{name}={value}\n")
             argv += ["--config", str(tmp_path / "bad.cfg")]
         assert run(command, *argv) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("histlearn: error:"), err
-        assert name.replace("_", "-") in err[0].replace("_", "-"), err
+        assert len(err) == 1 and err[0].startswith(f"histlearn: error: {where}: "), err
         assert list(out_dir.glob("*")) == []
 
 
@@ -357,6 +362,24 @@ class TestTrainCommand:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("histlearn: numeric check failed:"), err
+
+    @pytest.mark.parametrize("arch", ["base", "dadm"])
+    def test_one_diverged_step_is_one_numeric_error_line_in_train_and_eval(self, arch, synth_data_dir,
+                                                                          tmp_path, capsys):
+        # one step of 512 images leaves weights near 1e300 before any loss
+        # shows it; the final test pass, and an eval of the checkpoint, report
+        # the non-finite logits
+        out_dir = tmp_path / "out"
+        code = run("train", "--arch", arch, "--lr", "1e300", "--epochs", "1", "--batch", "1024",
+                   "--data-dir", synth_data_dir, "--out-dir", str(out_dir))
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"histlearn: numeric check failed: non-finite logits under none ({arch})"]
+        code = run("eval", str(out_dir / f"model_{arch}.ckpt"), "--data-dir", synth_data_dir,
+                   "--out-dir", str(tmp_path / "eval"))
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"histlearn: numeric check failed: non-finite logits under none ({arch})"]
 
     def test_bad_value_in_an_untaken_config_key_is_refused(self, tmp_path):
         # eval takes no --epochs, but a config line's value is checked anyway

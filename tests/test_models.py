@@ -82,6 +82,20 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             models.ModelConfig("base", lr=float("inf"))
 
+    @pytest.mark.parametrize("name, value", [
+        ("architecture", "resnet"), ("epochs", 0), ("batch_size", 2.5), ("lr", 0.0),
+        ("n_bins", 2000), ("bandwidth", 0.0),
+    ])
+    def test_field_check_is_the_constructors_refusal(self, name, value):
+        # the command line checks one option by this; the config says the same
+        with pytest.raises(ValueError) as built:
+            models.ModelConfig(**{"architecture": "base", name: value})
+        with pytest.raises(ValueError) as checked:
+            models.ModelConfig.check(name, value)
+        assert str(checked.value) == str(built.value)
+        good = models.ModelConfig("dadm")
+        assert models.ModelConfig.check(name, getattr(good, name)) == getattr(good, name)
+
     def test_seeded_build_is_deterministic(self):
         a = models.build_model(tiny_cfg("lenet"))
         b = models.build_model(tiny_cfg("lenet"))
@@ -575,6 +589,15 @@ class TestEvaluate:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_non_finite_logits_are_a_numeric_error_naming_kind_and_model(self, arch):
+        # a diverged model's overflow is reported, not warned about
+        model = models.build_model(tiny_cfg(arch))
+        for param in model.parameters():
+            param.value[...] = 1e300
+        with pytest.raises(NonFiniteError, match=rf"logits under none \({arch}\)"):
+            models.evaluate(model, self.test_set, ["none", "flip"])
 
     def test_dadm_prediction_invariance_on_multiset_transforms(self):
         cfg = tiny_cfg("dadm", epochs=2)

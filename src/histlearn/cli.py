@@ -41,7 +41,7 @@ import argparse
 import os
 import sys
 
-from .errors import DataFormatError, NonFiniteError, ShapeError
+from .errors import DataFormatError, NonFiniteError, ShapeError, read_text_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -149,10 +149,11 @@ def _flag(name):
 
 
 def _read_config(path):
-    """A ``--config`` file as option name -> (text, where it was given)."""
+    """A ``--config`` file as option name -> (text, where it was given).
+    A file that is not UTF-8 text is a ``DataFormatError`` naming the line,
+    as a CSV is."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        lines = read_text_lines(path)
     except OSError as exc:
         raise DataFormatError(f"cannot read config file {path}: {exc}") from exc
     values = {}
@@ -201,18 +202,21 @@ def _resolve(args):
 
 
 def _write_run_config(out_dir, command, opts):
-    """Write the resolved options as a ``--config`` file.  Positional
-    arguments are not options, so they go in as ``# name=value`` comments:
-    the file replays with the same positionals on the command line."""
+    """Write the resolved options as a ``--config`` file, atomically.
+    Positional arguments are not options, so they go in as ``# name=value``
+    comments: the file replays with the same positionals on the command
+    line."""
+    from .data import write_atomic
+
     positionals = _COMMANDS[command][2]
-    with open(os.path.join(out_dir, "run_config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"command={command}\n")
-        for key in sorted(opts):
-            value = opts[key]
-            if value is not None:
-                prefix = "# " if key in positionals else ""
-                text = ",".join(value) if isinstance(value, tuple) else value
-                fh.write(f"{prefix}{key}={text}\n")
+    lines = [f"command={command}\n"]
+    for key in sorted(opts):
+        value = opts[key]
+        if value is not None:
+            prefix = "# " if key in positionals else ""
+            text = ",".join(value) if isinstance(value, tuple) else value
+            lines.append(f"{prefix}{key}={text}\n")
+    write_atomic(os.path.join(out_dir, "run_config.txt"), ["".join(lines).encode("utf-8")])
 
 
 def _model_config(opts, arch):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .histogram import HistogramSpec, bin_index
-from .nn import Parameter
+from .nn import Parameter, _checked_grad
 
 
 @lru_cache(maxsize=8)
@@ -132,6 +132,7 @@ class ArithmeticDistributionLayer:
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError("kernel histograms must be finite")
         self._folded_w = self._folded_b = None  # the kernel values _mw and _mb fold
+        self._fx = None
 
     def params(self):
         return [self.weight_hist, self.bias_hist]
@@ -153,7 +154,7 @@ class ArithmeticDistributionLayer:
         return self._fy @ self._mb.T
 
     def backward(self, grad, input_grad=True):
-        g = np.asarray(grad, dtype=np.float64)
+        g = _checked_grad("arith", grad, None if self._fx is None else self._fx.shape)
         n = self.spec.n_bins
         maps = _index_maps(n)
         # d loss / d bias[i] = sum_{batch, m} g[., k(i,m)] * f_y[., m]

@@ -51,8 +51,8 @@ from .data import ImageSet
 from .distlayers import ArithmeticDistributionLayer, init_kernel
 from .errors import NonFiniteError, ShapeError
 from .histogram import HistogramSpec, kde_histogram, kde_histogram_backward
-from .nn import Adam, Conv2d, Linear, MaxPool2d, ReLU, log_softmax_nll
-from .transforms import TransformSpec, stream_states, transform_batch
+from .nn import Adam, Conv2d, Linear, MaxPool2d, ReLU, _checked_grad, log_softmax_nll
+from .transforms import TransformSpec, _check_seed, stream_states, transform_batch
 
 ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 
@@ -97,14 +97,17 @@ class ModelConfig:
     @staticmethod
     def check(name, value):
         """``value`` if it is a valid field ``name``, else ``ValueError``; the
-        command line checks each option this way.  ``n_bins`` and
-        ``bandwidth`` follow :meth:`HistogramSpec.check`."""
+        command line checks each option this way.  ``seed`` follows the
+        transforms' seed rule, ``n_bins`` and ``bandwidth``
+        :meth:`HistogramSpec.check`."""
         if name == "architecture" and value not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {value!r}, expected one of {ARCHITECTURES}")
         if name in ("epochs", "batch_size") and not (isinstance(value, (int, np.integer)) and value >= 1):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if name == "lr" and not 0 < value < np.inf:
             raise ValueError(f"lr must be finite and > 0, got {value!r}")
+        if name == "seed":
+            _check_seed(value, name)
         return HistogramSpec.check(name, value)
 
     def __post_init__(self):
@@ -134,6 +137,8 @@ class HistogramLayer:
     benchmark models use it as the first layer on raw images.
     """
 
+    _images = None
+
     def __init__(self, spec: HistogramSpec):
         self.spec = spec
 
@@ -148,7 +153,9 @@ class HistogramLayer:
         return kde_histogram(x, self.spec)
 
     def backward(self, grad):
-        return kde_histogram_backward(grad, self._images, self.spec)
+        images = self._images
+        out_shape = None if images is None else (images.shape[0], self.spec.n_bins)
+        return kde_histogram_backward(_checked_grad("histogram layer", grad, out_shape), images, self.spec)
 
 
 class Model:

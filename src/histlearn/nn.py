@@ -261,7 +261,6 @@ class MaxPool2d:
     batch-innermost ``Conv2d`` both stay batch-innermost.
     """
 
-    window = 2
     _TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))
     _out = None
 
@@ -338,100 +337,89 @@ def log_softmax_nll(logits, labels):
     return loss, grad / n
 
 
-class AdamState:
-    """Adam's moment sums and step counter for one parameter.
-
-    ``m`` and ``v`` hold the bias-free sums ``m = BETA1*m + g`` and
-    ``v = BETA2*v + g**2``: the textbook moment estimates divided by
-    ``1 - BETA1`` and ``1 - BETA2``.  :func:`adam_step` folds those factors,
-    with both bias corrections, into two scalars per step.
-    """
-
-    def __init__(self, param: Parameter):
-        self.m = np.zeros_like(param.value)
-        self.v = np.zeros_like(param.value)
-        self.t = 0
-
-
 # Adam's moment decay rates and denominator guard, the textbook defaults
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
-# Elements per block of adam_step: a block of the 4 state arrays plus the
+# Elements per block of Adam.step: a block of the 4 state arrays plus the
 # buffer is 1.25 MiB of float64, so each block's 10 passes stay in L2 cache
 # (16384..65536 tie and 4096 and 131072 are slower, on a 2-vCPU Xeon VM
 # with 2 MiB L2 per core)
 CHUNK = 32768
 
 
-def adam_step(param: Parameter, state: AdamState, lr, buf):
-    """One Adam update from ``param.grad``, which the next backward overwrites.
+class Adam:
+    """Adam over a parameter list (Kingma & Ba 2015).
 
-    With ``b1, b2, eps = BETA1, BETA2, EPS`` and ``t`` the new step count,
-    the sums in ``state`` become ``m = b1*m + g`` and ``v = b2*v + g*g``,
-    and ``p -= alpha * (m / (sqrt(v) + eps_t))`` with
+    ``m[i]`` and ``v[i]`` hold parameter ``i``'s bias-free moment sums
+    ``m = BETA1*m + g`` and ``v = BETA2*v + g**2``: the textbook moment
+    estimates divided by ``1 - BETA1`` and ``1 - BETA2``.  ``t`` counts the
+    steps.  With ``b1, b2, eps = BETA1, BETA2, EPS`` and ``t`` the new step
+    count, a step moves each parameter by
+    ``p -= alpha * (m / (sqrt(v) + eps_t))`` with
     ``r = sqrt((1 - b2**t) / (1 - b2))``,
     ``alpha = lr * (1 - b1) / (1 - b1**t) * r`` and ``eps_t = eps * r``.
     That is the textbook ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with its
-    bias corrections folded into the step size (Kingma & Ba 2015, end of
-    section 2), equal up to rounding.
+    bias corrections folded into the step size (end of section 2), equal up
+    to rounding.
 
-    ``m``, ``v`` and the parameter are updated in place, block by block over
-    flat views of ``CHUNK`` elements, through ``buf``, a float64 array of
-    ``CHUNK`` elements: 10 elementwise passes per block, so the result is
-    bitwise that of the out-of-place formula (``selftest._adam_reference``);
-    blocking only keeps each block's passes in cache.  A NaN or infinite
-    gradient raises ``NonFiniteError`` and a non-contiguous array
-    ``ValueError``, both before any state changes; a finite gradient whose
-    squared norm overflows still steps.
+    ``step`` reads ``Parameter.grad``, which the next backward overwrites,
+    and updates moments and parameters in place, block by block over flat
+    views of ``CHUNK`` elements through one buffer: 10 elementwise passes
+    per block, so the result is bitwise that of the out-of-place formula
+    (``selftest._adam_reference``); blocking only keeps each block's passes
+    in cache.  It checks every parameter before it writes anything: a NaN
+    or infinite gradient raises ``NonFiniteError`` and a non-contiguous
+    array ``ValueError``, naming the parameter and leaving every parameter,
+    moment and ``t`` as they were.  A finite gradient whose squared norm
+    overflows still steps.
     """
-    if not lr > 0:
-        raise ValueError(f"learning rate must be > 0, got {lr}")
-    arrays = (param.grad, state.m, state.v, param.value)
-    # reshape of a C-contiguous array is a view; of any other it would be a
-    # copy whose writes are lost
-    if not all(a.flags.c_contiguous for a in arrays):
-        raise ValueError(f"parameter {param.name!r}: value, grad and moments must be C-contiguous")
-    g, m, v, p = (a.reshape(-1) for a in arrays)
-    # one BLAS pass: the squared norm is finite unless g holds NaN or +-inf
-    # or the sum overflows, which the exact check then tells apart (vdot,
-    # unlike dot, raises no overflow warning)
-    if not np.isfinite(np.vdot(g, g)) and not np.all(np.isfinite(g)):
-        raise NonFiniteError(f"non-finite gradient in parameter {param.name!r}")
-    state.t += 1
-    r = math.sqrt((1.0 - BETA2**state.t) / (1.0 - BETA2))
-    alpha = lr * (1.0 - BETA1) / (1.0 - BETA1**state.t) * r
-    eps = EPS * r
-    for lo in range(0, g.size, CHUNK):
-        hi = min(lo + CHUNK, g.size)
-        gc, mc, vc, pc = g[lo:hi], m[lo:hi], v[lo:hi], p[lo:hi]
-        d = buf[: hi - lo]
-        mc *= BETA1
-        mc += gc
-        np.multiply(gc, gc, out=d)
-        vc *= BETA2
-        vc += d
-        np.sqrt(vc, out=d)
-        d += eps
-        np.divide(mc, d, out=d)
-        d *= alpha
-        pc -= d
-
-
-class Adam:
-    """Adam over a parameter list: one AdamState per parameter, and one
-    block buffer that every parameter's update reuses."""
 
     def __init__(self, params, lr=0.001):
+        if not lr > 0:
+            raise ValueError(f"learning rate must be > 0, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.states = [AdamState(p) for p in self.params]
+        self.m = [np.zeros_like(p.value) for p in self.params]
+        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.t = 0
         self._buf = np.empty(CHUNK)
 
     def step(self):
-        for p, s in zip(self.params, self.states):
-            adam_step(p, s, self.lr, self._buf)
+        flat = []
+        for p, m, v in zip(self.params, self.m, self.v):
+            arrays = (p.grad, m, v, p.value)
+            # reshape of a C-contiguous array is a view; of any other it
+            # would be a copy whose writes are lost
+            if not all(a.flags.c_contiguous for a in arrays):
+                raise ValueError(f"parameter {p.name!r}: value, grad and moments must be C-contiguous")
+            g = p.grad.reshape(-1)
+            # one BLAS pass: the squared norm is finite unless g holds NaN or
+            # +-inf or the sum overflows, which the exact check then tells
+            # apart (vdot, unlike dot, raises no overflow warning)
+            if not np.isfinite(np.vdot(g, g)) and not np.all(np.isfinite(g)):
+                raise NonFiniteError(f"non-finite gradient in parameter {p.name!r}")
+            flat.append([a.reshape(-1) for a in arrays])
+        self.t += 1
+        r = math.sqrt((1.0 - BETA2**self.t) / (1.0 - BETA2))
+        alpha = self.lr * (1.0 - BETA1) / (1.0 - BETA1**self.t) * r
+        eps = EPS * r
+        for g, m, v, p in flat:
+            for lo in range(0, g.size, CHUNK):
+                hi = min(lo + CHUNK, g.size)
+                gc, mc, vc, pc = g[lo:hi], m[lo:hi], v[lo:hi], p[lo:hi]
+                d = self._buf[: hi - lo]
+                mc *= BETA1
+                mc += gc
+                np.multiply(gc, gc, out=d)
+                vc *= BETA2
+                vc += d
+                np.sqrt(vc, out=d)
+                d += eps
+                np.divide(mc, d, out=d)
+                d *= alpha
+                pc -= d
 
 
 def grad_check(f, point, h=1e-3):

@@ -1,17 +1,17 @@
 """CSV schemas for experiment outputs.
 
 All writers produce files that parse back to equal values (floats are
-written with ``repr`` so they round-trip bit for bit).  Leading lines of
-the form ``# key=value`` carry run metadata (for example the evaluation
-transform seed) and are returned as a dict by the readers.  Parse errors
-name the offending line number.
+written with ``repr`` so they round-trip bit for bit), each through
+:func:`~histlearn.data.write_atomic`, so a reader never sees a torn file.
+Leading lines of the form ``# key=value`` carry run metadata (for example
+the evaluation transform seed) and are returned as a dict by the readers.
+Parse errors name the offending line number.
 """
-
-import io
 
 import numpy as np
 
-from .errors import DataFormatError
+from .data import write_atomic
+from .errors import DataFormatError, read_text_lines
 from .models import EpochStats, EvalReport
 
 EVAL_HEADER = ["model", "transform", "top1", "delta"] + [f"class{c}" for c in range(10)]
@@ -27,27 +27,18 @@ def _fmt(value) -> str:
 
 
 def _read_lines(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise DataFormatError(f"{path}: line {lineno}: not UTF-8 text") from exc
     meta = {}
     rows = []
-    # newline=None reads "\r\n" and "\r" line ends as "\n", as text-mode open() does
-    with io.StringIO(text, newline=None) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, sep, value = line[1:].strip().partition("=")
-                if sep:
-                    meta[key.strip()] = value.strip()
-                continue
-            rows.append((lineno, line.split(",")))
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, sep, value = line[1:].strip().partition("=")
+            if sep:
+                meta[key.strip()] = value.strip()
+            continue
+        rows.append((lineno, line.split(",")))
     return meta, rows
 
 
@@ -78,12 +69,11 @@ def _parse_number(path, lineno, text, kind=float):
 
 def _write_csv(path, header, rows, meta=None):
     """The ``# key=value`` lines of ``meta``, the header, then one line of
-    cells per row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
-        for cells in [header, *rows]:
-            fh.write(",".join(_fmt(c) for c in cells) + "\n")
+    cells per row, written atomically once every line is built: a failed
+    write leaves the previous file as it was."""
+    lines = [f"# {key}={value}\n" for key, value in (meta or {}).items()]
+    lines += [",".join(_fmt(c) for c in cells) + "\n" for cells in [header, *rows]]
+    write_atomic(path, ["".join(lines).encode("utf-8")])
 
 
 def write_eval_reports(path, reports, meta=None):

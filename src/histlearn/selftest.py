@@ -10,7 +10,9 @@ every architecture trains with.  The histogram oracles likewise run
 batches that mix byte-valued and rotated images, which take its sort
 path; ``kde-byte-vs-sort`` holds its byte-count path, the one all-byte
 batches take, to the same bits, and ``kde-vs-quadrature`` also runs each
-path alone at the production settings, 256 bins and bandwidth 0.001.  ``transform-streams-vs-numpy`` holds the
+path alone at the production settings, 256 bins and bandwidth 0.001,
+where ``gradient-kde-histogram`` also checks a seeded sample of pixels of
+a byte and a rotated 28x28 row.  ``transform-streams-vs-numpy`` holds the
 eval battery's array-computed random streams and draws to the generators
 numpy seeds one image at a time.  Each result carries the
 measured error and the allowed tolerance so failures are directly
@@ -25,8 +27,9 @@ one session run of the battery.
 
 The whole battery runs in well under two minutes on a desktop CPU and
 needs no dataset.  The test suite breaks layers' backward passes, the
-sum stage's bins and Adam's step by monkeypatching them, to prove the
-harness can actually fail.
+histogram's backward at 256 bins only, the sum stage's bins and Adam's
+step size by monkeypatching them, to prove the harness can actually
+fail.
 """
 
 import math
@@ -135,7 +138,9 @@ def check_log_softmax_nll_grad():
     return _result("gradient-log-softmax-nll", err, 1e-6, "batch of 3, mean loss")
 
 
-def check_kde_grad():
+def _kde_grad_toy():
+    """FD error of the histogram gradient at 8 bins and B=0.05, and what
+    it ran on."""
     rng = np.random.default_rng(16)
     spec = histogram.HistogramSpec(n_bins=8, bandwidth=0.05)
     h = 1e-4
@@ -150,8 +155,39 @@ def check_kde_grad():
         bins = histogram.kde_histogram(p, spec)
         return float((bins * g).sum()), histogram.kde_histogram_backward(g, p, spec)
 
-    err = nn.grad_check(f, rows, h=h)
-    return _result("gradient-kde-histogram", err, 1e-4, "batch of 5: parked, byte and rotated rows")
+    return nn.grad_check(f, rows, h=h), "N=8 B=0.05 parked, byte and rotated rows, h=1e-4"
+
+
+def _kde_grad_production():
+    """FD error of the histogram gradient at 256 bins and B=0.001, on one
+    byte and one rotated 28x28 row, at a seeded sample of each row's pixels
+    where the gradient is not zero and a step of h stays inside [-1, 1];
+    and what it ran on."""
+    rng = np.random.default_rng(31)
+    spec = histogram.HistogramSpec()
+    # far below the bandwidth: at h=1e-5, a hundredth of B, truncation error
+    # reads 2e-3; checking all 784 pixels of each row takes about 3 s
+    h, sample = 1e-6, 64
+    rows = _byte_and_rotated_rows(rng, (28, 28), count=1)
+    g = rng.standard_normal((2, spec.n_bins))
+    grad = histogram.kde_histogram_backward(g, rows, spec)
+    inside = (grad != 0.0) & (np.abs(rows) <= 1.0 - h)
+    picks = [rng.choice(np.flatnonzero(row), sample, replace=False) for row in inside]
+    idx = np.concatenate([r * rows.shape[1] + np.sort(p) for r, p in enumerate(picks)])
+
+    def f(values):
+        p = rows.copy()
+        p.ravel()[idx] = values
+        bins = histogram.kde_histogram(p, spec)
+        return float((bins * g).sum()), histogram.kde_histogram_backward(g, p, spec).ravel()[idx]
+
+    detail = f"N=256 B=0.001 byte and rotated 28x28 rows, {sample} sampled pixels each, h={h:g}"
+    return nn.grad_check(f, rows.ravel()[idx], h=h), detail
+
+
+def check_kde_grad():
+    (toy, toy_detail), (production, production_detail) = _kde_grad_toy(), _kde_grad_production()
+    return _result("gradient-kde-histogram", max(toy, production), 1e-4, f"{toy_detail}; {production_detail}")
 
 
 def _layer_grad_check(name, seed, target):
@@ -494,7 +530,7 @@ def check_sum_commutativity():
 
 
 def _adam_reference(value, m, v, g, t, lr):
-    """Adam step ``t`` as :func:`nn.adam_step` runs it, out of place and
+    """Adam step ``t`` as :meth:`nn.Adam.step` runs it, out of place and
     unblocked: bias-free moment sums and both corrections folded into the
     step size and the denominator guard.  Returns the new ``(value, m, v)``."""
     b1, b2 = nn.BETA1, nn.BETA2

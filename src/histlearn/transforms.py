@@ -179,9 +179,11 @@ def flip(img, axis):
     return _flip_batch(img[None], np.array([axis == "horizontal"]))[0]
 
 
-def _check_seed(seed):
+def _check_seed(seed, name="rng_seed"):
+    """The one seed rule, shared by ``TransformSpec``, :func:`stream_states`
+    and ``ModelConfig``: an integer >= 0."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"rng_seed must be an integer >= 0, got {seed!r}")
+        raise ValueError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
 def _uint32_words(n: int) -> list:

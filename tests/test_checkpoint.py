@@ -212,6 +212,22 @@ def test_bin_count_above_bound_is_data_error(tmp_path, synth_data_dir, monkeypat
     assert cli.main(["eval", str(bad), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2
 
 
+@pytest.mark.parametrize("seed", [b"1.5", b"-1"])
+def test_bad_seed_in_config_is_one_data_error_line(seed, tmp_path, synth_data_dir, capsys):
+    # the seed follows the same rule as every other config field, so a
+    # signed file carrying a bad one is refused while the config is read
+    cfg = models.ModelConfig("base", epochs=1, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(models.build_model(cfg), cfg, path)
+    bad = _rewrite_config(path, b"seed=0\n", b"seed=" + seed + b"\n")
+    with pytest.raises(DataFormatError, match="seed must be an integer >= 0"):
+        load_checkpoint(bad)
+    out_dir = str(tmp_path / "eval")
+    assert cli.main(["eval", str(bad), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("histlearn: data error: ") and "bad.ckpt" in err[0]
+
+
 @pytest.mark.parametrize(
     "value",
     [b"1" + b"+1" * 100_000, b"-" * 100_000 + b"1"],

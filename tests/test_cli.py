@@ -108,6 +108,20 @@ def test_option_defaults_equal_model_config_defaults():
     assert cli._model_config(defaults, "dadm") == ModelConfig("dadm")
 
 
+def test_run_config_write_cut_partway_leaves_previous_file(tmp_path):
+    # the file is built whole, then renamed into place
+    class Unwritable:
+        def __format__(self, spec):
+            raise OSError("cut partway")
+
+    cli._write_run_config(str(tmp_path), "train", {"arch": "base", "epochs": 2, "seed": 0})
+    before = (tmp_path / "run_config.txt").read_bytes()
+    with pytest.raises(OSError, match="cut partway"):
+        cli._write_run_config(str(tmp_path), "train", {"arch": "dadm", "epochs": 3, "seed": Unwritable()})
+    assert (tmp_path / "run_config.txt").read_bytes() == before
+    assert os.listdir(tmp_path) == ["run_config.txt"]
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert run() == 1
@@ -387,6 +401,18 @@ class TestTrainCommand:
         config.write_text("epochs=x\n")
         assert run("eval", str(tmp_path / "missing.ckpt"), "--config", str(config),
                    "--data-dir", str(tmp_path / "no-data")) == 1
+
+    def test_non_utf8_config_is_one_data_error_line(self, tmp_path, capsys):
+        # refused as a CSV is, naming the file and line, before any option
+        # is resolved or the out dir made
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"arch=base\n# \xff\nepochs=2\n")
+        out_dir = tmp_path / "out"
+        assert run("train", "--config", str(config), "--data-dir", str(tmp_path / "no-data"),
+                   "--out-dir", str(out_dir)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"histlearn: data error: {config}: line 2: not UTF-8 text"]
+        assert not out_dir.exists()
 
     def test_bad_config_key_is_usage_error(self, synth_data_dir, tmp_path):
         config = tmp_path / "run.cfg"

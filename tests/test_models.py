@@ -84,7 +84,7 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("name, value", [
         ("architecture", "resnet"), ("epochs", 0), ("batch_size", 2.5), ("lr", 0.0),
-        ("n_bins", 2000), ("bandwidth", 0.0),
+        ("n_bins", 2000), ("bandwidth", 0.0), ("seed", 1.5), ("seed", -1), ("seed", "0"),
     ])
     def test_field_check_is_the_constructors_refusal(self, name, value):
         # the command line checks one option by this; the config says the same

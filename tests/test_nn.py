@@ -330,10 +330,12 @@ class TestGradientShape:
             return nn.MaxPool2d(), rng.standard_normal((9, 2, 6, 6))
         if name == "relu":
             return nn.ReLU(), rng.standard_normal((9, 2, 6, 6))
+        if name == "histogram":
+            return HistogramLayer(HistogramSpec(n_bins=16, bandwidth=0.05)), rng.uniform(-1, 1, (9, 1, 4, 4))
         return TestInputGradOff._layer_and_input(name, rng)
 
     @pytest.mark.parametrize("case", ["smaller-batch", "batch-of-one", "before-forward"])
-    @pytest.mark.parametrize("name", ["linear", "conv-c1", "conv-c6", "maxpool2d", "relu"])
+    @pytest.mark.parametrize("name", ["linear", "conv-c1", "conv-c6", "maxpool2d", "relu", "arith", "histogram"])
     def test_mismatch_is_shape_error_naming_both_shapes(self, name, case):
         rng = np.random.default_rng(26)
         layer, x = self._layer_and_input(name, rng)
@@ -506,7 +508,7 @@ class TestAdam:
         p, opt = one_adam(np.array([1.0, -2.0]))
         opt.step()
         assert np.array_equal(p.value, [1.0, -2.0])
-        assert opt.states[0].t == 1
+        assert opt.t == 1
 
     def test_scalar_first_step(self):
         # m_hat = v_hat = 1 after the first step, so the move is ~lr
@@ -539,7 +541,6 @@ class TestAdam:
         lr = 0.01
         value = rng.standard_normal(shape)
         p, opt = one_adam(value.copy(), lr=lr)
-        state = opt.states[0]
         m = v = np.zeros(shape)
         for t in range(1, 6):
             g = rng.standard_normal(shape)
@@ -547,7 +548,7 @@ class TestAdam:
             opt.step()
             value, m, v = _adam_reference(value, m, v, g, t, lr)
             assert np.array_equal(p.value, value)
-            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+            assert np.array_equal(opt.m[0], m) and np.array_equal(opt.v[0], v)
         assert p.value.shape == shape
 
     @pytest.mark.parametrize("big", [1e154, 1e200], ids=["norm-overflows", "squares-overflow-too"])
@@ -565,9 +566,9 @@ class TestAdam:
         with np.errstate(over="ignore" if big > 1e155 else "raise"):
             opt.step()
             want, m, v = _adam_reference(value, 0.0, 0.0, g, 1, 0.01)
-        assert opt.states[0].t == 1 and np.all(np.isfinite(p.value))
+        assert opt.t == 1 and np.all(np.isfinite(p.value))
         assert np.array_equal(p.value, want)
-        assert np.array_equal(opt.states[0].m, m) and np.array_equal(opt.states[0].v, v)
+        assert np.array_equal(opt.m[0], m) and np.array_equal(opt.v[0], v)
 
     def test_nonfinite_grad_names_parameter(self):
         p, opt = one_adam(np.zeros(3), name="fc1.weight")
@@ -580,41 +581,77 @@ class TestAdam:
     def test_nonfinite_in_last_chunk_leaves_state_untouched(self, bad):
         rng = np.random.default_rng(23)
         p, opt = one_adam(rng.standard_normal(3 * nn.CHUNK + 5), lr=0.01, name="fc1.weight")
-        state = opt.states[0]
         p.grad[...] = rng.standard_normal(p.value.shape)
         opt.step()
         p.grad[...] = rng.standard_normal(p.value.shape)
         p.grad[-2] = bad
-        before = [a.copy() for a in (p.value, p.grad, state.m, state.v)]
+        before = [a.copy() for a in (p.value, p.grad, opt.m[0], opt.v[0])]
         with pytest.raises(NonFiniteError, match="fc1.weight"):
             opt.step()
-        assert state.t == 1
-        for got, want in zip((p.value, p.grad, state.m, state.v), before):
+        assert opt.t == 1
+        for got, want in zip((p.value, p.grad, opt.m[0], opt.v[0]), before):
             assert np.array_equal(got, want, equal_nan=True)
 
     def test_noncontiguous_state_raises_before_update(self):
         p, opt = one_adam(np.ones((3, 4)), lr=0.01, name="fc1.weight")
-        state = opt.states[0]
         p.value = p.value.T
         p.grad = np.ones((4, 3))
-        state.m, state.v = np.zeros((4, 3)), np.zeros((4, 3))
+        opt.m[0], opt.v[0] = np.zeros((4, 3)), np.zeros((4, 3))
         with pytest.raises(ValueError, match="C-contiguous"):
             opt.step()
-        assert state.t == 0 and np.all(p.value == 1.0) and np.all(p.grad == 1.0)
+        assert opt.t == 0 and np.all(p.value == 1.0) and np.all(p.grad == 1.0)
 
     def test_bad_lr(self):
-        _, opt = one_adam(np.ones(3), lr=0.0)
-        with pytest.raises(ValueError):
-            opt.step()
+        # refused once, when the optimizer is built, not on every step
+        for lr in (0.0, -1e-3, np.nan):
+            with pytest.raises(ValueError, match="learning rate"):
+                one_adam(np.ones(3), lr=lr)
 
     def test_optimizer_tracks_states(self):
+        # one step counter, and moment sums shaped like each parameter
         rng = np.random.default_rng(16)
-        params = [nn.Parameter(rng.standard_normal(4), f"p{i}") for i in range(3)]
+        params = [nn.Parameter(rng.standard_normal(s), f"p{i}") for i, s in enumerate([4, (2, 3), ()])]
         opt = nn.Adam(params, lr=0.01)
         for p in params:
             p.grad[...] = 1.0
         opt.step()
-        assert all(s.t == 1 for s in opt.states)
+        assert opt.t == 1
+        for p, m, v in zip(params, opt.m, opt.v):
+            assert m.shape == v.shape == p.value.shape
+            assert np.all(m == 1.0) and np.all(v == 1.0)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "noncontiguous"])
+    def test_refused_step_in_a_later_parameter_moves_nothing(self, bad):
+        # every parameter is checked before any moves: a bad p1 leaves p0's
+        # value, both parameters' moments and the counter bitwise as they were
+        rng = np.random.default_rng(25)
+        params = [nn.Parameter(rng.standard_normal((3, 4)), f"p{i}") for i in range(2)]
+        opt = nn.Adam(params, lr=0.01)
+        for p in params:
+            p.grad[...] = rng.standard_normal(p.value.shape)
+        opt.step()
+        for p in params:
+            p.grad[...] = rng.standard_normal(p.value.shape)
+        p0, p1 = params
+        if bad == "noncontiguous":
+            p1.grad = np.asfortranarray(p1.grad)
+        else:
+            p1.grad[1, 2] = float(bad)
+        before = [a.copy() for a in (p0.value, p1.value, *opt.m, *opt.v)]
+        error = ValueError if bad == "noncontiguous" else NonFiniteError
+        with pytest.raises(error, match="'p1'"):
+            opt.step()
+        assert opt.t == 1
+        for got, want in zip((p0.value, p1.value, *opt.m, *opt.v), before):
+            assert np.array_equal(got, want)
+        # the next good step is step 2 for both parameters
+        p1.grad = rng.standard_normal(p1.value.shape)
+        want = [_adam_reference(value, m, v, p.grad, 2, 0.01)[0]
+                for p, value, m, v in zip(params, before[:2], before[2:4], before[4:])]
+        opt.step()
+        assert opt.t == 2
+        for p, w in zip(params, want):
+            assert np.array_equal(p.value, w)
 
 
 class TestGradCheck:

@@ -1,5 +1,7 @@
 """CSV schema round trips and parse diagnostics."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,35 @@ def test_histogram_dump_round_trip(tmp_path):
     got_centers, got_masses = read_histogram_dump(path)
     assert np.array_equal(got_centers, centers)
     assert np.array_equal(got_masses, masses)
+
+
+def _cut_after(items, n):
+    """The first ``n`` of ``items``, then an error: a write cut partway."""
+    yield from items[:n]
+    raise OSError("cut partway")
+
+
+# file name -> a write of it whose rows pass through ``cut``
+CUT_WRITES = {
+    "reports.csv": lambda path, cut: write_eval_reports(path, cut(sample_reports()), {"eval_seed": "3"}),
+    "loss_curve.csv": lambda path, cut: write_loss_curve(path, cut([EpochStats(e, 1.5, 50.0) for e in (1, 2)])),
+    "bar_chart.csv": lambda path, cut: write_bar_chart(path, cut(sample_reports())),
+    "hist_original.csv": lambda path, cut: write_histogram_dump(path, np.zeros(8), cut(list(np.ones(8)))),
+}
+
+
+@pytest.mark.parametrize("name", CUT_WRITES)
+def test_write_cut_partway_leaves_previous_file(name, tmp_path):
+    # each file is built whole, then renamed into place: a cut leaves the
+    # previous bytes, not a shorter file that still parses, and no temp file
+    write = CUT_WRITES[name]
+    path = tmp_path / name
+    write(path, list)
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="cut partway"):
+        write(path, lambda items: _cut_after(items[::-1], 1))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [name]
 
 
 def test_malformed_csv_names_line(tmp_path):

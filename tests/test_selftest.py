@@ -134,15 +134,31 @@ def test_one_bit_off_in_the_pcg_multiplier_fails_only_the_stream_check(monkeypat
     assert all(check().passed for check in others)
 
 
-def test_adam_step_size_off_by_a_little_fails_the_adam_check(monkeypatch):
-    # a step size off by a relative 1e-9 moves the parameters by about
-    # 1e-10 over the check's 1000 steps, far above its tolerance
-    adam_step = nn.adam_step
+def test_histogram_backward_off_only_at_256_bins_fails_the_production_case(monkeypatch):
+    # a relative error of 1e-3 reads about 5e-4 against the check's 1e-4;
+    # the toy case runs 8 bins, so only the production case can see it
+    backward = histogram.kde_histogram_backward
 
-    def off_by_a_little(param, state, lr, buf):
-        adam_step(param, state, lr * (1.0 + 1e-9), buf)
+    def off_at_256_bins(grad_bins, images, spec):
+        out = backward(grad_bins, images, spec)
+        return out * (1.0 + 1e-3) if spec.n_bins == 256 else out
 
-    monkeypatch.setattr(nn, "adam_step", off_by_a_little)
+    monkeypatch.setattr(histogram, "kde_histogram_backward", off_at_256_bins)
+    assert selftest._kde_grad_toy()[0] <= 1e-4 < selftest._kde_grad_production()[0]
+    result = selftest.check_kde_grad()
+    assert not result.passed and result.measured > result.allowed
+
+
+def test_adam_learning_rate_off_by_a_little_fails_the_adam_check(monkeypatch):
+    # a learning rate, and so every step size, off by a relative 1e-9 moves
+    # the parameters by about 1e-10 over the check's 1000 steps, far above
+    # its tolerance
+    init = nn.Adam.__init__
+
+    def off_by_a_little(self, params, lr=0.001):
+        init(self, params, lr * (1.0 + 1e-9))
+
+    monkeypatch.setattr(nn.Adam, "__init__", off_by_a_little)
     result = selftest.check_adam_vs_textbook()
     assert not result.passed and result.measured > result.allowed
 

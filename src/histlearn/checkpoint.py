@@ -37,12 +37,13 @@ def _config_to_text(cfg: ModelConfig) -> str:
     return "\n".join(f"{f.name}={getattr(cfg, f.name)!r}" for f in dataclasses.fields(cfg))
 
 
-def _config_from_text(text: str) -> ModelConfig:
+def _config_values(text: str) -> dict:
+    """The config block's ``key=value`` lines as field name -> value."""
     values = {}
     for line in text.splitlines():
         key, _, raw = line.partition("=")
         values[key] = ast.literal_eval(raw)
-    return ModelConfig(**values)
+    return values
 
 
 def save_checkpoint(model: Model, cfg: ModelConfig, path):
@@ -74,14 +75,16 @@ def load_checkpoint(path):
 
     offset = _HEADER.size + length
     try:
-        cfg = _config_from_text(blob[_HEADER.size : offset].decode())
+        values = _config_values(blob[_HEADER.size : offset].decode())
     # a digest is no proof against a crafted file: a deeply nested value
     # exhausts the parser with RecursionError or MemoryError
-    except (ValueError, SyntaxError, TypeError, KeyError, RecursionError, MemoryError) as exc:
+    except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError) as exc:
         raise DataFormatError(f"{path}: malformed config block: {exc!r}") from exc
+    # ModelConfig checks each field; a missing or unknown one is a TypeError
     try:
+        cfg = ModelConfig(**values)
         model = build_model(cfg)
-    except (ValueError, ShapeError) as exc:
+    except (ValueError, TypeError, ShapeError) as exc:
         raise DataFormatError(f"{path}: config block does not build a model: {exc}") from exc
     params = model.parameters()
     expected = 8 * sum(p.value.size for p in params)

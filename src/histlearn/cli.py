@@ -13,7 +13,8 @@ Each option (``--arch --epochs --batch --lr --seed --bins --bandwidth
 --data-dir --out-dir --transforms --threads --image-index``) is declared
 once, with its converter, default and help, in ``_OPTIONS``; ``_COMMANDS``
 lists once which of them each subcommand takes, and every subcommand also
-takes ``--config`` and ``--threads``.  argparse only collects strings.
+takes ``--config`` and ``--threads``.  argparse only collects strings, and
+for a command named first ``main`` builds that subcommand's parser alone.
 ``main`` takes each option from the first source that gives it (explicit
 flag > ``--config`` file of flat key=value lines > ``HISTLEARN_DATA_DIR``
 for the data directory > built-in default) through its converter.
@@ -117,7 +118,8 @@ _OPTIONS = {
     "epochs": (_model_field("epochs", _number(int)), 10, "training epochs (default 10)"),
     "batch": (_model_field("batch_size", _number(int)), 64, "minibatch size (default 64)"),
     "lr": (_model_field("lr", _number(float)), 0.001, "Adam learning rate (default 0.001)"),
-    "seed": (_number(int, 0), 0, "seed for init, batch order, and transform draws (default 0)"),
+    "seed": (_model_field("seed", _number(int)), 0,
+             "seed for init, batch order, and transform draws (default 0)"),
     "bins": (_model_field("n_bins", _number(int)), 256, "histogram bin count (default 256)"),
     "bandwidth": (_model_field("bandwidth", _number(float)), 0.001, "KDE bandwidth (default 0.001)"),
     "data_dir": (
@@ -366,11 +368,17 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(command=None) -> _Parser:
+    """The parser of every subcommand, or of ``command`` alone.  Alone, its
+    usage line still names every command, so its help and its refusals read
+    as the whole parser's do."""
     parser = _Parser(prog="histlearn", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, positionals, options) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for cmd, (_, help_text, positionals, options) in _COMMANDS.items():
+        if command not in (None, cmd):
+            continue
+        p = sub.add_parser(cmd, help=help_text)
         for name in positionals:
             p.add_argument(name)
         for name in (*options, "threads"):
@@ -380,8 +388,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command named first needs only its own parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -65,8 +65,13 @@ def _checked_grad(layer, grad, out_shape):
 
 
 def _uniform_init(rng, shape, fan_in):
+    """``rng.uniform(-bound, bound, shape)`` bit for bit, which is
+    ``low + (high - low) * rng.random()`` per draw, computed in place."""
     bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    out = rng.random(shape)
+    out *= bound - -bound
+    out += -bound
+    return out
 
 
 class Linear:

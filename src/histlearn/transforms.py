@@ -16,9 +16,11 @@ each image's parameters from its stream, then gathers.  Rotate's angle,
 flip's coin and translate's offsets are array expressions of each stream's
 first output, exactly the values numpy's ``uniform``, ``random`` and
 ``integers`` return; shuffle sets one generator to each stream in turn.
-Rotation is one bilinear gather over a copy of the batch padded with the
-fill value; translate, flip and shuffle are index gathers.  The one-image
-functions (:func:`rotate`, :func:`translate`, :func:`flip`,
+Rotation is one bilinear pass over a copy of the batch padded with the
+fill value: four ``take`` gathers at offsets of one flat tap index, with
+the per-pixel formula's floating-point operations in its order, so its
+bytes are the formula's.  Translate, flip and shuffle are index gathers.
+The one-image functions (:func:`rotate`, :func:`translate`, :func:`flip`,
 :func:`transform_image`) are batches of one through the same code, so a
 single image (``histlearn report``) and a chunk of the test set
 (``histlearn eval``) cannot come out different.
@@ -88,6 +90,17 @@ def _rotate_batch(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     outside the image reads the fill.  Any rotated source position lies
     within the half-diagonal of the center, and the pad covers that plus
     the tap below and to the right.
+
+    One pass over (B, H, W) arrays, with the floating-point operations of
+    the per-pixel formula in its order: the source coordinates
+    ``(cy + dx*s) + dy*c`` and ``(cx + dx*c) - dy*s``, their floors and
+    fractions, the four weight products, each weighted tap added to a
+    zeroed array in tap order (so a ``-0.0`` pixel comes out ``0.0``), and
+    the final clip.  Only the memory traffic is trimmed: the fractions
+    overwrite the coordinates, the flat tap index is summed once in
+    float64 (exact: every term is an integer below 2**53) and cast once,
+    each tap is one ``take`` at an offset of that index, each weighted tap
+    is formed in one reused buffer, and the clip is in place.
     """
     bad = np.flatnonzero(~((degrees >= 0.0) & (degrees <= 90.0)))
     if bad.size:
@@ -100,28 +113,32 @@ def _rotate_batch(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     c = cosdg(degrees)[:, None, None]
 
     # each source coordinate is a per-column term plus or minus a per-row
-    # term, added in the order cy + dx*s + dy*c and cx + dx*c - dy*s
+    # term; fr and fc hold the coordinates until their floors are taken
     dy = np.arange(h)[:, None] - cy
     dx = np.arange(w) - cx
-    src_r = (cy + dx * s) + dy * c
-    src_c = (cx + dx * c) - dy * s
-
-    r0 = np.floor(src_r)
-    c0 = np.floor(src_c)
-    fr = src_r - r0
-    fc = src_c - c0
+    fr = (cy + dx * s) + dy * c
+    fc = (cx + dx * c) - dy * s
+    r0 = np.floor(fr)
+    c0 = np.floor(fc)
+    fr -= r0
+    fc -= c0
     gr = 1 - fr
     gc = 1 - fc
 
-    # flat index of each (r0, c0) tap in the padded batch
+    # flat index of each (r0, c0) tap in the padded batch, built in r0
     hp, wp = padded.shape[1:]
-    corner = ((np.arange(b) * hp + pad) * wp + pad)[:, None, None]
-    base = r0.astype(np.int64) * wp + c0.astype(np.int64) + corner
+    r0 *= wp
+    r0 += c0
+    r0 += ((np.arange(b) * hp + pad) * wp + pad)[:, None, None]
+    base = r0.astype(np.intp)
     flat = padded.ravel()
-    out = np.zeros(src_r.shape)
-    for offset, weight in ((0, gr * gc), (1, gr * fc), (wp, fr * gc), (wp + 1, fr * fc)):
-        out += weight * flat[offset:][base]
-    return np.clip(out, -1.0, 1.0)
+    out = np.zeros(fr.shape)
+    weighted = np.empty(fr.shape)
+    for offset, row_weight, col_weight in ((0, gr, gc), (1, gr, fc), (wp, fr, gc), (wp + 1, fr, fc)):
+        np.multiply(row_weight, col_weight, out=weighted)
+        weighted *= flat[offset:].take(base)
+        out += weighted
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def _translate_batch(images: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:

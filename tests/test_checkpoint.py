@@ -220,12 +220,14 @@ def test_bad_seed_in_config_is_one_data_error_line(seed, tmp_path, synth_data_di
     path = tmp_path / "model.ckpt"
     save_checkpoint(models.build_model(cfg), cfg, path)
     bad = _rewrite_config(path, b"seed=0\n", b"seed=" + seed + b"\n")
-    with pytest.raises(DataFormatError, match="seed must be an integer >= 0"):
+    message = (f"{bad}: config block does not build a model: "
+               f"seed must be an integer >= 0, got {seed.decode()}")
+    with pytest.raises(DataFormatError) as refusal:
         load_checkpoint(bad)
+    assert str(refusal.value) == message
     out_dir = str(tmp_path / "eval")
     assert cli.main(["eval", str(bad), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("histlearn: data error: ") and "bad.ckpt" in err[0]
+    assert capsys.readouterr().err == f"histlearn: data error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """CLI surface: commands, option resolution, exit codes, reproducibility."""
 
+import contextlib
 import gzip
+import io
 import json
 import os
 import shutil
@@ -122,6 +124,52 @@ def test_run_config_write_cut_partway_leaves_previous_file(tmp_path):
     assert os.listdir(tmp_path) == ["run_config.txt"]
 
 
+def _parse(parser, argv):
+    """What parsing ``argv`` prints and returns, or its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return out.getvalue(), err.getvalue(), result
+
+
+class TestOneCommandParser:
+    def test_top_level_help_lists_every_command(self, capsys):
+        assert run("--help") == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(cli._COMMANDS) + "}" in out
+        for command, (_, help_text, _, _) in cli._COMMANDS.items():
+            assert help_text in out, command
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("rest", [["--help"], ["--bogus", "1"], ["a", "b", "c"], ["--threads"], []],
+                             ids=["help", "unknown-flag", "extra-positionals", "flag-without-value",
+                                  "bare"])
+    def test_reads_as_the_whole_parser(self, command, rest):
+        # help, refusals and parsed values of the parser main builds for a
+        # command named first are the whole parser's, byte for byte
+        argv = [command, *rest]
+        assert _parse(cli.build_parser(command), argv) == _parse(cli.build_parser(), argv)
+
+    def test_builds_only_the_named_command(self, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def spy(command=None):
+            built.append(command)
+            return real(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        run("selftest", "--threads", "0")
+        run("--help")
+        run("frobnicate")
+        assert built == ["selftest", None, None]
+        # and the parser built for selftest has no train to parse
+        assert _parse(real("selftest"), ["train"])[2] == cli.EXIT_USAGE
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert run() == 1
@@ -177,6 +225,13 @@ class TestUsageErrors:
         assert code == 1
         assert "--seed" in capsys.readouterr().err
         assert list(out_dir.glob("*")) == []
+
+    def test_seed_refusal_is_the_model_config_rule(self, tmp_path, capsys):
+        # one seed rule: --seed is refused in ModelConfig's words
+        with pytest.raises(ValueError) as refusal:
+            ModelConfig("base", seed=-1)
+        assert run("eval", str(tmp_path / "missing.ckpt"), "--seed", "-1") == 1
+        assert capsys.readouterr().err == f"histlearn: error: --seed: {refusal.value}\n"
 
     @pytest.mark.parametrize("bandwidth", ["1e18", "1e300", "1.7e308"])
     @pytest.mark.parametrize("command", ["train", "report"])

@@ -48,6 +48,27 @@ class TestBuildModel:
         logits = model.forward(batch_of(small_set, 3))
         assert logits.shape == (3, 10)
 
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_initial_draws_are_rng_uniform_bytewise(self, arch, monkeypatch):
+        # every shape build_model draws, at several seeds: the same doubles
+        # as rng.uniform, and the generator left in the same state
+        calls = []
+        draw = nn._uniform_init
+
+        def record(rng, shape, fan_in):
+            calls.append((shape, fan_in))
+            return draw(rng, shape, fan_in)
+
+        monkeypatch.setattr(nn, "_uniform_init", record)
+        models.build_model(tiny_cfg(arch))
+        assert calls
+        for shape, fan_in in calls:
+            bound = 1.0 / np.sqrt(fan_in)
+            for seed in range(4):
+                ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert draw(ours, shape, fan_in).tobytes() == numpy.uniform(-bound, bound, shape).tobytes()
+                assert ours.bit_generator.state == numpy.bit_generator.state
+
     def test_unknown_architecture(self):
         with pytest.raises(ValueError):
             models.ModelConfig("resnet")

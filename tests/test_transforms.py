@@ -133,6 +133,23 @@ class TestBatchedGathers:
             for theta in (0.0, 45.0, 89.999, 90.0, *rng.uniform(0.0, 90.0, 4)):
                 assert rotate(img, theta).tobytes() == rotate_reference(img, theta).tobytes()
 
+    def test_rotate_of_signed_zeros_and_extremes_matches_reference(self):
+        # the reference adds every weighted tap to zeros and clips, so a
+        # -0.0 region comes out 0.0 and a few pixels of a +-1.0 region whose
+        # weights round above one come out +-1.0; a rewrite without either
+        # differs here
+        rng = np.random.default_rng(16)
+        mixed = np.full((28, 28), -0.0)
+        mixed[:, 10:16] = 1.0
+        mixed[4:9, :] = -1.0
+        angles = np.array([0.0, 45.0, 90.0, *rng.uniform(0.0, 90.0, 61)])
+        for img in (np.full((28, 28), -0.0), np.full((28, 28), -1.0), np.ones((28, 28)), mixed):
+            out = transforms._rotate_batch(np.stack([img] * angles.size), angles)
+            for theta, rotated in zip(angles, out):
+                expected = rotate_reference(img, theta)
+                assert rotate(img, theta).tobytes() == expected.tobytes(), theta
+                assert rotated.tobytes() == expected.tobytes(), theta
+
     def test_translate_past_a_small_image_leaves_only_fill(self):
         # the slicing reference cannot shift by more than the image size
         img = np.random.default_rng(14).uniform(-1, 1, (5, 6))

@@ -11,14 +11,18 @@ Layout (all integers little-endian):
 The config rebuilds the model, and the model fixes every parameter's name,
 shape and place, so the file carries none of them: the values are exactly
 8 bytes per parameter of the config's model.  Loading checks the magic, the
-version and the digest, rebuilds the model from the config, checks that
-length and copies the values in, refusing non-finite ones, so a checkpoint
-is self-sufficient.  Version 1 files no longer load.
+version and the digest, then builds the model from the config and the
+stored values: ``build_model`` asks for each parameter's values in model
+order and the parameter owns one copy of them, so no initial value is
+drawn.  Non-finite values, and a count of values other than the model's,
+are refused, so a checkpoint is self-sufficient.  Version 1 files no
+longer load.
 """
 
 import ast
 import dataclasses
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -80,23 +84,32 @@ def load_checkpoint(path):
     # exhausts the parser with RecursionError or MemoryError
     except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError) as exc:
         raise DataFormatError(f"{path}: malformed config block: {exc!r}") from exc
+    body = memoryview(blob)[offset:end]
+    stored = np.frombuffer(body[: len(body) // 8 * 8], dtype="<f8")
+    taken = 0
+
+    def take(name, shape):
+        """The next stored values, copied out, for parameter ``name``; past
+        the end of a short file, zeros, so the count can still be refused
+        with the model's."""
+        nonlocal taken
+        size = math.prod(shape)
+        part = stored[taken : taken + size]
+        taken += size
+        if part.size < size:
+            return np.zeros(shape)
+        if not np.all(np.isfinite(part)):
+            raise DataFormatError(f"{path}: parameter {name!r} has non-finite values")
+        return part.reshape(shape).astype(np.float64)
+
     # ModelConfig checks each field; a missing or unknown one is a TypeError
     try:
         cfg = ModelConfig(**values)
-        model = build_model(cfg)
+        model = build_model(cfg, take)
     except (ValueError, TypeError, ShapeError) as exc:
         raise DataFormatError(f"{path}: config block does not build a model: {exc}") from exc
-    params = model.parameters()
-    expected = 8 * sum(p.value.size for p in params)
-    if end - offset != expected:
+    if len(body) != 8 * taken:
         raise DataFormatError(
-            f"{path}: {end - offset} bytes of parameter values, the config's model holds {expected}"
+            f"{path}: {len(body)} bytes of parameter values, the config's model holds {8 * taken}"
         )
-    for p in params:
-        p.value[...] = np.frombuffer(blob, dtype="<f8", count=p.value.size, offset=offset).reshape(
-            p.value.shape
-        )
-        if not np.all(np.isfinite(p.value)):
-            raise DataFormatError(f"{path}: parameter {p.name!r} has non-finite values")
-        offset += p.value.nbytes
     return model, cfg

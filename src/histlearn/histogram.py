@@ -108,6 +108,11 @@ class HistogramSpec:
     # near the subnormal range (1e-303 here), and sqrt(2) B overflows at
     # about 1.3e308; the histogram is uniform to rounding long before.
     MAX_BANDWIDTH = 1e300
+    # Below about 3.9e-309, 1 / (sqrt(2) B) overflows to inf and a pixel on a
+    # bin edge (the background at -1.0 sits on the first) gets 0 * inf = NaN;
+    # just above it the backward pass overflows.  At this bound both passes
+    # are finite, with no warning, at 1 to MAX_BINS bins.
+    MIN_BANDWIDTH = 1e-300
 
     n_bins: int = 256
     bandwidth: float = 0.001
@@ -122,8 +127,10 @@ class HistogramSpec:
         else ``ValueError``; the command line checks each option this way."""
         if name == "n_bins" and not (isinstance(value, (int, np.integer)) and 1 <= value <= cls.MAX_BINS):
             raise ValueError(f"n_bins must be an integer in [1, {cls.MAX_BINS}], got {value!r}")
-        if name == "bandwidth" and not 0 < value <= cls.MAX_BANDWIDTH:
-            raise ValueError(f"bandwidth must be in (0, {cls.MAX_BANDWIDTH:g}], got {value!r}")
+        if name == "bandwidth" and not cls.MIN_BANDWIDTH <= value <= cls.MAX_BANDWIDTH:
+            raise ValueError(
+                f"bandwidth must be in [{cls.MIN_BANDWIDTH:g}, {cls.MAX_BANDWIDTH:g}], got {value!r}"
+            )
         return value
 
     def __post_init__(self):

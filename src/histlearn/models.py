@@ -39,7 +39,11 @@ differs runs the trained layers.  A model with no frozen prefix (lenet,
 base, cnn) takes blocks of ``EVAL_BATCH`` images and runs one forward pass
 per block and kind.  The forward pass is the one training runs; it leaves
 the backward's masks unbuilt, and dadm's distribution layer folds its
-kernels once for all blocks, as they do not change between them.
+kernels once for all blocks, as they do not change between them.  A
+parameter allocates its gradient array at the first backward, so a model
+loaded to be evaluated holds none: what an evaluation holds beyond the
+parameters is one block of float pixels and prefix outputs, the layers'
+outputs for it, and a sub-chunk's transform temporaries.
 """
 
 import time
@@ -70,18 +74,23 @@ ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 EVAL_BATCH = 32
 
 # Images per chunk of the frozen prefix that train runs once over the set
-# (dadm's histograms), near the histogram's own group of 222 rows at 256
-# bins and bandwidth 0.001.  Normalize plus kde_histogram of 1024 perfbench
-# images, median of 7: 32 -> 20.0 ms, 64 -> 18.8, 128 -> 18.7, 256 -> 19.0,
-# the whole set at once -> 19.0 (1 BLAS thread, 2-vCPU Xeon VM).
-# Also the block over which evaluate runs a frozen-prefix model's trained
-# layers once per kind.  dadm evaluate of 1024 perfbench test images, five
-# kinds, medians of 15 alternating rounds in two runs, and traced numpy
-# peak: 32 -> 325/338 ms, 4.1 MiB; 64 -> 275/309, 4.9; 128 -> 263/286, 6.0;
-# 256 -> 266/301, 8.3; 512 -> 247/296, 14.4; the whole set -> 266/266,
-# 28.5 (same machine).  From 128 up the sizes tie within run noise while
-# the peak grows.
-PREFIX_CHUNK = 256
+# (dadm's histograms), and the block over which evaluate runs a
+# frozen-prefix model's trained layers once per kind.  Measured with a
+# loaded dadm checkpoint on 1024 perfbench images, chunk size -> normalize
+# plus kde_histogram of the training set (median of 7, two runs), dadm
+# evaluate of the test set under five kinds (median of 15 rounds over the
+# sizes in turn, two runs) and evaluate's traced numpy peak:
+#   32 -> 16.0/15.1 ms, 240/238 ms, 3.0 MiB
+#   64 -> 17.4/17.1 ms, 217/219 ms, 3.7 MiB
+#  128 -> 15.6/15.4 ms, 204/208 ms, 4.9 MiB
+#  256 -> 17.6/17.1 ms, 195/200 ms, 7.4 MiB
+#  512 -> 17.3/16.7 ms, 194/195 ms, 14.4 MiB
+#  the whole set -> 16.8/16.6 ms, 195/197 ms, 28.5 MiB
+# (1 BLAS thread, 2-vCPU Xeon VM).  From 128 up evaluate is within 5% while
+# the peak grows by half or more per step, and perfbench eval-battery
+# reads the same img/s at 128 as at 256 with about 4.8 MB less peak RSS:
+# 128 is the smallest block at that speed.
+PREFIX_CHUNK = 128
 
 
 @dataclass
@@ -185,56 +194,63 @@ class Model:
         return grad
 
 
-def build_model(cfg: ModelConfig) -> Model:
+def build_model(cfg: ModelConfig, stored=None) -> Model:
     """Assemble one architecture with seeded initialization.
 
     Linear/conv weights and biases start uniform in +-1/sqrt(fan_in); the
     dadm kernels start as a near-identity pair (see ``init_kernel``).
+    ``stored``, a function ``(name, shape) -> array`` called for each
+    parameter in model order (a checkpoint's values), gives the values
+    instead, and then nothing is drawn.
     """
-    rng = np.random.default_rng([cfg.seed, 0])
+    init = np.random.default_rng([cfg.seed, 0]) if stored is None else stored
     arch = cfg.architecture
     if arch == "lenet":
         layers = [
-            Conv2d(1, 6, 5, 5, rng, name="conv1"),
+            Conv2d(1, 6, 5, 5, init, name="conv1"),
             MaxPool2d(),
             ReLU(),
-            Conv2d(6, 16, 5, 5, rng, name="conv2"),
+            Conv2d(6, 16, 5, 5, init, name="conv2"),
             MaxPool2d(),
             ReLU(),
-            Linear(256, 120, rng, name="fc1"),
+            Linear(256, 120, init, name="fc1"),
             ReLU(),
-            Linear(120, 84, rng, name="fc2"),
+            Linear(120, 84, init, name="fc2"),
             ReLU(),
-            Linear(84, 10, rng, name="fc3"),
+            Linear(84, 10, init, name="fc3"),
         ]
     elif arch == "base":
         layers = [
-            Linear(784, 256, rng, name="fc1"),
+            Linear(784, 256, init, name="fc1"),
             ReLU(),
-            Linear(256, 512, rng, name="fc2"),
+            Linear(256, 512, init, name="fc2"),
             ReLU(),
-            Linear(512, 10, rng, name="fc3"),
+            Linear(512, 10, init, name="fc3"),
         ]
     elif arch == "cnn":
         layers = [
-            Conv2d(1, 4, 3, 3, rng, name="conv1"),
+            Conv2d(1, 4, 3, 3, init, name="conv1"),
             ReLU(),
-            Linear(2704, 256, rng, name="fc1"),  # 4 channels x 26 x 26
+            Linear(2704, 256, init, name="fc1"),  # 4 channels x 26 x 26
             ReLU(),
-            Linear(256, 512, rng, name="fc2"),
+            Linear(256, 512, init, name="fc2"),
             ReLU(),
-            Linear(512, 10, rng, name="fc3"),
+            Linear(512, 10, init, name="fc3"),
         ]
     elif arch == "dadm":
         spec = cfg.histogram_spec()
-        kernel_seed = int(rng.integers(2**31 - 1))
+        if stored is None:
+            kernels = init_kernel(spec, int(init.integers(2**31 - 1)))
+        else:
+            shape = (spec.n_bins,)
+            kernels = stored("arith.weight_hist", shape), stored("arith.bias_hist", shape)
         layers = [
             HistogramLayer(spec),
-            ArithmeticDistributionLayer(spec, *init_kernel(spec, kernel_seed), name="arith"),
+            ArithmeticDistributionLayer(spec, *kernels, name="arith"),
             ReLU(),
-            Linear(spec.n_bins, 512, rng, name="fc1"),
+            Linear(spec.n_bins, 512, init, name="fc1"),
             ReLU(),
-            Linear(512, 10, rng, name="fc2"),
+            Linear(512, 10, init, name="fc2"),
         ]
     else:  # pragma: no cover - ModelConfig already validated
         raise ValueError(f"unknown architecture {arch!r}")

@@ -13,6 +13,7 @@ import numpy as np
 from .data import write_atomic
 from .errors import DataFormatError, read_text_lines
 from .models import EpochStats, EvalReport
+from .transforms import TRANSFORM_KINDS
 
 EVAL_HEADER = ["model", "transform", "top1", "delta"] + [f"class{c}" for c in range(10)]
 CURVE_HEADER = ["epoch", "mean_loss", "train_acc"]
@@ -67,6 +68,14 @@ def _parse_number(path, lineno, text, kind=float):
         raise DataFormatError(f"{path}: line {lineno}: bad number {text!r}") from exc
 
 
+def _parse_percent(path, lineno, field, text, low=0.0):
+    """``text`` as a percentage in [low, 100]; NaN and inf are outside."""
+    value = _parse_number(path, lineno, text)
+    if not low <= value <= 100.0:
+        raise DataFormatError(f"{path}: line {lineno}: {field} {text!r} is outside [{low:g}, 100]")
+    return value
+
+
 def _write_csv(path, header, rows, meta=None):
     """The ``# key=value`` lines of ``meta``, the header, then one line of
     cells per row, written atomically once every line is built: a failed
@@ -83,12 +92,19 @@ def write_eval_reports(path, reports, meta=None):
 
 def read_eval_reports(path):
     """Returns ``(reports, meta)``; inverse of :func:`write_eval_reports`.
-    A (model, transform) pair given on two rows is a ``DataFormatError``
+    Each row must hold a transform of ``TRANSFORM_KINDS``, ``top1`` and
+    every per-class accuracy in [0, 100] and ``delta`` in [-100, 100], so
+    nothing that is not a finite percentage reaches a chart.  A
+    (model, transform) pair given on two rows is a ``DataFormatError``
     naming both lines."""
     meta, rows = _read_lines(path)
     reports = []
     first_line = {}
     for lineno, cells in _records(path, rows, EVAL_HEADER):
+        if cells[1] not in TRANSFORM_KINDS:
+            raise DataFormatError(
+                f"{path}: line {lineno}: unknown transform {cells[1]!r}, expected one of {TRANSFORM_KINDS}"
+            )
         key = (cells[0], cells[1])
         if key in first_line:
             raise DataFormatError(
@@ -100,9 +116,11 @@ def read_eval_reports(path):
             EvalReport(
                 model=cells[0],
                 transform=cells[1],
-                top1=_parse_number(path, lineno, cells[2]),
-                delta=_parse_number(path, lineno, cells[3]),
-                per_class=[_parse_number(path, lineno, c) for c in cells[4:]],
+                top1=_parse_percent(path, lineno, "top1", cells[2]),
+                delta=_parse_percent(path, lineno, "delta", cells[3], low=-100.0),
+                per_class=[
+                    _parse_percent(path, lineno, name, text) for name, text in zip(EVAL_HEADER[4:], cells[4:])
+                ],
             )
         )
     return reports, meta

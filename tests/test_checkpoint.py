@@ -3,6 +3,7 @@
 import hashlib
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_imageset
-from histlearn import checkpoint, cli, models
+from histlearn import checkpoint, cli, distlayers, models, nn
 from histlearn.checkpoint import load_checkpoint, save_checkpoint
 from histlearn.errors import DataFormatError
 from histlearn.histogram import HistogramSpec
+from histlearn.transforms import TRANSFORM_KINDS
 
 
 @pytest.mark.parametrize("arch", ("lenet", "base", "cnn", "dadm"))
@@ -36,6 +38,83 @@ def test_round_trip_preserves_logits(arch, tmp_path):
     for got, saved in zip(loaded.parameters(), model.parameters(), strict=True):
         assert got.value.tobytes() == saved.value.tobytes(), got.name
     assert np.array_equal(loaded.forward(batch), before)
+
+
+def _saved(arch, path, seed=5):
+    """A checkpoint of ``arch`` at ``path`` whose values are not the seeded
+    draws; returns ``(model, config)``."""
+    cfg = models.ModelConfig(arch, epochs=1, batch_size=16, seed=seed)
+    model = models.build_model(cfg)
+    rng = np.random.default_rng(seed + 1)
+    for p in model.parameters():
+        p.value += rng.standard_normal(p.value.shape) * 0.01
+    save_checkpoint(model, cfg, path)
+    return model, cfg
+
+
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_load_draws_nothing_and_round_trips_bitwise(arch, tmp_path, monkeypatch):
+    model, cfg = _saved(arch, tmp_path / "model.ckpt")
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an initial value was drawn while loading")
+
+    for owner, name in ((nn, "_uniform_init"), (distlayers, "init_kernel"), (models, "init_kernel")):
+        monkeypatch.setattr(owner, name, no_draw)
+    loaded, loaded_cfg = load_checkpoint(tmp_path / "model.ckpt")
+    assert loaded_cfg == cfg
+    for got, saved in zip(loaded.parameters(), model.parameters(), strict=True):
+        assert got.name == saved.name and got.value.tobytes() == saved.value.tobytes(), got.name
+    save_checkpoint(loaded, loaded_cfg, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "model.ckpt").read_bytes()
+
+
+def _held_gradients(model):
+    """Names of the parameters that hold an array besides their value."""
+    return [p.name for p in model.parameters()
+            if any(isinstance(a, np.ndarray) and a is not p.value for a in vars(p).values())]
+
+
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_loaded_model_allocates_gradients_on_first_backward(arch, tmp_path):
+    saved, cfg = _saved(arch, tmp_path / "model.ckpt")
+    loaded, _ = load_checkpoint(tmp_path / "model.ckpt")
+    test_set = make_imageset(12, seed=8)
+    models.evaluate(loaded, test_set, TRANSFORM_KINDS, seed=2)
+    assert _held_gradients(loaded) == []
+    # the first backward writes what a freshly built model's does
+    fresh = models.build_model(cfg)
+    for p, q in zip(fresh.parameters(), saved.parameters(), strict=True):
+        p.value[...] = q.value
+    grads = []
+    for model in (loaded, fresh):
+        logits = model.forward(test_set.pixels[:, None, :, :])
+        model.backward(nn.log_softmax_nll(logits, test_set.labels)[1])
+        grads.append([p.grad.tobytes() for p in model.parameters()])
+    assert grads[0] == grads[1]
+    assert _held_gradients(loaded) == [p.name for p in loaded.parameters()]
+
+
+def test_loaded_dadm_evaluate_peak_is_bounded(tmp_path):
+    # 256 images, five kinds, the load included.  Measured 6.9 MiB: a block
+    # of 128 images' float pixels and trained-layer buffers, no gradient
+    # array, and rotate's temporaries on top.  With 256-image blocks and a
+    # zeroed gradient per parameter it read 10.4 MiB, and 128-image blocks
+    # alone with the gradients held about 7.9 MiB.
+    path = tmp_path / "model.ckpt"
+    _saved("dadm", path)
+    test_set = make_imageset(256, seed=41)
+    # the distribution layer's scatter maps and the histogram's byte table
+    # are cached per bin count: fill them first so they are not counted
+    models.evaluate(load_checkpoint(path)[0], make_imageset(8, seed=42), TRANSFORM_KINDS, seed=1)
+    tracemalloc.start()
+    try:
+        model, _ = load_checkpoint(path)
+        models.evaluate(model, test_set, TRANSFORM_KINDS, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2**20, peak / 2**20
 
 
 # What a checkpoint's values mean: the file stores no names or shapes, only
@@ -225,6 +304,26 @@ def test_bad_seed_in_config_is_one_data_error_line(seed, tmp_path, synth_data_di
     with pytest.raises(DataFormatError) as refusal:
         load_checkpoint(bad)
     assert str(refusal.value) == message
+    out_dir = str(tmp_path / "eval")
+    assert cli.main(["eval", str(bad), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2
+    assert capsys.readouterr().err == f"histlearn: data error: {message}\n"
+
+
+@pytest.mark.parametrize("bandwidth", [b"5e-324", b"1e+301"])
+def test_bandwidth_out_of_bounds_in_config_is_one_data_error_line(bandwidth, tmp_path, synth_data_dir,
+                                                                  capsys):
+    # below HistogramSpec.MIN_BANDWIDTH the histogram is NaN; a signed file
+    # asking for it is refused while the config is read
+    cfg = models.ModelConfig("dadm", epochs=1, n_bins=8, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(models.build_model(cfg), cfg, path)
+    bad = _rewrite_config(path, b"bandwidth=0.001", b"bandwidth=" + bandwidth)
+    with pytest.raises(ValueError) as refusal:
+        HistogramSpec(bandwidth=float(bandwidth))
+    message = f"{bad}: config block does not build a model: {refusal.value}"
+    with pytest.raises(DataFormatError) as failure:
+        load_checkpoint(bad)
+    assert str(failure.value) == message
     out_dir = str(tmp_path / "eval")
     assert cli.main(["eval", str(bad), "--data-dir", synth_data_dir, "--out-dir", out_dir]) == 2
     assert capsys.readouterr().err == f"histlearn: data error: {message}\n"

@@ -8,15 +8,19 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import urllib.error
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import histlearn
-from conftest import transform_set, write_idx_pair
+from conftest import make_imageset, transform_set, write_idx_pair
 from histlearn import cli, data, selftest
 from histlearn.checkpoint import save_checkpoint
 from histlearn.cli import DATA_DIR_ENV
@@ -269,6 +273,7 @@ BAD_VALUES = [
     ("threads", "0", ["fetch", "train", "eval", "ablation", "report", "selftest"]),
     ("bins", "0", ["train", "ablation", "report"]),
     ("bandwidth", "0", ["train", "ablation", "report"]),
+    ("bandwidth", "5e-324", ["train", "ablation", "report"]),
     ("transforms", "rotate,rotate", ["eval", "ablation"]),
     ("image_index", "-1", ["report"]),
 ]
@@ -676,6 +681,21 @@ class TestReportCommand:
         assert "repeated.csv" in err and "line 4" in err and "line 3" in err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("row", [
+        EvalReport("dadm", "rotate", float("nan"), [60.0] * 10, 30.25),
+        EvalReport("dadm", "rotate", 250.0, [60.0] * 10, 30.25),
+        EvalReport("dadm", "rotate", 61.5, [-7.0] * 10, 30.25),
+        EvalReport("dadm", "sideways", 61.5, [60.0] * 10, 30.25),
+    ], ids=["nan", "250", "negative-class", "sideways"])
+    def test_impossible_report_row_exits_2_and_writes_nothing(self, row, synth_data_dir, tmp_path, capsys):
+        bad = tmp_path / "impossible.csv"
+        write_eval_reports(bad, [row])
+        out_dir = tmp_path / "report"
+        assert run("report", str(bad), "--data-dir", synth_data_dir, "--out-dir", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"histlearn: data error: {bad}: line 2: ") and err.count("\n") == 1
+        assert list(out_dir.iterdir()) == []
+
     def test_image_index_bounds(self, synth_data_dir, tmp_path, trained_checkpoint):
         # refused before anything is written; -1 before the out dir is made
         eval_dir = str(tmp_path / "eval")
@@ -686,3 +706,79 @@ class TestReportCommand:
                        "--out-dir", str(out_dir), "--image-index", index)
             assert code == 1
             assert list(out_dir.glob("*")) == []
+
+
+# A numeric option given draws from these texts; --epochs draws no huge
+# integer, so a run stays short.
+EDGE_VALUES = ["0", "-1", "inf", "-inf", "nan", "5e-324", "1e-300", "1e300",
+               str(2**32), str(2**64), str(10**30), str(10**400)]
+EPOCH_VALUES = [v for v in EDGE_VALUES if not v.isdigit() or int(v) < 3] + ["1", "2"]
+NUMERIC = ("epochs", "batch", "lr", "seed", "bins", "bandwidth", "image_index", "threads")
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """A data dir of 16 training and 8 test images, a checkpoint of lenet
+    and dadm, and a reports.csv: ``(root, data dir, {name: positional})``."""
+    root = tmp_path_factory.mktemp("contract")
+    data_dir = root / "data"
+    for prefix, count, seed in (("train", 16, 60), ("t10k", 8, 61)):
+        image_set = make_imageset(count, seed=seed)
+        write_idx_pair(data_dir, image_set.images, image_set.labels, prefix)
+    positionals = {}
+    for arch in ("lenet", "dadm"):
+        cfg = ModelConfig(arch, epochs=1, n_bins=16, bandwidth=0.05)
+        positionals[arch] = str(root / f"{arch}.ckpt")
+        save_checkpoint(build_model(cfg), cfg, positionals[arch])
+    positionals["reports"] = str(root / "reports.csv")
+    write_eval_reports(positionals["reports"], [EvalReport("dadm", "none", 50.0, [50.0] * 10, 0.0)])
+    return root, str(data_dir), positionals
+
+
+@st.composite
+def contract_runs(draw):
+    """``(command, positionals, options)`` of one drawn run."""
+    command = draw(st.sampled_from(["train", "eval", "ablation", "report"]))
+    positional = {"eval": [draw(st.sampled_from(["lenet", "dadm"]))], "report": ["reports"]}.get(command, [])
+    options = {}
+    if command == "train":
+        options["arch"] = draw(st.sampled_from(["lenet", "base", "cnn", "dadm"]))
+    # a few options at a time, the rest at their defaults, so that runs also
+    # get past the option checks
+    taken = [name for name in NUMERIC if name in (*cli._COMMANDS[command][3], "threads")]
+    for name in draw(st.lists(st.sampled_from(taken), max_size=3, unique=True)):
+        options[name] = draw(st.sampled_from(EPOCH_VALUES if name == "epochs" else EDGE_VALUES))
+    return command, positional, options
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(contract_runs())
+def test_exit_code_contract_holds_for_edge_values(contract_inputs, run_spec):
+    # 0 success, 1 usage, 2 data, 3 numeric: a failure is one histlearn:
+    # line on stderr, never a traceback or a warning, and a usage error
+    # writes nothing.  --threads only sets environment variables, read when
+    # numpy loads, so they are restored after each run.
+    root, data_dir, positionals = contract_inputs
+    command, positional, options = run_spec
+    out_dir = Path(tempfile.mkdtemp(dir=root)) / "out"
+    argv = [command, *(positionals[p] for p in positional), "--data-dir", data_dir, "--out-dir", str(out_dir)]
+    argv += [f"--{name.replace('_', '-')}={value}" for name, value in options.items()]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with (mock.patch.dict(os.environ), warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        written = sorted(p.name for p in out_dir.rglob("*")) if out_dir.exists() else []
+    finally:
+        shutil.rmtree(out_dir.parent)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert [str(w.message) for w in caught] == [], argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        assert lines == [], argv
+    else:
+        assert len([line for line in lines if line.startswith("histlearn:")]) == 1, (argv, lines)
+    if code == 1:
+        assert written == [], (argv, written)

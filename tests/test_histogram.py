@@ -56,6 +56,28 @@ class TestSpecGeometry:
         assert HistogramSpec(bandwidth=top).bandwidth == top
         with pytest.raises(ValueError, match="bandwidth"):
             HistogramSpec(bandwidth=np.nextafter(top, np.inf))
+        bottom = HistogramSpec.MIN_BANDWIDTH
+        assert HistogramSpec(bandwidth=bottom).bandwidth == bottom
+        for below in (np.nextafter(bottom, 0.0), 4e-309, 5e-324):
+            with pytest.raises(ValueError, match="bandwidth"):
+                HistogramSpec(bandwidth=below)
+
+    @pytest.mark.parametrize("n_bins", [1, 2, 256, HistogramSpec.MAX_BINS])
+    def test_smallest_bandwidth_is_finite_both_ways(self, n_bins):
+        # below MIN_BANDWIDTH 1 / (sqrt(2) B) overflows, and a pixel on a bin
+        # edge, such as the background at -1.0, gets 0 * inf = NaN
+        spec = HistogramSpec(n_bins=n_bins, bandwidth=HistogramSpec.MIN_BANDWIDTH)
+        rng = np.random.default_rng(n_bins)
+        rows = np.stack([
+            normalize(rng.integers(0, 256, (28, 28))),
+            rng.uniform(-1.0, 1.0, (28, 28)),
+            np.full((28, 28), -1.0),
+            np.full((28, 28), 1.0),
+        ])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            hist = kde_histogram(rows, spec)
+            grad = kde_histogram_backward(rng.standard_normal(hist.shape), rows, spec)
+        assert np.isfinite(hist).all() and np.isfinite(grad).all()
 
     @pytest.mark.parametrize("bandwidth", [1e18, 1e300])
     def test_band_radius_is_clamped_to_the_bin_count(self, bandwidth):

@@ -319,6 +319,20 @@ class TestBackwardSetsGradients:
             assert np.array_equal(p.grad.view(np.uint64), want.view(np.uint64)), p.name
 
 
+class TestParameter:
+    def test_owns_its_array_and_allocates_its_gradient_on_first_use(self):
+        value = np.arange(6.0).reshape(2, 3)
+        p = nn.Parameter(value, "p")
+        assert p.value is value
+        assert [a for a in vars(p).values() if isinstance(a, np.ndarray)] == [value]
+        assert p.grad.shape == (2, 3) and not p.grad.any() and p.grad is p.grad
+        # anything but a C-contiguous float64 array is converted once
+        for other in (np.asfortranarray(value), np.arange(6).reshape(2, 3), [[0.0, 1.0, 2.0]] * 2):
+            q = nn.Parameter(other, "q")
+            assert q.value.dtype == np.float64 and q.value.flags.c_contiguous
+            assert q.value is not other
+
+
 class TestGradientShape:
     """A backward whose gradient is not shaped like the last forward's
     output, or that comes before any forward, is a ``ShapeError`` raised

@@ -110,6 +110,37 @@ def test_malformed_csv_names_line(tmp_path):
     assert "line 3" in str(err.value)
 
 
+# (column, text): a value no evaluation writes
+IMPOSSIBLE = [
+    ("top1", "nan"), ("top1", "inf"), ("top1", "250.0"), ("top1", "-0.5"),
+    ("delta", "-inf"), ("delta", "100.5"), ("delta", "-101.0"),
+    ("class3", "-7.0"), ("class9", "nan"),
+    ("transform", "sideways"),
+]
+
+
+@pytest.mark.parametrize("column, text", IMPOSSIBLE, ids=[f"{c}={t}" for c, t in IMPOSSIBLE])
+def test_impossible_value_names_file_and_line(column, text, tmp_path):
+    path = tmp_path / "reports.csv"
+    write_eval_reports(path, sample_reports()[:3], {"eval_seed": "0"})
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")  # line 4, the second report
+    cells[lines[1].split(",").index(column)] = text
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as err:
+        read_eval_reports(path)
+    assert str(err.value).startswith(f"{path}: line 4: ") and repr(text) in str(err.value)
+
+
+def test_bounds_themselves_are_read(tmp_path):
+    path = tmp_path / "reports.csv"
+    edges = [EvalReport("dadm", "none", 100.0, [0.0] * 9 + [100.0], -100.0),
+             EvalReport("dadm", "rotate", 0.0, [100.0] * 10, 100.0)]
+    write_eval_reports(path, edges)
+    assert read_eval_reports(path)[0] == edges
+
+
 def test_wrong_field_count_names_line(tmp_path):
     path = tmp_path / "reports.csv"
     write_eval_reports(path, sample_reports()[:1], {})

@@ -23,11 +23,14 @@ Evaluation (:func:`kde_histogram`, one batch of images at a time).  Equal
 pixels add equal terms, so each image is reduced to its distinct values and
 their counts, in ascending order, in one of two ways chosen from the input.
 A group of rows whose every pixel is a byte's value (``data.normalize`` of
-0..255: training images, and eval's originals, translations, flips and
-shuffles) counts its byte codes in one ``np.bincount`` and reads each
+0..255: training images, and eval's originals and translations) counts its
+byte codes in one ``np.bincount`` (:func:`byte_counts`) and reads each
 value's erf differences from a table of all 256 bytes, computed once per
-bin count and bandwidth.  Any other group (rotated images, arbitrary
-values) sorts each row and run-length encodes it.  The two give the same
+bin count and bandwidth.  Such a row's histogram depends on its byte
+counts alone, so ``models.evaluate`` reuses an original's row for a
+flipped, shuffled or translated copy with the same counts.  Any other
+group (rotated images, arbitrary values) sorts each row and run-length
+encodes it.  The two give the same
 values, counts and terms in the same order, hence the same bits; an MNIST
 image has at most 256 distinct values.
 Every erf term saturates: erf itself rounds to exactly +-1.0 from
@@ -278,6 +281,19 @@ def _byte_codes(rows: np.ndarray):
     return codes.astype(np.intp)
 
 
+def byte_counts(codes) -> np.ndarray:
+    """Each row's count of every byte, shaped (B, 256), from a batch
+    ``(B, ...)`` of byte codes 0..255 (uint8 images, or the codes of
+    byte-valued pixels): one ``np.bincount`` keyed by ``row * 256 + byte``.
+
+    A byte-valued row's histogram is a function of this row of counts
+    alone, so two images with equal counts have bitwise equal histograms.
+    """
+    b = codes.shape[0]
+    keys = codes.reshape(b, -1) + 256 * np.arange(b)[:, None]
+    return np.bincount(keys.ravel(), minlength=256 * b).reshape(b, 256)
+
+
 def _banded_masses(rows: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     """Unnormalized bin masses ``2M * raw`` of checked rows, shaped (B, N).
 
@@ -295,7 +311,7 @@ def _banded_masses(rows: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     n = spec.n_bins
     codes = _byte_codes(rows)
     if codes is not None:
-        per_row = np.bincount((codes + 256 * np.arange(b)[:, None]).ravel(), minlength=256 * b)
+        per_row = byte_counts(codes).ravel()
         present = np.flatnonzero(per_row)
         counts, row = per_row[present], present // 256
         lo, diffs = (table[present % 256] for table in _byte_terms(n, spec.bandwidth))

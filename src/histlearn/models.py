@@ -27,23 +27,28 @@ so :func:`train` runs that frozen prefix (dadm's histogram) once,
 first trained layer on; a model with no frozen prefix (lenet, base, cnn)
 normalizes each batch as its step reads it.
 
-:func:`evaluate` runs the test set in blocks, normalizing each block once.
-For a model with a frozen prefix (dadm) a block is ``PREFIX_CHUNK``
-images: each kind's transform and the prefix run ``EVAL_BATCH`` images at
-a time, while a sub-chunk's buffers are still in cache, and the trained
-layers run once over the block's prefix outputs.  A kind whose block of
-prefix outputs is bitwise that of the originals (dadm's histograms of a
-flipped or shuffled image) takes the originals' predictions for the
-block; the comparison is made on every block, so a block in which any row
-differs runs the trained layers.  A model with no frozen prefix (lenet,
-base, cnn) takes blocks of ``EVAL_BATCH`` images and runs one forward pass
-per block and kind.  The forward pass is the one training runs; it leaves
+:func:`evaluate` runs the test set in blocks.  A model with no frozen
+prefix (lenet, base, cnn) takes blocks of ``EVAL_BATCH`` images, each
+normalized once, and runs one forward pass per block and kind.  dadm takes
+blocks of ``PREFIX_CHUNK`` images, held as bytes: each kind's transform
+and the histogram layer run ``EVAL_BATCH`` images at a time, while a
+sub-chunk's buffers are still in cache, and the trained layers run once
+over the block's histograms.  The originals and rotate normalize each
+sub-chunk and histogram every row.  Translate, flip and shuffle only move
+pixels, so they move the bytes, and a row whose byte counts equal its
+original's takes its original's histogram row, which is bitwise the one
+the layer would compute; only the other rows (a translation that pushed
+strokes out of the frame) are normalized and histogrammed.  A kind whose
+block of histograms is bitwise that of the originals (every flip and
+shuffle) takes the originals' predictions for the block; the comparison
+is made on every block, so a block in which any row differs runs the
+trained layers.  The forward pass is the one training runs; it leaves
 the backward's masks unbuilt, and dadm's distribution layer folds its
 kernels once for all blocks, as they do not change between them.  A
 parameter allocates its gradient array at the first backward, so a model
 loaded to be evaluated holds none: what an evaluation holds beyond the
-parameters is one block of float pixels and prefix outputs, the layers'
-outputs for it, and a sub-chunk's transform temporaries.
+parameters is one block of bytes or float pixels, its prefix outputs, the
+layers' outputs for it, and a sub-chunk's transform temporaries.
 """
 
 import time
@@ -51,10 +56,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import ImageSet
+from .data import ImageSet, normalize
 from .distlayers import ArithmeticDistributionLayer, init_kernel
 from .errors import NonFiniteError, ShapeError
-from .histogram import HistogramSpec, kde_histogram, kde_histogram_backward
+from .histogram import HistogramSpec, byte_counts, kde_histogram, kde_histogram_backward
 from .nn import Adam, Conv2d, Linear, MaxPool2d, ReLU, _checked_grad, log_softmax_nll
 from .transforms import TransformSpec, _check_seed, stream_states, transform_batch
 
@@ -135,7 +140,8 @@ class HistogramLayer:
     call over the whole batch, which works through it in groups of whole
     rows with bounded memory.  :func:`train` feeds it the training set
     ``PREFIX_CHUNK`` images at a time (see :func:`_prefix_outputs`), and
-    :func:`evaluate` each transformed test chunk, ``EVAL_BATCH`` images.
+    :func:`evaluate` each test chunk of ``EVAL_BATCH`` images, or only a
+    chunk's rows whose byte counts a translation changed.
     Each row's histogram is bitwise what the image alone would give.
 
     No learnable parameters.  The backward pass is one
@@ -371,6 +377,31 @@ def accuracy_breakdown(predictions: np.ndarray, labels: np.ndarray):
     return overall, per_class
 
 
+def _moved_histograms(layer, images, streams, kind, originals, counts):
+    """dadm's histogram ``layer`` over a block of uint8 test ``images``
+    under translate, flip or shuffle, ``EVAL_BATCH`` images at a time.
+
+    These kinds move bytes without changing them, so each sub-chunk is
+    transformed as bytes.  A row whose byte counts equal its original's
+    (``counts``) takes its original's row of ``originals``: the histogram
+    of byte-valued pixels depends only on their counts, so that row is
+    bitwise what the layer would return (see
+    :func:`~histlearn.histogram.byte_counts`).  Only the other rows are
+    normalized and run through the layer.  Returns ``originals`` itself
+    when no row's counts changed.
+    """
+    out = originals
+    for lo in range(0, images.shape[0], EVAL_BATCH):
+        rows = slice(lo, lo + EVAL_BATCH)
+        moved = transform_batch(images[rows], streams[rows], kind)
+        changed = np.flatnonzero((byte_counts(moved) != counts[rows]).any(axis=1))
+        if changed.size:
+            if out is originals:
+                out = originals.copy()
+            out[lo + changed] = layer.forward(normalize(moved[changed])[:, None, :, :])
+    return out
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     """One :class:`EvalReport` per transform kind, in the order given.
@@ -378,17 +409,20 @@ def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     One pass over blocks of the test set (see the module docstring), so
     neither a float nor a transformed copy of the whole set is built.  A
     block is ``PREFIX_CHUNK`` images for a model with a frozen prefix and
-    ``EVAL_BATCH`` images otherwise, and is normalized once.  For the
-    originals and for each kind other than ``none``, the block is
-    transformed by :func:`~histlearn.transforms.transform_batch` and run
-    through the frozen prefix ``EVAL_BATCH`` images at a time into one
-    array, and the trained layers run once over that array.  With a frozen
-    prefix, a kind whose array is bitwise equal (``np.array_equal``) to the
-    originals' takes the originals' predictions for the block instead;
-    without one the arrays are pixels, which the transforms move, and are
-    not compared.  The streams ``default_rng([seed, i])`` of the whole set
-    are computed once per evaluate, for all those kinds, and each sub-chunk
-    reads its slice; none are computed when only ``none`` is asked for.
+    ``EVAL_BATCH`` images otherwise.  For the originals and for each kind
+    other than ``none``, the block is transformed by
+    :func:`~histlearn.transforms.transform_batch` and run through the
+    frozen prefix ``EVAL_BATCH`` images at a time into one array, and the
+    trained layers run once over that array.  When the prefix is dadm's
+    histogram layer the block stays bytes, and under translate, flip and
+    shuffle only the rows whose byte counts changed are histogrammed (see
+    :func:`_moved_histograms`).  With a frozen prefix, a kind whose array
+    is bitwise equal (``np.array_equal``) to the originals' takes the
+    originals' predictions for the block instead; without one the arrays
+    are pixels, which the transforms move, and are not compared.  The
+    streams ``default_rng([seed, i])`` of the whole set are computed once
+    per evaluate, for all those kinds, and each sub-chunk reads its slice;
+    none are computed when only ``none`` is asked for.
     The originals' accuracy is every report's reference for ``delta`` (so
     ``none`` reads 0), and their predictions are the ``none`` report's.  A
     kind listed twice raises ``ValueError``, and non-finite logits (an
@@ -402,27 +436,38 @@ def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
         TransformSpec(kind, rng_seed=seed)  # rejects an unknown kind or a bad seed
     start = _first_trained(model)
     prefix = model.layers[:start]
+    # dadm's block is held as bytes (see _moved_histograms)
+    histogram = prefix[0] if start == 1 and isinstance(prefix[0], HistogramLayer) else None
     # the originals come first: every other kind's memo compares with them
     preds = {kind: np.empty(test_set.count, dtype=np.int64) for kind in ["none", *kinds]}
     if len(preds) > 1:
         streams = stream_states(seed, range(test_set.count))
     block = PREFIX_CHUNK if prefix else EVAL_BATCH
     for lo in range(0, test_set.count, block):
-        images = test_set.take(slice(lo, lo + block))
+        index = slice(lo, lo + block)
+        images = test_set.take(index) if histogram is None else test_set.images[index]
         hi = lo + images.shape[0]
         for kind, out in preds.items():
-            parts = []
-            for sub in range(lo, hi, EVAL_BATCH):
-                x = images[sub - lo : sub - lo + EVAL_BATCH]
-                if kind != "none":
-                    x = transform_batch(x, streams[sub : sub + x.shape[0]], kind)
-                x = x[:, None, :, :]
-                for layer in prefix:
-                    x = layer.forward(x)
-                parts.append(x)
-            x = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            if histogram is not None and kind in ("translate", "flip", "shuffle"):
+                x = _moved_histograms(histogram, images, streams[lo:hi], kind, originals, counts)
+            else:
+                parts = []
+                for sub in range(lo, hi, EVAL_BATCH):
+                    x = images[sub - lo : sub - lo + EVAL_BATCH]
+                    if histogram is not None:
+                        x = normalize(x)
+                    if kind != "none":
+                        x = transform_batch(x, streams[sub : sub + x.shape[0]], kind)
+                    x = x[:, None, :, :]
+                    for layer in prefix:
+                        x = layer.forward(x)
+                    parts.append(x)
+                x = parts[0] if len(parts) == 1 else np.concatenate(parts)
             if kind == "none":
                 originals = x
+                if histogram is not None:
+                    # at most H * W per cell: uint16 for 28 x 28 images
+                    counts = byte_counts(images).astype(np.min_scalar_type(images[0].size))
             elif prefix and np.array_equal(x, originals):
                 out[lo:hi] = preds["none"][lo:hi]
                 continue

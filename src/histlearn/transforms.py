@@ -19,7 +19,10 @@ first output, exactly the values numpy's ``uniform``, ``random`` and
 Rotation is one bilinear pass over a copy of the batch padded with the
 fill value: four ``take`` gathers at offsets of one flat tap index, with
 the per-pixel formula's floating-point operations in its order, so its
-bytes are the formula's.  Translate, flip and shuffle are index gathers.
+bytes are the formula's.  Translate, flip and shuffle are index gathers,
+so they also move uint8 bytes, padding with byte 0 (``normalize(0)`` is
+the fill): dadm's evaluation transforms its test bytes and normalizes
+only what the histogram still has to read.
 The one-image functions (:func:`rotate`, :func:`translate`, :func:`flip`,
 :func:`transform_image`) are batches of one through the same code, so a
 single image (``histlearn report``) and a chunk of the test set
@@ -75,9 +78,11 @@ class TransformSpec:
 
 
 def _fill_padded(images: np.ndarray, pad: int) -> np.ndarray:
-    """(B, H, W) images inside a border of ``pad`` fill pixels."""
+    """(B, H, W) images inside a border of ``pad`` fill pixels: byte 0 for
+    uint8 images (``normalize(0) == FILL``), FILL for float pixels."""
     b, h, w = images.shape
-    out = np.full((b, h + 2 * pad, w + 2 * pad), FILL)
+    fill, dtype = (0, np.uint8) if images.dtype == np.uint8 else (FILL, np.float64)
+    out = np.full((b, h + 2 * pad, w + 2 * pad), fill, dtype=dtype)
     out[:, pad : pad + h, pad : pad + w] = images
     return out
 
@@ -142,7 +147,8 @@ def _rotate_batch(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
 
 
 def _translate_batch(images: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Shift each image by its own integer (dx right, dy down), fill -1."""
+    """Shift each image by its own integer (dx right, dy down), filling
+    with the fill pixel (see :func:`_fill_padded`)."""
     bad = np.flatnonzero((np.abs(dx) > MAX_OFFSET) | (np.abs(dy) > MAX_OFFSET))
     if bad.size:
         i = bad[0]
@@ -179,7 +185,13 @@ def rotate(img, degrees):
 
 
 def translate(img, dx, dy):
-    """Shift by integer (dx right, dy down); vacated pixels filled with -1."""
+    """Shift by integer (dx right, dy down); vacated pixels filled with -1.
+
+    An offset that is not integral (``1.5``, ``nan``) raises ``ValueError``
+    rather than being truncated."""
+    for name, offset in (("dx", dx), ("dy", dy)):
+        if not (isinstance(offset, (int, np.integer)) or float(offset).is_integer()):
+            raise ValueError(f"translate offset {name} must be an integer, got {offset!r}")
     img = np.asarray(img, dtype=np.float64)
     return _translate_batch(img[None], np.array([int(dx)]), np.array([int(dy)]))[0]
 
@@ -379,11 +391,18 @@ def transform_batch(images: np.ndarray, streams: np.ndarray, kind: str) -> np.nd
     of a :func:`stream_states` record, with the draws :func:`transform_image`
     describes.
 
+    ``images`` are float pixels, or uint8 bytes for translate, flip and
+    shuffle, which only move pixels: bytes come out as bytes, padded with
+    byte 0, and ``normalize`` of the result is the result for
+    ``normalize(images)``, bit for bit.  Rotate interpolates, so it takes
+    float pixels only and refuses bytes with ``ValueError``.
     ``none`` returns ``images`` itself; an unknown kind raises
     ``ValueError``, and a record whose length is not B raises ``ShapeError``.
     """
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown transform kind {kind!r}, expected one of {TRANSFORM_KINDS}")
+    if kind == "rotate" and images.dtype == np.uint8:
+        raise ValueError("rotate interpolates float pixels; normalize uint8 images first")
     if len(streams) != images.shape[0]:
         raise ShapeError(f"{images.shape[0]} images but {len(streams)} streams")
     if kind == "none":

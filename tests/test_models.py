@@ -658,6 +658,14 @@ def chunk_by_chunk_reports(model, test_set, kinds, seed):
     return reports
 
 
+def _counts_changed(test_set, kind, seed):
+    """Whether each image's multiset of pixel values differs from its
+    original's under ``kind``, from the sorted pixels of the float battery."""
+    moved = transform_set(test_set, kind, seed).reshape(test_set.count, -1)
+    before = test_set.pixels.reshape(test_set.count, -1)
+    return (np.sort(moved, axis=1) != np.sort(before, axis=1)).any(axis=1)
+
+
 def spy_rows(monkeypatch, layer):
     """Record the batch size of every forward call of one layer."""
     rows = []
@@ -718,13 +726,16 @@ class TestEvaluateBlocks:
         target, seed = 30, 8  # block 1, the sub-chunk of images 28-34
         target_stream = stream_states(seed, [target])[0]
         transform_batch = models.transform_batch
+        stroke = 230  # the stroke byte of make_imageset's bars
 
         def one_pixel_off(images, streams, kind):
             out = transform_batch(images, streams, kind)
             hit = np.flatnonzero(streams == target_stream)
             if kind == "flip" and hit.size:
                 out = out.copy()
-                out[hit[0], 0, 0] = 0.8  # a background pixel takes the stroke's value
+                # a background pixel takes the stroke's value: a byte in a
+                # chunk of bytes, its pixel value in a chunk of floats
+                out[hit[0], 0, 0] = stroke if out.dtype == np.uint8 else normalize(stroke)
             return out
 
         monkeypatch.setattr(models, "transform_batch", one_pixel_off)
@@ -740,8 +751,66 @@ class TestEvaluateBlocks:
         models.evaluate(model, test_set, ["flip"], seed=seed)
         assert rows == [24, 24, 24, 10]  # the originals' three blocks, then flip's block 1
         flipped = transform_set(test_set, "flip", seed)
-        flipped[target, 0, 0] = 0.8
+        flipped[target, 0, 0] = normalize(stroke)
         assert np.array_equal(seen["preds"], model.forward(flipped[:, None, :, :]).argmax(axis=1))
+
+    def test_dadm_reports_equal_per_kind_kde_reference(self, trained_lenet_dadm, monkeypatch):
+        # each kind's whole transformed set through kde_histogram, then the
+        # trained layers over the same blocks; the set's translate keeps four
+        # rows' byte counts (18, 44, 48 and 52) and changes the rest, and
+        # its 58 images span three blocks of 24
+        monkeypatch.setattr(models, "PREFIX_CHUNK", 24)
+        monkeypatch.setattr(models, "EVAL_BATCH", 7)
+        model = trained_lenet_dadm["dadm"]
+        test_set, seed = make_imageset(58, seed=39), 3
+        kept = ~_counts_changed(test_set, "translate", seed)
+        assert 0 < kept.sum() < test_set.count
+        seen = []
+        accuracy_breakdown = models.accuracy_breakdown
+
+        def recording(predictions, labels):
+            seen.append(predictions.copy())
+            return accuracy_breakdown(predictions, labels)
+
+        monkeypatch.setattr(models, "accuracy_breakdown", recording)
+        kinds = list(TRANSFORM_KINDS)
+        reports = models.evaluate(model, test_set, kinds, seed=seed)
+        spec = model.layers[0].spec
+        preds = {}
+        for kind in ["none", *kinds]:
+            hist = kde_histogram(transform_set(test_set, kind, seed), spec)
+            blocks = range(0, test_set.count, models.PREFIX_CHUNK)
+            logits = [model.forward(hist[lo : lo + models.PREFIX_CHUNK], start=1) for lo in blocks]
+            preds[kind] = np.concatenate(logits).argmax(axis=1)
+        assert [p.tolist() for p in seen[1:]] == [preds[kind].tolist() for kind in kinds]
+        top1, _ = accuracy_breakdown(preds["none"], test_set.labels)
+        for kind, report in zip(kinds, reports):
+            kind_top1, per_class = accuracy_breakdown(preds[kind], test_set.labels)
+            assert report == models.EvalReport("dadm", kind, kind_top1, per_class, top1 - kind_top1)
+
+    def test_only_rows_whose_byte_counts_changed_are_histogrammed(self, trained_lenet_dadm, monkeypatch):
+        monkeypatch.setattr(models, "PREFIX_CHUNK", 24)
+        monkeypatch.setattr(models, "EVAL_BATCH", 7)
+        model = trained_lenet_dadm["dadm"]
+        test_set, seed = make_imageset(58, seed=39), 3
+        seen = []
+
+        def recording(images, spec):
+            seen.append(np.asarray(images).reshape(len(images), -1))
+            return kde_histogram(images, spec)
+
+        monkeypatch.setattr(models, "kde_histogram", recording)
+        rows = {}
+        for kind in TRANSFORM_KINDS:
+            seen.clear()
+            models.evaluate(model, test_set, [kind], seed=seed)
+            rows[kind] = sorted(row.tobytes() for row in np.concatenate(seen))
+        originals = [row.tobytes() for row in test_set.pixels.reshape(test_set.count, -1)]
+        assert rows["none"] == rows["flip"] == rows["shuffle"] == sorted(originals)
+        changed = _counts_changed(test_set, "translate", seed)
+        for kind, reaching in (("rotate", np.ones(test_set.count, dtype=bool)), ("translate", changed)):
+            moved = transform_set(test_set, kind, seed)[reaching].reshape(reaching.sum(), -1)
+            assert rows[kind] == sorted(originals + [row.tobytes() for row in moved]), kind
 
     def test_dadm_holds_one_block_after_evaluate(self, trained_lenet_dadm, monkeypatch):
         # every layer keeps only its newest forward's arrays: after a battery

@@ -1,11 +1,14 @@
 """Rotate/translate/flip/shuffle battery and its determinism guarantees."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import cosdg, sindg
 
 from conftest import make_imageset, transform_set
 from histlearn import transforms
+from histlearn.data import normalize
 from histlearn.errors import ShapeError
 from histlearn.histogram import HistogramSpec, kde_histogram
 from histlearn.selftest import _reference_draws
@@ -203,6 +206,13 @@ class TestTranslate:
             translate(np.zeros((28, 28)), 28, 0)
         with pytest.raises(ValueError):
             translate(np.zeros((28, 28)), 0, -9)
+        # an offset that is not integral is refused, not truncated
+        img = np.random.default_rng(2).uniform(-1, 1, (28, 28))
+        for dx, dy in ((1.5, 0), (-0.9, 0), (0, np.float64(2.5)), (0, float("nan"))):
+            bad = dx if dy == 0 else dy
+            with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {bad!r}")):
+                translate(img, dx, dy)
+        assert translate(img, 2.0, np.int64(-1)).tobytes() == translate(img, 2, -1).tobytes()
 
     def test_bright_pixel_moves_exactly(self):
         img = np.full((28, 28), -1.0)
@@ -309,6 +319,20 @@ class TestApplyTransform:
         streams = stream_states(0, range(3))
         with pytest.raises(ShapeError, match="4 images but 3 streams"):
             transform_batch(small_set.pixels[:4], streams, kind)
+
+    @pytest.mark.parametrize("kind", ["translate", "flip", "shuffle"])
+    def test_bytes_move_as_their_pixels(self, kind, small_set):
+        # a uint8 batch comes out bytes, padded with byte 0, and its
+        # normalized pixels are the float batch's result bit for bit
+        states = stream_states(5, range(small_set.count))
+        moved = transform_batch(small_set.images, states, kind)
+        assert moved.dtype == np.uint8
+        expected = transform_batch(normalize(small_set.images), states, kind)
+        assert normalize(moved).tobytes() == expected.tobytes()
+
+    def test_rotate_refuses_bytes(self, small_set):
+        with pytest.raises(ValueError, match="rotate"):
+            transform_batch(small_set.images[:4], stream_states(0, range(4)), "rotate")
 
     def test_record_slice_is_the_record_of_its_indices(self):
         whole = stream_states(5, range(300))

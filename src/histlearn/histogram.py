@@ -127,8 +127,10 @@ class HistogramSpec:
     @classmethod
     def check(cls, name, value):
         """``value`` if it is a valid ``n_bins`` or ``bandwidth`` (``name``),
-        else ``ValueError``; the command line checks each option this way."""
-        if name == "n_bins" and not (isinstance(value, (int, np.integer)) and 1 <= value <= cls.MAX_BINS):
+        else ``ValueError``; the command line checks each option this way.
+        ``n_bins`` is an integer, and not a ``bool``."""
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if name == "n_bins" and not (integer and 1 <= value <= cls.MAX_BINS):
             raise ValueError(f"n_bins must be an integer in [1, {cls.MAX_BINS}], got {value!r}")
         if name == "bandwidth" and not cls.MIN_BANDWIDTH <= value <= cls.MAX_BANDWIDTH:
             raise ValueError(

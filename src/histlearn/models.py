@@ -20,35 +20,31 @@ bitwise those of the usual ReLU-then-pool order.
 
 An image set is held as its bytes (see
 :class:`~histlearn.data.ImageSet`), and only the rows a step or chunk reads
-are normalized to float pixels.  The layers in front of a model's first
-layer with parameters have nothing to learn and training inputs are fixed,
-so :func:`train` runs that frozen prefix (dadm's histogram) once,
-``PREFIX_CHUNK`` images at a time, into one array, and every step from the
-first trained layer on; a model with no frozen prefix (lenet, base, cnn)
-normalizes each batch as its step reads it.
+are normalized to float pixels.  dadm's first layer, its histogram, has
+nothing to learn, so :func:`_histograms` builds its output from bytes
+``EVAL_BATCH`` images at a time into one array, which :func:`train` does
+once over the fixed training set and :func:`evaluate` once per block and
+kind; every step and every block then runs from the trained layers on.
+lenet, base and cnn normalize each batch as its step reads it.
 
-:func:`evaluate` runs the test set in blocks.  A model with no frozen
-prefix (lenet, base, cnn) takes blocks of ``EVAL_BATCH`` images, each
-normalized once, and runs one forward pass per block and kind.  dadm takes
-blocks of ``PREFIX_CHUNK`` images, held as bytes: each kind's transform
-and the histogram layer run ``EVAL_BATCH`` images at a time, while a
-sub-chunk's buffers are still in cache, and the trained layers run once
-over the block's histograms.  The originals and rotate normalize each
-sub-chunk and histogram every row.  Translate, flip and shuffle only move
-pixels, so they move the bytes, and a row whose byte counts equal its
-original's takes its original's histogram row, which is bitwise the one
-the layer would compute; only the other rows (a translation that pushed
-strokes out of the frame) are normalized and histogrammed.  A kind whose
-block of histograms is bitwise that of the originals (every flip and
-shuffle) takes the originals' predictions for the block; the comparison
-is made on every block, so a block in which any row differs runs the
-trained layers.  The forward pass is the one training runs; it leaves
-the backward's masks unbuilt, and dadm's distribution layer folds its
-kernels once for all blocks, as they do not change between them.  A
-parameter allocates its gradient array at the first backward, so a model
-loaded to be evaluated holds none: what an evaluation holds beyond the
-parameters is one block of bytes or float pixels, its prefix outputs, the
-layers' outputs for it, and a sub-chunk's transform temporaries.
+:func:`evaluate` runs the test set in blocks.  lenet, base and cnn take
+blocks of ``EVAL_BATCH`` images, each normalized once, and run one forward
+pass per block and kind.  dadm takes blocks of ``PREFIX_CHUNK`` images,
+held as bytes, and runs its trained layers once over each block's
+histograms.  The originals and rotate histogram every row.  Translate,
+flip and shuffle only move pixels, so they move the bytes, and a row whose
+byte counts equal its original's takes its original's histogram row, which
+is bitwise the one the layer would compute; only the other rows (a
+translation that pushed strokes out of the frame) are normalized and
+histogrammed.  A kind with no such row (every flip and shuffle) takes the
+originals' predictions for the block.  The forward pass is the one
+training runs; it leaves the backward's masks unbuilt, and dadm's
+distribution layer folds its kernels once for all blocks, as they do not
+change between them.  A parameter allocates its gradient array at the
+first backward, so a model loaded to be evaluated holds none: what an
+evaluation holds beyond the parameters is one block of bytes or float
+pixels, its histograms, the layers' outputs for it, and a sub-chunk's
+transform temporaries.
 """
 
 import time
@@ -65,26 +61,24 @@ from .transforms import TransformSpec, _check_seed, stream_states, transform_bat
 
 ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 
-# Images per chunk that evaluate transforms and runs through a frozen
-# prefix; a model with no frozen prefix (lenet, base, cnn) also runs its
-# layers on one such chunk at a time.  Small enough that a chunk's
-# transform temporaries and layer outputs stay near cache
-# (lenet's conv1 output is 0.9 MB at 32 images, 7.1 MB at 256; its im2col
-# is built in blocks of nn.IM2COL_BYTES at any size).  perfbench
-# eval-battery, 25 s runs, 4 rounds in rotating order at seeds 811-814,
+# Images per chunk that evaluate transforms and that dadm's histogram layer
+# reads, in train and in evaluate; lenet, base and cnn also run their layers
+# on one such chunk at a time.  Small enough that a chunk's transform
+# temporaries and layer outputs stay near cache (lenet's conv1 output is
+# 0.9 MB at 32 images, 7.1 MB at 256; its im2col is built in blocks of
+# nn.IM2COL_BYTES at any size).  perfbench eval-battery, 25 s runs, 4 rounds in rotating order at seeds 811-814,
 # median ref_img_per_s (range) and peak_rss_mb: 32 -> 13114 (12964-13394),
 # 78 MB; 64 -> 11756 (11565-11804), 80 MB; 128 -> 11474 (11212-11644),
 # 90 MB (1 BLAS thread, 2-vCPU Xeon VM with 2 MiB L2 per core).  32 is
 # fastest in every round and holds least.
 EVAL_BATCH = 32
 
-# Images per chunk of the frozen prefix that train runs once over the set
-# (dadm's histograms), and the block over which evaluate runs a
-# frozen-prefix model's trained layers once per kind.  Measured with a
-# loaded dadm checkpoint on 1024 perfbench images, chunk size -> normalize
-# plus kde_histogram of the training set (median of 7, two runs), dadm
-# evaluate of the test set under five kinds (median of 15 rounds over the
-# sizes in turn, two runs) and evaluate's traced numpy peak:
+# Images per block over which evaluate runs dadm's trained layers once per
+# kind.  Measured with a loaded dadm checkpoint on 1024 perfbench images,
+# chunk size -> normalize plus kde_histogram of the training set in chunks
+# of that size (median of 7, two runs), dadm evaluate of the test set under
+# five kinds (median of 15 rounds over the sizes in turn, two runs) and
+# evaluate's traced numpy peak:
 #   32 -> 16.0/15.1 ms, 240/238 ms, 3.0 MiB
 #   64 -> 17.4/17.1 ms, 217/219 ms, 3.7 MiB
 #  128 -> 15.6/15.4 ms, 204/208 ms, 4.9 MiB
@@ -94,7 +88,10 @@ EVAL_BATCH = 32
 # (1 BLAS thread, 2-vCPU Xeon VM).  From 128 up evaluate is within 5% while
 # the peak grows by half or more per step, and perfbench eval-battery
 # reads the same img/s at 128 as at 256 with about 4.8 MB less peak RSS:
-# 128 is the smallest block at that speed.
+# 128 is the smallest block at that speed.  train builds the training set's
+# histograms in EVAL_BATCH chunks: at 32 they took 13.5-15.0 ms against
+# 12.7-14.2 ms at 128 (medians of 15, three runs), under 1 ms of a 5-epoch
+# perfbench train-dadm command, whose img/s did not move.
 PREFIX_CHUNK = 128
 
 
@@ -113,10 +110,11 @@ class ModelConfig:
         """``value`` if it is a valid field ``name``, else ``ValueError``; the
         command line checks each option this way.  ``seed`` follows the
         transforms' seed rule, ``n_bins`` and ``bandwidth``
-        :meth:`HistogramSpec.check`."""
+        :meth:`HistogramSpec.check`.  No integer field takes a ``bool``."""
         if name == "architecture" and value not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {value!r}, expected one of {ARCHITECTURES}")
-        if name in ("epochs", "batch_size") and not (isinstance(value, (int, np.integer)) and value >= 1):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if name in ("epochs", "batch_size") and not (integer and value >= 1):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if name == "lr" and not 0 < value < np.inf:
             raise ValueError(f"lr must be finite and > 0, got {value!r}")
@@ -138,9 +136,8 @@ class HistogramLayer:
 
     The forward pass is one :func:`~histlearn.histogram.kde_histogram`
     call over the whole batch, which works through it in groups of whole
-    rows with bounded memory.  :func:`train` feeds it the training set
-    ``PREFIX_CHUNK`` images at a time (see :func:`_prefix_outputs`), and
-    :func:`evaluate` each test chunk of ``EVAL_BATCH`` images, or only a
+    rows with bounded memory.  :func:`train` and :func:`evaluate` feed it
+    ``EVAL_BATCH`` images at a time (see :func:`_histograms`), or only a
     chunk's rows whose byte counts a translation changed.
     Each row's histogram is bitwise what the image alone would give.
 
@@ -290,23 +287,19 @@ class EvalReport:
             raise ShapeError(f"per_class must have 10 entries, got {len(self.per_class)}")
 
 
-def _first_trained(model: Model) -> int:
-    """Index of the model's first layer with parameters; the layers in
-    front of it are its frozen prefix."""
-    return next(i for i, layer in enumerate(model.layers) if layer.params())
-
-
-def _prefix_outputs(layers, image_set: ImageSet) -> np.ndarray:
-    """``layers`` run over the whole set, ``PREFIX_CHUNK`` images at a time,
-    into one array: only a chunk of the set is ever float pixels."""
-    out = None
-    for lo in range(0, image_set.count, PREFIX_CHUNK):
-        x = image_set.take(slice(lo, lo + PREFIX_CHUNK))[:, None, :, :]
-        for layer in layers:
-            x = layer.forward(x)
-        if out is None:
-            out = np.empty((image_set.count, *x.shape[1:]), dtype=x.dtype)
-        out[lo : lo + x.shape[0]] = x
+def _histograms(layer, images, streams=None, kind="none"):
+    """dadm's histogram ``layer`` over uint8 ``images`` (B, H, W),
+    ``EVAL_BATCH`` images at a time, into one (B, N) array.  Each sub-chunk
+    is normalized and, for a ``kind`` other than ``none``, transformed with
+    its slice of the ``streams`` record, so only a sub-chunk is ever float
+    pixels."""
+    out = np.empty((images.shape[0], layer.spec.n_bins))
+    for lo in range(0, images.shape[0], EVAL_BATCH):
+        rows = slice(lo, lo + EVAL_BATCH)
+        x = normalize(images[rows])
+        if kind != "none":
+            x = transform_batch(x, streams[rows], kind)
+        out[rows] = layer.forward(x[:, None, :, :])
     return out
 
 
@@ -314,23 +307,26 @@ def _prefix_outputs(layers, image_set: ImageSet) -> np.ndarray:
 def train(model: Model, train_set: ImageSet, cfg: ModelConfig, log=None):
     """Adam + NLL minibatch training; returns the per-epoch loss/accuracy curve.
 
-    The frozen prefix, the layers in front of the first layer with
-    parameters, runs once over the whole training set, chunk by chunk, and
-    every step starts at the first trained layer, whose backward skips the
-    input gradient nobody reads.  A model with no frozen prefix (lenet,
-    base, cnn) instead normalizes each batch's rows as the step reads them.
-    Overflow warnings are off: an overflow shows as a non-finite loss, which
-    raises :class:`~histlearn.errors.NonFiniteError`.
+    dadm's histogram layer has no parameters and the training set is
+    fixed, so it runs once over the whole set (see :func:`_histograms`),
+    and every step starts at the distribution layer, whose backward skips
+    the input gradient nobody reads.  lenet, base and cnn instead
+    normalize each batch's rows as the step reads them.  An empty set
+    raises ``ValueError`` before any work.  Overflow warnings are off: an
+    overflow shows as a non-finite loss, which raises
+    :class:`~histlearn.errors.NonFiniteError`.
     Training is fully deterministic given ``cfg.seed``: initialization is
     seeded at build time and the batch shuffle stream here derives from the
     same seed.  The training set is consumed as-is; there is no
     augmentation hook.  ``log`` receives one line per epoch with the
     epoch's mean loss, training accuracy, wall seconds and images/s.
     """
-    start = _first_trained(model)
-    inputs = _prefix_outputs(model.layers[:start], train_set) if start else None
-    labels = train_set.labels
     n = train_set.count
+    if n == 0:
+        raise ValueError("train: the training set holds no images")
+    start = int(isinstance(model.layers[0], HistogramLayer))
+    inputs = _histograms(model.layers[0], train_set.images) if start else None
+    labels = train_set.labels
     optimizer = Adam(model.parameters(), lr=cfg.lr)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     curve = []
@@ -407,68 +403,57 @@ def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     """One :class:`EvalReport` per transform kind, in the order given.
 
     One pass over blocks of the test set (see the module docstring), so
-    neither a float nor a transformed copy of the whole set is built.  A
-    block is ``PREFIX_CHUNK`` images for a model with a frozen prefix and
-    ``EVAL_BATCH`` images otherwise.  For the originals and for each kind
-    other than ``none``, the block is transformed by
-    :func:`~histlearn.transforms.transform_batch` and run through the
-    frozen prefix ``EVAL_BATCH`` images at a time into one array, and the
-    trained layers run once over that array.  When the prefix is dadm's
-    histogram layer the block stays bytes, and under translate, flip and
-    shuffle only the rows whose byte counts changed are histogrammed (see
-    :func:`_moved_histograms`).  With a frozen prefix, a kind whose array
-    is bitwise equal (``np.array_equal``) to the originals' takes the
-    originals' predictions for the block instead; without one the arrays
-    are pixels, which the transforms move, and are not compared.  The
-    streams ``default_rng([seed, i])`` of the whole set are computed once
-    per evaluate, for all those kinds, and each sub-chunk reads its slice;
-    none are computed when only ``none`` is asked for.
+    neither a float nor a transformed copy of the whole set is built.  For
+    the originals and for each kind other than ``none``, a block is
+    transformed by :func:`~histlearn.transforms.transform_batch` and run
+    through the model.  lenet, base and cnn take blocks of ``EVAL_BATCH``
+    float images.  dadm takes blocks of ``PREFIX_CHUNK`` images held as
+    bytes, histograms them by :func:`_histograms`, or under translate, flip
+    and shuffle by :func:`_moved_histograms`, and runs its trained layers
+    once over the block's histograms; a kind whose histograms are the
+    originals' array itself takes the originals' predictions for the block.
+    The streams ``default_rng([seed, i])`` of the whole set are computed
+    once per evaluate, for all those kinds, and each sub-chunk reads its
+    slice; none are computed when only ``none`` is asked for.
     The originals' accuracy is every report's reference for ``delta`` (so
     ``none`` reads 0), and their predictions are the ``none`` report's.  A
-    kind listed twice raises ``ValueError``, and non-finite logits (an
-    overflow, as in :func:`train`) ``NonFiniteError`` naming kind and model.
+    kind listed twice and an empty set raise ``ValueError``, and
+    non-finite logits (an overflow, as in :func:`train`)
+    ``NonFiniteError`` naming kind and model.
     """
+    if test_set.count == 0:
+        raise ValueError("evaluate: the test set holds no images")
     kinds = list(kinds)
     repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
     if repeated:
         raise ValueError(f"transform kinds listed more than once: {repeated}")
     for kind in kinds:
         TransformSpec(kind, rng_seed=seed)  # rejects an unknown kind or a bad seed
-    start = _first_trained(model)
-    prefix = model.layers[:start]
-    # dadm's block is held as bytes (see _moved_histograms)
-    histogram = prefix[0] if start == 1 and isinstance(prefix[0], HistogramLayer) else None
+    histogram = model.layers[0] if isinstance(model.layers[0], HistogramLayer) else None
+    start = int(histogram is not None)
     # the originals come first: every other kind's memo compares with them
     preds = {kind: np.empty(test_set.count, dtype=np.int64) for kind in ["none", *kinds]}
     if len(preds) > 1:
         streams = stream_states(seed, range(test_set.count))
-    block = PREFIX_CHUNK if prefix else EVAL_BATCH
+    block = EVAL_BATCH if histogram is None else PREFIX_CHUNK
     for lo in range(0, test_set.count, block):
         index = slice(lo, lo + block)
         images = test_set.take(index) if histogram is None else test_set.images[index]
         hi = lo + images.shape[0]
         for kind, out in preds.items():
-            if histogram is not None and kind in ("translate", "flip", "shuffle"):
-                x = _moved_histograms(histogram, images, streams[lo:hi], kind, originals, counts)
+            part = None if kind == "none" else streams[lo:hi]
+            if histogram is None:
+                x = (images if part is None else transform_batch(images, part, kind))[:, None, :, :]
+            elif kind in ("translate", "flip", "shuffle"):
+                x = _moved_histograms(histogram, images, part, kind, originals, counts)
             else:
-                parts = []
-                for sub in range(lo, hi, EVAL_BATCH):
-                    x = images[sub - lo : sub - lo + EVAL_BATCH]
-                    if histogram is not None:
-                        x = normalize(x)
-                    if kind != "none":
-                        x = transform_batch(x, streams[sub : sub + x.shape[0]], kind)
-                    x = x[:, None, :, :]
-                    for layer in prefix:
-                        x = layer.forward(x)
-                    parts.append(x)
-                x = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                x = _histograms(histogram, images, part, kind)
             if kind == "none":
                 originals = x
                 if histogram is not None:
                     # at most H * W per cell: uint16 for 28 x 28 images
                     counts = byte_counts(images).astype(np.min_scalar_type(images[0].size))
-            elif prefix and np.array_equal(x, originals):
+            elif x is originals:
                 out[lo:hi] = preds["none"][lo:hi]
                 continue
             logits = model.forward(x, start=start)

@@ -171,6 +171,15 @@ def _permute_batch(images: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return np.take_along_axis(flat, perms, axis=1).reshape(images.shape)
 
 
+def _batch_of_one(img) -> np.ndarray:
+    """One (H, W) image as a (1, H, W) batch of float64 pixels; any other
+    rank is a ``ShapeError``."""
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim != 2:
+        raise ShapeError(f"expected one (H, W) image, got shape {img.shape}")
+    return img[None]
+
+
 def rotate(img, degrees):
     """Rotate counter-clockwise about the image center, bilinear, fill -1.
 
@@ -180,8 +189,7 @@ def rotate(img, degrees):
     interpolation residue.  Output values stay in [-1, 1] (bilinear mixes
     in-range values and the fill).
     """
-    img = np.asarray(img, dtype=np.float64)
-    return _rotate_batch(img[None], np.array([degrees], dtype=np.float64))[0]
+    return _rotate_batch(_batch_of_one(img), np.array([degrees], dtype=np.float64))[0]
 
 
 def translate(img, dx, dy):
@@ -192,8 +200,7 @@ def translate(img, dx, dy):
     for name, offset in (("dx", dx), ("dy", dy)):
         if not (isinstance(offset, (int, np.integer)) or float(offset).is_integer()):
             raise ValueError(f"translate offset {name} must be an integer, got {offset!r}")
-    img = np.asarray(img, dtype=np.float64)
-    return _translate_batch(img[None], np.array([int(dx)]), np.array([int(dy)]))[0]
+    return _translate_batch(_batch_of_one(img), np.array([int(dx)]), np.array([int(dy)]))[0]
 
 
 def flip(img, axis):
@@ -204,14 +211,13 @@ def flip(img, axis):
     """
     if axis not in FLIP_AXES:
         raise ValueError(f"axis must be one of {FLIP_AXES}, got {axis!r}")
-    img = np.asarray(img, dtype=np.float64)
-    return _flip_batch(img[None], np.array([axis == "horizontal"]))[0]
+    return _flip_batch(_batch_of_one(img), np.array([axis == "horizontal"]))[0]
 
 
 def _check_seed(seed, name="rng_seed"):
     """The one seed rule, shared by ``TransformSpec``, :func:`stream_states`
-    and ``ModelConfig``: an integer >= 0."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    and ``ModelConfig``: an integer >= 0, and not a ``bool``."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
@@ -397,10 +403,13 @@ def transform_batch(images: np.ndarray, streams: np.ndarray, kind: str) -> np.nd
     ``normalize(images)``, bit for bit.  Rotate interpolates, so it takes
     float pixels only and refuses bytes with ``ValueError``.
     ``none`` returns ``images`` itself; an unknown kind raises
-    ``ValueError``, and a record whose length is not B raises ``ShapeError``.
+    ``ValueError``, and a batch of another rank or a record whose length
+    is not B raises ``ShapeError``, before anything is drawn.
     """
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown transform kind {kind!r}, expected one of {TRANSFORM_KINDS}")
+    if images.ndim != 3:
+        raise ShapeError(f"expected a (B, H, W) batch, got shape {images.shape}")
     if kind == "rotate" and images.dtype == np.uint8:
         raise ValueError("rotate interpolates float pixels; normalize uint8 images first")
     if len(streams) != images.shape[0]:
@@ -427,5 +436,4 @@ def transform_image(img, index: int, tspec: TransformSpec):
     permutation.  The image goes through :func:`transform_batch` as a
     batch of one.
     """
-    img = np.asarray(img, dtype=np.float64)
-    return transform_batch(img[None], stream_states(tspec.rng_seed, [index]), tspec.kind)[0]
+    return transform_batch(_batch_of_one(img), stream_states(tspec.rng_seed, [index]), tspec.kind)[0]

@@ -309,6 +309,17 @@ def test_bad_seed_in_config_is_one_data_error_line(seed, tmp_path, synth_data_di
     assert capsys.readouterr().err == f"histlearn: data error: {message}\n"
 
 
+def test_bool_epochs_in_config_is_data_error(tmp_path):
+    # True is an int to Python, but a signed file carrying it as a count is
+    # refused while the config is read
+    cfg = models.ModelConfig("base", epochs=1, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(models.build_model(cfg), cfg, path)
+    bad = _rewrite_config(path, b"epochs=1\n", b"epochs=True\n")
+    with pytest.raises(DataFormatError, match="epochs must be an integer >= 1, got True"):
+        load_checkpoint(bad)
+
+
 @pytest.mark.parametrize("bandwidth", [b"5e-324", b"1e+301"])
 def test_bandwidth_out_of_bounds_in_config_is_one_data_error_line(bandwidth, tmp_path, synth_data_dir,
                                                                   capsys):

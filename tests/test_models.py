@@ -106,6 +106,7 @@ class TestBuildModel:
     @pytest.mark.parametrize("name, value", [
         ("architecture", "resnet"), ("epochs", 0), ("batch_size", 2.5), ("lr", 0.0),
         ("n_bins", 2000), ("bandwidth", 0.0), ("seed", 1.5), ("seed", -1), ("seed", "0"),
+        ("epochs", True), ("batch_size", True), ("seed", True), ("n_bins", True),
     ])
     def test_field_check_is_the_constructors_refusal(self, name, value):
         # the command line checks one option by this; the config says the same
@@ -342,18 +343,19 @@ class TestTraining:
 
             monkeypatch.setattr(owner, method, recording)
 
-        spy(models, "_prefix_outputs")
+        spy(models, "_histograms")
         for layer in prefix:
             spy(layer, "forward")
             spy(layer, "backward")
         spy(trained, "backward")
         models.train(model, train_set, cfg)
+        # dadm's histograms: one build, one forward per EVAL_BATCH chunk of
+        # the set (32, 32 and 16 images), all before the first step
+        chunks = len(range(0, train_set.count, models.EVAL_BATCH))
+        histograms = [(models, "_histograms", {})] + [(layer, "forward", {}) for layer in prefix] * chunks
         steps = cfg.epochs * len(range(0, train_set.count, cfg.batch_size))
-        runs = [c for c in calls if c[0] is models]
-        assert runs == [(models, "_prefix_outputs", {})] * (1 if prefix else 0)
-        for layer in prefix:
-            assert [c for c in calls if c[0] is layer] == [(layer, "forward", {})]
-        assert [c for c in calls if c[0] is trained] == [(trained, "backward", {"input_grad": False})] * steps
+        step_calls = [(trained, "backward", {"input_grad": False})] * steps
+        assert calls == (histograms if prefix else []) + step_calls
 
     def test_dadm_prefix_in_chunks_trains_and_evaluates_alike(self, monkeypatch):
         train_set, test_set = make_imageset(100, seed=28), make_imageset(3 * models.EVAL_BATCH + 5, seed=29)
@@ -366,8 +368,11 @@ class TestTraining:
             return [p.value for p in model.parameters()], reports
 
         want_params, want_reports = run()
-        # a frozen prefix run in chunks that end in a partial one
+        # histograms built in chunks that end in a partial one: 100 training
+        # images are 14 * 7 + 2, and the 101 test images 4 * 24 + 5 in
+        # blocks whose sub-chunks end in partial ones (24 = 3 * 7 + 3)
         monkeypatch.setattr(models, "PREFIX_CHUNK", 24)
+        monkeypatch.setattr(models, "EVAL_BATCH", 7)
         params, reports = run()
         assert all(np.array_equal(a, b) for a, b in zip(params, want_params))
         assert reports == want_reports
@@ -452,6 +457,18 @@ class TestTraining:
             models.train(model, train_set, cfg)
         assert "epoch 1" in str(err.value) and "batch 0" in str(err.value)
 
+    def test_empty_set_is_refused_before_any_work(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("worked on an empty set")
+
+        monkeypatch.setattr(models, "_histograms", unexpected)
+        monkeypatch.setattr(models.Model, "forward", unexpected)
+        empty = ImageSet(np.zeros((0, 28, 28), np.uint8), np.zeros(0, np.int64))
+        for arch in ("base", "dadm"):
+            cfg = tiny_cfg(arch)
+            with pytest.raises(ValueError, match="training set holds no images"):
+                models.train(models.build_model(cfg), empty, cfg)
+
     def test_curve_rows_per_epoch(self):
         train_set = make_imageset(64, seed=24)
         cfg = tiny_cfg("base", epochs=3)
@@ -507,11 +524,24 @@ class TestEvaluate:
         monkeypatch.setattr(models.Model, "forward", unexpected)
         with pytest.raises(ValueError, match="zoom"):
             models.evaluate(self.model, self.test_set, ["none", "zoom"])
-        for seed in (-1, 1.5, "3"):
+        for seed in (-1, 1.5, "3", True):
             with pytest.raises(ValueError, match="rng_seed"):
                 models.evaluate(self.model, self.test_set, ["none", "flip"], seed=seed)
         with pytest.raises(ValueError, match="rotate"):
             models.evaluate(self.model, self.test_set, ["rotate", "none", "rotate"])
+
+    @pytest.mark.parametrize("arch", ["base", "dadm"])
+    def test_empty_set_is_refused_before_any_work(self, arch, monkeypatch):
+        # not numpy's "Mean of empty slice" warning, nor a NaN top-1
+        def unexpected(*args, **kwargs):
+            raise AssertionError("worked on an empty set")
+
+        model = models.build_model(tiny_cfg(arch))
+        monkeypatch.setattr(models, "stream_states", unexpected)
+        monkeypatch.setattr(models.Model, "forward", unexpected)
+        empty = ImageSet(np.zeros((0, 28, 28), np.uint8), np.zeros(0, np.int64))
+        with pytest.raises(ValueError, match="test set holds no images"):
+            models.evaluate(model, empty, list(TRANSFORM_KINDS))
 
     def test_battery_predicts_originals_once(self, monkeypatch):
         # base has no frozen prefix: each EVAL_BATCH chunk of each kind is

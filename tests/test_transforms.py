@@ -320,6 +320,33 @@ class TestApplyTransform:
         with pytest.raises(ShapeError, match="4 images but 3 streams"):
             transform_batch(small_set.pixels[:4], streams, kind)
 
+    @pytest.mark.parametrize("shape", [(4, 1, 28, 28), (4, 784)], ids=["model-input", "flat"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_of_another_rank_is_a_shape_error(self, kind, shape, small_set, monkeypatch):
+        # a (B, 1, H, W) flip came back (B, B, H, W) by broadcasting
+        def unexpected(*args):
+            raise AssertionError("drew before checking the batch's rank")
+
+        monkeypatch.setattr(transforms, "stream_draws", unexpected)
+        images = small_set.pixels[:4].reshape(shape)
+        with pytest.raises(ShapeError, match=re.escape(f"(B, H, W) batch, got shape {shape}")):
+            transform_batch(images, stream_states(0, range(4)), kind)
+
+    @pytest.mark.parametrize("shape", [(1, 28, 28), (784,)], ids=["batch-of-one", "flat"])
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda img: rotate(img, 30.0),
+            lambda img: translate(img, 1, 2),
+            lambda img: flip(img, "horizontal"),
+            lambda img: transform_image(img, 0, TransformSpec("flip")),
+        ],
+        ids=["rotate", "translate", "flip", "transform_image"],
+    )
+    def test_image_of_another_rank_is_a_shape_error(self, apply, shape, small_set):
+        with pytest.raises(ShapeError, match=re.escape(f"(H, W) image, got shape {shape}")):
+            apply(small_set.pixels[0].reshape(shape))
+
     @pytest.mark.parametrize("kind", ["translate", "flip", "shuffle"])
     def test_bytes_move_as_their_pixels(self, kind, small_set):
         # a uint8 batch comes out bytes, padded with byte 0, and its
@@ -389,13 +416,15 @@ class TestSeedValidation:
             lambda: TransformSpec("rotate", rng_seed=None),
             lambda: TransformSpec("rotate", rng_seed=-1),
             lambda: TransformSpec("rotate", rng_seed=np.int64(-1)),
+            lambda: TransformSpec("rotate", rng_seed=True),
+            lambda: stream_states(True, [0]),
             lambda: stream_states(1.5, [0]),
             lambda: stream_states(-1, [0]),
             lambda: stream_states(0, [-1]),
             lambda: stream_states(0, [0, 2**32]),
             lambda: stream_states(0, np.array([0.0, 1.0])),
         ],
-        ids=["float", "str", "numpy-float", "none", "negative", "numpy-negative",
+        ids=["float", "str", "numpy-float", "none", "negative", "numpy-negative", "bool", "states-bool-seed",
              "states-float-seed", "states-negative-seed", "negative-index", "index-2**32", "float-index"],
     )
     def test_non_integer_or_out_of_range_is_a_value_error(self, make):

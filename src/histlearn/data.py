@@ -1,10 +1,14 @@
-"""MNIST ingestion: IDX parsing, download with verification, normalization,
-and the atomic file writer the downloads and checkpoints share.
+"""MNIST ingestion: the IDX reader and its inverse writer, download with
+verification, normalization, and the atomic file writer the downloads,
+checkpoints and IDX files share.
 
 IDX is the dataset's raw binary container: a big-endian magic number
 (0x00000803 for image files, 0x00000801 for label files), big-endian
-dimension fields, then unsigned bytes.  Files may be given raw or gzipped;
-gzip is detected from the two-byte signature.
+dimension fields, then unsigned bytes.  This module is the only code that
+knows that layout: :func:`load_idx` reads both files of a split through one
+header reader, and :func:`write_idx` writes the pair :func:`load_mnist`
+reads back.  Files may be given raw or gzipped; gzip is detected from the
+two-byte signature.
 
 Pixels are mapped from bytes to ``v / 127.5 - 1`` so the working range is
 exactly [-1, 1].  An image set is held as its bytes; float pixels exist only
@@ -13,6 +17,7 @@ as the batch or chunk that training or evaluation reads and normalizes.
 
 import gzip
 import hashlib
+import math
 import os
 import struct
 import tempfile
@@ -42,6 +47,12 @@ MNIST_MIRRORS = (
 
 IMAGE_SHAPE = (28, 28)  # the input every architecture is built for
 
+# split -> (images file, labels file)
+SPLITS = {
+    "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+    "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
+}
+
 
 def _read_file(path) -> bytes:
     with open(path, "rb") as fh:
@@ -54,6 +65,25 @@ def _read_file(path) -> bytes:
         raise DataFormatError(f"{path}: corrupt gzip data: {exc}") from exc
 
 
+def _read_idx(path, magic, ndim, what) -> np.ndarray:
+    """The uint8 array of ``ndim`` dimensions an IDX file holds, a read-only
+    view of its bytes, after its header length, ``magic`` and exact payload
+    length are checked; a refusal names ``what`` the file should hold."""
+    payload = _read_file(path)
+    header = 4 + 4 * ndim
+    if len(payload) < header:
+        raise DataFormatError(
+            f"{path}: truncated header, expected at least {header} bytes, got {len(payload)}"
+        )
+    found, *shape = struct.unpack(f">{1 + ndim}I", payload[:header])
+    if found != magic:
+        raise DataFormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x} ({what})")
+    expected = header + math.prod(shape)
+    if len(payload) != expected:
+        raise DataFormatError(f"{path}: truncated, expected {expected} bytes, got {len(payload)}")
+    return np.frombuffer(payload, dtype=np.uint8, offset=header).reshape(shape)
+
+
 def load_idx(images_path, labels_path):
     """Parse an IDX image/label file pair into raw arrays.
 
@@ -63,42 +93,12 @@ def load_idx(images_path, labels_path):
     magic numbers, truncated payloads, or image/label count mismatches,
     each with a distinct message.
     """
-    img_bytes = _read_file(images_path)
-    if len(img_bytes) < 16:
+    images = _read_idx(images_path, IMAGE_MAGIC, 3, "images")
+    labels = _read_idx(labels_path, LABEL_MAGIC, 1, "labels")
+    if len(labels) != len(images):
         raise DataFormatError(
-            f"{images_path}: truncated header, expected at least 16 bytes, got {len(img_bytes)}"
+            f"image count {len(images)} ({images_path}) != label count {len(labels)} ({labels_path})"
         )
-    magic, count, height, width = struct.unpack(">IIII", img_bytes[:16])
-    if magic != IMAGE_MAGIC:
-        raise DataFormatError(
-            f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x} (images)"
-        )
-    expected = 16 + count * height * width
-    if len(img_bytes) != expected:
-        raise DataFormatError(
-            f"{images_path}: truncated, expected {expected} bytes, got {len(img_bytes)}"
-        )
-    images = np.frombuffer(img_bytes, dtype=np.uint8, offset=16).reshape(count, height, width)
-
-    lbl_bytes = _read_file(labels_path)
-    if len(lbl_bytes) < 8:
-        raise DataFormatError(
-            f"{labels_path}: truncated header, expected at least 8 bytes, got {len(lbl_bytes)}"
-        )
-    lmagic, lcount = struct.unpack(">II", lbl_bytes[:8])
-    if lmagic != LABEL_MAGIC:
-        raise DataFormatError(
-            f"{labels_path}: bad magic 0x{lmagic:08x}, expected 0x{LABEL_MAGIC:08x} (labels)"
-        )
-    if len(lbl_bytes) != 8 + lcount:
-        raise DataFormatError(
-            f"{labels_path}: truncated, expected {8 + lcount} bytes, got {len(lbl_bytes)}"
-        )
-    if lcount != count:
-        raise DataFormatError(
-            f"image count {count} ({images_path}) != label count {lcount} ({labels_path})"
-        )
-    labels = np.frombuffer(lbl_bytes, dtype=np.uint8, offset=8)
     return images, labels
 
 
@@ -148,14 +148,6 @@ class ImageSet:
     def count(self):
         return self.images.shape[0]
 
-    @property
-    def height(self):
-        return self.images.shape[1]
-
-    @property
-    def width(self):
-        return self.images.shape[2]
-
     def take(self, index) -> np.ndarray:
         """Float64 pixels of ``images[index]`` (an index, slice or index
         array), normalizing only those bytes."""
@@ -167,10 +159,6 @@ class ImageSet:
         on every access, so no package path reads this."""
         return normalize(self.images)
 
-    @classmethod
-    def from_idx_files(cls, images_path, labels_path) -> "ImageSet":
-        return cls(*load_idx(images_path, labels_path))
-
 
 def load_mnist(data_dir, split="train") -> ImageSet:
     """Load one MNIST split, held as its bytes, from a directory holding
@@ -179,22 +167,32 @@ def load_mnist(data_dir, split="train") -> ImageSet:
     A split with no images, or with images that are not 28x28, raises
     :class:`DataFormatError` naming the file, before any model sees it.
     """
-    if split == "train":
-        images, labels = "train-images-idx3-ubyte", "train-labels-idx1-ubyte"
-    elif split == "test":
-        images, labels = "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"
-    else:
+    if split not in SPLITS:
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
-    images = os.path.join(data_dir, images)
-    image_set = ImageSet.from_idx_files(images, os.path.join(data_dir, labels))
+    images, labels = (os.path.join(data_dir, name) for name in SPLITS[split])
+    image_set = ImageSet(*load_idx(images, labels))
     if image_set.count == 0:
         raise DataFormatError(f"{images}: holds no images")
-    if (image_set.height, image_set.width) != IMAGE_SHAPE:
+    if image_set.images.shape[1:] != IMAGE_SHAPE:
+        height, width = image_set.images.shape[1:]
         raise DataFormatError(
-            f"{images}: images are {image_set.height}x{image_set.width}, "
-            f"expected {IMAGE_SHAPE[0]}x{IMAGE_SHAPE[1]}"
+            f"{images}: images are {height}x{width}, expected {IMAGE_SHAPE[0]}x{IMAGE_SHAPE[1]}"
         )
     return image_set
+
+
+def write_idx(data_dir, split, image_set: ImageSet):
+    """Write ``image_set`` as ``split``'s IDX image/label file pair in
+    ``data_dir``, the files :func:`load_mnist` reads back bitwise, each
+    through :func:`write_atomic`; returns the two paths."""
+    os.makedirs(data_dir, exist_ok=True)
+    images, labels = (os.path.join(data_dir, name) for name in SPLITS[split])
+    count, height, width = image_set.images.shape
+    write_atomic(images, [struct.pack(">IIII", IMAGE_MAGIC, count, height, width),
+                          image_set.images.tobytes()])
+    write_atomic(labels, [struct.pack(">II", LABEL_MAGIC, count),
+                          image_set.labels.astype(np.uint8).tobytes()])
+    return images, labels
 
 
 def mnist_files_present(data_dir, file_table=None) -> bool:

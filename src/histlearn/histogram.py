@@ -72,6 +72,7 @@ the sort's order; each pixel gets the bits its own evaluation would give.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -126,23 +127,27 @@ class HistogramSpec:
 
     @classmethod
     def check(cls, name, value):
-        """``value`` if it is a valid ``n_bins`` or ``bandwidth`` (``name``),
-        else ``ValueError``; the command line checks each option this way.
-        ``n_bins`` is an integer, and not a ``bool``."""
-        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if name == "n_bins" and not (integer and 1 <= value <= cls.MAX_BINS):
-            raise ValueError(f"n_bins must be an integer in [1, {cls.MAX_BINS}], got {value!r}")
-        if name == "bandwidth" and not cls.MIN_BANDWIDTH <= value <= cls.MAX_BANDWIDTH:
-            raise ValueError(
-                f"bandwidth must be in [{cls.MIN_BANDWIDTH:g}, {cls.MAX_BANDWIDTH:g}], got {value!r}"
-            )
+        """``value`` as a plain ``int`` (``n_bins``) or ``float``
+        (``bandwidth``) if it is a valid field ``name``, else ``ValueError``;
+        the command line checks each option this way.  ``n_bins`` is an
+        integer and ``bandwidth`` a real number, and neither a ``bool``.
+        Any other ``name`` passes ``value`` through."""
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if name == "n_bins":
+            if not (number and isinstance(value, numbers.Integral) and 1 <= value <= cls.MAX_BINS):
+                raise ValueError(f"n_bins must be an integer in [1, {cls.MAX_BINS}], got {value!r}")
+            return int(value)
+        if name == "bandwidth":
+            if not (number and cls.MIN_BANDWIDTH <= value <= cls.MAX_BANDWIDTH):
+                raise ValueError(
+                    f"bandwidth must be in [{cls.MIN_BANDWIDTH:g}, {cls.MAX_BANDWIDTH:g}], got {value!r}"
+                )
+            return float(value)
         return value
 
     def __post_init__(self):
-        self.check("n_bins", self.n_bins)
-        self.check("bandwidth", self.bandwidth)
-        self.n_bins = int(self.n_bins)
-        self.bandwidth = float(self.bandwidth)
+        self.n_bins = self.check("n_bins", self.n_bins)
+        self.bandwidth = self.check("bandwidth", self.bandwidth)
         self.bin_width = 2.0 / self.n_bins
         self.half_width = self.bin_width / 2.0
         self.edges = -1.0 + np.arange(self.n_bins + 1, dtype=np.float64) * self.bin_width

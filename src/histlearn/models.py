@@ -56,8 +56,8 @@ from .data import ImageSet, normalize
 from .distlayers import ArithmeticDistributionLayer, init_kernel
 from .errors import NonFiniteError, ShapeError
 from .histogram import HistogramSpec, byte_counts, kde_histogram, kde_histogram_backward
-from .nn import Adam, Conv2d, Linear, MaxPool2d, ReLU, _checked_grad, log_softmax_nll
-from .transforms import TransformSpec, _check_seed, stream_states, transform_batch
+from .nn import Adam, Conv2d, Linear, MaxPool2d, ReLU, _checked_grad, check_lr, log_softmax_nll
+from .transforms import TRANSFORM_KINDS, _check_seed, stream_states, transform_batch
 
 ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 
@@ -107,24 +107,30 @@ class ModelConfig:
 
     @staticmethod
     def check(name, value):
-        """``value`` if it is a valid field ``name``, else ``ValueError``; the
-        command line checks each option this way.  ``seed`` follows the
-        transforms' seed rule, ``n_bins`` and ``bandwidth``
-        :meth:`HistogramSpec.check`.  No integer field takes a ``bool``."""
-        if name == "architecture" and value not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {value!r}, expected one of {ARCHITECTURES}")
-        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if name in ("epochs", "batch_size") and not (integer and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if name == "lr" and not 0 < value < np.inf:
-            raise ValueError(f"lr must be finite and > 0, got {value!r}")
+        """``value`` as its plain Python ``str``, ``int`` or ``float`` if it
+        is a valid field ``name``, else ``ValueError``; the command line
+        checks each option this way, and a checkpoint's config block holds
+        what it returns.  ``lr`` follows :func:`~histlearn.nn.check_lr`,
+        ``seed`` the transforms' seed rule, ``n_bins`` and ``bandwidth``
+        :meth:`HistogramSpec.check`.  No number field takes a ``bool``."""
+        if name == "architecture":
+            if value not in ARCHITECTURES:
+                raise ValueError(f"unknown architecture {value!r}, expected one of {ARCHITECTURES}")
+            return str(value)
+        if name in ("epochs", "batch_size"):
+            if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            return int(value)
+        if name == "lr":
+            return check_lr(value)
         if name == "seed":
             _check_seed(value, name)
+            return int(value)
         return HistogramSpec.check(name, value)
 
     def __post_init__(self):
         for f in fields(self):
-            self.check(f.name, getattr(self, f.name))
+            setattr(self, f.name, self.check(f.name, getattr(self, f.name)))
 
     def histogram_spec(self) -> HistogramSpec:
         return HistogramSpec(n_bins=self.n_bins, bandwidth=self.bandwidth)
@@ -417,10 +423,12 @@ def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     slice; none are computed when only ``none`` is asked for.
     The originals' accuracy is every report's reference for ``delta`` (so
     ``none`` reads 0), and their predictions are the ``none`` report's.  A
-    kind listed twice and an empty set raise ``ValueError``, and
+    bad seed (checked first, even when no kind is listed), an unknown kind,
+    a kind listed twice and an empty set raise ``ValueError``, and
     non-finite logits (an overflow, as in :func:`train`)
     ``NonFiniteError`` naming kind and model.
     """
+    _check_seed(seed)
     if test_set.count == 0:
         raise ValueError("evaluate: the test set holds no images")
     kinds = list(kinds)
@@ -428,7 +436,8 @@ def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     if repeated:
         raise ValueError(f"transform kinds listed more than once: {repeated}")
     for kind in kinds:
-        TransformSpec(kind, rng_seed=seed)  # rejects an unknown kind or a bad seed
+        if kind not in TRANSFORM_KINDS:
+            raise ValueError(f"unknown transform kind {kind!r}, expected one of {TRANSFORM_KINDS}")
     histogram = model.layers[0] if isinstance(model.layers[0], HistogramLayer) else None
     start = int(histogram is not None)
     # the originals come first: every other kind's memo compares with them

@@ -32,6 +32,8 @@ gradient's, so backward passes need no relayout either.
 """
 
 import math
+import numbers
+import sys
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -378,6 +380,17 @@ EPS = 1e-8
 CHUNK = 32768
 
 
+def check_lr(lr) -> float:
+    """``lr`` as a float if it is a finite real number > 0, else
+    ``ValueError``: the one learning-rate rule, shared by :class:`Adam` and
+    ``ModelConfig``.  A ``bool`` is refused; the bound is the largest float,
+    so that no integer or fraction above it converts to ``inf``."""
+    real = isinstance(lr, numbers.Real) and not isinstance(lr, bool)
+    if not (real and 0 < lr <= sys.float_info.max):
+        raise ValueError(f"lr (the learning rate) must be finite and > 0, got {lr!r}")
+    return float(lr)
+
+
 class Adam:
     """Adam over a parameter list (Kingma & Ba 2015).
 
@@ -402,14 +415,13 @@ class Adam:
     or infinite gradient raises ``NonFiniteError`` and a non-contiguous
     array ``ValueError``, naming the parameter and leaving every parameter,
     moment and ``t`` as they were.  A finite gradient whose squared norm
-    overflows still steps.
+    overflows still steps.  A learning rate :func:`check_lr` refuses is a
+    ``ValueError`` at construction.
     """
 
     def __init__(self, params, lr=0.001):
-        if not lr > 0:
-            raise ValueError(f"learning rate must be > 0, got {lr}")
+        self.lr = check_lr(lr)
         self.params = list(params)
-        self.lr = lr
         # each gradient is allocated here, before the first forward, beside
         # its moments: allocated by the first backward, among that pass's
         # temporaries, it left the process's peak RSS about 0.8 MB higher

@@ -9,7 +9,6 @@ Real-MNIST tests are skipped unless the IDX files are present (point
 
 import gzip
 import os
-import struct
 import time
 
 # One BLAS thread for the whole session, set before numpy loads: bitwise
@@ -22,7 +21,7 @@ import numpy as np  # noqa: E402
 import pytest
 
 from histlearn.cli import DATA_DIR_ENV
-from histlearn.data import ImageSet, mnist_files_present
+from histlearn.data import ImageSet, mnist_files_present, write_idx
 from histlearn.transforms import stream_states, transform_batch
 
 
@@ -49,22 +48,6 @@ def transform_set(image_set, kind, seed):
     ``models.evaluate`` gives it."""
     states = stream_states(seed, range(image_set.count))
     return transform_batch(image_set.pixels, states, kind)
-
-
-def write_idx_pair(directory, images, labels, prefix):
-    """Write one images/labels IDX file pair, labels as bytes; returns the
-    two paths."""
-    os.makedirs(directory, exist_ok=True)
-    n, h, w = images.shape
-    img_path = os.path.join(directory, f"{prefix}-images-idx3-ubyte")
-    with open(img_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x00000803, n, h, w))
-        fh.write(images.tobytes())
-    lbl_path = os.path.join(directory, f"{prefix}-labels-idx1-ubyte")
-    with open(lbl_path, "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, n))
-        fh.write(labels.astype(np.uint8).tobytes())
-    return img_path, lbl_path
 
 
 def gzip_file(path):
@@ -119,8 +102,8 @@ def synth_data_dir(tmp_path):
     """A directory shaped like an MNIST data dir but with synthetic content."""
     train = make_imageset(512, seed=10)
     test = make_imageset(256, seed=11)
-    write_idx_pair(tmp_path, train.images, train.labels, "train")
-    write_idx_pair(tmp_path, test.images, test.labels, "t10k")
+    write_idx(tmp_path, "train", train)
+    write_idx(tmp_path, "test", test)
     return str(tmp_path)
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import make_imageset, mnist_dir, requires_mnist, transform_set
 from histlearn import cli, models
-from histlearn.data import load_mnist
+from histlearn.data import load_mnist, write_idx
 
 EVAL_SEED = 0
 TRANSFORMS = ("none", "rotate", "translate", "flip", "shuffle")
@@ -226,12 +226,9 @@ def test_criterion_11_determinism(tmp_path):
         )
     curves_ok = curves[0] == curves[1]
 
-    from conftest import write_idx_pair
-
     data_dir = tmp_path / "data"
-    for prefix, count, seed in (("train", 128, 41), ("t10k", 64, 42)):
-        image_set = make_imageset(count, seed=seed)
-        write_idx_pair(data_dir, image_set.images, image_set.labels, prefix)
+    for split, count, seed in (("train", 128, 41), ("test", 64, 42)):
+        write_idx(data_dir, split, make_imageset(count, seed=seed))
     out = tmp_path / "train"
     code = cli.main(["train", "--arch", "base", "--data-dir", str(data_dir), "--out-dir", str(out),
                      "--epochs", "1", "--batch", "32"])

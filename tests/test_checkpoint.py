@@ -40,6 +40,21 @@ def test_round_trip_preserves_logits(arch, tmp_path):
     assert np.array_equal(loaded.forward(batch), before)
 
 
+def test_config_of_numpy_scalars_round_trips(tmp_path):
+    # each field is held as its plain Python value, so the config block reads
+    # back and the file is the one a config of plain values writes
+    fields = dict(epochs=2, batch_size=16, lr=0.01, seed=3, n_bins=16, bandwidth=0.05)
+    plain = models.ModelConfig("dadm", **fields)
+    scalars = models.ModelConfig(np.str_("dadm"), **{
+        name: (np.float64 if isinstance(value, float) else np.int64)(value) for name, value in fields.items()
+    })
+    save_checkpoint(models.build_model(plain), plain, tmp_path / "plain.ckpt")
+    save_checkpoint(models.build_model(scalars), scalars, tmp_path / "scalars.ckpt")
+    assert (tmp_path / "scalars.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
+    _, loaded = load_checkpoint(tmp_path / "scalars.ckpt")
+    assert loaded == plain
+
+
 def _saved(arch, path, seed=5):
     """A checkpoint of ``arch`` at ``path`` whose values are not the seeded
     draws; returns ``(model, config)``."""

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import histlearn
-from conftest import make_imageset, transform_set, write_idx_pair
+from conftest import make_imageset, transform_set
 from histlearn import cli, data, selftest
 from histlearn.checkpoint import save_checkpoint
 from histlearn.cli import DATA_DIR_ENV
@@ -323,9 +323,9 @@ def _bad_data_dir(directory, side=28, counts=(64, 32), gzip_cut=False):
     """An MNIST-shaped data directory; ``gzip_cut`` stores each file gzipped
     and cut to half its length."""
     rng = np.random.default_rng(12)
-    for prefix, count in zip(("train", "t10k"), counts):
+    for split, count in zip(("train", "test"), counts):
         images = rng.integers(0, 256, (count, side, side)).astype(np.uint8)
-        paths = write_idx_pair(directory, images, rng.integers(0, 10, count).astype(np.uint8), prefix)
+        paths = data.write_idx(directory, split, data.ImageSet(images, rng.integers(0, 10, count)))
         if gzip_cut:
             for path in paths:
                 blob = gzip.compress(Path(path).read_bytes())
@@ -722,9 +722,8 @@ def contract_inputs(tmp_path_factory):
     and dadm, and a reports.csv: ``(root, data dir, {name: positional})``."""
     root = tmp_path_factory.mktemp("contract")
     data_dir = root / "data"
-    for prefix, count, seed in (("train", 16, 60), ("t10k", 8, 61)):
-        image_set = make_imageset(count, seed=seed)
-        write_idx_pair(data_dir, image_set.images, image_set.labels, prefix)
+    for split, count, seed in (("train", 16, 60), ("test", 8, 61)):
+        data.write_idx(data_dir, split, make_imageset(count, seed=seed))
     positionals = {}
     for arch in ("lenet", "dadm"):
         cfg = ModelConfig(arch, epochs=1, n_bins=16, bandwidth=0.05)

@@ -13,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gzip_file, make_imageset, write_idx_pair
+from conftest import gzip_file, make_imageset
 from histlearn.data import (
     ImageSet,
     fetch_mnist,
     load_idx,
+    load_mnist,
     mnist_files_present,
     normalize,
+    write_idx,
 )
 from histlearn.errors import DataFormatError
 
@@ -28,7 +30,7 @@ from histlearn.errors import DataFormatError
 def idx_pair(tmp_path):
     images = (np.arange(3 * 28 * 28) % 256).astype(np.uint8).reshape(3, 28, 28)
     labels = np.array([1, 7, 0], dtype=np.uint8)
-    return write_idx_pair(tmp_path, images, labels, "train"), images, labels
+    return write_idx(tmp_path, "train", ImageSet(images, labels)), images, labels
 
 
 class TestLoadIdx:
@@ -91,7 +93,7 @@ def test_corrupted_idx_loads_or_raises_data_format_error(tmp_path_factory, gzipp
     # as a data error, never with another exception
     directory = tmp_path_factory.mktemp("fuzz")
     images = (np.arange(3 * 28 * 28) % 256).astype(np.uint8).reshape(3, 28, 28)
-    paths = write_idx_pair(directory, images, np.array([1, 7, 0], dtype=np.uint8), "train")
+    paths = write_idx(directory, "train", ImageSet(images, np.array([1, 7, 0])))
     if gzipped:
         paths = tuple(gzip_file(path) for path in paths)
     with open(paths[which], "rb") as fh:
@@ -107,6 +109,37 @@ def test_corrupted_idx_loads_or_raises_data_format_error(tmp_path_factory, gzipp
         load_idx(*paths)
     except DataFormatError:
         pass
+
+
+# sha256 of the files write_idx makes of make_imageset(512, seed=10) and
+# make_imageset(256, seed=11), the suite's synthetic MNIST directory, pinned
+# so that the bytes every CLI and acceptance test reads stay the same
+SYNTH_DIGESTS = {
+    "train-images-idx3-ubyte": "bf66977cbfbd08974b86b4ce8748eca3bdf03aa247da49c20cc70d455f542af6",
+    "train-labels-idx1-ubyte": "b7e2c1102806715f53236e8e99f576381a88946a082c95fc6af123916aaffa43",
+    "t10k-images-idx3-ubyte": "5d6353b2d82b68dfe24b2e0d507296d8b7b61fb9fef0bf2b8a113e7298898ec1",
+    "t10k-labels-idx1-ubyte": "6b6c058c903383910a5b90352c417969ec6f02839d91bda278f5ed39b905cb38",
+}
+
+
+class TestWriteIdx:
+    def test_load_mnist_reads_back_both_splits_bitwise(self, tmp_path):
+        for split, count, seed in (("train", 512, 10), ("test", 256, 11)):
+            image_set = make_imageset(count, seed=seed)
+            paths = write_idx(tmp_path, split, image_set)
+            loaded = load_mnist(tmp_path, split)
+            assert loaded.images.shape == image_set.images.shape
+            assert loaded.images.tobytes() == image_set.images.tobytes()
+            assert loaded.labels.dtype == np.int64 and np.array_equal(loaded.labels, image_set.labels)
+            for path in paths:
+                digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                assert digest == SYNTH_DIGESTS[os.path.basename(path)], path
+
+    @pytest.mark.parametrize("shape, message", [((4, 32, 32), "32x32"), ((0, 28, 28), "no images")])
+    def test_load_mnist_refuses_a_set_no_model_takes(self, tmp_path, shape, message):
+        write_idx(tmp_path, "test", ImageSet(np.zeros(shape, np.uint8), np.zeros(shape[0], np.int64)))
+        with pytest.raises(DataFormatError, match=message):
+            load_mnist(tmp_path, "test")
 
 
 class TestNormalize:
@@ -153,11 +186,11 @@ class TestImageSet:
             assert got.dtype == np.float64 and np.array_equal(got, whole[index])
         assert np.array_equal(image_set.pixels, whole)
 
-    def test_from_idx_files(self, idx_pair):
-        (img_path, lbl_path), images, labels = idx_pair
-        image_set = ImageSet.from_idx_files(img_path, lbl_path)
+    def test_from_idx_files(self, idx_pair, tmp_path):
+        _, images, labels = idx_pair
+        image_set = load_mnist(tmp_path, "train")
         assert image_set.count == 3
-        assert image_set.height == image_set.width == 28
+        assert image_set.images.shape[1:] == (28, 28)
         assert np.array_equal(image_set.labels, labels)
         assert np.array_equal(image_set.images, images)  # held as the file's bytes
         assert image_set.pixels.min() >= -1.0 and image_set.pixels.max() <= 1.0
@@ -166,7 +199,7 @@ class TestImageSet:
 def small_table(tmp_path):
     """A fake file table with checksums of synthetic gz blobs."""
     image_set = make_imageset(4, seed=3)
-    img_path, lbl_path = write_idx_pair(tmp_path / "src", image_set.images, image_set.labels, "train")
+    img_path, lbl_path = write_idx(tmp_path / "src", "train", image_set)
     table = {}
     blobs = {}
     for path, name in ((img_path, "train-images-idx3-ubyte"), (lbl_path, "train-labels-idx1-ubyte")):

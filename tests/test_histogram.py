@@ -45,6 +45,9 @@ class TestSpecGeometry:
             HistogramSpec(bandwidth=-1e-3)
         with pytest.raises(ValueError):
             HistogramSpec(bandwidth=float("inf"))
+        for bandwidth in (True, "x"):
+            with pytest.raises(ValueError, match="bandwidth"):
+                HistogramSpec(256, bandwidth)
 
     def test_bin_count_is_bounded(self):
         assert HistogramSpec(n_bins=HistogramSpec.MAX_BINS).n_bins == HistogramSpec.MAX_BINS

@@ -14,7 +14,7 @@ def test_split_sizes_and_geometry():
     test = load_mnist(directory, "test")
     assert train.count == 60000
     assert test.count == 10000
-    assert train.height == train.width == 28
+    assert train.images.shape[1:] == (28, 28)
     assert set(np.unique(train.labels)) <= set(range(10))
 
 

@@ -107,6 +107,7 @@ class TestBuildModel:
         ("architecture", "resnet"), ("epochs", 0), ("batch_size", 2.5), ("lr", 0.0),
         ("n_bins", 2000), ("bandwidth", 0.0), ("seed", 1.5), ("seed", -1), ("seed", "0"),
         ("epochs", True), ("batch_size", True), ("seed", True), ("n_bins", True),
+        ("lr", True), ("lr", "0.1"), ("lr", None), ("bandwidth", True), ("bandwidth", "x"),
     ])
     def test_field_check_is_the_constructors_refusal(self, name, value):
         # the command line checks one option by this; the config says the same
@@ -475,6 +476,14 @@ class TestTraining:
         model = models.build_model(cfg)
         curve = models.train(model, train_set, cfg)
         assert [s.epoch for s in curve] == [1, 2, 3]
+
+
+def test_bad_seed_refused_with_no_kind_listed(small_set):
+    # the seed is checked once, before any work, not through each listed kind
+    model = models.build_model(tiny_cfg("base"))
+    for seed in (-1, "x", 1.5):
+        with pytest.raises(ValueError, match="rng_seed"):
+            models.evaluate(model, small_set, [], seed=seed)
 
 
 class TestEvaluate:

@@ -617,7 +617,7 @@ class TestAdam:
 
     def test_bad_lr(self):
         # refused once, when the optimizer is built, not on every step
-        for lr in (0.0, -1e-3, np.nan):
+        for lr in (0.0, -1e-3, np.nan, np.inf, 10**400, True, "1"):
             with pytest.raises(ValueError, match="learning rate"):
                 one_adam(np.ones(3), lr=lr)
 

@@ -21,7 +21,6 @@ import math
 import os
 import struct
 import tempfile
-import urllib.request
 import zlib
 from dataclasses import dataclass
 
@@ -231,6 +230,7 @@ def write_atomic(path, parts):
 
 
 def _default_download(url: str) -> bytes:
+    import urllib.request  # local: it loads http and ssl, which only a download needs
     with urllib.request.urlopen(url, timeout=60) as response:
         return response.read()
 

@@ -77,7 +77,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf
 
 from .data import normalize
 from .errors import ShapeError
@@ -260,6 +259,7 @@ def _runs(srt: np.ndarray):
 def _band_terms(values: np.ndarray, spec: HistogramSpec):
     """``(lo, diffs)``: each value's leftmost band bin, and its
     ``erf(right) - erf(left)`` for each bin of its band."""
+    from scipy.special import erf  # local: only dadm's histograms load scipy
     lo, edges = _band(values, spec)
     erfs = erf((spec.edges[edges] - values[:, None]) * (1.0 / (_SQRT2 * spec.bandwidth)))
     return lo, erfs[:, 1:] - erfs[:, :-1]

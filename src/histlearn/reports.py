@@ -8,6 +8,8 @@ the evaluation transform seed) and are returned as a dict by the readers.
 Parse errors name the offending line number.
 """
 
+import math
+
 import numpy as np
 
 from .data import write_atomic
@@ -76,6 +78,31 @@ def _parse_percent(path, lineno, field, text, low=0.0):
     return value
 
 
+def _parse_finite(path, lineno, field, text):
+    value = _parse_number(path, lineno, text)
+    if not math.isfinite(value):
+        raise DataFormatError(f"{path}: line {lineno}: {field} {text!r} is not finite")
+    return value
+
+
+def _model_transform(path, lineno, cells, first_line):
+    """A row's ``(model, transform)``: the transform must be one of
+    ``TRANSFORM_KINDS``, and a pair given on an earlier row (``first_line``
+    maps each pair read so far to its line) is refused naming both lines."""
+    key = (cells[0], cells[1])
+    if key[1] not in TRANSFORM_KINDS:
+        raise DataFormatError(
+            f"{path}: line {lineno}: unknown transform {key[1]!r}, expected one of {TRANSFORM_KINDS}"
+        )
+    if key in first_line:
+        raise DataFormatError(
+            f"{path}: line {lineno}: model {key[0]!r}, transform {key[1]!r} "
+            f"repeats line {first_line[key]}"
+        )
+    first_line[key] = lineno
+    return key
+
+
 def _write_csv(path, header, rows, meta=None):
     """The ``# key=value`` lines of ``meta``, the header, then one line of
     cells per row, written atomically once every line is built: a failed
@@ -101,21 +128,11 @@ def read_eval_reports(path):
     reports = []
     first_line = {}
     for lineno, cells in _records(path, rows, EVAL_HEADER):
-        if cells[1] not in TRANSFORM_KINDS:
-            raise DataFormatError(
-                f"{path}: line {lineno}: unknown transform {cells[1]!r}, expected one of {TRANSFORM_KINDS}"
-            )
-        key = (cells[0], cells[1])
-        if key in first_line:
-            raise DataFormatError(
-                f"{path}: line {lineno}: model {key[0]!r}, transform {key[1]!r} "
-                f"repeats line {first_line[key]}"
-            )
-        first_line[key] = lineno
+        model, transform = _model_transform(path, lineno, cells, first_line)
         reports.append(
             EvalReport(
-                model=cells[0],
-                transform=cells[1],
+                model=model,
+                transform=transform,
                 top1=_parse_percent(path, lineno, "top1", cells[2]),
                 delta=_parse_percent(path, lineno, "delta", cells[3], low=-100.0),
                 per_class=[
@@ -131,14 +148,22 @@ def write_loss_curve(path, curve, meta=None):
 
 
 def read_loss_curve(path):
+    """Returns ``(curve, meta)``; inverse of :func:`write_loss_curve`.
+    The epochs must run 1, 2, ... in order, each ``mean_loss`` be finite
+    and each ``train_acc`` lie in [0, 100]."""
     meta, rows = _read_lines(path)
     curve = []
     for lineno, cells in _records(path, rows, CURVE_HEADER):
+        epoch = _parse_number(path, lineno, cells[0], int)
+        if epoch != len(curve) + 1:
+            raise DataFormatError(
+                f"{path}: line {lineno}: epoch {epoch} where epoch {len(curve) + 1} belongs"
+            )
         curve.append(
             EpochStats(
-                epoch=_parse_number(path, lineno, cells[0], int),
-                mean_loss=_parse_number(path, lineno, cells[1]),
-                train_accuracy=_parse_number(path, lineno, cells[2]),
+                epoch=epoch,
+                mean_loss=_parse_finite(path, lineno, "mean_loss", cells[1]),
+                train_accuracy=_parse_percent(path, lineno, "train_acc", cells[2]),
             )
         )
     return curve, meta
@@ -150,10 +175,14 @@ def write_bar_chart(path, reports):
 
 
 def read_bar_chart(path):
+    """``(model, transform, top1)`` rows, held to :func:`read_eval_reports`'s
+    rules for those three fields."""
     _, rows = _read_lines(path)
     out = []
+    first_line = {}
     for lineno, cells in _records(path, rows, BAR_HEADER):
-        out.append((cells[0], cells[1], _parse_number(path, lineno, cells[2])))
+        out.append((*_model_transform(path, lineno, cells, first_line),
+                    _parse_percent(path, lineno, "top1", cells[2])))
     return out
 
 
@@ -166,6 +195,6 @@ def read_histogram_dump(path):
     centers = []
     masses = []
     for lineno, cells in _records(path, rows, HIST_HEADER):
-        centers.append(_parse_number(path, lineno, cells[0]))
-        masses.append(_parse_number(path, lineno, cells[1]))
+        centers.append(_parse_finite(path, lineno, "bin_center", cells[0]))
+        masses.append(_parse_finite(path, lineno, "mass", cells[1]))
     return np.array(centers), np.array(masses)

@@ -32,7 +32,6 @@ single image (``histlearn report``) and a chunk of the test set
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import cosdg, sindg
 
 from .errors import ShapeError
 
@@ -107,6 +106,7 @@ def _rotate_batch(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     each tap is one ``take`` at an offset of that index, each weighted tap
     is formed in one reused buffer, and the clip is in place.
     """
+    from scipy.special import cosdg, sindg  # local: only rotate loads scipy
     bad = np.flatnonzero(~((degrees >= 0.0) & (degrees <= 90.0)))
     if bad.size:
         raise ValueError(f"rotation angle must be in [0, 90], got {degrees[bad[0]]}")

@@ -68,10 +68,12 @@ class TestSelftestCommand:
         assert run("selftest", "--threads", "0") == 1
 
 
-# Records the thread variables at the moment numpy is first imported, then
-# runs the CLI with the argv it is given and prints both as JSON.
-_NUMPY_IMPORT_PROBE = """
-import json, os, sys
+# Runs each CLI argv of the JSON list it is given in turn, with the CLI's
+# own output sent to stderr, and prints one JSON record per argv: its exit
+# code, the thread variables at the moment numpy was first imported, and
+# every module loaded by then.
+_FRESH_CLI_PROBE = """
+import contextlib, json, os, sys
 
 seen = {}
 
@@ -82,8 +84,25 @@ class Probe:
 
 sys.meta_path.insert(0, Probe())
 from histlearn import cli
-print(json.dumps({"code": cli.main(sys.argv[1:]), "seen": seen}))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli.main(argv)
+    print(json.dumps({"code": code, "seen": seen, "modules": sorted(sys.modules)}))
 """
+
+
+def _run_fresh(*argvs):
+    """Run each CLI argv in turn in one fresh interpreter, with ``src`` on
+    ``PYTHONPATH`` and no ``*_THREADS`` variable set.  Returns, per argv,
+    its exit code, the thread variables seen when numpy was imported, and
+    the set of module names loaded by the end of that command."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(histlearn.__file__))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CLI_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    return [(r["code"], r["seen"], set(r["modules"])) for r in records]
 
 
 class TestThreadVariables:
@@ -97,14 +116,26 @@ class TestThreadVariables:
         else:
             (tmp_path / "threads.cfg").write_text("threads=2\n")
             argv += ["--config", str(tmp_path / "threads.cfg")]
-        env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(histlearn.__file__))
-        proc = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_PROBE, *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout)
-        assert result["code"] == 2
-        assert result["seen"] == {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2"}
+        [(code, seen, _)] = _run_fresh(argv)
+        assert code == 2
+        assert seen == {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2"}
+
+
+def test_a_command_loads_only_what_it_runs(synth_data_dir, tmp_path):
+    # scipy is for dadm's histograms and rotate, urllib.request (with http
+    # and ssl) for a download: lenet's train and a battery without rotate
+    # load none of them, and rotate then loads scipy.special
+    common = ["--data-dir", synth_data_dir, "--threads", "1"]
+    ckpt = str(tmp_path / "run" / "model_lenet.ckpt")
+    results = _run_fresh(
+        ["train", "--arch", "lenet", "--epochs", "1", "--out-dir", str(tmp_path / "run"), *common],
+        ["eval", ckpt, "--transforms", "none,translate,flip,shuffle", "--out-dir", str(tmp_path / "moved"), *common],
+        ["eval", ckpt, "--transforms", "rotate", "--out-dir", str(tmp_path / "rotated"), *common],
+    )
+    assert [code for code, _, _ in results] == [0, 0, 0]
+    for _, _, modules in results[:2]:
+        assert {"scipy", "urllib.request", "http", "ssl"} & modules == set()
+    assert "scipy.special" in results[2][2]
 
 
 def test_option_defaults_equal_model_config_defaults():

@@ -292,6 +292,16 @@ class TestFetch:
             fetch_mnist(tmp_path / "d", download=down, file_table=table)
         assert "mirror" in str(err.value)
 
+    def test_default_downloader_names_url_and_reason(self, tmp_path):
+        # the one fetch that runs the default downloader: a file:// mirror
+        # that lacks the files fails with urllib's own reason, off the network
+        mirror = tmp_path.as_uri() + "/"
+        with pytest.raises(DataFormatError) as err:
+            fetch_mnist(tmp_path / "d", mirrors=[mirror])
+        message = str(err.value)
+        assert f"{mirror}train-images-idx3-ubyte.gz: " in message
+        assert "No such file or directory" in message
+
     def test_another_writers_temp_file_is_left_alone(self, tmp_path):
         # each write goes through a temp file of its own, never a fixed
         # <name>.tmp that a concurrent fetch into the same directory shares

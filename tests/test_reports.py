@@ -141,6 +141,43 @@ def test_bounds_themselves_are_read(tmp_path):
     assert read_eval_reports(path)[0] == edges
 
 
+CURVE = "epoch,mean_loss,train_acc\n1,2.5,40.0\n"
+BAR = "model,transform,top1\nlenet,none,50.0\n"
+HIST = "bin_center,mass\n-0.5,0.25\n"
+
+# name -> (reader, a file whose last line no writer writes, a word of the refusal)
+REFUSED = {
+    "curve-nan-loss": (read_loss_curve, "epoch,mean_loss,train_acc\n1,nan,250.0\n", "mean_loss"),
+    "curve-inf-loss": (read_loss_curve, "epoch,mean_loss,train_acc\n1,inf,-5\n", "mean_loss"),
+    "curve-acc-over": (read_loss_curve, CURVE + "2,1.5,250.0\n", "train_acc"),
+    "curve-acc-under": (read_loss_curve, CURVE + "2,1.5,-5\n", "train_acc"),
+    "curve-epoch-0": (read_loss_curve, "epoch,mean_loss,train_acc\n0,1.0,50\n", "epoch 0"),
+    "curve-epoch-skipped": (read_loss_curve, CURVE + "3,1.5,50.0\n", "epoch 3"),
+    "curve-epoch-repeated": (read_loss_curve, CURVE + "1,1.5,50.0\n", "epoch 1"),
+    "bar-unknown-transform": (read_bar_chart, BAR + "lenet,bogus,50.0\n", "'bogus'"),
+    "bar-bogus-nan": (read_bar_chart, "model,transform,top1\nlenet,bogus,nan\n", "'bogus'"),
+    "bar-top1-nan": (read_bar_chart, BAR + "lenet,rotate,nan\n", "top1"),
+    "bar-top1-over": (read_bar_chart, BAR + "lenet,rotate,100.5\n", "top1"),
+    "bar-top1-under": (read_bar_chart, BAR + "lenet,rotate,-0.5\n", "top1"),
+    "bar-repeated-pair": (read_bar_chart, BAR + "dadm,none,60.0\nlenet,none,60.0\n", "repeats line 2"),
+    "hist-nan-center": (read_histogram_dump, HIST + "nan,0.25\n", "bin_center"),
+    "hist-inf-center": (read_histogram_dump, HIST + "-inf,0.25\n", "bin_center"),
+    "hist-inf-mass": (read_histogram_dump, HIST + "0.5,inf\n", "mass"),
+    "hist-nan-mass": (read_histogram_dump, HIST + "0.5,nan\n", "mass"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_value_no_writer_writes_names_file_and_line(name, tmp_path):
+    read, text, word = REFUSED[name]
+    path = tmp_path / "file.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError) as err:
+        read(path)
+    assert str(err.value).startswith(f"{path}: line {text.count(chr(10))}: ")
+    assert word in str(err.value)
+
+
 def test_wrong_field_count_names_line(tmp_path):
     path = tmp_path / "reports.csv"
     write_eval_reports(path, sample_reports()[:1], {})

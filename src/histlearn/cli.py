@@ -98,17 +98,12 @@ def _set_threads(value):
 
 
 def _transform_kinds(text):
-    from .transforms import TRANSFORM_KINDS
+    from .transforms import check_kinds
 
-    kinds = tuple(t.strip() for t in text.split(",") if t.strip())
+    kinds = [t.strip() for t in text.split(",") if t.strip()]
     if not kinds:
         raise ValueError("empty transform list")
-    for i, kind in enumerate(kinds):
-        if kind not in TRANSFORM_KINDS:
-            raise ValueError(f"unknown transform {kind!r}, expected one of {TRANSFORM_KINDS}")
-        if kind in kinds[:i]:
-            raise ValueError(f"transform {kind!r} listed twice")
-    return kinds
+    return check_kinds(kinds)
 
 
 # name -> (converter, default, help); a default of None means unset

@@ -21,30 +21,29 @@ bitwise those of the usual ReLU-then-pool order.
 An image set is held as its bytes (see
 :class:`~histlearn.data.ImageSet`), and only the rows a step or chunk reads
 are normalized to float pixels.  dadm's first layer, its histogram, has
-nothing to learn, so :func:`_histograms` builds its output from bytes
-``EVAL_BATCH`` images at a time into one array, which :func:`train` does
-once over the fixed training set and :func:`evaluate` once per block and
-kind; every step and every block then runs from the trained layers on.
-lenet, base and cnn normalize each batch as its step reads it.
+nothing to learn, and every dadm histogram comes from :func:`_histograms`,
+which runs it from bytes ``EVAL_BATCH`` images at a time into one array:
+over the training set, and per test block for none, rotate and the rows a
+translation changed.  Every step and block then runs from the trained
+layers on.  lenet, base and cnn normalize each batch as its step reads it.
 
 :func:`evaluate` runs the test set in blocks.  lenet, base and cnn take
 blocks of ``EVAL_BATCH`` images, each normalized once, and run one forward
 pass per block and kind.  dadm takes blocks of ``PREFIX_CHUNK`` images,
 held as bytes, and runs its trained layers once over each block's
-histograms.  The originals and rotate histogram every row.  Translate,
-flip and shuffle only move pixels, so they move the bytes, and a row whose
-byte counts equal its original's takes its original's histogram row, which
-is bitwise the one the layer would compute; only the other rows (a
-translation that pushed strokes out of the frame) are normalized and
-histogrammed.  A kind with no such row (every flip and shuffle) takes the
-originals' predictions for the block.  The forward pass is the one
-training runs; it leaves the backward's masks unbuilt, and dadm's
-distribution layer folds its kernels once for all blocks, as they do not
-change between them.  A parameter allocates its gradient array at the
-first backward, so a model loaded to be evaluated holds none: what an
-evaluation holds beyond the parameters is one block of bytes or float
-pixels, its histograms, the layers' outputs for it, and a sub-chunk's
-transform temporaries.
+histograms.  The originals and rotate histogram every row.  Translate, flip
+and shuffle only move pixels, so they move the block's bytes, and a row
+whose byte counts equal its original's takes its original's histogram row,
+which is bitwise the one the layer would compute; only the other rows (a
+translation that pushed strokes out of the frame) are histogrammed.  A kind
+with no such row (every flip and shuffle) takes the originals' predictions
+for the block.  The forward pass is the one training runs; it leaves the
+backward's masks unbuilt, and dadm's distribution layer folds its kernels
+once for all blocks, as they do not change between them.  A parameter
+allocates its gradient array at the first backward, so a model loaded to
+be evaluated holds none: what an evaluation holds beyond the parameters is
+one block of bytes or float pixels, its histograms, the layers' outputs
+for it, and its transform temporaries.
 """
 
 import time
@@ -57,13 +56,13 @@ from .distlayers import ArithmeticDistributionLayer, init_kernel
 from .errors import NonFiniteError, ShapeError
 from .histogram import HistogramSpec, byte_counts, kde_histogram, kde_histogram_backward
 from .nn import Adam, Conv2d, Linear, MaxPool2d, ReLU, _checked_grad, check_lr, log_softmax_nll
-from .transforms import TRANSFORM_KINDS, _check_seed, stream_states, transform_batch
+from .transforms import _check_seed, check_kinds, stream_states, transform_batch
 
 ARCHITECTURES = ("lenet", "base", "cnn", "dadm")
 
-# Images per chunk that evaluate transforms and that dadm's histogram layer
-# reads, in train and in evaluate; lenet, base and cnn also run their layers
-# on one such chunk at a time.  Small enough that a chunk's transform
+# Images per chunk that dadm's histogram layer reads (and evaluate rotates
+# for it); lenet, base and cnn transform and run their layers on one such
+# chunk at a time.  Small enough that a chunk's transform
 # temporaries and layer outputs stay near cache (lenet's conv1 output is
 # 0.9 MB at 32 images, 7.1 MB at 256; its im2col is built in blocks of
 # nn.IM2COL_BYTES at any size).  perfbench eval-battery, 25 s runs, 4 rounds in rotating order at seeds 811-814,
@@ -142,9 +141,8 @@ class HistogramLayer:
 
     The forward pass is one :func:`~histlearn.histogram.kde_histogram`
     call over the whole batch, which works through it in groups of whole
-    rows with bounded memory.  :func:`train` and :func:`evaluate` feed it
-    ``EVAL_BATCH`` images at a time (see :func:`_histograms`), or only a
-    chunk's rows whose byte counts a translation changed.
+    rows with bounded memory.  :func:`train` and :func:`evaluate` run it
+    only through :func:`_histograms`, ``EVAL_BATCH`` images at a time.
     Each row's histogram is bitwise what the image alone would give.
 
     No learnable parameters.  The backward pass is one
@@ -298,7 +296,8 @@ def _histograms(layer, images, streams=None, kind="none"):
     ``EVAL_BATCH`` images at a time, into one (B, N) array.  Each sub-chunk
     is normalized and, for a ``kind`` other than ``none``, transformed with
     its slice of the ``streams`` record, so only a sub-chunk is ever float
-    pixels."""
+    pixels.  Every dadm histogram comes from here, the rows
+    :func:`_moved_histograms` changed included."""
     out = np.empty((images.shape[0], layer.spec.n_bins))
     for lo in range(0, images.shape[0], EVAL_BATCH):
         rows = slice(lo, lo + EVAL_BATCH)
@@ -380,27 +379,24 @@ def accuracy_breakdown(predictions: np.ndarray, labels: np.ndarray):
 
 
 def _moved_histograms(layer, images, streams, kind, originals, counts):
-    """dadm's histogram ``layer`` over a block of uint8 test ``images``
-    under translate, flip or shuffle, ``EVAL_BATCH`` images at a time.
+    """dadm's histograms of a block of uint8 test ``images`` under
+    translate, flip or shuffle.
 
-    These kinds move bytes without changing them, so each sub-chunk is
+    These kinds move bytes without changing them, so the block is
     transformed as bytes.  A row whose byte counts equal its original's
     (``counts``) takes its original's row of ``originals``: the histogram
     of byte-valued pixels depends only on their counts, so that row is
     bitwise what the layer would return (see
-    :func:`~histlearn.histogram.byte_counts`).  Only the other rows are
-    normalized and run through the layer.  Returns ``originals`` itself
-    when no row's counts changed.
+    :func:`~histlearn.histogram.byte_counts`).  Only the other rows go to
+    :func:`_histograms`.  Returns ``originals`` itself when no row's counts
+    changed.
     """
-    out = originals
-    for lo in range(0, images.shape[0], EVAL_BATCH):
-        rows = slice(lo, lo + EVAL_BATCH)
-        moved = transform_batch(images[rows], streams[rows], kind)
-        changed = np.flatnonzero((byte_counts(moved) != counts[rows]).any(axis=1))
-        if changed.size:
-            if out is originals:
-                out = originals.copy()
-            out[lo + changed] = layer.forward(normalize(moved[changed])[:, None, :, :])
+    moved = transform_batch(images, streams, kind)
+    changed = np.flatnonzero((byte_counts(moved) != counts).any(axis=1))
+    if not changed.size:
+        return originals
+    out = originals.copy()
+    out[changed] = _histograms(layer, moved[changed])
     return out
 
 
@@ -419,25 +415,19 @@ def evaluate(model: Model, test_set: ImageSet, kinds, seed=0) -> list:
     once over the block's histograms; a kind whose histograms are the
     originals' array itself takes the originals' predictions for the block.
     The streams ``default_rng([seed, i])`` of the whole set are computed
-    once per evaluate, for all those kinds, and each sub-chunk reads its
-    slice; none are computed when only ``none`` is asked for.
+    once per evaluate, for all those kinds, and each block or sub-chunk
+    reads its slice; none are computed when only ``none`` is asked for.
     The originals' accuracy is every report's reference for ``delta`` (so
     ``none`` reads 0), and their predictions are the ``none`` report's.  A
-    bad seed (checked first, even when no kind is listed), an unknown kind,
-    a kind listed twice and an empty set raise ``ValueError``, and
-    non-finite logits (an overflow, as in :func:`train`)
+    bad seed (checked first, even when no kind is listed), ``kinds`` that
+    :func:`~histlearn.transforms.check_kinds` refuses and an empty set raise
+    ``ValueError``, and non-finite logits (an overflow, as in :func:`train`)
     ``NonFiniteError`` naming kind and model.
     """
     _check_seed(seed)
     if test_set.count == 0:
         raise ValueError("evaluate: the test set holds no images")
-    kinds = list(kinds)
-    repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
-    if repeated:
-        raise ValueError(f"transform kinds listed more than once: {repeated}")
-    for kind in kinds:
-        if kind not in TRANSFORM_KINDS:
-            raise ValueError(f"unknown transform kind {kind!r}, expected one of {TRANSFORM_KINDS}")
+    kinds = check_kinds(kinds)
     histogram = model.layers[0] if isinstance(model.layers[0], HistogramLayer) else None
     start = int(histogram is not None)
     # the originals come first: every other kind's memo compares with them

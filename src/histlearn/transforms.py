@@ -71,9 +71,23 @@ class TransformSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in TRANSFORM_KINDS:
-            raise ValueError(f"unknown transform kind {self.kind!r}, expected one of {TRANSFORM_KINDS}")
+        check_kinds((self.kind,))
         _check_seed(self.rng_seed)
+
+
+def check_kinds(kinds) -> tuple:
+    """``kinds`` as a tuple if each is one of ``TRANSFORM_KINDS`` and none
+    is listed twice, else ``ValueError``; a bare ``str`` is refused whole,
+    not read one character at a time.  Every refuser of kinds calls this."""
+    if isinstance(kinds, str):
+        raise ValueError(f"transform kinds must be a list of kinds, not the string {kinds!r}")
+    kinds = tuple(kinds)
+    for i, kind in enumerate(kinds):
+        if kind not in TRANSFORM_KINDS:
+            raise ValueError(f"unknown transform kind {kind!r}, expected one of {TRANSFORM_KINDS}")
+        if kind in kinds[:i]:
+            raise ValueError(f"transform kind {kind!r} listed twice")
+    return kinds
 
 
 def _fill_padded(images: np.ndarray, pad: int) -> np.ndarray:
@@ -406,8 +420,7 @@ def transform_batch(images: np.ndarray, streams: np.ndarray, kind: str) -> np.nd
     ``ValueError``, and a batch of another rank or a record whose length
     is not B raises ``ShapeError``, before anything is drawn.
     """
-    if kind not in TRANSFORM_KINDS:
-        raise ValueError(f"unknown transform kind {kind!r}, expected one of {TRANSFORM_KINDS}")
+    check_kinds((kind,))
     if images.ndim != 3:
         raise ShapeError(f"expected a (B, H, W) batch, got shape {images.shape}")
     if kind == "rotate" and images.dtype == np.uint8:

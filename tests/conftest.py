@@ -47,7 +47,7 @@ def transform_set(image_set, kind, seed):
     image i drawing from the stream ``default_rng([seed, i])`` that
     ``models.evaluate`` gives it."""
     states = stream_states(seed, range(image_set.count))
-    return transform_batch(image_set.pixels, states, kind)
+    return transform_batch(image_set.take(slice(None)), states, kind)
 
 
 def gzip_file(path):

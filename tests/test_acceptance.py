@@ -91,7 +91,7 @@ def test_criterion_2_dadm_shuffle_gap_and_identity(dadm_run, mnist_sets):
     test_set = mnist_sets[1]
     gap = battery["shuffle"].delta
     shuffled = transform_set(test_set, "shuffle", EVAL_SEED)
-    preds = [model.forward(x[:, None]).argmax(1) for x in (shuffled, test_set.pixels)]
+    preds = [model.forward(x[:, None]).argmax(1) for x in (shuffled, test_set.take(slice(None)))]
     identity = float((preds[0] == preds[1]).mean())
     ok = gap <= 0.2 and identity >= 0.999
     criterion(2, ok, f"dadm shuffle gap {gap:.3f} pts (<=0.2), prediction identity {identity:.4f} (>=0.999)")

@@ -27,7 +27,7 @@ def test_round_trip_preserves_logits(arch, tmp_path):
     for p in model.parameters():
         p.value += rng.standard_normal(p.value.shape) * 0.01
     image_set = make_imageset(4, seed=7)
-    batch = image_set.pixels[:, None, :, :]
+    batch = image_set.take(slice(None))[:, None, :, :]
     before = model.forward(batch)
 
     path = tmp_path / "model.ckpt"
@@ -103,7 +103,7 @@ def test_loaded_model_allocates_gradients_on_first_backward(arch, tmp_path):
         p.value[...] = q.value
     grads = []
     for model in (loaded, fresh):
-        logits = model.forward(test_set.pixels[:, None, :, :])
+        logits = model.forward(test_set.take(slice(None))[:, None, :, :])
         model.backward(nn.log_softmax_nll(logits, test_set.labels)[1])
         grads.append([p.grad.tobytes() for p in model.parameters()])
     assert grads[0] == grads[1]

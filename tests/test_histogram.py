@@ -263,7 +263,7 @@ class TestBatchedHistograms:
 
     def test_model_input_shape(self, small_set):
         spec = HistogramSpec(n_bins=64, bandwidth=0.01)
-        images = small_set.pixels[:5]
+        images = small_set.take(slice(None))[:5]
         flat = kde_histogram(images.reshape(5, -1), spec)
         assert np.array_equal(kde_histogram(images[:, None], spec), flat)
         assert kde_histogram(images[:0, None], spec).shape == (0, 64)
@@ -522,7 +522,7 @@ class TestDiscreteHistogram:
 
     def test_rows_match_alone(self, small_set):
         spec = HistogramSpec(n_bins=16, bandwidth=0.01)
-        images = small_set.pixels[:6]
+        images = small_set.take(slice(None))[:6]
         alone = np.concatenate([discrete_histogram(img[None], spec) for img in images])
         assert np.array_equal(discrete_histogram(images, spec), alone)
         with pytest.raises(ShapeError):

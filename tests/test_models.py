@@ -25,7 +25,7 @@ def tiny_cfg(arch, **kw):
 
 
 def batch_of(image_set, n):
-    return image_set.pixels[:n, None, :, :]
+    return image_set.take(slice(None))[:n, None, :, :]
 
 
 def _held_bytes(model):
@@ -145,7 +145,7 @@ class TestForward:
         # accuracy lands near 10%
         for arch in ARCHS:
             model = models.build_model(tiny_cfg(arch))
-            preds = model.forward(balanced_set.pixels[:, None]).argmax(1)
+            preds = model.forward(balanced_set.take(slice(None))[:, None]).argmax(1)
             acc = 100.0 * (preds == balanced_set.labels).mean()
             assert 7.0 <= acc <= 13.0, f"{arch}: {acc}"
 
@@ -167,7 +167,7 @@ class TestEndToEndGradients:
         labels = small_set.labels[:2]
         if arch == "dadm":
             spec = cfg.histogram_spec()
-            feats = kde_histogram(small_set.pixels[:2], spec)
+            feats = kde_histogram(small_set.take(slice(None))[:2], spec)
             start = 1
         else:
             feats = batch_of(small_set, 2)
@@ -428,7 +428,7 @@ class TestTraining:
         train_set = make_imageset(512, seed=20)
         cfg = tiny_cfg(arch)
         model = models.build_model(cfg)
-        inputs = train_set.pixels[:, None, :, :]
+        inputs = train_set.take(slice(None))[:, None, :, :]
         initial, _ = nn.log_softmax_nll(model.forward(inputs[:256]), train_set.labels[:256])
         models.train(model, train_set, cfg)
         final, _ = nn.log_softmax_nll(model.forward(inputs[:256]), train_set.labels[:256])
@@ -663,7 +663,7 @@ class TestEvaluate:
         cfg = tiny_cfg("dadm", epochs=2)
         model = models.build_model(cfg)
         models.train(model, self.train_set, cfg)
-        base_preds = model.forward(self.test_set.pixels[:, None]).argmax(1)
+        base_preds = model.forward(self.test_set.take(slice(None))[:, None]).argmax(1)
         for kind in ("flip", "shuffle"):
             out = transform_set(self.test_set, kind, 2)
             preds = model.forward(out[:, None]).argmax(1)
@@ -701,7 +701,7 @@ def _counts_changed(test_set, kind, seed):
     """Whether each image's multiset of pixel values differs from its
     original's under ``kind``, from the sorted pixels of the float battery."""
     moved = transform_set(test_set, kind, seed).reshape(test_set.count, -1)
-    before = test_set.pixels.reshape(test_set.count, -1)
+    before = test_set.take(slice(None)).reshape(test_set.count, -1)
     return (np.sort(moved, axis=1) != np.sort(before, axis=1)).any(axis=1)
 
 
@@ -762,7 +762,7 @@ class TestEvaluateBlocks:
         monkeypatch.setattr(models, "EVAL_BATCH", 7)
         model = trained_lenet_dadm["dadm"]
         test_set = make_imageset(58, seed=39)
-        target, seed = 30, 8  # block 1, the sub-chunk of images 28-34
+        target, seed = 30, 8  # in block 1, images 24-47
         target_stream = stream_states(seed, [target])[0]
         transform_batch = models.transform_batch
         stroke = 230  # the stroke byte of make_imageset's bars
@@ -844,7 +844,7 @@ class TestEvaluateBlocks:
             seen.clear()
             models.evaluate(model, test_set, [kind], seed=seed)
             rows[kind] = sorted(row.tobytes() for row in np.concatenate(seen))
-        originals = [row.tobytes() for row in test_set.pixels.reshape(test_set.count, -1)]
+        originals = [row.tobytes() for row in test_set.take(slice(None)).reshape(test_set.count, -1)]
         assert rows["none"] == rows["flip"] == rows["shuffle"] == sorted(originals)
         changed = _counts_changed(test_set, "translate", seed)
         for kind, reaching in (("rotate", np.ones(test_set.count, dtype=bool)), ("translate", changed)):

@@ -1,15 +1,20 @@
 """perfbench's tracer wraps histlearn's functions and methods by name, from
-outside the package.  This guards those names in the package's own suite: a
-change that renames or deletes a wrapped target fails here, instead of
-leaving a benchmark metric silently unmeasured."""
+outside the package, and its other files import and call histlearn names.
+This guards those names in the package's own suite: a change that renames
+or deletes a wrapped target, or a name perfbench imports or reads, fails
+here, instead of leaving a benchmark metric silently unmeasured or the
+benchmark broken where only ``pytest perfbench`` would see it."""
 
+import ast
+import glob
 import importlib.util
 import os
 
 # the tracer patches only the histlearn modules already imported
 from histlearn import checkpoint, cli, data, distlayers, histogram, models, nn, reports, transforms  # noqa: F401
 
-TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+TRACING = os.path.join(PERFBENCH, "tracing.py")
 
 # targets the tracer still names although the package dropped them; the
 # benchmark's own repair deletes them from the tracer
@@ -36,3 +41,54 @@ def test_tracer_finds_every_target_but_the_known_absent():
     finally:
         tracer.uninstall()
     assert data.load_mnist is load_mnist and models.train is train
+
+
+def _perfbench_names():
+    """Every ``from histlearn... import name`` in perfbench's files, parsed
+    and not imported, as (module, name, file), and every ``module.attr``
+    read off a histlearn module imported that way, as (module, attr, file)."""
+    imported, read = set(), set()
+    for path in sorted(glob.glob(os.path.join(PERFBENCH, "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        where = os.path.basename(path)
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "histlearn":
+                for alias in node.names:
+                    imported.add((node.module, alias.name, where))
+                    modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                read.add((modules[node.value.id], node.attr, where))
+    return imported, read
+
+
+def _resolves(module, name):
+    """``name`` is an attribute of ``module``, or a submodule of the package."""
+    owner = importlib.import_module(module)
+    if hasattr(owner, name):
+        return True
+    return hasattr(owner, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None
+
+
+def test_every_name_perfbench_imports_or_reads_resolves():
+    imported, read = _perfbench_names()
+    missing = sorted(f"{where}: {module}.{name}" for module, name, where in imported | read
+                     if not _resolves(module, name))
+    assert not missing, missing
+    # the names perfbench uses outside its tracer, so this guard sees them
+    used = {f"{module}.{name}" for module, name, _ in imported | read}
+    assert {
+        "histlearn.transforms.TransformSpec",
+        "histlearn.transforms.transform_image",
+        "histlearn.data.normalize",
+        "histlearn.data.load_mnist",
+        "histlearn.errors.HistlearnError",
+        "histlearn.cli.main",
+        "histlearn.reports.read_loss_curve",
+        "histlearn.reports.read_eval_reports",
+    } <= used, used
+    # perfbench reads the pixels of load_mnist's result, which the parse
+    # above cannot follow
+    assert isinstance(data.ImageSet.pixels, property)

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import cosdg, sindg
 
 from conftest import make_imageset, transform_set
-from histlearn import transforms
+from histlearn import cli, models, transforms
 from histlearn.data import normalize
 from histlearn.errors import ShapeError
 from histlearn.histogram import HistogramSpec, kde_histogram
@@ -15,6 +15,7 @@ from histlearn.selftest import _reference_draws
 from histlearn.transforms import (
     TRANSFORM_KINDS,
     TransformSpec,
+    check_kinds,
     flip,
     rotate,
     stream_draws,
@@ -78,7 +79,8 @@ def transform_reference(img, i, kind, seed):
 
 
 def reference_set(image_set, kind, seed):
-    return np.stack([transform_reference(img, i, kind, seed) for i, img in enumerate(image_set.pixels)])
+    pixels = image_set.take(slice(None))
+    return np.stack([transform_reference(img, i, kind, seed) for i, img in enumerate(pixels)])
 
 
 KINDS = ["rotate", "translate", "flip", "shuffle"]
@@ -272,13 +274,13 @@ class TestShuffle:
 
 class TestApplyTransform:
     def test_none_returns_input(self, small_set):
-        states, pixels = stream_states(0, range(small_set.count)), small_set.pixels
+        states, pixels = stream_states(0, range(small_set.count)), small_set.take(slice(None))
         assert transform_batch(pixels, states, "none") is pixels
 
     def test_unknown_kind_raises_instead_of_shuffling(self, small_set):
         states = stream_states(0, range(small_set.count))
         with pytest.raises(ValueError, match="bogus"):
-            transform_batch(small_set.pixels, states, "bogus")
+            transform_batch(small_set.take(slice(None)), states, "bogus")
 
     def test_deterministic_reruns(self, small_set):
         for kind in ("rotate", "translate", "flip", "shuffle"):
@@ -291,7 +293,7 @@ class TestApplyTransform:
         out = transform_set(small_set, "rotate", 11)
         for i in (0, 17, 255):
             theta = np.random.default_rng([11, i]).uniform(0.0, 90.0)
-            assert np.array_equal(out[i], rotate(small_set.pixels[i], theta))
+            assert np.array_equal(out[i], rotate(small_set.take(slice(None))[i], theta))
 
     def test_translate_draws_dx_then_dy(self, small_set):
         out = transform_set(small_set, "translate", 4)
@@ -299,7 +301,7 @@ class TestApplyTransform:
             rng = np.random.default_rng([4, i])
             dx = int(rng.integers(-8, 9))
             dy = int(rng.integers(-8, 9))
-            assert np.array_equal(out[i], translate(small_set.pixels[i], dx, dy))
+            assert np.array_equal(out[i], translate(small_set.take(slice(None))[i], dx, dy))
 
     def test_pixels_stay_in_range(self, small_set):
         for kind in ("rotate", "translate", "flip", "shuffle"):
@@ -318,7 +320,7 @@ class TestApplyTransform:
         monkeypatch.setattr(transforms, "stream_draws", unexpected)
         streams = stream_states(0, range(3))
         with pytest.raises(ShapeError, match="4 images but 3 streams"):
-            transform_batch(small_set.pixels[:4], streams, kind)
+            transform_batch(small_set.take(slice(None))[:4], streams, kind)
 
     @pytest.mark.parametrize("shape", [(4, 1, 28, 28), (4, 784)], ids=["model-input", "flat"])
     @pytest.mark.parametrize("kind", KINDS)
@@ -328,7 +330,7 @@ class TestApplyTransform:
             raise AssertionError("drew before checking the batch's rank")
 
         monkeypatch.setattr(transforms, "stream_draws", unexpected)
-        images = small_set.pixels[:4].reshape(shape)
+        images = small_set.take(slice(None))[:4].reshape(shape)
         with pytest.raises(ShapeError, match=re.escape(f"(B, H, W) batch, got shape {shape}")):
             transform_batch(images, stream_states(0, range(4)), kind)
 
@@ -345,7 +347,7 @@ class TestApplyTransform:
     )
     def test_image_of_another_rank_is_a_shape_error(self, apply, shape, small_set):
         with pytest.raises(ShapeError, match=re.escape(f"(H, W) image, got shape {shape}")):
-            apply(small_set.pixels[0].reshape(shape))
+            apply(small_set.take(slice(None))[0].reshape(shape))
 
     @pytest.mark.parametrize("kind", ["translate", "flip", "shuffle"])
     def test_bytes_move_as_their_pixels(self, kind, small_set):
@@ -369,7 +371,7 @@ class TestApplyTransform:
     def test_flip_and_shuffle_preserve_histograms(self, small_set):
         # multiset preservation means identical per-image KDE histograms
         spec = HistogramSpec(n_bins=64, bandwidth=0.01)
-        before = kde_histogram(small_set.pixels[:16], spec)
+        before = kde_histogram(small_set.take(slice(None))[:16], spec)
         for kind in ("flip", "shuffle"):
             out = transform_set(small_set, kind, 2)
             assert np.array_equal(kde_histogram(out[:16], spec), before)
@@ -380,7 +382,7 @@ class TestApplyTransform:
         specs = [TransformSpec(kind, rng_seed=7) for kind in TRANSFORM_KINDS]
         specs += [TransformSpec("rotate", rng_seed=8), TransformSpec("shuffle", rng_seed=7)]
         states = {seed: stream_states(seed, range(image_set.count)) for seed in (7, 8)}
-        pixels = image_set.pixels
+        pixels = image_set.take(slice(None))
         outs = [transform_batch(pixels, states[t.rng_seed], t.kind) for t in specs]
         assert len(outs) == len(specs) and outs[0] is pixels
         for tspec, out in zip(specs, outs):
@@ -393,14 +395,14 @@ class TestApplyTransform:
             tspec = TransformSpec(kind, rng_seed=6)
             whole = transform_set(small_set, tspec.kind, tspec.rng_seed)
             for i in (0, 31, 200):
-                single = transform_image(small_set.pixels[i], i, tspec)
+                single = transform_image(small_set.take(slice(None))[i], i, tspec)
                 assert np.array_equal(single, whole[i])
 
     def test_rotation_perturbs_histograms(self, small_set):
         # bilinear interpolation changes the pixel multiset
         spec = HistogramSpec(n_bins=64, bandwidth=0.01)
         out = transform_set(small_set, "rotate", 2)
-        a = kde_histogram(small_set.pixels[:16], spec)
+        a = kde_histogram(small_set.take(slice(None))[:16], spec)
         b = kde_histogram(out[:16], spec)
         changed = np.sum(np.abs(a - b).max(axis=1) > 1e-6)
         assert changed >= 15  # an exact right angle draw would be a measure-zero fluke
@@ -437,3 +439,53 @@ class TestSeedValidation:
             for kind in KINDS:
                 out = transform_image(img, 2**32 - 1, TransformSpec(kind, rng_seed=seed))
                 assert out.tobytes() == transform_reference(img, 2**32 - 1, kind, int(seed)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one kind rule: every refuser turns a bad list down with the same message
+
+BAD_KINDS = {
+    "unknown": (["none", "zoom"], f"unknown transform kind 'zoom', expected one of {TRANSFORM_KINDS}"),
+    "repeated": (["rotate", "none", "rotate"], "transform kind 'rotate' listed twice"),
+}
+
+
+def _refusal(refuser, kinds, tmp_path, capsys):
+    """The message with which ``refuser`` turns down ``kinds``; a refuser of
+    one kind is given the list's last."""
+    if refuser == "cli-eval":
+        code = cli.main(["eval", str(tmp_path / "missing.ckpt"), "--data-dir", str(tmp_path),
+                         "--out-dir", str(tmp_path / "out"), "--transforms", ",".join(kinds)])
+        err = capsys.readouterr().err.splitlines()
+        prefix = "histlearn: error: --transforms: "
+        assert code == 1 and len(err) == 1 and err[0].startswith(prefix), err
+        return err[0].removeprefix(prefix)
+    with pytest.raises(ValueError) as refused:
+        if refuser == "evaluate":
+            model = models.build_model(models.ModelConfig("base"))
+            models.evaluate(model, make_imageset(4, seed=41), kinds)
+        elif refuser == "TransformSpec":
+            TransformSpec(kinds[-1])
+        else:
+            transform_batch(np.zeros((1, 28, 28)), stream_states(0, [0]), kinds[-1])
+    return str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "refuser, case",
+    [(refuser, case) for refuser in ("cli-eval", "evaluate") for case in BAD_KINDS]
+    + [("TransformSpec", "unknown"), ("transform_batch", "unknown")],
+)
+def test_bad_kinds_are_refused_alike_everywhere(refuser, case, tmp_path, capsys):
+    kinds, message = BAD_KINDS[case]
+    assert _refusal(refuser, kinds, tmp_path, capsys) == message
+
+
+@pytest.mark.parametrize("kinds", ["rotate", "flip", "none"])
+def test_a_string_of_kinds_is_refused_whole(kinds):
+    # not read one character at a time, as "r", "o", "t", ... or "f", "l", ...
+    message = f"transform kinds must be a list of kinds, not the string '{kinds}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        models.evaluate(models.build_model(models.ModelConfig("base")), make_imageset(4, seed=41), kinds)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_kinds(kinds)
